@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable
 
 from .errors import (
     InternalInvariantError,
@@ -34,6 +34,7 @@ from .graphs import (
     loop_length,
     normalize_volume,
     realize_word_as_loop,
+    reduce_darts,
     rev,
     subdivide,
     volume,
@@ -82,23 +83,18 @@ class FoldSetup:
 
 
 @dataclass
-class FoldStage:
-    time: Fraction
-    graph: MarkedMetricGraph
-    sigma: Sigma
-
-
-@dataclass
 class FoldingPath:
-    source_prepared: MarkedMetricGraph
     target: MarkedMetricGraph
     events: list                       # event times, starting at 0
     snapshots: list                    # MarkedMetricGraph per event (labelled)
-    maps: list                         # PLMap per event
+    sigmas: list                       # edge map to the target per event
     witness: EdgePath
-    stages: list                       # FoldStage per event (internal state)
     transports: list                   # loop transport callables per stage
     strategy: str
+
+    @property
+    def source_prepared(self) -> MarkedMetricGraph:
+        return self.snapshots[0]
 
     @property
     def end_time(self) -> Fraction:
@@ -121,6 +117,22 @@ def setup_as_plmap(source, target, sigma) -> PLMap:
 
 # -- preparation -----------------------------------------------------------------------
 
+def _find(parent: dict, x):
+    """Root of x in a dict-based union-find; unseen elements are singletons."""
+    parent.setdefault(x, x)
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def _union(parent: dict, a, b) -> None:
+    """Merge the classes of a and b; the smaller root stays the root."""
+    ra, rb = _find(parent, a), _find(parent, b)
+    if ra != rb:
+        parent[max(ra, rb)] = min(ra, rb)
+
+
 def _collapse_constant_edges(f: PLMap):
     """Collapse source edges with constant image (their endpoints share the
     image); returns the smaller graph, the surviving map data, and the dart
@@ -135,53 +147,32 @@ def _collapse_constant_edges(f: PLMap):
             raise InternalInvariantError(
                 "constant image on an essential loop edge"
             )
-    parent = {v: v for v in A.vertices}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
+    parent: dict[str, str] = {}
     for e in sorted(dead):
         o, t, _ = A.edges[e]
-        ro, rt = find(o), find(t)
-        if ro != rt:
-            parent[max(ro, rt)] = min(ro, rt)
+        _union(parent, o, t)
     edges = {
-        e: (find(o), find(t), l)
+        e: (_find(parent, o), _find(parent, t), l)
         for e, (o, t, l) in A.edges.items() if e not in dead
     }
     drop = {(e, s) for e in dead for s in (1, -1)}
     marking = tuple(
-        tighten_free(tuple(d for d in petal if d not in drop))
+        reduce_darts(d for d in petal if d not in drop)
         for petal in A.marking
     )
     A2 = MarkedMetricGraph(
         rank=A.rank,
-        vertices=frozenset(find(v) for v in A.vertices),
+        vertices=frozenset(_find(parent, v) for v in A.vertices),
         edges=edges,
-        basepoint=find(A.basepoint),
+        basepoint=_find(parent, A.basepoint),
         marking=marking,
         labels=None,
     )
     A2 = A2.with_labels(derive_inverse_marking(A2))
-    vertex_image = {find(v): f.vertex_image[v] for v in A.vertices}
+    vertex_image = {_find(parent, v): f.vertex_image[v] for v in A.vertices}
     edge_image = {e: p for e, p in f.edge_image.items() if e not in dead}
     f2 = PLMap(A2, f.target, vertex_image, edge_image)
     return A2, f2, drop
-
-
-def tighten_free(path: EdgePath) -> EdgePath:
-    """Stack-reduce a dart sequence without incidence checks (used while the
-    carrying graph is being rebuilt)."""
-    out = []
-    for d in path:
-        if out and out[-1] == rev(d):
-            out.pop()
-        else:
-            out.append(d)
-    return tuple(out)
 
 
 def prepare_folding_setup(A: MarkedMetricGraph, B: MarkedMetricGraph,
@@ -280,12 +271,14 @@ def prepare_folding_setup(A: MarkedMetricGraph, B: MarkedMetricGraph,
 # -- the zip engine ---------------------------------------------------------------------
 
 def active_classes(G: MarkedMetricGraph, B: MarkedMetricGraph, sigma: Sigma,
-                   restrict_vertex: Optional[str] = None) -> dict:
-    """vertex -> list of dart groups (size >= 2) sharing an image germ."""
+                   strategy: str = "simultaneous") -> dict:
+    """vertex -> list of dart groups (size >= 2) sharing an image germ.
+
+    The single-vertex strategy folds only at the smallest vertex that has
+    such a group.
+    """
     out: dict[str, list] = {}
     for v in sorted(G.vertices):
-        if restrict_vertex is not None and v != restrict_vertex:
-            continue
         by_germ: dict[Germ, list] = {}
         for d in G.star(v):
             by_germ.setdefault(germ_of_dart(G, B, sigma, d), []).append(d)
@@ -293,6 +286,8 @@ def active_classes(G: MarkedMetricGraph, B: MarkedMetricGraph, sigma: Sigma,
                   if len(g) >= 2]
         if groups:
             out[v] = groups
+            if strategy == "single-vertex":
+                break
     return out
 
 
@@ -352,55 +347,30 @@ def fold_step(G: MarkedMetricGraph, B: MarkedMetricGraph, sigma: Sigma,
     # union-find over darts and vertices
     dparent: dict[Dart, Dart] = {}
     vparent: dict[str, str] = {}
-
-    def dfind(x):
-        dparent.setdefault(x, x)
-        while dparent[x] != x:
-            dparent[x] = dparent[dparent[x]]
-            x = dparent[x]
-        return x
-
-    def vfind(x):
-        vparent.setdefault(x, x)
-        while vparent[x] != x:
-            vparent[x] = vparent[vparent[x]]
-            x = vparent[x]
-        return x
-
-    def dunion(a, b):
-        ra, rb = dfind(a), dfind(b)
-        if ra != rb:
-            dparent[max(ra, rb)] = min(ra, rb)
-
-    def vunion(a, b):
-        ra, rb = vfind(a), vfind(b)
-        if ra != rb:
-            vparent[max(ra, rb)] = min(ra, rb)
-
     for v, groups in classes.items():
         for g in groups:
             firsts = [exp[d][0] for d in g]
             lead = firsts[0]
             for other in firsts[1:]:
-                if dfind(other) == dfind(rev(lead)):
+                if _find(dparent, other) == _find(dparent, rev(lead)):
                     raise InternalInvariantError(
                         "fold identifies an edge with its own reverse"
                     )
-                dunion(lead, other)
-                dunion(rev(lead), rev(other))
-                vunion(G1.terminus(lead), G1.terminus(other))
+                _union(dparent, lead, other)
+                _union(dparent, rev(lead), rev(other))
+                _union(vparent, G1.terminus(lead), G1.terminus(other))
 
     # rebuild the quotient graph
     new_edges: dict[str, tuple] = {}
     rep_of: dict[Dart, Dart] = {}
     for e in sorted(G1.edges):
-        r = dfind((e, 1))
+        r = _find(dparent, (e, 1))
         rep_of[(e, 1)] = r
         rep_of[(e, -1)] = rev(r)
     kept = sorted({r[0] for r in rep_of.values()})
     for e in kept:
         o, t, l = G1.edges[e]
-        new_edges[e] = (vfind(o), vfind(t), l)
+        new_edges[e] = (_find(vparent, o), _find(vparent, t), l)
     for e in G1.edges:
         r = rep_of[(e, 1)]
         if dart_len(G1, (e, 1)) != new_edges[r[0]][2]:
@@ -411,17 +381,8 @@ def fold_step(G: MarkedMetricGraph, B: MarkedMetricGraph, sigma: Sigma,
         return r if d[1] > 0 else rev(r)
 
     def transport(path: EdgePath, mode: str = "path") -> EdgePath:
-        expanded = [map_dart(x) for d in path for x in exp[d]]
-        out = []
-        for d in expanded:
-            if out and out[-1] == rev(d):
-                out.pop()
-            else:
-                out.append(d)
-        if mode == "loop":
-            while len(out) >= 2 and out[0] == rev(out[-1]):
-                out = out[1:-1]
-        return tuple(out)
+        return reduce_darts((map_dart(x) for d in path for x in exp[d]),
+                            mode == "loop")
 
     marking = tuple(transport(p) for p in G.marking)
     sigma2 = {e: sigma1[e] for e in kept}
@@ -432,7 +393,7 @@ def fold_step(G: MarkedMetricGraph, B: MarkedMetricGraph, sigma: Sigma,
         rank=G.rank,
         vertices=vertices,
         edges=new_edges,
-        basepoint=vfind(G.basepoint),
+        basepoint=_find(vparent, G.basepoint),
         marking=marking,
         labels=None,
     )
@@ -461,15 +422,12 @@ def fast_fold(setup: FoldSetup, strategy: str = "simultaneous",
     witness = setup.witness
     witness_len = loop_length(G, witness)
     t = Fraction(0)
-    stages = [FoldStage(t, G, dict(sigma))]
+    graphs = [G]
+    sigmas = [sigma]
     events = [t]
     transports: list[Callable] = []
     while True:
-        restrict = None
-        if strategy == "single-vertex":
-            all_classes = active_classes(G, B, sigma)
-            restrict = min(all_classes) if all_classes else None
-        classes = active_classes(G, B, sigma, restrict)
+        classes = active_classes(G, B, sigma, strategy)
         if not classes:
             break
         if len(events) > max_events:
@@ -481,16 +439,16 @@ def fast_fold(setup: FoldSetup, strategy: str = "simultaneous",
             raise InternalInvariantError("witness loop was folded")
         t += delta
         events.append(t)
-        stages.append(FoldStage(t, G, dict(sigma)))
+        graphs.append(G)
+        sigmas.append(sigma)
         transports.append(transport)
 
     # the end of the path must be the target up to subdivision: the surviving
     # edges partition every target edge exactly
-    final, fsig = stages[-1].graph, stages[-1].sigma
     cover: dict[str, list] = {e: [] for e in B.edges}
-    for e in sorted(final.edges):
-        bd, off = fsig[e]
-        l = final.length(e)
+    for e in sorted(G.edges):
+        bd, off = sigma[e]
+        l = G.length(e)
         L = dart_len(B, bd)
         iv = (off, off + l) if bd[1] > 0 else (L - off - l, L - off)
         cover[bd[0]].append(iv)
@@ -505,27 +463,21 @@ def fast_fold(setup: FoldSetup, strategy: str = "simultaneous",
             raise InternalInvariantError("final map is not an isometry")
 
     snapshots = []
-    maps = []
-    for st in stages:
-        g = st.graph
+    for g in graphs:
         if g.labels is None:
             g = g.with_labels(derive_inverse_marking(g))
         snapshots.append(g)
-        maps.append(setup_as_plmap(g, B, st.sigma))
-        st.graph = g
     end_rep = lambda_r(snapshots[-1], B).value * lambda_r(B, snapshots[-1]).value
     if end_rep != 1:
         raise InternalInvariantError(
             "final snapshot is not isometric to the target as a marked graph"
         )
     return FoldingPath(
-        source_prepared=snapshots[0],
         target=B,
         events=events,
         snapshots=snapshots,
-        maps=maps,
+        sigmas=sigmas,
         witness=setup.witness,
-        stages=stages,
         transports=transports,
         strategy=strategy,
     )
@@ -546,16 +498,12 @@ def graph_at(path: FoldingPath, t: Fraction):
     """(graph, sigma) at an arbitrary time, rebuilding partial folds."""
     t = Fraction(t)
     i = _stage_index(path, t)
-    st = path.stages[i]
+    G, sigma = path.snapshots[i], path.sigmas[i]
     if t == path.events[i]:
-        return st.graph, st.sigma
-    delta = t - path.events[i]
-    restrict = None
-    if path.strategy == "single-vertex":
-        all_classes = active_classes(st.graph, path.target, st.sigma)
-        restrict = min(all_classes) if all_classes else None
-    classes = active_classes(st.graph, path.target, st.sigma, restrict)
-    G2, sigma2, _ = fold_step(st.graph, path.target, st.sigma, classes, delta)
+        return G, sigma
+    classes = active_classes(G, path.target, sigma, path.strategy)
+    G2, sigma2, _ = fold_step(G, path.target, sigma, classes,
+                              t - path.events[i])
     return G2, sigma2
 
 
@@ -573,11 +521,7 @@ def turns_at(path: FoldingPath, t: Fraction) -> set:
     if t >= path.end_time:
         return set()
     G, sigma = graph_at(path, t)
-    restrict = None
-    if path.strategy == "single-vertex":
-        all_classes = active_classes(G, path.target, sigma)
-        restrict = min(all_classes) if all_classes else None
-    return folding_turns(active_classes(G, path.target, sigma, restrict))
+    return folding_turns(active_classes(G, path.target, sigma, path.strategy))
 
 
 def multiplicity_of_loop(G: MarkedMetricGraph, turns: set,

@@ -64,8 +64,16 @@ class MarkedMetricGraph:
         return out
 
     def star(self, v: str) -> list[Dart]:
-        """Darts leaving ``v`` (a loop at ``v`` contributes both darts)."""
-        return [d for d in self.darts() if self.origin(d) == v]
+        """Darts leaving ``v`` in sorted edge order (a loop at ``v``
+        contributes both darts)."""
+        out = []
+        for e in sorted(self.edges):
+            o, t, _ = self.edges[e]
+            if o == v:
+                out.append((e, 1))
+            if t == v:
+                out.append((e, -1))
+        return out
 
     def valence(self, v: str) -> int:
         return len(self.star(v))
@@ -122,6 +130,22 @@ def is_loop(G: MarkedMetricGraph, path: EdgePath) -> bool:
     return G.origin(path[0]) == G.terminus(path[-1])
 
 
+def reduce_darts(path: Iterable[Dart], cyclic: bool = False) -> EdgePath:
+    """Cancel backtracking in a dart sequence with one stack pass; with
+    ``cyclic`` also cancel between its two ends.  No incidence checks, so it
+    also serves while the carrying graph is being rebuilt."""
+    out: list[Dart] = []
+    for d in path:
+        if out and out[-1] == rev(d):
+            out.pop()
+        else:
+            out.append(d)
+    if cyclic:
+        while len(out) >= 2 and out[0] == rev(out[-1]):
+            out = out[1:-1]
+    return tuple(out)
+
+
 def tighten(G: MarkedMetricGraph, path: EdgePath, mode: str = "path") -> EdgePath:
     """Reduce a path (cancel backtracking); in ``loop`` mode also reduce
     cyclically, which may move the basepoint of the loop."""
@@ -130,16 +154,7 @@ def tighten(G: MarkedMetricGraph, path: EdgePath, mode: str = "path") -> EdgePat
         raise InvalidInputError(f"unknown tighten mode {mode!r}")
     if mode == "loop" and not is_loop(G, path):
         raise InvalidInputError("tighten(mode='loop') needs a closed path")
-    out: list[Dart] = []
-    for d in path:
-        if out and out[-1] == rev(d):
-            out.pop()
-        else:
-            out.append(d)
-    if mode == "loop":
-        while len(out) >= 2 and out[0] == rev(out[-1]):
-            out = out[1:-1]
-    return tuple(out)
+    return reduce_darts(path, mode == "loop")
 
 
 def is_cyclically_reduced(G: MarkedMetricGraph, path: EdgePath) -> bool:
@@ -173,36 +188,27 @@ def counting_inner_product(G: MarkedMetricGraph, loop: EdgePath) -> Fraction:
     return sum((G.length(e) * k for e, k in counts.items()), Fraction(0))
 
 
-def counting_vector(G: MarkedMetricGraph, loop: EdgePath) -> dict[str, int]:
-    counts = {e: 0 for e in G.edges}
-    for d in loop:
-        counts[d[0]] += 1
-    return counts
-
-
 # -- marking readouts ----------------------------------------------------------
+
+def _realize_word(G: MarkedMetricGraph, w: Word, mode: str) -> EdgePath:
+    if w.rank != G.rank:
+        raise RankMismatchError(f"word rank {w.rank} != graph rank {G.rank}")
+    steps: list[Dart] = []
+    for x in w.letters:
+        petal = G.marking[abs(x) - 1]
+        steps.extend(petal if x > 0 else tuple(rev(d) for d in reversed(petal)))
+    return tighten(G, tuple(steps), mode)
+
 
 def realize_word_as_path(G: MarkedMetricGraph, w: Word) -> EdgePath:
     """The based loop tracing ``w`` through the marking, tightened rel
     endpoints."""
-    if w.rank != G.rank:
-        raise RankMismatchError(f"word rank {w.rank} != graph rank {G.rank}")
-    steps: list[Dart] = []
-    for x in w.letters:
-        petal = G.marking[abs(x) - 1]
-        steps.extend(petal if x > 0 else tuple(rev(d) for d in reversed(petal)))
-    return tighten(G, tuple(steps), "path")
+    return _realize_word(G, w, "path")
 
 
 def realize_word_as_loop(G: MarkedMetricGraph, w: Word) -> EdgePath:
     """Cyclically reduced loop representing the conjugacy class of ``w``."""
-    if w.rank != G.rank:
-        raise RankMismatchError(f"word rank {w.rank} != graph rank {G.rank}")
-    steps: list[Dart] = []
-    for x in w.letters:
-        petal = G.marking[abs(x) - 1]
-        steps.extend(petal if x > 0 else tuple(rev(d) for d in reversed(petal)))
-    return tighten(G, tuple(steps), "loop")
+    return _realize_word(G, w, "loop")
 
 
 def translation_length(G: MarkedMetricGraph, w: Word) -> Fraction:
@@ -286,15 +292,7 @@ def validate_marked_graph(G: MarkedMetricGraph) -> ValidationReport:
 
     # connectivity
     if G.vertices:
-        seen = {G.basepoint}
-        frontier = [G.basepoint]
-        while frontier:
-            v = frontier.pop()
-            for d in G.star(v):
-                w = G.terminus(d)
-                if w not in seen:
-                    seen.add(w)
-                    frontier.append(w)
+        seen = set(bfs_tree(G, G.basepoint))
         if seen != G.vertices:
             missing = sorted(G.vertices - seen)[0]
             issues.append(f"graph is not connected (vertex {missing} unreachable)")
@@ -441,38 +439,24 @@ def subdivide(G: MarkedMetricGraph, cuts: Mapping[str, Sequence[Fraction]]
     return G2, expansion
 
 
-def expand_path(expansion: Mapping[Dart, EdgePath], path: EdgePath) -> EdgePath:
-    return tuple(x for d in path for x in expansion[d])
-
-
 # -- rebasing and canonical form -----------------------------------------------------
 
-def _bfs_path(G: MarkedMetricGraph, src: str, dst: str) -> EdgePath:
-    """Deterministic edge path from src to dst (BFS in sorted dart order)."""
-    if src == dst:
-        return ()
-    prev: dict[str, Dart] = {}
-    seen = {src}
-    frontier = [src]
+def bfs_tree(G: MarkedMetricGraph, root: str) -> dict[str, Optional[Dart]]:
+    """Breadth-first spanning tree of the component of ``root``: each reached
+    vertex maps to the dart it was reached along (``root`` to None), in
+    discovery order, scanning every star in sorted dart order."""
+    tree: dict[str, Optional[Dart]] = {root: None}
+    frontier = [root]
     while frontier:
         nxt = []
         for v in frontier:
             for d in G.star(v):
                 w = G.terminus(d)
-                if w not in seen:
-                    seen.add(w)
-                    prev[w] = d
+                if w not in tree:
+                    tree[w] = d
                     nxt.append(w)
         frontier = nxt
-    if dst not in prev:
-        raise InvalidInputError(f"no path from {src} to {dst}")
-    out = []
-    v = dst
-    while v != src:
-        d = prev[v]
-        out.append(d)
-        v = G.origin(d)
-    return tuple(reversed(out))
+    return tree
 
 
 def rebase(G: MarkedMetricGraph, new_base: str) -> MarkedMetricGraph:
@@ -482,7 +466,15 @@ def rebase(G: MarkedMetricGraph, new_base: str) -> MarkedMetricGraph:
         raise InvalidInputError(f"unknown vertex {new_base}")
     if new_base == G.basepoint:
         return G
-    conn = _bfs_path(G, new_base, G.basepoint)
+    tree = bfs_tree(G, new_base)
+    if G.basepoint not in tree:
+        raise InvalidInputError(f"no path from {new_base} to {G.basepoint}")
+    steps = []
+    v = G.basepoint
+    while v != new_base:
+        steps.append(tree[v])
+        v = G.origin(tree[v])
+    conn = tuple(reversed(steps))
     conn_rev = tuple(rev(d) for d in reversed(conn))
     marking = tuple(
         tighten(G, conn + petal + conn_rev, "path") for petal in G.marking

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from .docs import format_fraction
 from .errors import (
     BudgetExhaustedError,
     InternalInvariantError,
@@ -28,6 +29,8 @@ from .graphs import (
     Dart,
     EdgePath,
     MarkedMetricGraph,
+    bfs_tree,
+    realize_word_as_path,
     rev,
 )
 from .words import Word, cyclic_reduce, free_reduce, generator
@@ -147,12 +150,10 @@ def pl_reverse(G: MarkedMetricGraph, p: PLPath) -> PLPath:
     return PLPath(segs, path_end(G, p))
 
 
-def pl_concat(G: MarkedMetricGraph, p: PLPath, q: PLPath) -> PLPath:
-    """Concatenate and tighten two reduced paths sharing an endpoint."""
-    if path_end(G, p) != path_start(G, q):
-        raise InvalidInputError("paths do not share an endpoint")
-    P = list(p.segs)
-    Q = list(q.segs)
+def _cancel_seam(G: MarkedMetricGraph, P: list, Q: list) -> Fraction:
+    """Cancel, in place, the backtracking at the seam where the segment list
+    P ends and Q starts; returns the length cancelled from each side."""
+    total = Fraction(0)
     while P and Q:
         d, a, b = P[-1]
         d2, a2, b2 = Q[0]
@@ -161,6 +162,7 @@ def pl_concat(G: MarkedMetricGraph, p: PLPath, q: PLPath) -> PLPath:
         if a2 != dart_len(G, d) - b:
             raise InternalInvariantError("seam points disagree during tightening")
         c = min(b - a, b2 - a2)
+        total += c
         P[-1] = (d, a, b - c)
         Q[0] = (d2, a2 + c, b2)
         popped = False
@@ -172,6 +174,16 @@ def pl_concat(G: MarkedMetricGraph, p: PLPath, q: PLPath) -> PLPath:
             popped = True
         if not popped:
             raise InternalInvariantError("tightening made no progress")
+    return total
+
+
+def pl_concat(G: MarkedMetricGraph, p: PLPath, q: PLPath) -> PLPath:
+    """Concatenate and tighten two reduced paths sharing an endpoint."""
+    if path_end(G, p) != path_start(G, q):
+        raise InvalidInputError("paths do not share an endpoint")
+    P = list(p.segs)
+    Q = list(q.segs)
+    _cancel_seam(G, P, Q)
     return make_plpath(G, P + Q, p.anchor)
 
 
@@ -214,43 +226,18 @@ def pl_cancellation(G: MarkedMetricGraph, p: PLPath, q: PLPath) -> Fraction:
     (len(p) + len(q) - len(p.q tightened)) / 2."""
     if path_end(G, p) != path_start(G, q):
         raise InvalidInputError("paths do not share an endpoint")
-    P = list(p.segs)
-    Q = list(q.segs)
-    total = Fraction(0)
-    while P and Q:
-        d, a, b = P[-1]
-        d2, a2, b2 = Q[0]
-        if d2 != rev(d) or a2 != dart_len(G, d) - b:
-            break
-        c = min(b - a, b2 - a2)
-        total += c
-        P[-1] = (d, a, b - c)
-        Q[0] = (d2, a2 + c, b2)
-        if P[-1][1] == P[-1][2]:
-            P.pop()
-        if Q and Q[0][1] == Q[0][2]:
-            Q.pop(0)
-    return total
+    return _cancel_seam(G, list(p.segs), list(q.segs))
 
 
 def pl_cyclic_length(G: MarkedMetricGraph, p: PLPath) -> Fraction:
-    """Length of the free homotopy class of a closed PL path."""
+    """Length of the free homotopy class of a closed PL path.
+
+    A reduced closed path is u.w.u~ with w cyclically reduced, and the seam
+    of p.p cancels exactly u, so the cyclic length is |p| - 2|u|.
+    """
     if path_start(G, p) != path_end(G, p):
         raise InvalidInputError("cyclic length needs a closed path")
-    segs = list(p.segs)
-    while len(segs) >= 2:
-        d, a, b = segs[-1]
-        d2, a2, b2 = segs[0]
-        if d2 != rev(d) or a2 != dart_len(G, d) - b:
-            break
-        c = min(b - a, b2 - a2)
-        segs[-1] = (d, a, b - c)
-        segs[0] = (d2, a2 + c, b2)
-        if segs[-1][1] == segs[-1][2]:
-            segs.pop()
-        if segs and segs[0][1] == segs[0][2]:
-            segs.pop(0)
-    return sum((b - a for (_, a, b) in segs), Fraction(0))
+    return pl_length(p) - 2 * _cancel_seam(G, list(p.segs), list(p.segs))
 
 
 def plloop_word(B: MarkedMetricGraph, p: PLPath) -> Word:
@@ -348,23 +335,14 @@ def initial_pl_map(A: MarkedMetricGraph, B: MarkedMetricGraph) -> PLMap:
         raise InvalidInputError("source graph needs inverse labels")
     # BFS tree words from the basepoint
     conn: dict[str, Word] = {A.basepoint: free_reduce([], A.rank)}
-    frontier = [A.basepoint]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for d in sorted(A.star(v)):
-                w = A.terminus(d)
-                if w not in conn:
-                    conn[w] = conn[v] * A.label_of_dart(d)
-                    nxt.append(w)
-        frontier = nxt
+    for w, d in bfs_tree(A, A.basepoint).items():
+        if d is not None:
+            conn[w] = conn[A.origin(d)] * A.label_of_dart(d)
     base_pt = ("v", B.basepoint)
     vertex_image = {v: base_pt for v in A.vertices}
     edge_image = {}
     for e, (o, t, _) in A.edges.items():
         w_e = conn[o] * A.labels[e] * conn[t].inverse()
-        from .graphs import realize_word_as_path
-
         darts = realize_word_as_path(B, w_e)
         edge_image[e] = (
             pl_from_darts(B, darts) if darts else pl_constant(base_pt)
@@ -399,13 +377,8 @@ def subgraph_boundary(f: PLMap, edges: frozenset) -> tuple:
     )
     out = []
     for v in verts:
-        germs = set()
-        for e in sorted(edges):
-            o, t, _ = A.edges[e]
-            if t == v:
-                germs.add(terminal_germ(f, (e, 1)))
-            if o == v:
-                germs.add(terminal_germ(f, (e, -1)))
+        germs = {terminal_germ(f, d) for (e, d) in _incident_ends(A, v)
+                 if e in edges}
         if None in germs:
             raise InternalInvariantError(
                 "maximally stretched edge with a constant image"
@@ -452,14 +425,7 @@ def stratified_boundary_condition(f: PLMap) -> bool:
 
 def _incident_ends(A: MarkedMetricGraph, v: str) -> list[tuple[str, Dart]]:
     """(edge, terminating dart) pairs at v; a loop contributes both darts."""
-    ends = []
-    for e in sorted(A.edges):
-        o, t, _ = A.edges[e]
-        if t == v:
-            ends.append((e, (e, 1)))
-        if o == v:
-            ends.append((e, (e, -1)))
-    return ends
+    return [(d[0], rev(d)) for d in A.star(v)]
 
 
 def _move_vertex(f: PLMap, v: str, alpha: Dart, q: Fraction,
@@ -658,8 +624,9 @@ def optimize_pl_map(A: MarkedMetricGraph, B: MarkedMetricGraph,
         if moves >= max_moves:
             raise BudgetExhaustedError(
                 f"optimization budget {max_moves} exhausted: best stretch "
-                f"~{float(ana.stretch):.12g}, certified target "
-                f"~{float(target):.12g}, gap ~{float(ana.stretch - target):.3g}",
+                f"{format_fraction(ana.stretch)}, certified target "
+                f"{format_fraction(target)}, gap "
+                f"{format_fraction(ana.stretch - target)}",
                 partial=(f, ana.stretch, target),
             )
         optimal, offenders = is_optimal(f)

@@ -52,10 +52,6 @@ class Word:
             out = out * self
         return out
 
-    def conjugate(self, u: "Word") -> "Word":
-        """u * self * u^-1."""
-        return u * self * u.inverse()
-
 
 def identity(rank: int) -> Word:
     return Word((), rank)

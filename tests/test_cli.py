@@ -161,6 +161,14 @@ def test_optmap_budget_exhausted(files, capsys):
     assert "budget" in err
 
 
+def test_optmap_budget_reports_exact_gap(files, capsys):
+    code, out, err = run(capsys, "optmap", files["X"], files["T"],
+                         "--max-moves", "1")
+    assert code == 4
+    assert out == ""
+    assert "best stretch 39/20, certified target 3/2, gap 9/20" in err
+
+
 def test_foldpath_identity_pair(files, capsys):
     code, out, _ = run(capsys, "foldpath", files["X"], files["X"])
     assert code == 0

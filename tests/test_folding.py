@@ -21,6 +21,7 @@ from outerspace.fixtures import (
     unit_rose,
 )
 from outerspace.folding import (
+    active_classes,
     check_dR_geodesic,
     check_four_point,
     check_quasi_geodesic,
@@ -225,6 +226,36 @@ def test_single_vertex_strategy_agrees_at_endpoints():
     p2 = fold_pair(A, B, normalize_target=False, strategy="single-vertex")
     assert stretch_report(p1.snapshots[-1], p2.snapshots[-1]).Lambda == 1
     assert check_dR_geodesic(p2.snapshots)[0]
+
+
+def random_fold_pair(seed):
+    rng = random.Random(seed)
+    A = random_graph(rng)
+    B, _ = random_same_simplex_pair(rng)
+    return A, apply_automorphism_to_marking(
+        B, random_nielsen_automorphism(rng, 2, moves=2))
+
+
+@pytest.mark.parametrize("pair", ["twist3", "random16"])
+def test_single_vertex_strategy_folds_one_vertex_per_event(pair):
+    # the twist folds at one vertex per event anyway; the random pair has
+    # events with two active vertices, where the restriction acts
+    A, B = poly_twist_pair(3) if pair == "twist3" else random_fold_pair(16)
+    path = fold_pair(A, B, normalize_target=False, strategy="single-vertex")
+    most = 0
+    for t, G, sigma in zip(path.events, path.snapshots, path.sigmas):
+        every = active_classes(G, path.target, sigma)
+        one = active_classes(G, path.target, sigma, "single-vertex")
+        most = max(most, len(every))
+        if t == path.end_time:
+            assert every == one == {}
+            continue
+        v = min(every)
+        assert one == {v: every[v]}
+        turns = turns_at(path, t)
+        assert turns
+        assert all(G.origin(d) == v for turn in turns for d in turn)
+    assert most == (1 if pair == "twist3" else 2)
 
 
 def test_fold_random_pairs_geodesic_properties():

@@ -1,0 +1,102 @@
+"""Golden outputs: stdout, stderr and exit code of fixed CLI runs, compared
+byte for byte with the files in tests/golden/ (``<case>.out``, ``<case>.err``
+and ``exit_codes.json``).
+
+Regenerate the files (only when a report is meant to change) with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import io
+import json
+import os
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+
+import pytest
+
+from outerspace import cli
+from outerspace.docs import save_graph
+from outerspace.fixtures import poly_twist_pair, theta_left, theta_right
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+
+PAIRS = {"theta": ("theta_left.json", "theta_right.json"),
+         "twist3": ("twist3_source.json", "twist3_target.json")}
+
+CASES = {}
+for _name in ("wiest-coulbois", "polygrowth", "incompleteness", "orbit"):
+    for _fmt in ("tsv", "json"):
+        CASES[f"repro-{_name}.{_fmt}"] = ["--format", _fmt, "repro", _name]
+for _pair, (_a, _b) in PAIRS.items():
+    CASES[f"distance-{_pair}"] = ["distance", _a, _b, "--witness"]
+    CASES[f"optmap-{_pair}"] = ["optmap", _a, _b]
+    CASES[f"foldpath-{_pair}"] = ["foldpath", _a, _b, "--samples", "3"]
+    CASES[f"foldpath-single-{_pair}"] = ["foldpath", _a, _b, "--strategy",
+                                         "single-vertex", "--samples", "2"]
+    CASES[f"bcc-{_pair}"] = ["bcc", _a, _b, "--pair-cap", "2000"]
+
+
+def write_inputs(directory):
+    source, target = poly_twist_pair(3)
+    for fname, G in (("theta_left.json", theta_left()),
+                     ("theta_right.json", theta_right()),
+                     ("twist3_source.json", source),
+                     ("twist3_target.json", target)):
+        save_graph(os.path.join(directory, fname), G)
+
+
+def run_case(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def read_golden(fname):
+    with open(os.path.join(GOLDEN, fname), encoding="utf-8", newline="") as fh:
+        return fh.read()
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    d = tmp_path_factory.mktemp("golden")
+    write_inputs(str(d))
+    return d
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_golden_output(case, inputs, monkeypatch):
+    monkeypatch.chdir(inputs)
+    code, out, err = run_case(CASES[case])
+    assert code == json.loads(read_golden("exit_codes.json"))[case]
+    assert out == read_golden(case + ".out")
+    assert err == read_golden(case + ".err")
+
+
+def regenerate():
+    import tempfile
+
+    os.makedirs(GOLDEN, exist_ok=True)
+    codes = {}
+    here = os.getcwd()
+    with tempfile.TemporaryDirectory() as d:
+        write_inputs(d)
+        os.chdir(d)
+        try:
+            for case in sorted(CASES):
+                codes[case], out, err = run_case(CASES[case])
+                for suffix, text in ((".out", out), (".err", err)):
+                    with open(os.path.join(GOLDEN, case + suffix), "w",
+                              encoding="utf-8", newline="") as fh:
+                        fh.write(text)
+        finally:
+            os.chdir(here)
+    with open(os.path.join(GOLDEN, "exit_codes.json"), "w",
+              encoding="utf-8") as fh:
+        json.dump(codes, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
+if __name__ == "__main__":
+    sys.exit(regenerate())

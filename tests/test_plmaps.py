@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from outerspace.errors import InvalidInputError
+from outerspace.errors import BudgetExhaustedError, InvalidInputError
 from outerspace.fixtures import (
     aut_poly,
     barbell,
@@ -20,6 +20,7 @@ from outerspace.fixtures import (
 )
 from outerspace.graphs import (
     apply_automorphism_to_marking,
+    realize_word_as_path,
     translation_length,
     volume,
 )
@@ -31,11 +32,14 @@ from outerspace.plmaps import (
     next_v,
     optimize_pl_map,
     path_image_length,
+    pl_cancellation,
     pl_concat,
     pl_cyclic_length,
     pl_from_darts,
     pl_length,
     pl_reverse,
+    plloop_word,
+    push_loop,
     stretch_analysis,
     stratified_boundary_condition,
     validate_pl_map,
@@ -71,6 +75,40 @@ def test_cyclic_length_cancels_seam():
     p = pl_from_darts(G, (("b", 1), ("a", 1), ("b", -1)))
     assert pl_length(p) == 3
     assert pl_cyclic_length(G, p) == 1
+
+
+def test_seam_cancellation_matches_translation_length():
+    """Images of based loops under optimized (or budget-partial) maps between
+    random rank-2 pairs: the cyclic length is the translation length of the
+    loop's word, and the cancellation at a seam accounts exactly for the
+    length lost by concatenation."""
+    rng = random.Random(41)
+    cases = interior = partial = 0
+    for _ in range(24):
+        A = random_graph(rng)
+        B, _ = random_same_simplex_pair(rng)
+        B = apply_automorphism_to_marking(
+            B, random_nielsen_automorphism(rng, 2, moves=2))
+        try:
+            f = optimize_pl_map(A, B, max_moves=4)
+        except BudgetExhaustedError as exc:
+            f = exc.partial[0]
+            partial += 1
+        images = []
+        while len(images) < 8:
+            loop = realize_word_as_path(A, random_word(rng, 2, 6))
+            if loop:
+                images.append(push_loop(f, loop))
+        interior += f.vertex_image[A.basepoint][0] == "e"
+        for p in images:
+            assert pl_cyclic_length(B, p) == \
+                translation_length(B, plloop_word(B, p))
+            for q in images[:4]:
+                cases += 1
+                assert 2 * pl_cancellation(B, p, q) == \
+                    pl_length(p) + pl_length(q) - pl_length(pl_concat(B, p, q))
+    assert cases == 768
+    assert interior > 0 and partial > 0
 
 
 def test_mid_edge_merge():
