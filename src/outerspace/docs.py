@@ -125,11 +125,8 @@ def doc_to_graph(doc: dict) -> MarkedMetricGraph:
         basepoint = doc["basepoint"]
     except (KeyError, TypeError) as exc:
         raise InvalidInputError(f"malformed graph document: {exc}")
-    G = make_graph(rank, edges, basepoint, marking,
-                   labels if have_labels else None)
-    if not have_labels:
-        G = ensure_labels(G)
-    return G
+    return ensure_labels(make_graph(rank, edges, basepoint, marking,
+                                    labels if have_labels else None))
 
 
 def canonical_text(doc: dict) -> str:

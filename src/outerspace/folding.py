@@ -17,7 +17,7 @@ definition and the volume bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable
 
@@ -28,8 +28,8 @@ from .errors import (
 from .graphs import (
     Dart,
     EdgePath,
+    GaugedClasses,
     MarkedMetricGraph,
-    derive_inverse_marking,
     is_cyclically_reduced,
     loop_length,
     normalize_volume,
@@ -37,6 +37,7 @@ from .graphs import (
     reduce_darts,
     rev,
     subdivide,
+    validate_marked_graph,
     volume,
     word_of_loop,
 )
@@ -136,23 +137,21 @@ def _union(parent: dict, a, b) -> None:
 def _collapse_constant_edges(f: PLMap):
     """Collapse source edges with constant image (their endpoints share the
     image); returns the smaller graph, the surviving map data, and the dart
-    drop set."""
+    drop set.  Collapsed edges are gauged to read the identity first."""
     A = f.source
     dead = {e for e, p in f.edge_image.items() if not p.segs}
     if not dead:
         return A, f, dead
-    for e in dead:
+    vc = GaugedClasses({e: (o, t) for e, (o, t, _) in A.edges.items()},
+                       A.labels, A.basepoint)
+    for e in sorted(dead):
         o, t, _ = A.edges[e]
-        if o == t:
+        if not vc.merge(o, t, vc.read((e, 1))):
             raise InternalInvariantError(
                 "constant image on an essential loop edge"
             )
-    parent: dict[str, str] = {}
-    for e in sorted(dead):
-        o, t, _ = A.edges[e]
-        _union(parent, o, t)
     edges = {
-        e: (_find(parent, o), _find(parent, t), l)
+        e: (vc.find(o), vc.find(t), l)
         for e, (o, t, l) in A.edges.items() if e not in dead
     }
     drop = {(e, s) for e in dead for s in (1, -1)}
@@ -162,14 +161,13 @@ def _collapse_constant_edges(f: PLMap):
     )
     A2 = MarkedMetricGraph(
         rank=A.rank,
-        vertices=frozenset(_find(parent, v) for v in A.vertices),
+        vertices=frozenset(vc.find(v) for v in A.vertices),
         edges=edges,
-        basepoint=_find(parent, A.basepoint),
+        basepoint=vc.find(A.basepoint),
         marking=marking,
-        labels=None,
+        labels={e: vc.labels[e] for e in edges},
     )
-    A2 = A2.with_labels(derive_inverse_marking(A2))
-    vertex_image = {_find(parent, v): f.vertex_image[v] for v in A.vertices}
+    vertex_image = {vc.find(v): f.vertex_image[v] for v in A.vertices}
     edge_image = {e: p for e, p in f.edge_image.items() if e not in dead}
     f2 = PLMap(A2, f.target, vertex_image, edge_image)
     return A2, f2, drop
@@ -198,10 +196,7 @@ def prepare_folding_setup(A: MarkedMetricGraph, B: MarkedMetricGraph,
     # rescale: edge lengths become image lengths, so f is isometric on edges
     edges = {e: (o, t, pl_length(f.edge_image[e]))
              for e, (o, t, _) in A1.edges.items()}
-    A2 = MarkedMetricGraph(
-        rank=A1.rank, vertices=A1.vertices, edges=edges,
-        basepoint=A1.basepoint, marking=A1.marking, labels=A1.labels,
-    )
+    A2 = replace(A1, edges=edges)
     f = PLMap(A2, Bt, f.vertex_image, f.edge_image)
 
     # subdivide the target at interior vertex images
@@ -321,6 +316,7 @@ def fold_step(G: MarkedMetricGraph, B: MarkedMetricGraph, sigma: Sigma,
     """Advance every active zip by ``delta`` and rebuild the quotient.
 
     Returns the new graph, its edge map, and a loop transport callable.
+    Identified darts are gauged to read one word, so labels are carried.
     """
     active = {d for groups in classes.values() for g in groups for d in g}
     cuts: dict[str, set] = {}
@@ -344,9 +340,10 @@ def fold_step(G: MarkedMetricGraph, B: MarkedMetricGraph, sigma: Sigma,
             sigma1[piece[0]] = (bd, pos)
             pos += dart_len(G1, piece)
 
-    # union-find over darts and vertices
+    # union-find over darts; gauged classes over vertices
     dparent: dict[Dart, Dart] = {}
-    vparent: dict[str, str] = {}
+    vc = GaugedClasses({e: (o, t) for e, (o, t, _) in G1.edges.items()},
+                       G1.labels, G1.basepoint)
     for v, groups in classes.items():
         for g in groups:
             firsts = [exp[d][0] for d in g]
@@ -356,9 +353,12 @@ def fold_step(G: MarkedMetricGraph, B: MarkedMetricGraph, sigma: Sigma,
                     raise InternalInvariantError(
                         "fold identifies an edge with its own reverse"
                     )
+                if _find(dparent, other) == _find(dparent, lead):
+                    continue
                 _union(dparent, lead, other)
                 _union(dparent, rev(lead), rev(other))
-                _union(vparent, G1.terminus(lead), G1.terminus(other))
+                vc.merge(G1.terminus(lead), G1.terminus(other),
+                         vc.read(lead).inverse() * vc.read(other))
 
     # rebuild the quotient graph
     new_edges: dict[str, tuple] = {}
@@ -370,7 +370,7 @@ def fold_step(G: MarkedMetricGraph, B: MarkedMetricGraph, sigma: Sigma,
     kept = sorted({r[0] for r in rep_of.values()})
     for e in kept:
         o, t, l = G1.edges[e]
-        new_edges[e] = (_find(vparent, o), _find(vparent, t), l)
+        new_edges[e] = (vc.find(o), vc.find(t), l)
     for e in G1.edges:
         r = rep_of[(e, 1)]
         if dart_len(G1, (e, 1)) != new_edges[r[0]][2]:
@@ -386,16 +386,13 @@ def fold_step(G: MarkedMetricGraph, B: MarkedMetricGraph, sigma: Sigma,
 
     marking = tuple(transport(p) for p in G.marking)
     sigma2 = {e: sigma1[e] for e in kept}
-    vertices = frozenset(
-        v for (o, t, _) in new_edges.values() for v in (o, t)
-    )
     G2 = MarkedMetricGraph(
         rank=G.rank,
-        vertices=vertices,
+        vertices=frozenset(vc.find(v) for v in G1.vertices),
         edges=new_edges,
-        basepoint=_find(vparent, G.basepoint),
+        basepoint=vc.find(G.basepoint),
         marking=marking,
-        labels=None,
+        labels={e: vc.labels[e] for e in kept},
     )
     betti = len(G2.edges) - len(G2.vertices) + 1
     if betti != G.rank:
@@ -403,12 +400,19 @@ def fold_step(G: MarkedMetricGraph, B: MarkedMetricGraph, sigma: Sigma,
             "fold changed the rank; the setup map was not a homotopy "
             "equivalence"
         )
-    # germ consistency of merged darts
+    # germ and label consistency of merged darts
     for e in G1.edges:
         r = rep_of[(e, 1)]
         if germ_of_dart(G2, B, sigma2, r) != \
                 germ_of_dart(G1, B, sigma1, (e, 1)):
             raise InternalInvariantError("merged darts disagree on their image")
+        if vc.read(r) != vc.read((e, 1)):
+            raise InternalInvariantError("merged darts read different words")
+    report = validate_marked_graph(G2)
+    if not report.ok:
+        raise InternalInvariantError(
+            f"fold produced an invalid marked graph: {report.issues[0]}"
+        )
     return G2, sigma2, transport
 
 
@@ -422,7 +426,7 @@ def fast_fold(setup: FoldSetup, strategy: str = "simultaneous",
     witness = setup.witness
     witness_len = loop_length(G, witness)
     t = Fraction(0)
-    graphs = [G]
+    snapshots = [G]
     sigmas = [sigma]
     events = [t]
     transports: list[Callable] = []
@@ -439,7 +443,7 @@ def fast_fold(setup: FoldSetup, strategy: str = "simultaneous",
             raise InternalInvariantError("witness loop was folded")
         t += delta
         events.append(t)
-        graphs.append(G)
+        snapshots.append(G)
         sigmas.append(sigma)
         transports.append(transport)
 
@@ -462,11 +466,6 @@ def fast_fold(setup: FoldSetup, strategy: str = "simultaneous",
         if pos != B.length(e):
             raise InternalInvariantError("final map is not an isometry")
 
-    snapshots = []
-    for g in graphs:
-        if g.labels is None:
-            g = g.with_labels(derive_inverse_marking(g))
-        snapshots.append(g)
     end_rep = lambda_r(snapshots[-1], B).value * lambda_r(B, snapshots[-1]).value
     if end_rep != 1:
         raise InternalInvariantError(
@@ -508,10 +507,8 @@ def graph_at(path: FoldingPath, t: Fraction):
 
 
 def sample_path(path: FoldingPath, t: Fraction):
-    """Marked graph and map to the target at time t (labels derived)."""
+    """Marked graph and map to the target at time t (labels carried)."""
     G, sigma = graph_at(path, t)
-    if G.labels is None:
-        G = G.with_labels(derive_inverse_marking(G))
     return G, setup_as_plmap(G, path.target, sigma)
 
 
@@ -583,7 +580,8 @@ def speeds(path: FoldingPath, t: Fraction) -> SpeedReport:
     w = word_of_loop(path.target, gamma_b)
     realized = realize_word_as_loop(G, w)
     mu_b = multiplicity_of_loop(G, turns, realized)
-    if mu_b < 1:
+    # folding one vertex at a time may leave the witness unfolded for a while
+    if mu_b < 1 and path.strategy != "single-vertex":
         raise InternalInvariantError(
             "the maximal stretch witness avoids every folding turn"
         )
@@ -702,11 +700,7 @@ def check_dR_geodesic(points):
     Volumes cancel, so raw stretching factors multiply exactly along a
     geodesic.  Returns (flag, failures, consecutive witnesses).
     """
-    graphs = []
-    for g in points:
-        if g.labels is None:
-            g = g.with_labels(derive_inverse_marking(g))
-        graphs.append(g)
+    graphs = list(points)
     n = len(graphs)
     if n < 3:
         raise InvalidInputError("need at least three points")

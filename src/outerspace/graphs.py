@@ -8,8 +8,8 @@ kept in both directions:
 * ``marking[i]`` is the edge path traced by the i-th rose petal, a loop at the
   basepoint;
 * ``labels[e]`` is the word read when crossing ``e`` forward under the
-  homotopy inverse of the marking (``labels`` may be ``None`` on internal
-  snapshots and can be recomputed with `derive_inverse_marking`).
+  homotopy inverse of the marking.  Only input documents may omit labels
+  (`derive_inverse_marking` recovers them); folds and moves carry them.
 
 Consistency means: reading the labels along ``marking[i]`` reduces to exactly
 the i-th generator.  Graphs are immutable by convention; every operation
@@ -563,7 +563,54 @@ def canonicalize(G: MarkedMetricGraph) -> MarkedMetricGraph:
         )
 
 
-# -- deriving inverse labels (folding with word tracking) ------------------------------
+# -- gauged vertex classes and label derivation ------------------------------------------
+
+class GaugedClasses:
+    """Union-find over vertices whose merges keep every loop's word.
+
+    ``ends`` maps edges to (origin, terminus), ``labels`` (copied) to words.
+    A merge gauges the class without the basepoint ``base``; the smaller root
+    names the merged class; ``edges[root]`` holds the edges with an end in it.
+    """
+
+    def __init__(self, ends: Mapping, labels: Mapping, base) -> None:
+        self.ends = ends
+        self.labels = dict(labels)
+        self.base = base
+        self.parent = {base: base}
+        self.edges: dict = {base: set()}
+        for e, (o, t) in ends.items():
+            for v in (o, t):
+                self.parent[v] = v
+                self.edges.setdefault(v, set()).add(e)
+
+    def find(self, v):
+        parent = self.parent
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    def read(self, d: Dart) -> Word:
+        w = self.labels[d[0]]
+        return w if d[1] > 0 else w.inverse()
+
+    def merge(self, a, b, c: Word) -> bool:
+        """Join the classes of ``a`` and ``b`` so that a path from ``a`` to
+        ``b`` reading ``c`` reads the identity; False if already joined."""
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        if rb == self.find(self.base):
+            ra, rb, c = rb, ra, c.inverse()
+        for e in self.edges[rb]:
+            o, t = self.ends[e]
+            w = c * self.labels[e] if self.find(o) == rb else self.labels[e]
+            self.labels[e] = w * c.inverse() if self.find(t) == rb else w
+        self.parent[max(ra, rb)] = min(ra, rb)
+        self.edges[min(ra, rb)] = self.edges.pop(ra) | self.edges.pop(rb)
+        return True
+
 
 def derive_inverse_marking(G: MarkedMetricGraph) -> dict[str, Word]:
     """Compute inverse labels from the forward marking alone.
@@ -575,120 +622,81 @@ def derive_inverse_marking(G: MarkedMetricGraph) -> dict[str, Word]:
     when the forward marking is not a marking isomorphism on the fundamental
     group.
     """
-    # mutable fold arena: vertices are ints under union-find
-    parent: list[int] = []
-
-    def new_vertex() -> int:
-        parent.append(len(parent))
-        return len(parent) - 1
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    base = new_vertex()
-    # edge records: [origin, terminus, g_dart, word, alive]
-    medges: list[list] = []
+    # wedge edge k covers image[k]; 0 is the basepoint, k + 1 the vertex after k
+    ends: dict[int, tuple[int, int]] = {}
+    image: dict[int, Dart] = {}
+    words: dict[int, Word] = {}
     for i, petal in enumerate(G.marking, start=1):
         path = tighten(G, petal, "path")
         if not path or not is_loop(G, path) or G.origin(path[0]) != G.basepoint:
             raise InvalidInputError(
                 f"marking path {i} does not tighten to a basepoint loop"
             )
-        prev = base
+        prev = 0
         for j, d in enumerate(path):
-            nxt = base if j == len(path) - 1 else new_vertex()
-            w = generator(i, G.rank) if j == 0 else identity(G.rank)
-            medges.append([prev, nxt, d, w, True])
+            k = len(ends)
+            nxt = 0 if j == len(path) - 1 else k + 1
+            ends[k], image[k] = (prev, nxt), d
+            words[k] = generator(i, G.rank) if j == 0 else identity(G.rank)
             prev = nxt
+    vc = GaugedClasses(ends, words, 0)
 
-    def gauge(y: int, g: Word) -> None:
-        """Rewrite words at vertex y: through-readings and petal words are
-        unchanged as group elements."""
-        for k, (o, t, _, w, alive) in enumerate(medges):
-            if not alive:
-                continue
-            o_in = find(o) == y
-            t_in = find(t) == y
-            if o_in and t_in:
-                medges[k][3] = g.inverse() * w * g
-            elif o_in:
-                medges[k][3] = g.inverse() * w
-            elif t_in:
-                medges[k][3] = w * g
-
-    changed = True
-    while changed:
-        changed = False
-        roots = sorted({find(o) for (o, t, _, _, a) in medges if a}
-                       | {find(t) for (o, t, _, _, a) in medges if a}
-                       | {find(base)})
-        for x in roots:
+    def next_fold():
+        """The first two wedge darts, each with its far end, that leave the
+        smallest class root with a shared image."""
+        for x in sorted(vc.edges):
             by_dart: dict[Dart, list] = {}
-            for k, (o, t, d, w, alive) in enumerate(medges):
-                if not alive:
-                    continue
-                if find(o) == x:
-                    by_dart.setdefault(d, []).append((k, 1, w))
-                if find(t) == x:
-                    by_dart.setdefault(rev(d), []).append((k, -1, w.inverse()))
-            pair = None
+            for k in sorted(vc.edges[x]):
+                o, t = ends[k]
+                if vc.find(o) == x:
+                    by_dart.setdefault(image[k], []).append(((k, 1), t))
+                if vc.find(t) == x:
+                    by_dart.setdefault(rev(image[k]), []).append(((k, -1), o))
             for d in sorted(by_dart):
                 if len(by_dart[d]) >= 2:
-                    pair = by_dart[d][:2]
-                    break
-            if pair is None:
-                continue
-            (k1, s1, w1), (k2, s2, w2) = pair
-            y1 = find(medges[k1][1] if s1 > 0 else medges[k1][0])
-            y2 = find(medges[k2][1] if s2 > 0 else medges[k2][0])
-            if y1 == y2:
-                raise InvalidInputError(
-                    "forward marking is not injective on the fundamental group "
-                    "(fold would reduce rank)"
-                )
-            # absorb y2 into y1, keeping the basepoint's representative stable
-            if y2 == find(base):
-                k1, s1, w1, y1, k2, s2, w2, y2 = k2, s2, w2, y2, k1, s1, w1, y1
-            gauge(y2, w2.inverse() * w1)
-            # after the gauge the two folded edges read the same word from x
-            g1 = medges[k1][3] if s1 > 0 else medges[k1][3].inverse()
-            g2 = medges[k2][3] if s2 > 0 else medges[k2][3].inverse()
-            if g1 != g2:
-                raise InternalInvariantError("gauge did not align folded edges")
-            medges[k2][4] = False
-            parent[y2] = y1
-            changed = True
-            break
+                    return by_dart[d][:2]
+        return None
+
+    while (pair := next_fold()) is not None:
+        # absorb the far end of the second dart, never the basepoint
+        (d1, y1), (d2, y2) = pair
+        if vc.find(y2) == vc.find(0):
+            (d1, y1), (d2, y2) = pair[::-1]
+        if not vc.merge(y1, y2, vc.read(d1).inverse() * vc.read(d2)):
+            raise InvalidInputError(
+                "forward marking is not injective on the fundamental group "
+                "(fold would reduce rank)"
+            )
+        # after the gauge the two folded darts read the same word
+        if vc.read(d1) != vc.read(d2):
+            raise InternalInvariantError("gauge did not align folded edges")
+        for v in ends[d2[0]]:
+            vc.edges[vc.find(v)].discard(d2[0])
 
     # extract: alive edges must biject with G's edges
     label_words: dict[str, Word] = {}
     vmap: dict[int, str] = {}
-    alive = [(o, t, d, w) for (o, t, d, w, a) in medges if a]
+    alive = sorted({k for ks in vc.edges.values() for k in ks})
     if len(alive) != len(G.edges):
         raise InvalidInputError(
             "forward marking does not fold onto the graph "
             f"({len(alive)} folded edges for {len(G.edges)} graph edges)"
         )
-    for (o, t, d, w) in alive:
-        e, s = d
-        word = w if s > 0 else w.inverse()
+    for k in alive:
+        e, s = image[k]
         if e in label_words:
             raise InvalidInputError(
                 f"forward marking folds two edges onto edge {e}"
             )
-        label_words[e] = word
-        go = G.origin((e, 1))
-        gt = G.terminus((e, 1))
-        mo, mt = (find(o), find(t)) if s > 0 else (find(t), find(o))
-        for mv, gv in ((mo, go), (mt, gt)):
+        label_words[e] = vc.read((k, s))
+        o, t = ends[k]
+        mo, mt = (vc.find(o), vc.find(t)) if s > 0 else (vc.find(t), vc.find(o))
+        for mv, gv in ((mo, G.origin((e, 1))), (mt, G.terminus((e, 1)))):
             if vmap.setdefault(mv, gv) != gv:
                 raise InvalidInputError(
                     "folded marking graph is not isomorphic to the graph"
                 )
-    if vmap.get(find(base)) != G.basepoint:
+    if vmap.get(vc.find(0)) != G.basepoint:
         raise InvalidInputError("folded basepoint does not match the basepoint")
     if set(label_words) != set(G.edges):
         missing = sorted(set(G.edges) - set(label_words))[0]

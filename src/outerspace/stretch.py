@@ -17,6 +17,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Optional
 
+from .docs import format_fraction
 from .errors import BudgetExhaustedError, InvalidInputError, RankMismatchError
 from .graphs import (
     Dart,
@@ -360,8 +361,8 @@ def bounded_cancellation_bound(A: MarkedMetricGraph, B: MarkedMetricGraph,
     bound = K + lam * volume(A)
     if loops_truncated or pairs_capped:
         raise BudgetExhaustedError(
-            f"pair cap {pair_cap} reached; partial bound {bound} is a lower "
-            f"bound",
+            f"pair cap {pair_cap} reached; partial bound "
+            f"{format_fraction(bound)} is a lower bound",
             partial=bound,
         )
     return bound

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from conftest import twisted_barbell
 from outerspace import cli
 from outerspace.docs import (
     canonical_text,
@@ -12,7 +13,15 @@ from outerspace.docs import (
     parse_word,
     save_graph,
 )
-from outerspace.fixtures import rose_t, theta_left, theta_right, unit_rose
+from outerspace.fixtures import (
+    barbell,
+    poly_twist_pair,
+    rose_t,
+    theta_left,
+    theta_right,
+    unit_rose,
+)
+from outerspace.graphs import make_graph
 from outerspace.words import Word
 
 
@@ -25,6 +34,7 @@ def files(tmp_path):
         ("T", rose_t(F(5, 8))),
         ("R", unit_rose(2)),
         ("R3", unit_rose(3)),
+        ("P", poly_twist_pair(3)[0]),
     ):
         p = tmp_path / f"{name}.json"
         save_graph(str(p), G)
@@ -185,6 +195,41 @@ def test_foldpath_trace(files, tmp_path, capsys):
     for line in text.splitlines():
         if line and line[0].isdigit():
             assert line.split("\t")[6] == "0/1"
+
+
+@pytest.mark.parametrize("source,target",
+                         [("Y", "T"), ("X", "T"), ("X", "R"), ("X", "P")])
+def test_foldpath_single_vertex_toward_speed_zero(files, capsys, source,
+                                                  target):
+    # folding one vertex at a time, the target's witness loop can miss every
+    # turn being folded; its multiplicity and speed are then 0
+    code, out, err = run(capsys, "foldpath", files[source], files[target],
+                         "--strategy", "single-vertex", "--samples", "1")
+    assert code == 0, err
+    rows = [line.split("\t") for line in out.splitlines()
+            if line[:1].isdigit()]
+    assert "0/1" in [row[4] for row in rows]
+
+
+@pytest.mark.parametrize("source,target,vertex", [("V", "Y", "w"),
+                                                  ("B1", "V", "u")])
+def test_foldpath_valence_one_snapshot_is_an_internal_error(
+        files, tmp_path, capsys, source, target, vertex):
+    # a fold of these pairs leaves a vertex with a single edge (the source's
+    # w, or the basepoint u); such a snapshot is not a marked graph, an open
+    # problem of the zip semantics rather than an input error
+    G = barbell(F(1, 3), F(1, 2), F(1, 5))
+    a, A, b, B = ("a", 1), ("a", -1), ("b", 1), ("b", -1)
+    c, C = ("c", 1), ("c", -1)
+    V = make_graph(2, G.edges, "u", [(c, B, C, a), (c, b, C, A, c, b, C)],
+                   {"a": parse_word("baa", 2), "b": parse_word("ba", 2),
+                    "c": parse_word("", 2)})
+    for name, H in (("V", V), ("B1", twisted_barbell())):
+        files[name] = str(tmp_path / f"{name}.json")
+        save_graph(files[name], H)
+    code, _, err = run(capsys, "foldpath", files[source], files[target])
+    assert code == 5
+    assert f"vertex {vertex} has valence 1" in err
 
 
 def test_checkgeod_crossing(files, capsys):

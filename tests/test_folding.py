@@ -1,9 +1,11 @@
 import math
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
 
+from conftest import twisted_barbell
 from outerspace.errors import InvalidInputError
 from outerspace.fixtures import (
     aut_exp,
@@ -37,6 +39,7 @@ from outerspace.folding import (
 from outerspace.graphs import (
     apply_automorphism_to_marking,
     canonicalize,
+    derive_inverse_marking,
     interpolate_in_simplex,
     loop_length,
     scale_graph,
@@ -277,6 +280,38 @@ def test_fold_random_pairs_geodesic_properties():
         for i in range(len(path.events) - 1):
             dv = volume(path.snapshots[i]) - volume(path.snapshots[i + 1])
             assert dv >= path.events[i + 1] - path.events[i]
+
+
+@pytest.mark.parametrize("pair", ["theta", "twist3", "barbell"])
+def test_folding_carries_labels_without_deriving(pair, monkeypatch):
+    if pair == "theta":
+        A, B = theta_left(), theta_right()
+    elif pair == "twist3":
+        A, B = poly_twist_pair(3)
+    else:
+        G = twisted_barbell()
+        A, B = G.with_labels(derive_inverse_marking(G)), unit_rose(2)
+
+    def no_derivation(G):
+        raise AssertionError("folding re-derived inverse labels")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "outerspace" and \
+                hasattr(module, "derive_inverse_marking"):
+            monkeypatch.setattr(module, "derive_inverse_marking", no_derivation)
+    setup = prepare_folding_setup(A, B)
+    path = fast_fold(setup)
+    for G in path.snapshots:
+        assert validate_marked_graph(G).ok, validate_marked_graph(G).issues
+    ends = path.events
+    for t in ends + [(a + b) / 2 for a, b in zip(ends, ends[1:])]:
+        G, _ = sample_path(path, t)
+        assert validate_marked_graph(G).ok, validate_marked_graph(G).issues
+    assert check_dR_geodesic(path.snapshots)[0]
+    if pair == "barbell":
+        # the bridge c has constant image and is collapsed in the setup
+        assert "c" not in setup.optimal_map.edge_image
+        assert len(path.events) - 1 == 10
 
 
 # -- systole ----------------------------------------------------------------------------

@@ -3,6 +3,8 @@ from fractions import Fraction as F
 
 import pytest
 
+from conftest import twisted_barbell
+from outerspace.docs import format_word
 from outerspace.errors import InvalidInputError
 from outerspace.fixtures import (
     aut_poly,
@@ -325,6 +327,14 @@ def test_derive_labels_detects_non_injective_marking():
     G = make_graph(2, edges, "v", marking)
     with pytest.raises(InvalidInputError):
         derive_inverse_marking(G)
+
+
+def test_derive_labels_pinned_on_twisted_barbell():
+    # the bridge c carries the gauge at w, which depends on the fold order:
+    # absorbing the edge that reaches the basepoint's class gives c = bA
+    labels = derive_inverse_marking(twisted_barbell())
+    assert {e: format_word(w) for e, w in labels.items()} == \
+        {"a": "aaB", "b": "bAAbAAbA", "c": "aaBaaB"}
 
 
 # -- subdivision and canonical form ---------------------------------------------------
