@@ -52,6 +52,7 @@ from .plmaps import (
 from .stretch import (
     enumerate_candidates,
     lambda_r,
+    stretch_report,
 )
 
 # image of a forward edge: it covers [offset, offset + length] of a target dart
@@ -616,38 +617,38 @@ def systole_and_thin_test(G: MarkedMetricGraph, eps: Fraction):
     return systole, loop, systole < eps
 
 
+def _pairwise(points, dist):
+    """D(i, j) = dist(points[i], points[j]), computed when first asked and
+    at most once per index pair."""
+    memo = {}
+
+    def D(i, j):
+        if (i, j) not in memo:
+            memo[(i, j)] = dist(points[i], points[j])
+        return memo[(i, j)]
+
+    return D
+
+
 def check_four_point(points, dist):
     """Verify d(p_i, p_l) >= d(p_j, p_k) for all i <= j <= k <= l.
 
     Returns (flag, first violation or None); the distance callback must
-    return comparable values.
+    return comparable values and is called at most once per index pair.
     """
     n = len(points)
     if n < 4:
         raise InvalidInputError("need at least four sample points")
+    D = _pairwise(points, dist)
     for i in range(n):
         for l in range(i + 3, n):
-            outer = dist(points[i], points[l])
+            outer = D(i, l)
             for j in range(i, l + 1):
                 for k in range(j, l + 1):
-                    inner = dist(points[j], points[k])
+                    inner = D(j, k)
                     if inner > outer:
                         return False, (i, j, k, l, inner, outer)
     return True, None
-
-
-def _lambda_products(graphs, metric: str):
-    """Consecutive and pairwise exact distance data: D[i][j] = Lambda value
-    between samples i < j (symmetric Lambda or normalized right factor)."""
-    from .stretch import stretch_report
-
-    n = len(graphs)
-    D = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            rep = stretch_report(graphs[i], graphs[j])
-            D[(i, j)] = rep.Lambda if metric == "d" else rep.lambda_R
-    return D
 
 
 def check_quasi_geodesic(samples, lam, eps, metric: str = "d"):
@@ -655,8 +656,10 @@ def check_quasi_geodesic(samples, lam, eps, metric: str = "d"):
 
     ``samples`` is a list of (parameter, graph) with strictly increasing
     parameters fixing the order; the parameter used in the inequality is the
-    arc length (sum of consecutive distances).  With eps == 0 and rational
-    lam the check is exact (power comparisons of rational Lambda values).
+    arc length (sum of consecutive distances).  ``metric`` is "d" (symmetric
+    Lambda) or "dR" (right factor on volume-one representatives).  With
+    eps == 0 and rational lam the check is exact (power comparisons of
+    rational Lambda values).
     """
     params = [p for (p, _) in samples]
     if any(b <= a for a, b in zip(params, params[1:])):
@@ -665,20 +668,21 @@ def check_quasi_geodesic(samples, lam, eps, metric: str = "d"):
     n = len(graphs)
     if n < 2:
         raise InvalidInputError("need at least two samples")
-    D = _lambda_products(graphs, metric)
+    if metric not in ("d", "dR"):
+        raise InvalidInputError(f"unknown metric {metric!r}")
     lam = Fraction(lam)
     if lam < 1:
         raise InvalidInputError("quasi-geodesic constant must be >= 1")
+    field = "Lambda" if metric == "d" else "lambda_R"
+    D = _pairwise(graphs, lambda a, b: getattr(stretch_report(a, b), field))
     exact = (eps == 0)
     worst = None
     ok = True
     for i in range(n):
+        M = Fraction(1)  # multiplicative arc length between i and j
         for j in range(i + 1, n):
-            # multiplicative arc length between i and j
-            M = Fraction(1)
-            for k in range(i, j):
-                M *= D[(k, k + 1)]
-            dist = D[(i, j)]
+            M *= D(j - 1, j)
+            dist = D(i, j)
             if exact:
                 p, q = lam.numerator, lam.denominator
                 lower_ok = M ** q <= dist ** p
@@ -704,20 +708,13 @@ def check_dR_geodesic(points):
     n = len(graphs)
     if n < 3:
         raise InvalidInputError("need at least three points")
-    lam = {}
-    wit = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            got = lambda_r(graphs[i], graphs[j])
-            lam[(i, j)] = got.value
-            wit[(i, j)] = got.witnesses
+    D = _pairwise(graphs, lambda_r)
     failures = []
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
-                if lam[(i, j)] * lam[(j, k)] != lam[(i, k)]:
-                    failures.append(
-                        (i, j, k, lam[(i, j)] * lam[(j, k)], lam[(i, k)])
-                    )
-    witnesses = [wit[(i, i + 1)] for i in range(n - 1)]
+                prod = D(i, j).value * D(j, k).value
+                if prod != D(i, k).value:
+                    failures.append((i, j, k, prod, D(i, k).value))
+    witnesses = [D(i, i + 1).witnesses for i in range(n - 1)]
     return not failures, failures, witnesses

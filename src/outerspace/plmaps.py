@@ -629,8 +629,8 @@ def optimize_pl_map(A: MarkedMetricGraph, B: MarkedMetricGraph,
                 f"{format_fraction(ana.stretch - target)}",
                 partial=(f, ana.stretch, target),
             )
-        optimal, offenders = is_optimal(f)
-        if optimal:
+        offenders = ana.boundary
+        if not offenders:
             raise InternalInvariantError(
                 "optimal map does not attain the candidate value"
             )

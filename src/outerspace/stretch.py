@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Optional
 
 from .docs import format_fraction
 from .errors import BudgetExhaustedError, InvalidInputError, RankMismatchError
@@ -25,13 +24,11 @@ from .graphs import (
     MarkedMetricGraph,
     is_cyclically_reduced,
     loop_length,
-    normalize_volume,
     rev,
     translation_length,
     volume,
     word_of_loop,
 )
-from .words import Word
 
 
 class CandidateShape(str, Enum):
@@ -201,19 +198,16 @@ class StretchValue:
         return self.witnesses[0]
 
 
-def candidate_ratios(A: MarkedMetricGraph, B: MarkedMetricGraph,
-                     candidates: Optional[Iterable[CandidateLoop]] = None
-                     ) -> list[tuple[CandidateLoop, Word, Fraction, Fraction]]:
-    """(candidate, word, length in A, length in B) for each candidate of A.
+def lambda_r(A: MarkedMetricGraph, B: MarkedMetricGraph) -> StretchValue:
+    """Right-hand stretching factor sup l_B(w)/l_A(w), computed exactly on
+    the candidate set of A, with every maximizing candidate as witness.
 
     Candidate images are evaluated through words, independently of any map.
     """
     if A.rank != B.rank:
         raise RankMismatchError(f"ranks differ: {A.rank} != {B.rank}")
-    if candidates is None:
-        candidates = enumerate_candidates(A)
     rows = []
-    for cand in candidates:
+    for cand in enumerate_candidates(A):
         w = word_of_loop(A, cand.loop)
         la = loop_length(A, cand.loop)
         lb = translation_length(B, w)
@@ -222,20 +216,9 @@ def candidate_ratios(A: MarkedMetricGraph, B: MarkedMetricGraph,
                 "candidate loop maps to a trivial class; marking is not an "
                 "isomorphism"
             )
-        rows.append((cand, w, la, lb))
-    return rows
-
-
-def lambda_r(A: MarkedMetricGraph, B: MarkedMetricGraph,
-             candidates: Optional[Iterable[CandidateLoop]] = None
-             ) -> StretchValue:
-    """Right-hand stretching factor sup l_B(w)/l_A(w), computed exactly on
-    the candidate set of A, with every maximizing candidate as witness."""
-    rows = candidate_ratios(A, B, candidates)
-    best = max(lb / la for (_, _, la, lb) in rows)
-    witnesses = tuple(
-        cand for (cand, _, la, lb) in rows if lb / la == best
-    )
+        rows.append((cand, lb / la))
+    best = max(ratio for (_, ratio) in rows)
+    witnesses = tuple(cand for (cand, ratio) in rows if ratio == best)
     return StretchValue(best, witnesses)
 
 
@@ -259,19 +242,25 @@ class StretchReport:
 
 def stretch_report(A: MarkedMetricGraph, B: MarkedMetricGraph) -> StretchReport:
     """Both stretching factors on volume-one representatives plus the
-    symmetric and one-sided distances (logs are display-only)."""
-    An, _ = normalize_volume(A)
-    Bn, _ = normalize_volume(B)
-    right = lambda_r(An, Bn)
-    left = lambda_r(Bn, An)
-    lam = right.value * left.value
+    symmetric and one-sided distances (logs are display-only).
+
+    The factors are computed on A and B themselves and rescaled by their
+    volumes: the candidates depend only on the topology and a positive
+    factor keeps the maximizers, so values and witnesses are exactly those
+    of the volume-one copies.
+    """
+    right = lambda_r(A, B)
+    left = lambda_r(B, A)
+    lam_R = right.value * volume(A) / volume(B)
+    lam_L = left.value * volume(B) / volume(A)
+    lam = lam_R * lam_L
     return StretchReport(
-        lambda_R=right.value,
-        lambda_L=left.value,
+        lambda_R=lam_R,
+        lambda_L=lam_L,
         Lambda=lam,
         d=math.log(lam),
-        d_R=math.log(right.value),
-        d_L=math.log(left.value),
+        d_R=math.log(lam_R),
+        d_L=math.log(lam_L),
         witness_R=right.witness,
         witness_L=left.witness,
         witnesses_R=right.witnesses,

@@ -17,6 +17,7 @@ from outerspace.fixtures import (
     random_same_simplex_pair,
     random_word,
     rose,
+    rose_t,
     shrinking_petal_rose,
     theta_left,
     theta_right,
@@ -350,10 +351,23 @@ def test_systole_attained_by_embedded_circle():
 
 # -- checkers ---------------------------------------------------------------------------
 
+def counting(dist):
+    """dist wrapped to record the arguments of every call, and the record."""
+    calls = []
+
+    def counted(x, y):
+        calls.append((x, y))
+        return dist(x, y)
+
+    return counted, calls
+
+
 def test_four_point_on_sqrt_metric():
-    pts = [F(i, 8) for i in range(9)]
-    ok, _ = check_four_point(pts, lambda s, t: math.sqrt(abs(t - s)))
-    assert ok
+    pts = [F(i, 10) for i in range(11)]
+    dist, calls = counting(lambda s, t: math.sqrt(abs(t - s)))
+    assert check_four_point(pts, dist) == (True, None)
+    # one call per index pair j <= k
+    assert len(calls) == len(set(calls)) == 11 * 12 // 2
 
 
 def test_four_point_fails_on_doubling_back():
@@ -375,6 +389,29 @@ def test_four_point_on_fold_events():
         path.snapshots, lambda x, y: stretch_report(x, y).Lambda
     )
     assert ok
+
+
+def test_four_point_stops_at_the_first_violation():
+    X, M, Y = theta_left(), rose_t(F(1, 2)), theta_right()
+    dist, calls = counting(lambda x, y: stretch_report(x, y).Lambda)
+    ok, violation = check_four_point([X, M, Y, M, X], dist)
+    assert (ok, violation) == (False, (0, 0, 2, 3, 4, F(5, 2)))
+    assert calls == [(X, M), (X, X), (X, M), (X, Y)]
+
+
+@pytest.mark.parametrize("metric, lam", [("dL", 2), ("nonsense", 2),
+                                         ("d", F(1, 2)), ("dR", F(1, 2))])
+def test_quasi_geodesic_rejects_before_any_distance(metric, lam, monkeypatch):
+    import outerspace.stretch as stretch
+
+    def no_distance(*args):
+        raise AssertionError("a stretching factor was computed")
+
+    # every stretch_report distance goes through stretch.lambda_r
+    monkeypatch.setattr(stretch, "lambda_r", no_distance)
+    samples = [(0, theta_left()), (1, rose_t(F(5, 8))), (2, theta_right())]
+    with pytest.raises(InvalidInputError):
+        check_quasi_geodesic(samples, lam, 0, metric)
 
 
 def test_quasi_geodesic_fold_piece():

@@ -12,12 +12,18 @@ import json
 import os
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
 import pytest
 
 from outerspace import cli
 from outerspace.docs import save_graph
-from outerspace.fixtures import poly_twist_pair, theta_left, theta_right
+from outerspace.fixtures import (
+    poly_twist_pair,
+    rose_t,
+    theta_left,
+    theta_right,
+)
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
@@ -35,12 +41,34 @@ for _pair, (_a, _b) in PAIRS.items():
     CASES[f"foldpath-single-{_pair}"] = ["foldpath", _a, _b, "--strategy",
                                          "single-vertex", "--samples", "2"]
     CASES[f"bcc-{_pair}"] = ["bcc", _a, _b, "--pair-cap", "2000"]
+# X = theta_left, Y = theta_right, M = rose_t(1/2), T = rose_t(5/8)
+_X, _Y, _M, _T = ("theta_left.json", "theta_right.json", "rose_half.json",
+                  "rose_five_eighths.json")
+CASES.update({
+    "checkgeod-doubling-back": ["checkgeod", _X, _M, _Y, _M, _X],
+    "checkgeod-crossing": ["checkgeod", _X, _T, _Y],
+    "checkgeod-wrong-crossing": ["checkgeod", _X, _M, _Y],
+    "checkgeod-qg-d": ["checkgeod", _X, _M, _T, _Y, "--qg", "2", "0"],
+    "checkgeod-qg-d-fails": ["checkgeod", _X, _M, _T, _Y, "--qg", "1", "0"],
+    "checkgeod-qg-d-float": ["checkgeod", _X, _M, _T, _Y, "--qg", "3/2",
+                             "0.1"],
+    "checkgeod-qg-dR": ["checkgeod", _X, _M, _T, _Y, "--metric", "dR",
+                        "--qg", "2", "0"],
+    "checkgeod-qg-dR-fails": ["checkgeod", _X, _T, _Y, _M, "--metric", "dR",
+                              "--qg", "3/2", "0"],
+    "checkgeod-qg-dR-float": ["checkgeod", _X, _T, _Y, "--metric", "dR",
+                              "--qg", "1", "0.25"],
+    "checkgeod-qg-bad-constant": ["checkgeod", _X, _T, _Y, "--qg", "1/2",
+                                  "0"],
+})
 
 
 def write_inputs(directory):
     source, target = poly_twist_pair(3)
     for fname, G in (("theta_left.json", theta_left()),
                      ("theta_right.json", theta_right()),
+                     ("rose_half.json", rose_t(Fraction(1, 2))),
+                     ("rose_five_eighths.json", rose_t(Fraction(5, 8))),
                      ("twist3_source.json", source),
                      ("twist3_target.json", target)):
         save_graph(os.path.join(directory, fname), G)

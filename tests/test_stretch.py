@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
@@ -13,6 +14,7 @@ from outerspace.fixtures import (
     random_word,
     rose,
     rose_t,
+    shrinking_petal_rose,
     theta_left,
     theta_right,
     unit_rose,
@@ -275,6 +277,33 @@ def test_report_symmetry_and_zero():
     same = stretch_report(A, A)
     assert same.Lambda == 1 and same.d == 0.0
     assert same.d_R == 0.0 and same.d_L == 0.0
+
+
+def test_report_equals_volume_one_reference():
+    """stretch_report rescales the factors of the given graphs; values and
+    witnesses are those of lambda_r on volume-one copies."""
+    rng = random.Random(11)
+    pairs = []
+    for _ in range(12):
+        phi = random_nielsen_automorphism(rng, 2, moves=rng.randrange(1, 4))
+        B = apply_automorphism_to_marking(random_graph(rng), phi)
+        pairs.append((random_graph(rng), B))
+    for k in range(1, 5):
+        Ak, Ak1 = shrinking_petal_rose(3, k), shrinking_petal_rose(3, k + 1)
+        pairs += [(Ak, Ak1), (scale_graph(Ak1, F(5, 2)), Ak)]
+    for A, B in pairs:
+        An, _ = normalize_volume(A)
+        Bn, _ = normalize_volume(B)
+        right, left = lambda_r(An, Bn), lambda_r(Bn, An)
+        lam = right.value * left.value
+        rep = stretch_report(A, B)
+        assert (rep.lambda_R, rep.lambda_L, rep.Lambda) == \
+            (right.value, left.value, lam)
+        assert (rep.d, rep.d_R, rep.d_L) == \
+            (math.log(lam), math.log(right.value), math.log(left.value))
+        assert (rep.witnesses_R, rep.witnesses_L) == \
+            (right.witnesses, left.witnesses)
+        assert (rep.witness_R, rep.witness_L) == (right.witness, left.witness)
 
 
 def test_scale_invariance():
