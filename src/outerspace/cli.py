@@ -35,8 +35,8 @@ from .folding import (
     check_four_point,
     check_quasi_geodesic,
     fast_fold,
+    graph_at,
     prepare_folding_setup,
-    sample_path,
     speeds,
     systole_and_thin_test,
 )
@@ -193,7 +193,7 @@ def cmd_foldpath(args) -> Report:
     )
     eps = parse_fraction(args.eps)
     for tt in times:
-        G, _ = sample_path(path, tt)
+        G, _ = graph_at(path, tt)
         sys_v, _, thin = systole_and_thin_test(G, eps)
         if tt < path.end_time:
             sp = speeds(path, tt)

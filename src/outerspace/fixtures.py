@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .graphs import MarkedMetricGraph, make_graph
+from .graphs import MarkedMetricGraph, bfs_tree, make_graph, rev
 from .words import (
     AutomorphismPair,
     Word,
@@ -209,6 +209,60 @@ def random_nielsen_automorphism(rng: random.Random, rank: int,
             bw[i - 1] = generator(i, rank) * generator(j, rank).inverse()
         out = compose(AutomorphismPair(tuple(fw), tuple(bw), rank), out)
     return out
+
+
+def _cycle(names) -> list[tuple[str, str]]:
+    return [(names[i], names[(i + 1) % len(names)]) for i in range(len(names))]
+
+
+_OUTER = [f"o{i}" for i in range(5)]
+_INNER = [f"i{i}" for i in range(5)]
+
+# vertex pairs of the graphs `random_tree_marked` draws lengths for
+FAMILIES = {
+    # K4, rank 3
+    "K4": [(f"v{i}", f"v{j}") for i in range(4) for j in range(i + 1, 4)],
+    # K_{3,3}, rank 4
+    "K33": [(f"v{i}", f"w{j}") for i in range(3) for j in range(3)],
+    # the pentagonal prism, rank 6
+    "prism5": _cycle(_OUTER) + _cycle(_INNER) + list(zip(_OUTER, _INNER)),
+    # the Petersen graph (inner pentagram), rank 6
+    "petersen": _cycle(_OUTER) + _cycle(_INNER[::2] + _INNER[1::2])
+    + list(zip(_OUTER, _INNER)),
+}
+
+
+def random_tree_marked(rng: random.Random, family: str) -> MarkedMetricGraph:
+    """One of the `FAMILIES` graphs with random ``p/q`` edge lengths and a
+    spanning-tree marking, labels written directly: the breadth-first tree
+    from the smallest vertex reads the identity, the i-th remaining edge
+    (in id order) reads the i-th generator, and petal i runs through the
+    tree to that edge and back."""
+    pairs = FAMILIES[family]
+    edges = {f"e{k:02d}": (o, t, random_fraction(rng))
+             for k, (o, t) in enumerate(pairs)}
+    base = min(v for pair in pairs for v in pair)
+    tree = bfs_tree(make_graph(0, edges, base, []), base)
+
+    def from_base(v) -> list:
+        steps = []
+        while tree[v] is not None:
+            steps.append(tree[v])
+            v = edges[tree[v][0]][0 if tree[v][1] > 0 else 1]
+        return steps[::-1]
+
+    tree_edges = {d[0] for d in tree.values() if d is not None}
+    loose = [e for e in sorted(edges) if e not in tree_edges]
+    rank = len(loose)
+    marking = [
+        tuple(from_base(edges[e][0])) + ((e, 1),)
+        + tuple(rev(d) for d in reversed(from_base(edges[e][1])))
+        for e in loose
+    ]
+    gen = {e: i for i, e in enumerate(loose, start=1)}
+    labels = {e: generator(gen[e], rank) if e in gen else identity(rank)
+              for e in sorted(edges)}
+    return make_graph(rank, edges, base, marking, labels)
 
 
 def random_word(rng: random.Random, rank: int, max_len: int = 10) -> Word:

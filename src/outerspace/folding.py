@@ -564,7 +564,7 @@ def speeds(path: FoldingPath, t: Fraction) -> SpeedReport:
     if t >= path.end_time:
         raise InvalidInputError("the path has no folding turn at its end")
     G, sigma = graph_at(path, t)
-    turns = turns_at(path, t)
+    turns = folding_turns(active_classes(G, path.target, sigma, path.strategy))
     best = None
     for cand in enumerate_candidates(G):
         mu = multiplicity_of_loop(G, turns, cand.loop)

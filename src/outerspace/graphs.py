@@ -81,6 +81,8 @@ class MarkedMetricGraph:
     def label_of_dart(self, d: Dart) -> Word:
         if self.labels is None:
             raise InvalidInputError("graph has no inverse labels; derive them first")
+        if d[0] not in self.labels:
+            raise InvalidInputError(f"edge {d[0]} has no inverse label")
         w = self.labels[d[0]]
         return w if d[1] > 0 else w.inverse()
 

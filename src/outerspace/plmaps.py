@@ -471,8 +471,14 @@ def next_v(f: PLMap, v: str) -> PLMap:
     """Pull the image of an offending vertex backward along the common
     terminal edge, up to the largest step that still lowers
     (stretch, #maximal edges) lexicographically."""
+    return _next_v(f, v, stretch_analysis(f))[0]
+
+
+def _next_v(f: PLMap, v: str, ana: StretchAnalysis
+            ) -> tuple[PLMap, StretchAnalysis]:
+    """`next_v` on a map whose analysis is ``ana``; also returns the
+    analysis of the moved map."""
     A, B = f.source, f.target
-    ana = stretch_analysis(f)
     if v not in ana.boundary:
         raise InvalidInputError(f"vertex {v} is not an offending vertex")
 
@@ -554,10 +560,10 @@ def next_v(f: PLMap, v: str) -> PLMap:
     t0 = best[1]
 
     out = _move_vertex(f, v, alpha, q, t0)
-    new_S = stretch_analysis(out).stretch
-    if new_S > ana.stretch:
+    out_ana = stretch_analysis(out)
+    if out_ana.stretch > ana.stretch:
         raise InternalInvariantError("next_v increased the Lipschitz constant")
-    return out
+    return out, out_ana
 
 
 def _extrapolate_fixed_point(f: PLMap, history: dict) -> Optional[PLMap]:
@@ -604,17 +610,18 @@ def optimize_pl_map(A: MarkedMetricGraph, B: MarkedMetricGraph,
     The candidate value of the stretching factor is an exact termination
     certificate; offending vertices are processed smallest id first, with
     periodic fixed-point extrapolation since the bare iteration can converge
-    only in the limit.
+    only in the limit.  Each map is analysed once; the analysis travels
+    with it through the loop.
     """
     from .stretch import lambda_r
 
     target = lambda_r(A, B).value
     f = initial_pl_map(A, B)
+    ana = stretch_analysis(f)
     history: dict = {}
     visit_count: dict = {}
     moves = 0
     while True:
-        ana = stretch_analysis(f)
         if ana.stretch < target:
             raise InternalInvariantError(
                 "map beats the candidate bound; candidate set must be wrong"
@@ -640,7 +647,7 @@ def optimize_pl_map(A: MarkedMetricGraph, B: MarkedMetricGraph,
         n = visit_count.get(key, 0)
         visit_count[key] = n + 1
         v = offenders[n % len(offenders)]
-        f = next_v(f, v)
+        f, ana = _next_v(f, v, ana)
         moves += 1
         pos = f.vertex_image[v]
         run = history.get(v, [])
@@ -654,9 +661,9 @@ def optimize_pl_map(A: MarkedMetricGraph, B: MarkedMetricGraph,
         if moves % 6 == 0:
             g = _extrapolate_fixed_point(f, history)
             if g is not None:
-                s_g = stretch_analysis(g).stretch
-                if s_g == target:
+                ana_g = stretch_analysis(g)
+                if ana_g.stretch == target:
                     return g
-                if s_g < stretch_analysis(f).stretch:
-                    f = g
+                if ana_g.stretch < ana.stretch:
+                    f, ana = g, ana_g
                     history = {}

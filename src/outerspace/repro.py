@@ -27,8 +27,8 @@ from .folding import (
     check_dR_geodesic,
     check_quasi_geodesic,
     fast_fold,
+    graph_at,
     prepare_folding_setup,
-    sample_path,
     speeds,
     systole_and_thin_test,
 )
@@ -220,7 +220,7 @@ def repro_polynomial_growth(ks=(2, 3, 5),
             for delta in deltas:
                 time = i + delta
                 sp = speeds(path, time)
-                G, _ = sample_path(path, time)
+                G, _ = graph_at(path, time)
                 sys_v, _, _ = systole_and_thin_test(G, F(1, 100))
                 formula = F(k + 2 - i - 2 * delta,
                             2 * k + 1 - 2 * i - 2 * delta)

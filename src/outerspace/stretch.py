@@ -5,8 +5,13 @@ length ratios over conjugacy classes; it is attained on a finite set of
 candidate loops of the source that depends only on the source graph:
 embedded circles, figure-eights (two embedded circles meeting at one point)
 and barbells / dumbbells (two disjoint embedded circles joined by an embedded
-arc).  Everything here is exact rational arithmetic; logarithms appear only
-in the report fields meant for display.
+arc).  Each enumeration reads the stars of the graph once into a per-call
+index.  A candidate is evaluated through per-edge image paths: every edge
+label of the source is realized once through the target's marking, and the
+candidate's image is the cyclic reduction of its darts' images.  Lengths are
+summed as integers, each graph's scaled by the common denominator of its
+edge lengths.  Everything here is exact; logarithms appear only in the
+report fields meant for display.
 """
 
 from __future__ import annotations
@@ -23,12 +28,13 @@ from .graphs import (
     EdgePath,
     MarkedMetricGraph,
     is_cyclically_reduced,
-    loop_length,
+    realize_word_as_path,
+    reduce_darts,
     rev,
-    translation_length,
     volume,
-    word_of_loop,
 )
+
+Star = dict[str, tuple[Dart, ...]]
 
 
 class CandidateShape(str, Enum):
@@ -73,14 +79,23 @@ def _loop_vertices(G: MarkedMetricGraph, loop: EdgePath) -> frozenset[str]:
     return frozenset(G.origin(d) for d in loop)
 
 
-def embedded_circles(G: MarkedMetricGraph) -> list[EdgePath]:
-    """All embedded circles, one per rotation/inversion class."""
+def _star_index(G: MarkedMetricGraph) -> Star:
+    """Each vertex's darts in sorted order, so a loop edge's (e, -1) comes
+    before its (e, 1), unlike in `star`; the searches run in this order, and
+    a capped bounded-cancellation enumeration keeps the loops it reaches
+    first."""
+    return {v: tuple(sorted(G.star(v))) for v in G.vertices}
+
+
+def embedded_circles(G: MarkedMetricGraph, star: Star) -> list[EdgePath]:
+    """All embedded circles, one per rotation/inversion class; ``star`` is
+    the graph's `_star_index`."""
     found: dict[EdgePath, EdgePath] = {}
     order = {v: i for i, v in enumerate(sorted(G.vertices))}
 
     def extend(path: list[Dart], visited: set[str], start: str):
         at = G.terminus(path[-1])
-        for d in sorted(G.star(at)):
+        for d in star[at]:
             if d == rev(path[-1]):
                 continue
             w = G.terminus(d)
@@ -99,7 +114,7 @@ def embedded_circles(G: MarkedMetricGraph) -> list[EdgePath]:
             visited.remove(w)
 
     for v in sorted(G.vertices):
-        for d in sorted(G.star(v)):
+        for d in star[v]:
             if G.terminus(d) == v:
                 found.setdefault(canonical_loop((d,)), canonical_loop((d,)))
             elif order[G.terminus(d)] > order[v]:
@@ -107,7 +122,7 @@ def embedded_circles(G: MarkedMetricGraph) -> list[EdgePath]:
     return sorted(found.values())
 
 
-def _embedded_arcs(G: MarkedMetricGraph, src: frozenset[str],
+def _embedded_arcs(G: MarkedMetricGraph, star: Star, src: frozenset[str],
                    dst: frozenset[str]) -> list[EdgePath]:
     """Embedded arcs from a vertex of src to a vertex of dst whose interior
     avoids both endpoint sets."""
@@ -120,7 +135,7 @@ def _embedded_arcs(G: MarkedMetricGraph, src: frozenset[str],
             return
         if at in src:
             return
-        for d in sorted(G.star(at)):
+        for d in star[at]:
             if d == rev(path[-1]):
                 continue
             w = G.terminus(d)
@@ -133,7 +148,7 @@ def _embedded_arcs(G: MarkedMetricGraph, src: frozenset[str],
             visited.discard(w)
 
     for v in sorted(src):
-        for d in sorted(G.star(v)):
+        for d in star[v]:
             extend([d], {v, G.terminus(d)})
     return arcs
 
@@ -141,17 +156,17 @@ def _embedded_arcs(G: MarkedMetricGraph, src: frozenset[str],
 def enumerate_candidates(G: MarkedMetricGraph) -> list[CandidateLoop]:
     """The finite candidate set of G: every embedded circle, figure-eight and
     dumbbell, each once up to rotation and inversion, sorted canonically."""
-    circles = embedded_circles(G)
+    star = _star_index(G)
+    circles = embedded_circles(G, star)
+    vertex_sets = [_loop_vertices(G, c) for c in circles]
     out: dict[tuple, CandidateLoop] = {}
 
     for c in circles:
         cand = CandidateLoop(CandidateShape.O, c, (c,))
         out.setdefault(cand.key(), cand)
 
-    for i, c1 in enumerate(circles):
-        for c2 in circles[i + 1:]:
-            v1 = _loop_vertices(G, c1)
-            v2 = _loop_vertices(G, c2)
+    for i, (c1, v1) in enumerate(zip(circles, vertex_sets)):
+        for c2, v2 in zip(circles[i + 1:], vertex_sets[i + 1:]):
             common = v1 & v2
             if len(common) == 1:
                 v = next(iter(common))
@@ -164,7 +179,7 @@ def enumerate_candidates(G: MarkedMetricGraph) -> list[CandidateLoop]:
                     )
                     out.setdefault(cand.key(), cand)
             elif not common:
-                for arc in _embedded_arcs(G, v1, v2):
+                for arc in _embedded_arcs(G, star, v1, v2):
                     interior = {G.origin(d) for d in arc[1:]}
                     if interior & (v1 | v2):
                         continue
@@ -185,7 +200,7 @@ def enumerate_candidates(G: MarkedMetricGraph) -> list[CandidateLoop]:
             raise InvalidInputError(
                 f"candidate loop {cand.loop} is not cyclically reduced"
             )
-    return sorted(out.values(), key=lambda c: c.key())
+    return [out[key] for key in sorted(out)]
 
 
 @dataclass(frozen=True)
@@ -198,25 +213,46 @@ class StretchValue:
         return self.witnesses[0]
 
 
+def _integer_lengths(G: MarkedMetricGraph) -> tuple[int, dict[str, int]]:
+    """The common denominator D of the edge lengths, and each length times
+    D."""
+    D = math.lcm(*(l.denominator for (_, _, l) in G.edges.values()))
+    return D, {e: l.numerator * (D // l.denominator)
+               for e, (_, _, l) in G.edges.items()}
+
+
 def lambda_r(A: MarkedMetricGraph, B: MarkedMetricGraph) -> StretchValue:
     """Right-hand stretching factor sup l_B(w)/l_A(w), computed exactly on
     the candidate set of A, with every maximizing candidate as witness.
 
-    Candidate images are evaluated through words, independently of any map.
+    Candidate images are evaluated through the marking, independently of any
+    map.  Each edge label of A is realized once as a reduced path of B; a
+    candidate's image is its darts' images concatenated and cyclically
+    reduced, which is the loop realizing the candidate's word, since free
+    reduction is confluent.  Both lengths are integer sums (`_integer_lengths`)
+    and form one exact ratio.
     """
     if A.rank != B.rank:
         raise RankMismatchError(f"ranks differ: {A.rank} != {B.rank}")
+    image: dict[Dart, EdgePath] = {}
+    for e in sorted(A.edges):
+        path = realize_word_as_path(B, A.label_of_dart((e, 1)))
+        image[(e, 1)] = path
+        image[(e, -1)] = tuple(rev(d) for d in reversed(path))
+    scale_a, len_a = _integer_lengths(A)
+    scale_b, len_b = _integer_lengths(B)
     rows = []
     for cand in enumerate_candidates(A):
-        w = word_of_loop(A, cand.loop)
-        la = loop_length(A, cand.loop)
-        lb = translation_length(B, w)
+        loop_b = reduce_darts((x for d in cand.loop for x in image[d]),
+                              cyclic=True)
+        lb = sum(len_b[d[0]] for d in loop_b)
         if lb <= 0:
             raise InvalidInputError(
                 "candidate loop maps to a trivial class; marking is not an "
                 "isomorphism"
             )
-        rows.append((cand, lb / la))
+        la = sum(len_a[d[0]] for d in cand.loop)
+        rows.append((cand, Fraction(lb * scale_a, la * scale_b)))
     best = max(ratio for (_, ratio) in rows)
     witnesses = tuple(cand for (cand, ratio) in rows if ratio == best)
     return StretchValue(best, witnesses)
@@ -279,13 +315,14 @@ def _loops_at_by_length(G: MarkedMetricGraph, v: str, length_cap: Fraction,
     """Reduced edge loops based at v of length <= length_cap, breadth first
     (shortest loops first).  Yields at most max_count loops, then signals
     truncation by yielding None."""
+    star = _star_index(G)
     frontier: list[tuple[EdgePath, Fraction]] = [((), Fraction(0))]
     produced = 0
     while frontier:
         nxt = []
         for (path, used) in frontier:
             at = G.terminus(path[-1]) if path else v
-            for d in sorted(G.star(at)):
+            for d in star[at]:
                 if path and d == rev(path[-1]):
                     continue
                 l = used + G.length(d[0])

@@ -197,6 +197,29 @@ def test_foldpath_trace(files, tmp_path, capsys):
             assert line.split("\t")[6] == "0/1"
 
 
+def test_foldpath_builds_only_what_it_reports(files, tmp_path, capsys,
+                                              monkeypatch):
+    # the k=3 twist folds in 3 events; each of the 3 sample times between
+    # them is one partial fold for its row and one for its speeds, and no
+    # PL map is built for a report row
+    import outerspace.folding as folding
+
+    calls = {"setup_as_plmap": 0, "fold_step": 0}
+    for name in calls:
+        def counting(*args, _name=name, _original=getattr(folding, name),
+                     **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(folding, name, counting)
+    target = str(tmp_path / "P-target.json")
+    save_graph(target, poly_twist_pair(3)[1])
+    code, _, err = run(capsys, "foldpath", files["P"], target,
+                       "--samples", "3")
+    assert code == 0, err
+    assert calls == {"setup_as_plmap": 0, "fold_step": 9}
+
+
 @pytest.mark.parametrize("source,target",
                          [("Y", "T"), ("X", "T"), ("X", "R"), ("X", "P")])
 def test_foldpath_single_vertex_toward_speed_zero(files, capsys, source,

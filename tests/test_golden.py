@@ -10,6 +10,7 @@ Regenerate the files (only when a report is meant to change) with
 import io
 import json
 import os
+import random
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -20,15 +21,20 @@ from outerspace import cli
 from outerspace.docs import save_graph
 from outerspace.fixtures import (
     poly_twist_pair,
+    random_nielsen_automorphism,
+    random_tree_marked,
     rose_t,
     theta_left,
     theta_right,
 )
+from outerspace.graphs import apply_automorphism_to_marking
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
 PAIRS = {"theta": ("theta_left.json", "theta_right.json"),
          "twist3": ("twist3_source.json", "twist3_target.json")}
+# rank 4 and 6: the witnesses pin which candidate representatives are chosen
+HIGH_RANK = {"k33": ("K33", 1), "petersen": ("petersen", 2)}
 
 CASES = {}
 for _name in ("wiest-coulbois", "polygrowth", "incompleteness", "orbit"):
@@ -41,6 +47,9 @@ for _pair, (_a, _b) in PAIRS.items():
     CASES[f"foldpath-single-{_pair}"] = ["foldpath", _a, _b, "--strategy",
                                          "single-vertex", "--samples", "2"]
     CASES[f"bcc-{_pair}"] = ["bcc", _a, _b, "--pair-cap", "2000"]
+for _name in HIGH_RANK:
+    CASES[f"distance-{_name}"] = ["distance", f"{_name}_source.json",
+                                  f"{_name}_target.json", "--witness"]
 # X = theta_left, Y = theta_right, M = rose_t(1/2), T = rose_t(5/8)
 _X, _Y, _M, _T = ("theta_left.json", "theta_right.json", "rose_half.json",
                   "rose_five_eighths.json")
@@ -72,6 +81,16 @@ def write_inputs(directory):
                      ("twist3_source.json", source),
                      ("twist3_target.json", target)):
         save_graph(os.path.join(directory, fname), G)
+    for name, (family, seed) in HIGH_RANK.items():
+        # a target on the same graph with its own lengths, marking twisted by
+        # two Nielsen moves
+        rng = random.Random(seed)
+        A = random_tree_marked(rng, family)
+        B = apply_automorphism_to_marking(
+            random_tree_marked(rng, family),
+            random_nielsen_automorphism(rng, A.rank, 2))
+        save_graph(os.path.join(directory, f"{name}_source.json"), A)
+        save_graph(os.path.join(directory, f"{name}_target.json"), B)
 
 
 def run_case(argv):

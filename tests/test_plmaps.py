@@ -235,6 +235,41 @@ def test_optimize_random_twisted_pairs():
         assert stretch_analysis(f).stretch == lambda_r(A, B).value
 
 
+def test_optimizer_analyses_each_map_once(monkeypatch):
+    """Every map the optimizer builds, extrapolated ones included, is
+    analysed once; its analysis travels with it."""
+    import outerspace.plmaps as plmaps
+
+    analysed = []  # the maps themselves, so no id is reused meanwhile
+    analyse = plmaps.stretch_analysis
+
+    def counting(f):
+        analysed.append(f)
+        return analyse(f)
+
+    monkeypatch.setattr(plmaps, "stretch_analysis", counting)
+    extrapolated = []
+    extrapolate = plmaps._extrapolate_fixed_point
+
+    def recording(f, history):
+        extrapolated.append(extrapolate(f, history))
+        return extrapolated[-1]
+
+    monkeypatch.setattr(plmaps, "_extrapolate_fixed_point", recording)
+    rng = random.Random(7)
+    pairs = [(theta_left(), theta_right()), poly_twist_pair(3)]
+    for _ in range(10):
+        A = random_graph(rng)
+        B = apply_automorphism_to_marking(
+            random_graph(rng), random_nielsen_automorphism(rng, 2, 3))
+        pairs.append((A, B))
+    for A, B in pairs:
+        f = optimize_pl_map(A, B)
+        assert analyse(f).stretch == lambda_r(A, B).value
+    assert any(g is not None for g in extrapolated)
+    assert len({id(f) for f in analysed}) == len(analysed)
+
+
 def test_stratified_boundary_checker_runs():
     X, Y = theta_left(), theta_right()
     f = optimize_pl_map(X, Y)
@@ -276,6 +311,14 @@ def test_bcc_poly_automorphism():
     f = optimize_pl_map(G, H)
     bound, _ = bcc_or_partial(G, H, f, pair_cap=20000)
     assert bound >= 1 + volume(G)
+
+
+def test_bcc_capped_partial_follows_sorted_stars():
+    # loops are enumerated with a loop edge's (e, -1) before its (e, 1), so
+    # the first pairs under a small cap, and the partial bound, are fixed
+    A, B = poly_twist_pair(3)
+    f = optimize_pl_map(A, B)
+    assert bcc_or_partial(A, B, f, pair_cap=10) == (8, False)
 
 
 def test_bcc_never_exceeded_by_longer_pairs():

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -5,12 +6,15 @@ from fractions import Fraction as F
 
 import pytest
 
-from outerspace.errors import RankMismatchError
+from outerspace.errors import InvalidInputError, RankMismatchError
 from outerspace.fixtures import (
+    FAMILIES,
     barbell,
+    poly_twist_pair,
     random_graph,
     random_nielsen_automorphism,
     random_same_simplex_pair,
+    random_tree_marked,
     random_word,
     rose,
     rose_t,
@@ -21,9 +25,12 @@ from outerspace.fixtures import (
 )
 from outerspace.graphs import (
     apply_automorphism_to_marking,
+    loop_length,
+    make_graph,
     normalize_volume,
     scale_graph,
     translation_length,
+    validate_marked_graph,
     word_of_loop,
 )
 from outerspace.stretch import (
@@ -349,3 +356,123 @@ def test_supinf_bounds_on_sampled_words():
 def test_rank_mismatch_rejected():
     with pytest.raises(RankMismatchError):
         lambda_r(unit_rose(2), unit_rose(3))
+
+
+def test_source_labels_checked():
+    A = theta_left()
+    with pytest.raises(InvalidInputError, match="no inverse labels"):
+        lambda_r(A.with_labels(None), theta_right())
+    partial = {e: w for e, w in A.labels.items() if e != "A"}
+    with pytest.raises(InvalidInputError, match="edge A has no inverse label"):
+        lambda_r(A.with_labels(partial), theta_right())
+    labels = dict(A.labels, A=generator(1, 3))
+    with pytest.raises(RankMismatchError):
+        lambda_r(A.with_labels(labels), theta_right())
+
+
+# -- the evaluation against the word-based definition -------------------------------------
+
+def word_based_lambda_r(A, B):
+    """The definition: the largest ratio over the candidates of A, reading
+    each candidate as a word and realizing it in B."""
+    rows = [
+        (c, translation_length(B, word_of_loop(A, c.loop))
+         / loop_length(A, c.loop))
+        for c in enumerate_candidates(A)
+    ]
+    best = max(r for (_, r) in rows)
+    return best, tuple(c for (c, r) in rows if r == best)
+
+
+def high_rank_pairs():
+    """Two same-rank graphs from the generator, the target twisted by a
+    2-move Nielsen automorphism."""
+    rng = random.Random(105)
+    for fam_a, fam_b in [("K4", "K4"), ("K4", "K4"), ("K33", "K33"),
+                         ("K33", "K33"), ("prism5", "petersen"),
+                         ("petersen", "prism5"), ("petersen", "petersen")]:
+        A = random_tree_marked(rng, fam_a)
+        B = random_tree_marked(rng, fam_b)
+        phi = random_nielsen_automorphism(rng, B.rank, 2)
+        yield A, apply_automorphism_to_marking(B, phi)
+
+
+def rank2_pairs():
+    X, Y = theta_left(), theta_right()
+    yield X, Y
+    yield X, rose_t(F(5, 8))
+    yield barbell(1, 1, 1), unit_rose(2)
+    yield poly_twist_pair(3)
+    rng = random.Random(106)
+    for _ in range(8):
+        A = random_graph(rng)
+        B = apply_automorphism_to_marking(
+            random_graph(rng), random_nielsen_automorphism(rng, 2, 2))
+        yield A, B
+
+
+def test_lambda_r_equals_word_based_definition():
+    for A, B in itertools.chain(high_rank_pairs(), rank2_pairs()):
+        for (P, Q) in ((A, B), (B, A)):
+            got = lambda_r(P, Q)
+            assert (got.value, got.witnesses) == word_based_lambda_r(P, Q)
+
+
+# counts and SHA-256 digests of the key list and of the (loop, components)
+# representatives of `enumerate_candidates`, recorded before the evaluation
+# moved to per-edge image paths
+CANDIDATE_PINS = {
+    "K4": (7, "dd30340c63348f72185b8e19dc8422e0789687848fe6c005f2800f68672d11bb",
+           "993689a432337428c1a03b2796d1af1ca721002695317a05834e1a2be37ffbbe"),
+    "K33": (15,
+            "bd6f6fe3ed4cc63c4b5d614a6437d045450fc6fb5c4592523c88a79c9df338a8",
+            "a4fbc1edc643835b61ff8250ca828758b3936e9b2570c54e4c9688a8d822f71e"),
+    "prism5": (
+        162, "e0208707deb671f1b75d6d3922146f6feec43fb5ca63f8ef1361df6b6e04ef4f",
+        "751fd650c644c0ad8ddbcaa53c2bd07035d94f6e70f5c453571025da8876dd34"),
+    "petersen": (
+        117, "897dc82a09ba96e032498d33cf5d69fa0b87800a645f4b41537dc09d25ba4d9f",
+        "2c33e520c7c27f178de63fbd8335000f6ae3395079b739cb908d6d9771b87c51"),
+    # graphs with loop edges
+    "unit_rose3": (
+        9, "9667b20253da46c4723287f251f587f81e885b67f0a431d5042f5dd1bf8ceec0",
+        "921561f8726d10dd9922063292cef65e09d50197e6bc34d2b824141ae1e88094"),
+    "barbell": (
+        4, "416c121990f2ee3745b5420f2bd1baeb04e56b4869150f32a15ed8635f65b558",
+        "8939244ebb355c3b82b1500b2d1dcb108feeddd8057473404bdc4ee60bc30b56"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CANDIDATE_PINS))
+def test_candidate_set_pinned(name):
+    if name == "unit_rose3":
+        G = unit_rose(3)
+    elif name == "barbell":
+        G = barbell(1, 1, 1)
+    else:
+        G = random_tree_marked(random.Random(0), name)
+    cands = enumerate_candidates(G)
+
+    def digest(items):
+        return hashlib.sha256(repr(items).encode()).hexdigest()
+
+    assert (len(cands), digest([c.key() for c in cands]),
+            digest([(c.loop, c.components) for c in cands])) == \
+        CANDIDATE_PINS[name]
+
+
+def test_generator_families_are_valid_tree_markings():
+    ranks = {}
+    for fam in FAMILIES:
+        G = random_tree_marked(random.Random(1), fam)
+        assert validate_marked_graph(G).ok
+        assert all(len(G.star(v)) == 3 for v in G.vertices)
+        ranks[fam] = G.rank
+    assert ranks == {"K4": 3, "K33": 4, "prism5": 6, "petersen": 6}
+
+
+def test_two_generators_on_one_loop_is_a_trivial_class():
+    B = make_graph(2, {"a": ("v", "v", 1), "b": ("v", "v", 1)}, "v",
+                   [(("a", 1),), (("a", 1),)])
+    with pytest.raises(InvalidInputError, match="trivial class"):
+        lambda_r(theta_left(), B)
