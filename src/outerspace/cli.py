@@ -35,7 +35,7 @@ from .folding import (
     check_four_point,
     check_quasi_geodesic,
     fast_fold,
-    graph_at,
+    point_at,
     prepare_folding_setup,
     speeds,
     systole_and_thin_test,
@@ -193,10 +193,11 @@ def cmd_foldpath(args) -> Report:
     )
     eps = parse_fraction(args.eps)
     for tt in times:
-        G, _ = graph_at(path, tt)
+        point = point_at(path, tt)
+        G = point.graph
         sys_v, _, thin = systole_and_thin_test(G, eps)
         if tt < path.end_time:
-            sp = speeds(path, tt)
+            sp = speeds(path, point)
             local = format_fraction(sp.local_speed)
             toward = format_fraction(sp.toward_speed)
         else:

@@ -513,13 +513,32 @@ def sample_path(path: FoldingPath, t: Fraction):
     return G, setup_as_plmap(G, path.target, sigma)
 
 
+@dataclass(frozen=True)
+class FoldPoint:
+    """A folding path at one time: the graph, its edge map to the target and
+    the turns being folded there (right-continuous; none at the end)."""
+    time: Fraction
+    graph: MarkedMetricGraph
+    sigma: Sigma
+    turns: frozenset
+
+
+def point_at(path: FoldingPath, t: Fraction) -> FoldPoint:
+    """The fold point at time t, its partial fold built once for every
+    reader of that time."""
+    t = Fraction(t)
+    G, sigma = graph_at(path, t)
+    turns = frozenset() if t == path.end_time else frozenset(
+        folding_turns(active_classes(G, path.target, sigma, path.strategy)))
+    return FoldPoint(t, G, sigma, turns)
+
+
 def turns_at(path: FoldingPath, t: Fraction) -> set:
     """Unordered dart pairs being folded at time t (right-continuous)."""
     t = Fraction(t)
     if t >= path.end_time:
         return set()
-    G, sigma = graph_at(path, t)
-    return folding_turns(active_classes(G, path.target, sigma, path.strategy))
+    return set(point_at(path, t).turns)
 
 
 def multiplicity_of_loop(G: MarkedMetricGraph, turns: set,
@@ -540,8 +559,8 @@ def multiplicity_of_loop(G: MarkedMetricGraph, turns: set,
 
 def multiplicity(path: FoldingPath, t: Fraction, loop: EdgePath) -> int:
     """Folding multiplicity of a loop of the time-t snapshot."""
-    G, _ = graph_at(path, Fraction(t))
-    return multiplicity_of_loop(G, turns_at(path, t), loop)
+    point = point_at(path, t)
+    return multiplicity_of_loop(point.graph, point.turns, loop)
 
 
 @dataclass(frozen=True)
@@ -557,14 +576,15 @@ class SpeedReport:
     ratio: Fraction
 
 
-def speeds(path: FoldingPath, t: Fraction) -> SpeedReport:
+def speeds(path: FoldingPath, t) -> SpeedReport:
     """Local speed 2 mu/l of the folding path and the speed toward the
-    target, with the loops realizing them."""
-    t = Fraction(t)
-    if t >= path.end_time:
+    target, with the loops realizing them; ``t`` is a time or a
+    `FoldPoint` of the path."""
+    time = t.time if isinstance(t, FoldPoint) else Fraction(t)
+    if time >= path.end_time:
         raise InvalidInputError("the path has no folding turn at its end")
-    G, sigma = graph_at(path, t)
-    turns = folding_turns(active_classes(G, path.target, sigma, path.strategy))
+    point = t if isinstance(t, FoldPoint) else point_at(path, time)
+    G, turns = point.graph, point.turns
     best = None
     for cand in enumerate_candidates(G):
         mu = multiplicity_of_loop(G, turns, cand.loop)

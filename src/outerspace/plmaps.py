@@ -372,18 +372,18 @@ def subgraph_boundary(f: PLMap, edges: frozenset) -> tuple:
     """Vertices of the subgraph all of whose subgraph darts terminating there
     share a common terminal partial edge in the image."""
     A = f.source
-    verts = sorted(
-        {v for e in edges for v in A.edges[e][:2]}
-    )
+    germs: dict[str, set] = {}
+    for e in edges:
+        o, t, _ = A.edges[e]
+        germs.setdefault(t, set()).add(terminal_germ(f, (e, 1)))
+        germs.setdefault(o, set()).add(terminal_germ(f, (e, -1)))
     out = []
-    for v in verts:
-        germs = {terminal_germ(f, d) for (e, d) in _incident_ends(A, v)
-                 if e in edges}
-        if None in germs:
+    for v in sorted(germs):
+        if None in germs[v]:
             raise InternalInvariantError(
                 "maximally stretched edge with a constant image"
             )
-        if len(germs) == 1:
+        if len(germs[v]) == 1:
             out.append(v)
     return tuple(out)
 
@@ -423,22 +423,32 @@ def stratified_boundary_condition(f: PLMap) -> bool:
 
 # -- the local improvement move ----------------------------------------------------------
 
-def _incident_ends(A: MarkedMetricGraph, v: str) -> list[tuple[str, Dart]]:
-    """(edge, terminating dart) pairs at v; a loop contributes both darts."""
-    return [(d[0], rev(d)) for d in A.star(v)]
+Ends = dict[str, list[tuple[str, Dart]]]
+
+
+def _incident_ends(A: MarkedMetricGraph) -> Ends:
+    """Per vertex, its (edge, terminating dart) pairs in `star` order, read
+    in one pass over the edges; a loop contributes both darts."""
+    ends: Ends = {v: [] for v in A.vertices}
+    for e in sorted(A.edges):
+        o, t, _ = A.edges[e]
+        ends[o].append((e, (e, -1)))
+        ends[t].append((e, (e, 1)))
+    return ends
 
 
 def _move_vertex(f: PLMap, v: str, alpha: Dart, q: Fraction,
-                 t: Fraction) -> PLMap:
+                 t: Fraction, ends: Ends) -> PLMap:
     """Slide the image of v backward along alpha by t (its current arrival
     coordinate on alpha being q), truncating aligned image ends and extending
-    the others.  Raises when the slide leaves the valid range."""
+    the others; ``ends`` is the source's `_incident_ends`.  Raises when the
+    slide leaves the valid range."""
     A, B = f.source, f.target
     if t <= 0 or t > q:
         raise InvalidInputError(f"slide amount {t} outside (0, {q}]")
-    ends = _incident_ends(A, v)
-    germs = {d: terminal_germ(f, d) for (_, d) in ends}
-    for (e, d) in ends:
+    at_v = ends[v]
+    germs = {d: terminal_germ(f, d) for (_, d) in at_v}
+    for (e, d) in at_v:
         if germs[d] == alpha:
             p = image_of_dart(f, d)
             (_, a, b) = p.segs[-1]
@@ -446,7 +456,7 @@ def _move_vertex(f: PLMap, v: str, alpha: Dart, q: Fraction,
                 raise InvalidInputError("slide crosses a segment boundary")
     new_fv = dart_point(B, alpha, q - t)
     edge_image = dict(f.edge_image)
-    for e in sorted({e for (e, _) in ends}):
+    for e in sorted({e for (e, _) in at_v}):
         p = edge_image[e]
         o, t_, _ = A.edges[e]
         if t_ == v:  # adjust the end of the stored path
@@ -471,37 +481,38 @@ def next_v(f: PLMap, v: str) -> PLMap:
     """Pull the image of an offending vertex backward along the common
     terminal edge, up to the largest step that still lowers
     (stretch, #maximal edges) lexicographically."""
-    return _next_v(f, v, stretch_analysis(f))[0]
+    return _next_v(f, v, stretch_analysis(f), _incident_ends(f.source))[0]
 
 
-def _next_v(f: PLMap, v: str, ana: StretchAnalysis
+def _next_v(f: PLMap, v: str, ana: StretchAnalysis, ends: Ends
             ) -> tuple[PLMap, StretchAnalysis]:
-    """`next_v` on a map whose analysis is ``ana``; also returns the
-    analysis of the moved map."""
+    """`next_v` on a map whose analysis is ``ana``; ``ends`` is the
+    source's `_incident_ends`.  Also returns the analysis of the moved
+    map."""
     A, B = f.source, f.target
     if v not in ana.boundary:
         raise InvalidInputError(f"vertex {v} is not an offending vertex")
 
-    ends = _incident_ends(A, v)
-    germs = {d: terminal_germ(f, d) for (_, d) in ends}
-    alpha_set = {germs[d] for (e, d) in ends if e in ana.a_max}
+    at_v = ends[v]
+    germs = {d: terminal_germ(f, d) for (_, d) in at_v}
+    alpha_set = {germs[d] for (e, d) in at_v if e in ana.a_max}
     if len(alpha_set) != 1:
         raise InternalInvariantError("offending vertex without a common germ")
     alpha = next(iter(alpha_set))
     fv = f.vertex_image[v]
     # arrival coordinate of f(v) on alpha, read off a maximal arriving image
-    sample = next(d for (e, d) in ends if e in ana.a_max)
+    sample = next(d for (e, d) in at_v if e in ana.a_max)
     q = image_of_dart(f, sample).segs[-1][2]
     if dart_point(B, alpha, q) != fv or q <= 0:
         raise InternalInvariantError("vertex image does not sit on its germ")
 
-    trunc = {d: (germs[d] == alpha) for (_, d) in ends}
+    trunc = {d: (germs[d] == alpha) for (_, d) in at_v}
 
     limits = [q]
     img_len = {e: pl_length(f.edge_image[e]) for e in A.edges}
     slope: dict[str, Fraction] = {e: Fraction(0) for e in A.edges}
     trunc_count: dict[str, int] = {e: 0 for e in A.edges}
-    for (e, d) in ends:
+    for (e, d) in at_v:
         if trunc[d]:
             p = image_of_dart(f, d)
             (_, a, b) = p.segs[-1]
@@ -524,7 +535,7 @@ def _next_v(f: PLMap, v: str, ana: StretchAnalysis
     # settle at its local balance point even when distant edges pin the
     # global maximum, which the bare supremum rule cannot do.
     lines = {e: (img_len[e], slope[e], A.length(e)) for e in A.edges}
-    incident = {e for (e, _) in ends}
+    incident = {e for (e, _) in at_v}
 
     def key_at(t: Fraction):
         vals = {e: (L + m * t) / l for e, (L, m, l) in lines.items()}
@@ -559,20 +570,22 @@ def _next_v(f: PLMap, v: str, ana: StretchAnalysis
         raise InternalInvariantError("next_v cannot make progress")
     t0 = best[1]
 
-    out = _move_vertex(f, v, alpha, q, t0)
+    out = _move_vertex(f, v, alpha, q, t0, ends)
     out_ana = stretch_analysis(out)
     if out_ana.stretch > ana.stretch:
         raise InternalInvariantError("next_v increased the Lipschitz constant")
     return out, out_ana
 
 
-def _extrapolate_fixed_point(f: PLMap, history: dict) -> Optional[PLMap]:
+def _extrapolate_fixed_point(f: PLMap, history: dict, ends: Ends
+                             ) -> Optional[PLMap]:
     """Guess the limit of geometrically converging vertex slides.
 
     Successive positions of a vertex along one target edge often follow an
     exact affine recurrence; its rational fixed point is then the limit map,
     also exactly.  The guess is only adopted by the caller after an exact
-    stretch check, so this is a pure accelerator.
+    stretch check, so this is a pure accelerator.  ``ends`` is the source's
+    `_incident_ends`.
     """
     B = f.target
     g = f
@@ -596,7 +609,7 @@ def _extrapolate_fixed_point(f: PLMap, history: dict) -> Optional[PLMap]:
         else:
             alpha, q, t = (E, -1), l - x2, x_star - x2
         try:
-            g = _move_vertex(g, v, alpha, q, t)
+            g = _move_vertex(g, v, alpha, q, t, ends)
             applied = True
         except (InvalidInputError, InternalInvariantError):
             continue
@@ -618,6 +631,7 @@ def optimize_pl_map(A: MarkedMetricGraph, B: MarkedMetricGraph,
     target = lambda_r(A, B).value
     f = initial_pl_map(A, B)
     ana = stretch_analysis(f)
+    ends = _incident_ends(A)
     history: dict = {}
     visit_count: dict = {}
     moves = 0
@@ -647,7 +661,7 @@ def optimize_pl_map(A: MarkedMetricGraph, B: MarkedMetricGraph,
         n = visit_count.get(key, 0)
         visit_count[key] = n + 1
         v = offenders[n % len(offenders)]
-        f, ana = _next_v(f, v, ana)
+        f, ana = _next_v(f, v, ana, ends)
         moves += 1
         pos = f.vertex_image[v]
         run = history.get(v, [])
@@ -659,7 +673,7 @@ def optimize_pl_map(A: MarkedMetricGraph, B: MarkedMetricGraph,
             run = []
         history[v] = run
         if moves % 6 == 0:
-            g = _extrapolate_fixed_point(f, history)
+            g = _extrapolate_fixed_point(f, history, ends)
             if g is not None:
                 ana_g = stretch_analysis(g)
                 if ana_g.stretch == target:

@@ -27,7 +27,7 @@ from .folding import (
     check_dR_geodesic,
     check_quasi_geodesic,
     fast_fold,
-    graph_at,
+    point_at,
     prepare_folding_setup,
     speeds,
     systole_and_thin_test,
@@ -219,8 +219,9 @@ def repro_polynomial_growth(ks=(2, 3, 5),
         for i in range(k):
             for delta in deltas:
                 time = i + delta
-                sp = speeds(path, time)
-                G, _ = graph_at(path, time)
+                point = point_at(path, time)
+                sp = speeds(path, point)
+                G = point.graph
                 sys_v, _, _ = systole_and_thin_test(G, F(1, 100))
                 formula = F(k + 2 - i - 2 * delta,
                             2 * k + 1 - 2 * i - 2 * delta)

@@ -5,17 +5,20 @@ length ratios over conjugacy classes; it is attained on a finite set of
 candidate loops of the source that depends only on the source graph:
 embedded circles, figure-eights (two embedded circles meeting at one point)
 and barbells / dumbbells (two disjoint embedded circles joined by an embedded
-arc).  Each enumeration reads the stars of the graph once into a per-call
-index.  A candidate is evaluated through per-edge image paths: every edge
-label of the source is realized once through the target's marking, and the
-candidate's image is the cyclic reduction of its darts' images.  Lengths are
-summed as integers, each graph's scaled by the common denominator of its
-edge lengths.  Everything here is exact; logarithms appear only in the
-report fields meant for display.
+arc).  An enumeration reads the graph's incidence once into tables and
+finds each circle once; the last few candidate sets are kept per
+combinatorial type (see `enumerate_candidates`).  A candidate is evaluated
+through per-edge image paths: every edge label of the source is realized
+once through the target's marking, and the candidate's image is the cyclic
+reduction of its darts' images.  Lengths are summed as integers, each
+graph's scaled by the common denominator of its edge lengths.  Everything
+here is exact; logarithms appear only in the report fields meant for
+display.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -34,7 +37,7 @@ from .graphs import (
     volume,
 )
 
-Star = dict[str, tuple[Dart, ...]]
+Star = dict[str, list[Dart]]
 
 
 class CandidateShape(str, Enum):
@@ -55,90 +58,127 @@ class CandidateLoop:
 
 def canonical_loop(loop: EdgePath) -> EdgePath:
     """Least rotation among both orientations; identifies loops up to
-    rotation and inversion."""
+    rotation and inversion.
+
+    The least rotation starts at the least dart of either orientation,
+    ``(e, -1)`` for the least edge e: in the loop itself where the loop
+    crosses e backward, in its reverse where it crosses e forward.  Only the
+    rotations starting there are compared, one when no dart repeats, as in
+    every candidate loop (two when it crosses e both ways).
+    """
     if not loop:
         return ()
-    best = None
-    reversed_loop = tuple(rev(d) for d in reversed(loop))
-    for seq in (loop, reversed_loop):
-        for r in range(len(seq)):
-            rot = seq[r:] + seq[:r]
-            if best is None or rot < best:
-                best = rot
-    return best
+    least = (min(loop)[0], -1)
+    seqs = [loop] if least in loop else []
+    if (least[0], 1) in loop:
+        seqs.append(tuple([(e, -sign) for (e, sign) in reversed(loop)]))
+    rotations = []
+    for seq in seqs:
+        i = -1
+        for _ in range(seq.count(least)):
+            i = seq.index(least, i + 1)
+            rotations.append(seq[i:] + seq[:i])
+    return min(rotations)
 
 
-def _rotate_to(loop: EdgePath, v: str, G: MarkedMetricGraph) -> EdgePath:
-    for r in range(len(loop)):
-        if G.origin(loop[r]) == v:
-            return loop[r:] + loop[:r]
-    raise InvalidInputError(f"loop does not pass through vertex {v}")
+def _combinatorial_type(G: MarkedMetricGraph) -> tuple:
+    """What the candidate set depends on: the vertex set and the sorted
+    ``(edge, origin, terminus)`` triples, without lengths or marking."""
+    return (G.vertices,
+            tuple(sorted((e, o, t) for e, (o, t, _) in G.edges.items())))
 
 
-def _loop_vertices(G: MarkedMetricGraph, loop: EdgePath) -> frozenset[str]:
-    return frozenset(G.origin(d) for d in loop)
+class _Topology:
+    """Incidence tables of one combinatorial type, read once: every dart
+    (one shared tuple each), its reverse and its two ends; each vertex's
+    star in sorted dart order, so a loop edge's (e, -1) comes before its
+    (e, 1), unlike in `MarkedMetricGraph.star`; and after each dart the
+    darts that continue it without backtracking, with their heads.  The
+    searches run in star order, and a capped bounded-cancellation
+    enumeration keeps the loops it reaches first.  It has a graph's
+    `origin` and `terminus`, so incidence checks such as
+    `is_cyclically_reduced` accept it."""
+
+    def __init__(self, vertices: frozenset[str],
+                 triples: tuple[tuple[str, str, str], ...]):
+        self.vertices = vertices
+        self.star: Star = {v: [] for v in sorted(vertices)}
+        self.head: dict[Dart, str] = {}
+        self.tail: dict[Dart, str] = {}
+        self.flip: dict[Dart, Dart] = {}
+        for (e, o, t) in triples:
+            fwd, bwd = (e, 1), (e, -1)
+            self.head[fwd], self.tail[fwd] = t, o
+            self.head[bwd], self.tail[bwd] = o, t
+            self.flip[fwd], self.flip[bwd] = bwd, fwd
+            self.star[t].append(bwd)
+            self.star[o].append(fwd)
+        self.turns: dict[Dart, tuple[tuple[Dart, str], ...]] = {
+            d: tuple((x, self.head[x]) for x in self.star[w]
+                     if x != self.flip[d])
+            for d, w in self.head.items()}
+
+    def origin(self, d: Dart) -> str:
+        return self.tail[d]
+
+    def terminus(self, d: Dart) -> str:
+        return self.head[d]
+
+    def reverse(self, path: EdgePath) -> EdgePath:
+        return tuple(self.flip[d] for d in reversed(path))
 
 
-def _star_index(G: MarkedMetricGraph) -> Star:
-    """Each vertex's darts in sorted order, so a loop edge's (e, -1) comes
-    before its (e, 1), unlike in `star`; the searches run in this order, and
-    a capped bounded-cancellation enumeration keeps the loops it reaches
-    first."""
-    return {v: tuple(sorted(G.star(v))) for v in G.vertices}
+def _embedded_circles(top: _Topology) -> list[EdgePath]:
+    """All embedded circles in canonical form, sorted.
 
+    Each is found once: from its least vertex s, in the orientation whose
+    first dart is less than the reverse of its last.  That reverse also
+    leaves s toward a later vertex, so the greatest such dart starts none.
+    """
+    head, flip, turns = top.head, top.flip, top.turns
+    circles = []
 
-def embedded_circles(G: MarkedMetricGraph, star: Star) -> list[EdgePath]:
-    """All embedded circles, one per rotation/inversion class; ``star`` is
-    the graph's `_star_index`."""
-    found: dict[EdgePath, EdgePath] = {}
-    order = {v: i for i, v in enumerate(sorted(G.vertices))}
-
-    def extend(path: list[Dart], visited: set[str], start: str):
-        at = G.terminus(path[-1])
-        for d in star[at]:
-            if d == rev(path[-1]):
-                continue
-            w = G.terminus(d)
+    def extend(path: list[Dart], free: set[str], start: str):
+        for d, w in turns[path[-1]]:
             if w == start:
-                # close; the corner at the start must be reduced too
-                if d != rev(path[0]):
-                    key = canonical_loop(tuple(path) + (d,))
-                    found.setdefault(key, key)
-                continue
-            if w in visited or order[w] < order[start]:
-                continue
-            visited.add(w)
-            path.append(d)
-            extend(path, visited, start)
-            path.pop()
-            visited.remove(w)
+                if path[0] < flip[d]:
+                    circles.append(canonical_loop(tuple(path) + (d,)))
+            elif w in free:
+                free.remove(w)
+                path.append(d)
+                extend(path, free, start)
+                path.pop()
+                free.add(w)
 
-    for v in sorted(G.vertices):
-        for d in star[v]:
-            if G.terminus(d) == v:
-                found.setdefault(canonical_loop((d,)), canonical_loop((d,)))
-            elif order[G.terminus(d)] > order[v]:
-                extend([d], {v, G.terminus(d)}, v)
-    return sorted(found.values())
+    later = set(top.vertices)
+    for v in sorted(top.vertices):
+        later.remove(v)
+        circles += [(d,) for d in top.star[v] if head[d] == v and d[1] < 0]
+        firsts = [d for d in top.star[v] if head[d] in later]
+        for d in firsts[:-1]:
+            later.remove(head[d])
+            extend([d], later, v)
+            later.add(head[d])
+    circles.sort()
+    return circles
 
 
-def _embedded_arcs(G: MarkedMetricGraph, star: Star, src: frozenset[str],
+def _embedded_arcs(top: _Topology, src: frozenset[str],
                    dst: frozenset[str]) -> list[EdgePath]:
     """Embedded arcs from a vertex of src to a vertex of dst whose interior
     avoids both endpoint sets."""
+    head, star, turns = top.head, top.star, top.turns
     arcs = []
 
     def extend(path: list[Dart], visited: set[str]):
-        at = G.terminus(path[-1])
+        last = path[-1]
+        at = head[last]
         if at in dst:
             arcs.append(tuple(path))
             return
         if at in src:
             return
-        for d in star[at]:
-            if d == rev(path[-1]):
-                continue
-            w = G.terminus(d)
+        for d, w in turns[last]:
             if w in visited:
                 continue
             visited.add(w)
@@ -149,58 +189,94 @@ def _embedded_arcs(G: MarkedMetricGraph, star: Star, src: frozenset[str],
 
     for v in sorted(src):
         for d in star[v]:
-            extend([d], {v, G.terminus(d)})
+            extend([d], {v, head[d]})
     return arcs
+
+
+# candidate sets kept across calls, one per combinatorial type; a set of a
+# trivalent graph of rank 4 to 6 takes about 50 KB, so a full cache under 1 MB
+_TYPE_CACHE_SIZE = 16
 
 
 def enumerate_candidates(G: MarkedMetricGraph) -> list[CandidateLoop]:
     """The finite candidate set of G: every embedded circle, figure-eight and
-    dumbbell, each once up to rotation and inversion, sorted canonically."""
-    star = _star_index(G)
-    circles = embedded_circles(G, star)
-    vertex_sets = [_loop_vertices(G, c) for c in circles]
+    dumbbell, each once up to rotation and inversion, sorted canonically.
+
+    The set depends only on the combinatorial type of G: its vertex set
+    and its (edge, origin, terminus) triples.  The sets of the
+    `_TYPE_CACHE_SIZE` types used last are kept in a module-level
+    cache, never on the graph, which every fold snapshot would keep alive;
+    each call returns a fresh list of the shared frozen candidates.
+    """
+    return list(_candidates_of_type(*_combinatorial_type(G)))
+
+
+@functools.lru_cache(maxsize=_TYPE_CACHE_SIZE)
+def _candidates_of_type(vertices: frozenset[str],
+                        triples: tuple[tuple[str, str, str], ...]
+                        ) -> tuple[CandidateLoop, ...]:
+    top = _Topology(vertices, triples)
+    circles = _embedded_circles(top)
+    names = sorted(vertices)
+    bit = {v: 1 << i for i, v in enumerate(names)}
     out: dict[tuple, CandidateLoop] = {}
 
-    for c in circles:
-        cand = CandidateLoop(CandidateShape.O, c, (c,))
+    def add(shape: CandidateShape, loop: EdgePath,
+            components: tuple[EdgePath, ...]) -> None:
+        cand = CandidateLoop(shape, loop, components)
         out.setdefault(cand.key(), cand)
 
-    for i, (c1, v1) in enumerate(zip(circles, vertex_sets)):
-        for c2, v2 in zip(circles[i + 1:], vertex_sets[i + 1:]):
-            common = v1 & v2
-            if len(common) == 1:
-                v = next(iter(common))
-                r1 = _rotate_to(c1, v, G)
-                for c2o in (c2, tuple(rev(d) for d in reversed(c2))):
-                    r2 = _rotate_to(c2o, v, G)
-                    loop = r1 + r2
-                    cand = CandidateLoop(
-                        CandidateShape.FIGURE_EIGHT, loop, (r1, r2)
-                    )
-                    out.setdefault(cand.key(), cand)
+    # an embedded circle leaves each of its vertices once: ``at[j][v]`` is
+    # the position of that dart in circle j; its reverse leaves v at the
+    # mirrored position.  Rotations are built when first asked for.
+    orientations = [(c, top.reverse(c)) for c in circles]
+    at = [{top.tail[d]: i for i, d in enumerate(c)} for c in circles]
+    masks = [sum(bit[v] for v in pos) for pos in at]
+    rotations: dict[tuple[int, int, str], EdgePath] = {}
+
+    def rotation(j: int, k: int, v: str) -> EdgePath:
+        """Circle j (k = 0) or its reverse (k = 1), starting at v."""
+        r = rotations.get((j, k, v))
+        if r is None:
+            seq = orientations[j][k]
+            i = at[j][v] if k == 0 else -at[j][v] % len(seq)
+            r = rotations[j, k, v] = seq[i:] + seq[:i]
+        return r
+
+    for c in circles:
+        add(CandidateShape.O, c, (c,))
+    arcs: dict[tuple[int, int], list[tuple]] = {}
+    for i in range(len(circles)):
+        for j in range(i + 1, len(circles)):
+            common = masks[i] & masks[j]
+            if common and not common & (common - 1):
+                # exactly one common vertex: a figure-eight
+                v = names[common.bit_length() - 1]
+                r1 = rotation(i, 0, v)
+                for k in (0, 1):
+                    r2 = rotation(j, k, v)
+                    add(CandidateShape.FIGURE_EIGHT, r1 + r2, (r1, r2))
             elif not common:
-                for arc in _embedded_arcs(G, star, v1, v2):
-                    interior = {G.origin(d) for d in arc[1:]}
-                    if interior & (v1 | v2):
-                        continue
-                    u = G.origin(arc[0])
-                    w = G.terminus(arc[-1])
-                    r1 = _rotate_to(c1, u, G)
-                    arc_rev = tuple(rev(d) for d in reversed(arc))
-                    for c2o in (c2, tuple(rev(d) for d in reversed(c2))):
-                        r2 = _rotate_to(c2o, w, G)
-                        loop = r1 + arc + r2 + arc_rev
-                        cand = CandidateLoop(
-                            CandidateShape.DUMBBELL, loop, (r1, r2, arc)
-                        )
-                        out.setdefault(cand.key(), cand)
+                pair = (masks[i], masks[j])
+                if pair not in arcs:
+                    arcs[pair] = [
+                        (arc, top.reverse(arc), top.tail[arc[0]],
+                         top.head[arc[-1]])
+                        for arc in _embedded_arcs(top, frozenset(at[i]),
+                                                  frozenset(at[j]))]
+                for (arc, arc_rev, u, w) in arcs[pair]:
+                    r1 = rotation(i, 0, u)
+                    for k in (0, 1):
+                        r2 = rotation(j, k, w)
+                        add(CandidateShape.DUMBBELL, r1 + arc + r2 + arc_rev,
+                            (r1, r2, arc))
 
     for cand in out.values():
-        if not is_cyclically_reduced(G, cand.loop):
+        if not is_cyclically_reduced(top, cand.loop):
             raise InvalidInputError(
                 f"candidate loop {cand.loop} is not cyclically reduced"
             )
-    return [out[key] for key in sorted(out)]
+    return tuple(out[key] for key in sorted(out))
 
 
 @dataclass(frozen=True)
@@ -315,7 +391,7 @@ def _loops_at_by_length(G: MarkedMetricGraph, v: str, length_cap: Fraction,
     """Reduced edge loops based at v of length <= length_cap, breadth first
     (shortest loops first).  Yields at most max_count loops, then signals
     truncation by yielding None."""
-    star = _star_index(G)
+    star = _Topology(*_combinatorial_type(G)).star
     frontier: list[tuple[EdgePath, Fraction]] = [((), Fraction(0))]
     produced = 0
     while frontier:

@@ -200,7 +200,7 @@ def test_foldpath_trace(files, tmp_path, capsys):
 def test_foldpath_builds_only_what_it_reports(files, tmp_path, capsys,
                                               monkeypatch):
     # the k=3 twist folds in 3 events; each of the 3 sample times between
-    # them is one partial fold for its row and one for its speeds, and no
+    # them is one partial fold, read by its row and by its speeds, and no
     # PL map is built for a report row
     import outerspace.folding as folding
 
@@ -217,7 +217,7 @@ def test_foldpath_builds_only_what_it_reports(files, tmp_path, capsys,
     code, _, err = run(capsys, "foldpath", files["P"], target,
                        "--samples", "3")
     assert code == 0, err
-    assert calls == {"setup_as_plmap": 0, "fold_step": 9}
+    assert calls == {"setup_as_plmap": 0, "fold_step": 6}
 
 
 @pytest.mark.parametrize("source,target",

@@ -251,8 +251,8 @@ def test_optimizer_analyses_each_map_once(monkeypatch):
     extrapolated = []
     extrapolate = plmaps._extrapolate_fixed_point
 
-    def recording(f, history):
-        extrapolated.append(extrapolate(f, history))
+    def recording(f, *args):
+        extrapolated.append(extrapolate(f, *args))
         return extrapolated[-1]
 
     monkeypatch.setattr(plmaps, "_extrapolate_fixed_point", recording)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -6,7 +7,9 @@ from fractions import Fraction as F
 
 import pytest
 
+import outerspace.stretch as stretch
 from outerspace.errors import InvalidInputError, RankMismatchError
+from outerspace.folding import fast_fold, prepare_folding_setup
 from outerspace.fixtures import (
     FAMILIES,
     barbell,
@@ -24,16 +27,19 @@ from outerspace.fixtures import (
     unit_rose,
 )
 from outerspace.graphs import (
+    MarkedMetricGraph,
     apply_automorphism_to_marking,
     loop_length,
     make_graph,
     normalize_volume,
+    rev,
     scale_graph,
     translation_length,
     validate_marked_graph,
     word_of_loop,
 )
 from outerspace.stretch import (
+    CandidateLoop,
     CandidateShape,
     canonical_loop,
     enumerate_candidates,
@@ -100,6 +106,194 @@ def test_candidates_depend_only_on_graph():
     H = apply_automorphism_to_marking(G, random_nielsen_automorphism(rng, 2))
     assert [c.key() for c in enumerate_candidates(G)] == \
         [c.key() for c in enumerate_candidates(H)]
+
+
+def test_canonical_loop_is_least_rotation_of_either_orientation():
+    rng = random.Random(23)
+    for _ in range(3000):
+        loop = tuple((rng.choice("abc"), rng.choice((1, -1)))
+                     for _ in range(rng.randint(1, 8)))
+        backward = tuple((e, -s) for (e, s) in reversed(loop))
+        brute = min(seq[i:] + seq[:i] for seq in (loop, backward)
+                    for i in range(len(seq)))
+        assert canonical_loop(loop) == brute, loop
+
+
+def reference_candidates(G):
+    """The candidate set as defined, through the graph's own accessors and
+    without tables or cache: circles from every start in both orientations,
+    kept once by canonical form; pairs meeting in one vertex, and disjoint
+    pairs joined by an embedded arc; the first representative per key."""
+    def star(v):
+        return sorted(G.star(v))
+
+    def rotate_to(loop, v):
+        r = next(i for i, d in enumerate(loop) if G.origin(d) == v)
+        return loop[r:] + loop[:r]
+
+    def backward(path):
+        return tuple(rev(d) for d in reversed(path))
+
+    found = set()
+
+    def extend_circle(path, visited):
+        start = G.origin(path[0])
+        for d in star(G.terminus(path[-1])):
+            w = G.terminus(d)
+            if d == rev(path[-1]):
+                continue
+            if w == start:
+                if d != rev(path[0]):
+                    found.add(canonical_loop(path + (d,)))
+            elif w not in visited and w > start:
+                extend_circle(path + (d,), visited | {w})
+
+    for v in sorted(G.vertices):
+        for d in star(v):
+            if G.terminus(d) == v:
+                found.add(canonical_loop((d,)))
+            elif G.terminus(d) > v:
+                extend_circle((d,), {v, G.terminus(d)})
+    circles = sorted(found)
+
+    def arcs(src, dst):
+        out = []
+
+        def extend(path, visited):
+            at = G.terminus(path[-1])
+            if at in dst:
+                out.append(path)
+            elif at not in src:
+                for d in star(at):
+                    w = G.terminus(d)
+                    if d != rev(path[-1]) and w not in visited:
+                        extend(path + (d,), visited | {w})
+
+        for v in sorted(src):
+            for d in star(v):
+                extend((d,), {v, G.terminus(d)})
+        return out
+
+    out = {}
+
+    def add(shape, loop, components):
+        cand = CandidateLoop(shape, loop, components)
+        out.setdefault(cand.key(), cand)
+
+    for c in circles:
+        add(CandidateShape.O, c, (c,))
+    for i, c1 in enumerate(circles):
+        v1 = {G.origin(d) for d in c1}
+        for c2 in circles[i + 1:]:
+            v2 = {G.origin(d) for d in c2}
+            common = v1 & v2
+            if len(common) == 1:
+                v = common.pop()
+                for c2o in (c2, backward(c2)):
+                    r1, r2 = rotate_to(c1, v), rotate_to(c2o, v)
+                    add(CandidateShape.FIGURE_EIGHT, r1 + r2, (r1, r2))
+            elif not common:
+                for arc in arcs(v1, v2):
+                    r1 = rotate_to(c1, G.origin(arc[0]))
+                    for c2o in (c2, backward(c2)):
+                        r2 = rotate_to(c2o, G.terminus(arc[-1]))
+                        add(CandidateShape.DUMBBELL,
+                            r1 + arc + r2 + backward(arc), (r1, r2, arc))
+    return [out[key] for key in sorted(out)]
+
+
+def random_multigraph(rng):
+    """A connected graph on up to 5 vertices with loops and parallel edges;
+    the candidates need no marking."""
+    names = [f"v{i}" for i in range(rng.randint(1, 5))]
+    edges = {}
+    for i in range(1, len(names)):
+        ends = [names[rng.randrange(i)], names[i]]
+        rng.shuffle(ends)
+        edges[f"t{i}"] = (*ends, 1)
+    for k in range(rng.randint(1, 6)):
+        edges[f"x{k}"] = (rng.choice(names), rng.choice(names), 1)
+    return make_graph(0, edges, names[0], [])
+
+
+def test_cached_candidates_equal_reference_enumeration():
+    rng = random.Random(31)
+    graphs = [random_tree_marked(rng, fam) for fam in sorted(FAMILIES)]
+    graphs += [unit_rose(2), unit_rose(3), theta_left(), theta_right(),
+               barbell(1, 2, 3), *poly_twist_pair(3)]
+    graphs += [random_graph(rng) for _ in range(10)]
+    graphs += [random_multigraph(rng) for _ in range(60)]
+    stretch._candidates_of_type.cache_clear()
+    for G in graphs:
+        want = [(c.shape, c.loop, c.components)
+                for c in reference_candidates(G)]
+        for _ in range(2):  # filled, then read from the cache
+            got = enumerate_candidates(G)
+            assert [(c.shape, c.loop, c.components) for c in got] == want
+
+
+def test_candidate_cache_is_bounded():
+    stretch._candidates_of_type.cache_clear()
+    bound = stretch._TYPE_CACHE_SIZE
+    assert stretch._candidates_of_type.cache_info().maxsize == bound
+    for k in range(bound + 5):
+        # a cycle of k + 1 edges through v0: a new type each time
+        edges = {f"e{i}": (f"v{i}", f"v{(i + 1) % (k + 1)}", 1)
+                 for i in range(k + 1)}
+        enumerate_candidates(make_graph(0, edges, "v0", []))
+    info = stretch._candidates_of_type.cache_info()
+    assert (info.misses, info.currsize) == (bound + 5, bound)
+
+
+def test_candidate_cache_key_is_the_combinatorial_type():
+    stretch._candidates_of_type.cache_clear()
+    G = theta_left()
+    same = theta_left((F(1, 2), F(1, 7), F(2, 3)))
+    flipped = make_graph(2, dict(G.edges, A=("v", "u", G.length("A"))),
+                         G.basepoint, [])
+    extra = dataclasses.replace(G, vertices=G.vertices | {"z"})
+    first = enumerate_candidates(G)
+    shared = enumerate_candidates(same)
+    assert all(a is b for a, b in zip(first, shared))
+    assert stretch._candidates_of_type.cache_info()[:2] == (1, 1)
+    enumerate_candidates(flipped)
+    enumerate_candidates(extra)
+    assert stretch._candidates_of_type.cache_info()[:2] == (1, 3)
+
+
+def test_returned_candidate_list_is_fresh():
+    G = barbell(1, 1, 1)
+    first = enumerate_candidates(G)
+    want = list(first)
+    first.pop()
+    first.reverse()
+    assert enumerate_candidates(G) == want
+
+
+def test_no_candidate_state_on_graphs():
+    A, B = poly_twist_pair(3)
+    path = fast_fold(prepare_folding_setup(A, B, normalize_target=False))
+    graphs = [A, B, *path.snapshots]
+    for G in graphs:
+        enumerate_candidates(G)
+        lambda_r(G, path.target)
+    fields = {f.name for f in dataclasses.fields(MarkedMetricGraph)}
+    for G in graphs:
+        assert set(vars(G)) == fields
+
+
+def test_lambda_r_enumerates_through_the_public_function(monkeypatch):
+    calls = []
+    original = stretch.enumerate_candidates
+
+    def counting(G):
+        calls.append(G)
+        return original(G)
+
+    monkeypatch.setattr(stretch, "enumerate_candidates", counting)
+    lambda_r(theta_left(), theta_right())
+    stretch_report(theta_left(), theta_right())
+    assert len(calls) == 3
 
 
 # -- the crossing-example tables ------------------------------------------------------
