@@ -168,6 +168,8 @@ def cmd_optmap(args) -> Report:
 
 
 def cmd_foldpath(args) -> Report:
+    if args.samples < 0:
+        raise InvalidInputError(f"sample count {args.samples} is negative")
     A = _load_validated(args.fileA)
     B = _load_validated(args.fileB)
     _require_same_rank(A, B)

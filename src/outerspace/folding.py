@@ -36,6 +36,7 @@ from .graphs import (
     realize_word_as_loop,
     reduce_darts,
     rev,
+    stars,
     subdivide,
     validate_marked_graph,
     volume,
@@ -105,9 +106,9 @@ class FoldingPath:
 
 def setup_as_plmap(source, target, sigma) -> PLMap:
     vertex_image = {}
-    for v in sorted(source.vertices):
-        d = source.star(v)[0]
-        vertex_image[v] = image_point(source, target, sigma, d, Fraction(0))
+    for v, star in stars(source).items():
+        vertex_image[v] = image_point(source, target, sigma, star[0],
+                                      Fraction(0))
     edge_image = {}
     for e in sorted(source.edges):
         bd, off = sigma[e]
@@ -274,9 +275,10 @@ def active_classes(G: MarkedMetricGraph, B: MarkedMetricGraph, sigma: Sigma,
     such a group.
     """
     out: dict[str, list] = {}
+    star = stars(G)
     for v in sorted(G.vertices):
         by_germ: dict[Germ, list] = {}
-        for d in G.star(v):
+        for d in star[v]:
             by_germ.setdefault(germ_of_dart(G, B, sigma, d), []).append(d)
         groups = [sorted(g) for k, g in sorted(by_germ.items())
                   if len(g) >= 2]

@@ -65,15 +65,8 @@ class MarkedMetricGraph:
 
     def star(self, v: str) -> list[Dart]:
         """Darts leaving ``v`` in sorted edge order (a loop at ``v``
-        contributes both darts)."""
-        out = []
-        for e in sorted(self.edges):
-            o, t, _ = self.edges[e]
-            if o == v:
-                out.append((e, 1))
-            if t == v:
-                out.append((e, -1))
-        return out
+        contributes ``(e, 1)`` then ``(e, -1)``); one entry of `stars`."""
+        return stars(self).get(v, [])
 
     def valence(self, v: str) -> int:
         return len(self.star(v))
@@ -88,6 +81,17 @@ class MarkedMetricGraph:
 
     def with_labels(self, labels: Optional[Mapping[str, Word]]) -> "MarkedMetricGraph":
         return replace(self, labels=labels)
+
+
+def stars(G: MarkedMetricGraph) -> dict[str, list[Dart]]:
+    """``{v: G.star(v)}`` for every vertex, in one pass over the sorted
+    edges; callers that visit many vertices read this once."""
+    out: dict[str, list[Dart]] = {v: [] for v in sorted(G.vertices)}
+    for e in sorted(G.edges):
+        o, t, _ = G.edges[e]
+        out.setdefault(o, []).append((e, 1))
+        out.setdefault(t, []).append((e, -1))
+    return out
 
 
 @dataclass(frozen=True)
@@ -303,9 +307,10 @@ def validate_marked_graph(G: MarkedMetricGraph) -> ValidationReport:
     if betti != G.rank:
         issues.append(f"first Betti number {betti} != rank {G.rank}")
 
+    star = stars(G)
     for v in sorted(G.vertices):
-        if G.valence(v) < 2:
-            issues.append(f"vertex {v} has valence {G.valence(v)} < 2")
+        if len(star[v]) < 2:
+            issues.append(f"vertex {v} has valence {len(star[v])} < 2")
 
     if len(G.marking) != G.rank:
         issues.append(f"{len(G.marking)} marking paths for rank {G.rank}")
@@ -447,12 +452,13 @@ def bfs_tree(G: MarkedMetricGraph, root: str) -> dict[str, Optional[Dart]]:
     """Breadth-first spanning tree of the component of ``root``: each reached
     vertex maps to the dart it was reached along (``root`` to None), in
     discovery order, scanning every star in sorted dart order."""
+    star = stars(G)
     tree: dict[str, Optional[Dart]] = {root: None}
     frontier = [root]
     while frontier:
         nxt = []
         for v in frontier:
-            for d in G.star(v):
+            for d in star.get(v, ()):
                 w = G.terminus(d)
                 if w not in tree:
                     tree[w] = d
@@ -499,11 +505,11 @@ def canonicalize(G: MarkedMetricGraph) -> MarkedMetricGraph:
     """
     while True:
         target = None
+        star = stars(G)
         for v in sorted(G.vertices):
-            star = G.star(v)
-            if len(star) != 2:
+            if len(star[v]) != 2:
                 continue
-            d1, d2 = star
+            d1, d2 = star[v]
             if d1[0] == d2[0]:
                 continue  # the two ends of a single loop edge; nothing to merge
             target = (v, d1, d2)

@@ -32,6 +32,7 @@ from .graphs import (
     bfs_tree,
     realize_word_as_path,
     rev,
+    stars,
 )
 from .words import Word, cyclic_reduce, free_reduce, generator
 
@@ -54,21 +55,6 @@ def dart_point(G: MarkedMetricGraph, d: Dart, x: Fraction) -> Point:
         return ("v", G.terminus(d))
     off = x if d[1] > 0 else l - x
     return ("e", d[0], off)
-
-
-def point_coord_on_dart(G: MarkedMetricGraph, p: Point, d: Dart
-                        ) -> Optional[Fraction]:
-    """Dart coordinate of p on d, or None if p does not lie on d's edge."""
-    l = dart_len(G, d)
-    if p[0] == "v":
-        if G.origin(d) == p[1]:
-            return Fraction(0)
-        if G.terminus(d) == p[1]:
-            return l
-        return None
-    if p[1] != d[0]:
-        return None
-    return p[2] if d[1] > 0 else l - p[2]
 
 
 @dataclass(frozen=True)
@@ -185,40 +171,6 @@ def pl_concat(G: MarkedMetricGraph, p: PLPath, q: PLPath) -> PLPath:
     Q = list(q.segs)
     _cancel_seam(G, P, Q)
     return make_plpath(G, P + Q, p.anchor)
-
-
-def pl_truncate_end(G: MarkedMetricGraph, p: PLPath, t: Fraction) -> PLPath:
-    if t < 0 or t > pl_length(p):
-        raise InvalidInputError(f"cannot truncate {t} from a path of length "
-                                f"{pl_length(p)}")
-    segs = list(p.segs)
-    left = t
-    while left > 0:
-        d, a, b = segs[-1]
-        take = min(left, b - a)
-        left -= take
-        if take == b - a:
-            segs.pop()
-        else:
-            segs[-1] = (d, a, b - take)
-    return PLPath(tuple(segs), p.anchor)
-
-
-def pl_truncate_start(G: MarkedMetricGraph, p: PLPath, t: Fraction) -> PLPath:
-    return pl_reverse(G, pl_truncate_end(G, pl_reverse(G, p), t))
-
-
-def pl_extend_end(G: MarkedMetricGraph, p: PLPath, d: Dart,
-                  t: Fraction) -> PLPath:
-    """Append travel of length t along dart d starting at the path's end."""
-    if t <= 0:
-        raise InvalidInputError("extension length must be positive")
-    a0 = point_coord_on_dart(G, path_end(G, p), d)
-    if a0 is None:
-        raise InvalidInputError("extension dart does not pass the endpoint")
-    if a0 + t > dart_len(G, d):
-        raise InvalidInputError("extension runs past the end of the dart")
-    return make_plpath(G, list(p.segs) + [(d, a0, a0 + t)], p.anchor)
 
 
 def pl_cancellation(G: MarkedMetricGraph, p: PLPath, q: PLPath) -> Fraction:
@@ -361,11 +313,24 @@ class StretchAnalysis:
 
 
 def terminal_germ(f: PLMap, d: Dart) -> Optional[Dart]:
-    """Direction of arrival of the image of d at the image of its terminus."""
-    p = image_of_dart(f, d)
+    """Direction of arrival of the image of d at the image of its terminus,
+    read off the stored path: for a reversed dart, the reverse of its first
+    segment's dart."""
+    p = f.edge_image[d[0]]
     if not p.segs:
         return None
-    return p.segs[-1][0]
+    return p.segs[-1][0] if d[1] > 0 else rev(p.segs[0][0])
+
+
+def _terminal_seg(f: PLMap, d: Dart) -> Seg:
+    """``image_of_dart(f, d).segs[-1]`` for a nonconstant image, read off
+    the stored path without reversing it."""
+    p = f.edge_image[d[0]]
+    if d[1] > 0:
+        return p.segs[-1]
+    (x, a, b) = p.segs[0]
+    l = dart_len(f.target, x)
+    return (rev(x), l - b, l - a)
 
 
 def subgraph_boundary(f: PLMap, edges: frozenset) -> tuple:
@@ -392,6 +357,11 @@ def stretch_analysis(f: PLMap) -> StretchAnalysis:
     per_edge = {
         e: pl_length(p) / f.source.length(e) for e, p in f.edge_image.items()
     }
+    return _analysis(f, per_edge)
+
+
+def _analysis(f: PLMap, per_edge: dict) -> StretchAnalysis:
+    """The analysis of f, given its per-edge stretches."""
     S = max(per_edge.values())
     if S <= 0:
         raise InternalInvariantError("map collapses every edge")
@@ -427,51 +397,52 @@ Ends = dict[str, list[tuple[str, Dart]]]
 
 
 def _incident_ends(A: MarkedMetricGraph) -> Ends:
-    """Per vertex, its (edge, terminating dart) pairs in `star` order, read
-    in one pass over the edges; a loop contributes both darts."""
-    ends: Ends = {v: [] for v in A.vertices}
-    for e in sorted(A.edges):
-        o, t, _ = A.edges[e]
-        ends[o].append((e, (e, -1)))
-        ends[t].append((e, (e, 1)))
-    return ends
+    """Per vertex, its (edge, terminating dart) pairs in `star` order; a
+    loop contributes both darts."""
+    return {v: [(d[0], rev(d)) for d in star]
+            for v, star in stars(A).items()}
 
 
 def _move_vertex(f: PLMap, v: str, alpha: Dart, q: Fraction,
                  t: Fraction, ends: Ends) -> PLMap:
     """Slide the image of v backward along alpha by t (its current arrival
     coordinate on alpha being q), truncating aligned image ends and extending
-    the others; ``ends`` is the source's `_incident_ends`.  Raises when the
-    slide leaves the valid range."""
+    the others by one segment; ``ends`` is the source's `_incident_ends`.
+    Only the end segments at v are edited, and every edited path is
+    rebuilt through `make_plpath`.  Raises when the slide leaves the valid
+    range."""
     A, B = f.source, f.target
     if t <= 0 or t > q:
         raise InvalidInputError(f"slide amount {t} outside (0, {q}]")
     at_v = ends[v]
-    germs = {d: terminal_germ(f, d) for (_, d) in at_v}
+    trunc = {d: terminal_germ(f, d) == alpha for (_, d) in at_v}
     for (e, d) in at_v:
-        if germs[d] == alpha:
-            p = image_of_dart(f, d)
-            (_, a, b) = p.segs[-1]
+        if trunc[d]:
+            (_, a, b) = _terminal_seg(f, d)
             if b - a < t:
                 raise InvalidInputError("slide crosses a segment boundary")
     new_fv = dart_point(B, alpha, q - t)
+    l = dart_len(B, alpha)
     edge_image = dict(f.edge_image)
     for e in sorted({e for (e, _) in at_v}):
         p = edge_image[e]
         o, t_, _ = A.edges[e]
+        segs = list(p.segs)
         if t_ == v:  # adjust the end of the stored path
-            if germs[(e, 1)] == alpha:
-                p = pl_truncate_end(B, p, t)
+            if trunc[(e, 1)]:
+                d, a, b = segs.pop()
+                if b - a > t:
+                    segs.append((d, a, b - t))
             else:
-                p = pl_extend_end(B, p, rev(alpha), t)
+                segs.append((rev(alpha), l - q, l - q + t))
         if o == v:  # adjust the start of the stored path
-            if germs[(e, -1)] == alpha:
-                p = pl_truncate_start(B, p, t)
+            if trunc[(e, -1)]:
+                d, a, b = segs.pop(0)
+                if b - a > t:
+                    segs.insert(0, (d, a + t, b))
             else:
-                rp = pl_reverse(B, p)
-                rp = pl_extend_end(B, rp, rev(alpha), t)
-                p = pl_reverse(B, rp)
-        edge_image[e] = p
+                segs.insert(0, (alpha, q - t, q))
+        edge_image[e] = make_plpath(B, segs, new_fv if o == v else p.anchor)
     vertex_image = dict(f.vertex_image)
     vertex_image[v] = new_fv
     return PLMap(A, B, vertex_image, edge_image)
@@ -488,7 +459,7 @@ def _next_v(f: PLMap, v: str, ana: StretchAnalysis, ends: Ends
             ) -> tuple[PLMap, StretchAnalysis]:
     """`next_v` on a map whose analysis is ``ana``; ``ends`` is the
     source's `_incident_ends`.  Also returns the analysis of the moved
-    map."""
+    map, for which only v's incident edges are measured again."""
     A, B = f.source, f.target
     if v not in ana.boundary:
         raise InvalidInputError(f"vertex {v} is not an offending vertex")
@@ -502,58 +473,63 @@ def _next_v(f: PLMap, v: str, ana: StretchAnalysis, ends: Ends
     fv = f.vertex_image[v]
     # arrival coordinate of f(v) on alpha, read off a maximal arriving image
     sample = next(d for (e, d) in at_v if e in ana.a_max)
-    q = image_of_dart(f, sample).segs[-1][2]
+    q = _terminal_seg(f, sample)[2]
     if dart_point(B, alpha, q) != fv or q <= 0:
         raise InternalInvariantError("vertex image does not sit on its germ")
 
-    trunc = {d: (germs[d] == alpha) for (_, d) in at_v}
-
     limits = [q]
-    img_len = {e: pl_length(f.edge_image[e]) for e in A.edges}
-    slope: dict[str, Fraction] = {e: Fraction(0) for e in A.edges}
-    trunc_count: dict[str, int] = {e: 0 for e in A.edges}
+    slope: dict[str, int] = {}
+    trunc_count: dict[str, int] = {}
     for (e, d) in at_v:
-        if trunc[d]:
-            p = image_of_dart(f, d)
-            (_, a, b) = p.segs[-1]
+        if germs[d] == alpha:
+            (_, a, b) = _terminal_seg(f, d)
             limits.append(b - a)
-            slope[e] -= 1
-            trunc_count[e] += 1
+            slope[e] = slope.get(e, 0) - 1
+            trunc_count[e] = trunc_count.get(e, 0) + 1
         else:
-            slope[e] += 1
+            slope[e] = slope.get(e, 0) + 1
     for e, k in trunc_count.items():
         if k == 2:
-            limits.append(img_len[e] / 2)
+            limits.append(ana.per_edge[e] * A.length(e) / 2)
     t_feas = min(limits)
     if t_feas <= 0:
         raise InternalInvariantError("no room to move the vertex")
 
-    # stretch lines s_e(t) = (img_len + slope*t) / l_e.  The step lands on
-    # the breakpoint (stretch-equalization crossing or feasibility limit)
-    # with the lexicographically best (max stretch, #maximal edges, max
-    # stretch over v-incident edges); the last component makes the vertex
-    # settle at its local balance point even when distant edges pin the
-    # global maximum, which the bare supremum rule cannot do.
-    lines = {e: (img_len[e], slope[e], A.length(e)) for e in A.edges}
-    incident = {e for (e, _) in at_v}
+    # stretch lines s_e(t) = s_e + (slope_e / l_e) t.  Only v's incident
+    # edges with a nonzero slope move; every other edge keeps its stretch.
+    # The step lands on the breakpoint (stretch-equalization crossing or
+    # feasibility limit) with the lexicographically best (max stretch,
+    # #maximal edges, max stretch over v-incident edges); the last
+    # component makes the vertex settle at its local balance point even
+    # when distant edges pin the global maximum, which the bare supremum
+    # rule cannot do.
+    moving = {e: (ana.per_edge[e], k / A.length(e))
+              for e, k in slope.items() if k}
+    const = {e: s for e, s in ana.per_edge.items() if e not in moving}
+    top = [max(const.values())] if const else []
+    top_edges = frozenset(e for e, s in const.items() if s == top[0])
+    local_const = [const[e] for e in slope if e in const]
+    local_top = [max(local_const)] if local_const else []
 
     def key_at(t: Fraction):
-        vals = {e: (L + m * t) / l for e, (L, m, l) in lines.items()}
-        S_t = max(vals.values())
+        vals = {e: s + r * t for e, (s, r) in moving.items()}
+        S_t = max([*vals.values(), *top])
         am_t = frozenset(e for e, s in vals.items() if s == S_t)
-        local = max(vals[e] for e in incident)
+        if S_t in top:
+            am_t |= top_edges
+        local = max([*vals.values(), *local_top])
         return (S_t, len(am_t), local), am_t
 
+    # crossings of two moving lines, and of a moving line with a constant
+    # one; two constant lines never cross
     crossings = {t_feas}
-    items = sorted(lines.items())
-    for i, (e1, (L1, m1, l1)) in enumerate(items):
-        for (e2, (L2, m2, l2)) in items[i + 1:]:
-            den = m2 * l1 - m1 * l2
-            if den == 0:
-                continue
-            t_star = Fraction(L1 * l2 - L2 * l1, den)
-            if 0 < t_star <= t_feas:
-                crossings.add(t_star)
+    values = set(const.values())
+    items = sorted(moving.items())
+    for i, (_, (s1, r1)) in enumerate(items):
+        meets = [(c - s1) / r1 for c in values]
+        meets += [(s2 - s1) / (r1 - r2) for (_, (s2, r2)) in items[i + 1:]
+                  if r1 != r2]
+        crossings.update(t for t in meets if 0 < t <= t_feas)
 
     key0, _ = key_at(Fraction(0))
     best = None
@@ -571,7 +547,15 @@ def _next_v(f: PLMap, v: str, ana: StretchAnalysis, ends: Ends
     t0 = best[1]
 
     out = _move_vertex(f, v, alpha, q, t0, ends)
-    out_ana = stretch_analysis(out)
+    per_edge = dict(ana.per_edge)
+    for e in sorted(slope):
+        s, r = moving.get(e, (per_edge[e], 0))
+        per_edge[e] = pl_length(out.edge_image[e]) / A.length(e)
+        if per_edge[e] != s + r * t0:
+            raise InternalInvariantError(
+                f"moved image of edge {e} is off its stretch line"
+            )
+    out_ana = _analysis(out, per_edge)
     if out_ana.stretch > ana.stretch:
         raise InternalInvariantError("next_v increased the Lipschitz constant")
     return out, out_ana
@@ -628,6 +612,8 @@ def optimize_pl_map(A: MarkedMetricGraph, B: MarkedMetricGraph,
     """
     from .stretch import lambda_r
 
+    if max_moves < 0:
+        raise InvalidInputError(f"move budget {max_moves} is negative")
     target = lambda_r(A, B).value
     f = initial_pl_map(A, B)
     ana = stretch_analysis(f)

@@ -429,6 +429,8 @@ def bounded_cancellation_bound(A: MarkedMetricGraph, B: MarkedMetricGraph,
     """
     from .plmaps import pl_cancellation, push_loop, stretch_analysis
 
+    if pair_cap < 0:
+        raise InvalidInputError(f"pair cap {pair_cap} is negative")
     lam = stretch_analysis(f).stretch
     lamL = lambda_l(A, B).value
     cap = 4 * lam * volume(A) * lamL

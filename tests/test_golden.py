@@ -70,6 +70,16 @@ CASES.update({
     "checkgeod-qg-bad-constant": ["checkgeod", _X, _T, _Y, "--qg", "1/2",
                                   "0"],
 })
+# budgets: a negative one is an input error (exit 2); zero still gives the
+# exact budget partial
+CASES.update({
+    "optmap-budget-negative": ["optmap", _X, _Y, "--max-moves", "-3"],
+    "optmap-budget-zero": ["optmap", _X, _Y, "--max-moves", "0"],
+    "foldpath-budget-negative": ["foldpath", _X, _Y, "--max-moves", "-3"],
+    "foldpath-samples-negative": ["foldpath", _X, _Y, "--samples", "-2"],
+    "bcc-pair-cap-negative": ["bcc", _X, _Y, "--pair-cap", "-1"],
+    "bcc-pair-cap-zero": ["bcc", _X, _Y, "--pair-cap", "0"],
+})
 
 
 def write_inputs(directory):

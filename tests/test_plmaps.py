@@ -1,9 +1,14 @@
+import hashlib
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from outerspace.errors import BudgetExhaustedError, InvalidInputError
+from outerspace.errors import (
+    BudgetExhaustedError,
+    InternalInvariantError,
+    InvalidInputError,
+)
 from outerspace.fixtures import (
     aut_poly,
     barbell,
@@ -11,9 +16,11 @@ from outerspace.fixtures import (
     random_graph,
     random_nielsen_automorphism,
     random_same_simplex_pair,
+    random_tree_marked,
     random_word,
     rose,
     rose_t,
+    shrinking_petal_rose,
     theta_left,
     theta_right,
     unit_rose,
@@ -237,17 +244,17 @@ def test_optimize_random_twisted_pairs():
 
 def test_optimizer_analyses_each_map_once(monkeypatch):
     """Every map the optimizer builds, extrapolated ones included, is
-    analysed once; its analysis travels with it."""
+    analysed once, in full or after a move; its analysis travels with it."""
     import outerspace.plmaps as plmaps
 
     analysed = []  # the maps themselves, so no id is reused meanwhile
-    analyse = plmaps.stretch_analysis
+    finish = plmaps._analysis
 
-    def counting(f):
+    def counting(f, per_edge):
         analysed.append(f)
-        return analyse(f)
+        return finish(f, per_edge)
 
-    monkeypatch.setattr(plmaps, "stretch_analysis", counting)
+    monkeypatch.setattr(plmaps, "_analysis", counting)
     extrapolated = []
     extrapolate = plmaps._extrapolate_fixed_point
 
@@ -263,11 +270,141 @@ def test_optimizer_analyses_each_map_once(monkeypatch):
         B = apply_automorphism_to_marking(
             random_graph(rng), random_nielsen_automorphism(rng, 2, 3))
         pairs.append((A, B))
-    for A, B in pairs:
-        f = optimize_pl_map(A, B)
-        assert analyse(f).stretch == lambda_r(A, B).value
+    maps = [optimize_pl_map(A, B) for A, B in pairs]
     assert any(g is not None for g in extrapolated)
     assert len({id(f) for f in analysed}) == len(analysed)
+    monkeypatch.undo()
+    for f, (A, B) in zip(maps, pairs):
+        assert stretch_analysis(f).stretch == lambda_r(A, B).value
+
+
+def _pinned_optimizer_inputs():
+    """(name, source, target, max_moves): seeded K4/K33 tree-marked pairs
+    with 2-move Nielsen targets under a small budget, rank-2 random pairs,
+    and shrinking-petal roses whose one move truncates a loop edge's image
+    at both ends."""
+    for seed in range(6):
+        family = "K33" if seed % 2 else "K4"
+        rng = random.Random(seed)
+        A = random_tree_marked(rng, family)
+        B = apply_automorphism_to_marking(
+            random_tree_marked(rng, family),
+            random_nielsen_automorphism(rng, A.rank, 2))
+        yield f"{family}-{seed}", A, B, 40
+    rng = random.Random(53)
+    for i in range(8):
+        A = random_graph(rng)
+        B = apply_automorphism_to_marking(
+            random_graph(rng), random_nielsen_automorphism(rng, 2, 3))
+        yield f"rank2-{i}", A, B, 500
+    for k, seed in [(2, 4), (2, 8), (3, 11), (3, 17), (5, 21)]:
+        rng = random.Random(seed)
+        B = apply_automorphism_to_marking(
+            random_graph(rng, "barbell"), random_nielsen_automorphism(rng, 2, 2))
+        yield f"petal-{k}-{seed}", shrinking_petal_rose(2, k), B, 500
+
+
+def _optimizer_digest(A, B, max_moves) -> str:
+    """SHA-256 of the sorted vertex and edge images of the optimizer's map
+    (or budget partial) and of the budget message, if any."""
+    try:
+        f, message = optimize_pl_map(A, B, max_moves), ""
+    except BudgetExhaustedError as exc:
+        f, message = exc.partial[0], str(exc)
+    text = "\n".join([repr(sorted(f.vertex_image.items())),
+                      repr(sorted(f.edge_image.items())), message])
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# recorded with the optimizer that re-analysed every moved map from scratch
+OPTIMIZER_PINS = {
+    "K4-0":
+        "5121c231b0504bc077a28c29f7f731286d3ffb3d7c7e2a247136b0c3749bd1df",
+    "K33-1":
+        "0684641e5cce1cd744dec3dda73f406b1bd939b4f0f35042c1485d40f0aa57e6",
+    "K4-2":
+        "063c3856acaa4faa3b15f026f8f948b9ba4559fd26c67ae83c222cdc77d51299",
+    "K33-3":
+        "cbcd2668441c696669733d2410fcb632895c618610c9cc28158ca112f5556db9",
+    "K4-4":
+        "e808aed9adf31fe95a3ebfffbe1912e7dea55777ada7c84fd4220c53ea7285ca",
+    "K33-5":
+        "51f2a30140b00703b2c898718c73a7ef7544c8d3cb6069ca2d270d816e0206da",
+    "rank2-0":
+        "b476b8af10f513a60b01f11d93503e27c4bbb491e82f782ce0d410d1e891f44a",
+    "rank2-1":
+        "f81045478ec2aaadbb832821980226bcc8b821856ae47d8f48184eb6e0214eaf",
+    "rank2-2":
+        "18e16db4cafea490750d1dddabf5b9cef902d613b5ca2dcb74dc2507ad7acb5c",
+    "rank2-3":
+        "69daa68c055bf07632362f0d6830d80728f956b4cc4814467924b9b178581772",
+    "rank2-4":
+        "70c2d4ea717bb74c2f952e30ac729611a59fa3d5d76c88fc247ddc10fe56e61d",
+    "rank2-5":
+        "bd9be84463bb85f0bedc6273dfc49e77921d6633e479300e960ca432908a7910",
+    "rank2-6":
+        "2cf1d470b2893067b7c9247ac9d144f649b80d02356e7ef70c6ffa5230b56cb6",
+    "rank2-7":
+        "2422e5f04bf2f9d84b113a4f8ee9ce658e48c7210c2042eaa5a8e81cf6a338cb",
+    "petal-2-4":
+        "1f33616b0e7f2616b33ab4fbd8718010e1f2b573c97e617d6996d05ede66f105",
+    "petal-2-8":
+        "678e5b2d974bce84615acc2eb5d5d7da4a7de438fef35b133069d2530e0fa09a",
+    "petal-3-11":
+        "f8e9b289f2ce7880f1ecae3dc3efd6b3619cb8293e086b7bcf72916df9402c5d",
+    "petal-3-17":
+        "d915b3efb5a97e80e5f12bbc3a2bf811233da9b643e3d35548dc45be5570e215",
+    "petal-5-21":
+        "220c156ef172a8a6abbf46d7227d2e735399fb14e1def1b74e1fc2b767115886",
+}
+
+
+def test_optimizer_output_pinned():
+    got = {name: _optimizer_digest(A, B, m)
+           for name, A, B, m in _pinned_optimizer_inputs()}
+    assert got == OPTIMIZER_PINS
+
+
+def test_terminal_germ_reads_the_stored_path(monkeypatch):
+    """The germ and the last image segment read off the stored path agree
+    with the reversed image for every dart of every map the optimizer
+    builds."""
+    import outerspace.plmaps as plmaps
+
+    maps = []
+    move = plmaps._move_vertex
+
+    def recording(*args):
+        maps.append(move(*args))
+        return maps[-1]
+
+    monkeypatch.setattr(plmaps, "_move_vertex", recording)
+    for name, A, B, m in _pinned_optimizer_inputs():
+        if name in ("K4-0", "K33-1", "rank2-2", "petal-2-4"):
+            maps.append(initial_pl_map(A, B))
+            _optimizer_digest(A, B, m)
+    assert len(maps) > 80
+    for f in maps:
+        for d in f.source.darts():
+            p = image_of_dart(f, d)
+            assert plmaps.terminal_germ(f, d) == \
+                (p.segs[-1][0] if p.segs else None)
+            if p.segs:
+                assert plmaps._terminal_seg(f, d) == p.segs[-1]
+
+
+def test_move_off_its_stretch_line_is_caught(monkeypatch):
+    """A slide shorter than the chosen step leaves the moved edges off the
+    predicted stretch lines; the incremental analysis refuses the map."""
+    import outerspace.plmaps as plmaps
+
+    move = plmaps._move_vertex
+    monkeypatch.setattr(
+        plmaps, "_move_vertex",
+        lambda f, v, alpha, q, t, ends: move(f, v, alpha, q, t / 2, ends))
+    f = initial_pl_map(theta_left(), theta_right())
+    with pytest.raises(InternalInvariantError, match="off its stretch line"):
+        next_v(f, is_optimal(f)[1][0])
 
 
 def test_stratified_boundary_checker_runs():
