@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable
 
 from .errors import (
     InternalInvariantError,
@@ -38,6 +37,8 @@ from .graphs import (
     rev,
     stars,
     subdivide,
+    uf_find,
+    uf_union,
     validate_marked_graph,
     volume,
     word_of_loop,
@@ -92,7 +93,6 @@ class FoldingPath:
     snapshots: list                    # MarkedMetricGraph per event (labelled)
     sigmas: list                       # edge map to the target per event
     witness: EdgePath
-    transports: list                   # loop transport callables per stage
     strategy: str
 
     @property
@@ -119,22 +119,6 @@ def setup_as_plmap(source, target, sigma) -> PLMap:
 
 
 # -- preparation -----------------------------------------------------------------------
-
-def _find(parent: dict, x):
-    """Root of x in a dict-based union-find; unseen elements are singletons."""
-    parent.setdefault(x, x)
-    while parent[x] != x:
-        parent[x] = parent[parent[x]]
-        x = parent[x]
-    return x
-
-
-def _union(parent: dict, a, b) -> None:
-    """Merge the classes of a and b; the smaller root stays the root."""
-    ra, rb = _find(parent, a), _find(parent, b)
-    if ra != rb:
-        parent[max(ra, rb)] = min(ra, rb)
-
 
 def _collapse_constant_edges(f: PLMap):
     """Collapse source edges with constant image (their endpoints share the
@@ -277,11 +261,22 @@ def active_classes(G: MarkedMetricGraph, B: MarkedMetricGraph, sigma: Sigma,
     out: dict[str, list] = {}
     star = stars(G)
     for v in sorted(G.vertices):
-        by_germ: dict[Germ, list] = {}
+        # group by target dart first: offsets (Fractions, slow to hash) are
+        # only read where two darts share one
+        by_dart: dict[Dart, list] = {}
         for d in star[v]:
-            by_germ.setdefault(germ_of_dart(G, B, sigma, d), []).append(d)
-        groups = [sorted(g) for k, g in sorted(by_germ.items())
-                  if len(g) >= 2]
+            bd = sigma[d[0]][0]
+            by_dart.setdefault(bd if d[1] > 0 else rev(bd), []).append(d)
+        groups = []
+        for _, ds in sorted(by_dart.items()):
+            if len(ds) < 2:
+                continue
+            by_offset: dict[Fraction, list] = {}
+            for d in ds:
+                by_offset.setdefault(germ_of_dart(G, B, sigma, d)[1],
+                                     []).append(d)
+            groups += [sorted(g) for _, g in sorted(by_offset.items())
+                       if len(g) >= 2]
         if groups:
             out[v] = groups
             if strategy == "single-vertex":
@@ -352,14 +347,14 @@ def fold_step(G: MarkedMetricGraph, B: MarkedMetricGraph, sigma: Sigma,
             firsts = [exp[d][0] for d in g]
             lead = firsts[0]
             for other in firsts[1:]:
-                if _find(dparent, other) == _find(dparent, rev(lead)):
+                if uf_find(dparent, other) == uf_find(dparent, rev(lead)):
                     raise InternalInvariantError(
                         "fold identifies an edge with its own reverse"
                     )
-                if _find(dparent, other) == _find(dparent, lead):
+                if uf_find(dparent, other) == uf_find(dparent, lead):
                     continue
-                _union(dparent, lead, other)
-                _union(dparent, rev(lead), rev(other))
+                uf_union(dparent, lead, other)
+                uf_union(dparent, rev(lead), rev(other))
                 vc.merge(G1.terminus(lead), G1.terminus(other),
                          vc.read(lead).inverse() * vc.read(other))
 
@@ -367,7 +362,7 @@ def fold_step(G: MarkedMetricGraph, B: MarkedMetricGraph, sigma: Sigma,
     new_edges: dict[str, tuple] = {}
     rep_of: dict[Dart, Dart] = {}
     for e in sorted(G1.edges):
-        r = _find(dparent, (e, 1))
+        r = uf_find(dparent, (e, 1))
         rep_of[(e, 1)] = r
         rep_of[(e, -1)] = rev(r)
     kept = sorted({r[0] for r in rep_of.values()})
@@ -432,7 +427,6 @@ def fast_fold(setup: FoldSetup, strategy: str = "simultaneous",
     snapshots = [G]
     sigmas = [sigma]
     events = [t]
-    transports: list[Callable] = []
     while True:
         classes = active_classes(G, B, sigma, strategy)
         if not classes:
@@ -448,7 +442,6 @@ def fast_fold(setup: FoldSetup, strategy: str = "simultaneous",
         events.append(t)
         snapshots.append(G)
         sigmas.append(sigma)
-        transports.append(transport)
 
     # the end of the path must be the target up to subdivision: the surviving
     # edges partition every target edge exactly
@@ -480,7 +473,6 @@ def fast_fold(setup: FoldSetup, strategy: str = "simultaneous",
         snapshots=snapshots,
         sigmas=sigmas,
         witness=setup.witness,
-        transports=transports,
         strategy=strategy,
     )
 

@@ -571,6 +571,22 @@ def canonicalize(G: MarkedMetricGraph) -> MarkedMetricGraph:
         )
 
 
+def uf_find(parent: dict, x):
+    """Root of x in a dict-based union-find; unseen elements are singletons."""
+    parent.setdefault(x, x)
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def uf_union(parent: dict, a, b) -> None:
+    """Merge the classes of a and b; the smaller root stays the root."""
+    ra, rb = uf_find(parent, a), uf_find(parent, b)
+    if ra != rb:
+        parent[max(ra, rb)] = min(ra, rb)
+
+
 # -- gauged vertex classes and label derivation ------------------------------------------
 
 class GaugedClasses:

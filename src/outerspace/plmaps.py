@@ -33,7 +33,10 @@ from .graphs import (
     realize_word_as_path,
     rev,
     stars,
+    uf_find,
+    uf_union,
 )
+from .simplex import maximize
 from .words import Word, cyclic_reduce, free_reduce, generator
 
 Point = tuple
@@ -600,15 +603,118 @@ def _extrapolate_fixed_point(f: PLMap, history: dict, ends: Ends
     return g if applied else None
 
 
+def _cell_minimum(f: PLMap, target: Fraction) -> Optional[PLMap]:
+    """The best map of f's cell, if it attains ``target``; else None.
+
+    The cell keeps every image path's interior segments and the target edge
+    of every vertex image.  Each vertex image inside a target edge slides
+    along it, the endpoints of a constant-image edge together, while images
+    at target vertices stay fixed; only the two end coordinates of each
+    image path vary.  Image lengths are then affine in the offsets, so one
+    exact LP gives the cell's least Lipschitz constant S: minimize S subject
+    to ``a <= b`` on every end segment and ``len_e(x) <= S l_e``.  A map
+    built from the optimum is returned only if it is valid and its stretch
+    is exactly ``target``.
+    """
+    A, B = f.source, f.target
+    parent: dict = {}
+    for e, p in f.edge_image.items():
+        if not p.segs:
+            uf_union(parent, A.edges[e][0], A.edges[e][1])
+    var: dict = {}      # free vertex -> its class's variable index
+    edge_of: list = []  # variable index -> the target edge it slides on
+    for v in sorted(A.vertices):
+        pt = f.vertex_image[v]
+        if pt[0] == "e":
+            root = uf_find(parent, v)
+            if root not in var:
+                var[root] = len(edge_of)
+                edge_of.append(pt[1])
+            var[v] = var[root]
+    if not var:
+        return None
+    k = len(edge_of)  # S is variable k
+
+    def coordinate(d: Dart, i: int):
+        """Dart coordinate of variable i's point: (constant, coefficient)."""
+        if d[0] != edge_of[i]:
+            raise InternalInvariantError("vertex image left its target edge")
+        return (Fraction(0), 1) if d[1] > 0 else (B.length(d[0]), -1)
+
+    rows = [({i: 1}, B.length(E)) for i, E in enumerate(edge_of)]
+    fixed = [Fraction(0)]
+    for e in sorted(A.edges):
+        p = f.edge_image[e]
+        o, t, l = A.edges[e]
+        if not p.segs or (o not in var and t not in var):
+            fixed.append(pl_length(p) / l)
+            continue
+        # len_e = const + sum(coef[i] x_i); a single segment's ends are a, b
+        const, coef = pl_length(p), {}
+        ends = [None, None]
+        if o in var:
+            (d, a, _) = p.segs[0]
+            c0, c1 = coordinate(d, var[o])
+            const += a - c0
+            coef[var[o]] = coef.get(var[o], 0) - c1
+            ends[0] = (c0, c1, var[o])
+        if t in var:
+            (d, _, b) = p.segs[-1]
+            c0, c1 = coordinate(d, var[t])
+            const += c0 - b
+            coef[var[t]] = coef.get(var[t], 0) + c1
+            ends[1] = (c0, c1, var[t])
+        coef[k] = -l
+        rows.append((coef, -const))
+        if len(p.segs) == 1 and None not in ends:
+            (a0, a1, i), (b0, b1, j) = ends
+            row = {i: a1}
+            row[j] = row.get(j, 0) - b1
+            rows.append((row, b0 - a0))
+    rows.append(({k: -1}, -max(fixed)))
+    lp = maximize([0] * k + [-1], rows)
+    if lp.status != "optimal":
+        raise InternalInvariantError(f"cell LP is {lp.status}")
+    if -lp.value < target:
+        raise InternalInvariantError("cell LP beats the candidate bound")
+    if -lp.value > target:
+        return None
+
+    point = {v: dart_point(B, (edge_of[i], 1), lp.x[i])
+             for v, i in var.items()}
+    vertex_image = {v: point.get(v, pt) for v, pt in f.vertex_image.items()}
+    edge_image = {}
+    try:
+        for e, p in f.edge_image.items():
+            o, t, _ = A.edges[e]
+            segs = [list(seg) for seg in p.segs]
+            if segs and o in var:
+                c0, c1 = coordinate(segs[0][0], var[o])
+                segs[0][1] = c0 + c1 * lp.x[var[o]]
+            if segs and t in var:
+                c0, c1 = coordinate(segs[-1][0], var[t])
+                segs[-1][2] = c0 + c1 * lp.x[var[t]]
+            edge_image[e] = make_plpath(
+                B, [tuple(seg) for seg in segs if seg[1] != seg[2]],
+                vertex_image[o])
+    except InvalidInputError as exc:
+        raise InternalInvariantError(f"cell LP optimum is not a map: {exc}")
+    g = PLMap(A, B, vertex_image, edge_image)
+    if validate_pl_map(g) or stretch_analysis(g).stretch != target:
+        raise InternalInvariantError("cell LP optimum is not certified")
+    return g
+
+
 def optimize_pl_map(A: MarkedMetricGraph, B: MarkedMetricGraph,
                     max_moves: int = 500) -> PLMap:
     """Drive the initial map to a certified optimal one.
 
     The candidate value of the stretching factor is an exact termination
-    certificate; offending vertices are processed smallest id first, with
-    periodic fixed-point extrapolation since the bare iteration can converge
-    only in the limit.  Each map is analysed once; the analysis travels
-    with it through the loop.
+    certificate.  Each move slides the offending vertex moved least
+    recently (smallest id first among ties); every sixth move tries a
+    fixed-point extrapolation of the slides and then solves the current
+    cell exactly.  Each map is analysed once; the analysis travels with it
+    through the loop.
     """
     from .stretch import lambda_r
 
@@ -619,7 +725,7 @@ def optimize_pl_map(A: MarkedMetricGraph, B: MarkedMetricGraph,
     ana = stretch_analysis(f)
     ends = _incident_ends(A)
     history: dict = {}
-    visit_count: dict = {}
+    last_moved: dict = {}
     moves = 0
     while True:
         if ana.stretch < target:
@@ -641,14 +747,12 @@ def optimize_pl_map(A: MarkedMetricGraph, B: MarkedMetricGraph,
             raise InternalInvariantError(
                 "optimal map does not attain the candidate value"
             )
-        # smallest offending vertex first; rotate deterministically when the
-        # bare iteration revisits a state (it can cycle at constant stretch)
-        key = (ana.stretch, tuple(sorted(f.vertex_image.items())))
-        n = visit_count.get(key, 0)
-        visit_count[key] = n + 1
-        v = offenders[n % len(offenders)]
+        # always picking the smallest offender can starve the others, and
+        # coordinate descent then stalls above the optimum
+        v = min(offenders, key=lambda u: (last_moved.get(u, -1), u))
         f, ana = _next_v(f, v, ana, ends)
         moves += 1
+        last_moved[v] = moves
         pos = f.vertex_image[v]
         run = history.get(v, [])
         if pos[0] == "e" and run and run[-1][1] == pos[1]:
@@ -667,3 +771,6 @@ def optimize_pl_map(A: MarkedMetricGraph, B: MarkedMetricGraph,
                 if ana_g.stretch < ana.stretch:
                     f, ana = g, ana_g
                     history = {}
+            g = _cell_minimum(f, target)
+            if g is not None:
+                return g

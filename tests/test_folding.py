@@ -1,6 +1,7 @@
 import math
 import random
 import sys
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -15,6 +16,7 @@ from outerspace.fixtures import (
     random_graph,
     random_nielsen_automorphism,
     random_same_simplex_pair,
+    random_tree_marked,
     random_word,
     rose,
     rose_t,
@@ -29,6 +31,7 @@ from outerspace.folding import (
     check_four_point,
     check_quasi_geodesic,
     fast_fold,
+    fold_step,
     graph_at,
     multiplicity,
     prepare_folding_setup,
@@ -43,13 +46,14 @@ from outerspace.graphs import (
     derive_inverse_marking,
     interpolate_in_simplex,
     loop_length,
+    normalize_volume,
     scale_graph,
     translation_length,
     validate_marked_graph,
     volume,
     word_of_loop,
 )
-from outerspace.plmaps import stretch_analysis, validate_pl_map
+from outerspace.plmaps import pl_length, stretch_analysis, validate_pl_map
 from outerspace.stretch import lambda_r, stretch_report
 from outerspace.words import generator
 
@@ -57,6 +61,16 @@ from outerspace.words import generator
 def fold_pair(A, B, normalize_target=True, strategy="simultaneous"):
     setup = prepare_folding_setup(A, B, normalize_target=normalize_target)
     return fast_fold(setup, strategy=strategy)
+
+
+def transport_at(path, i):
+    """The loop transport from snapshot i to snapshot i + 1, rebuilt by
+    running fold step i again."""
+    G, sigma = path.snapshots[i], path.sigmas[i]
+    classes = active_classes(G, path.target, sigma, path.strategy)
+    _, _, transport = fold_step(G, path.target, sigma, classes,
+                                path.events[i + 1] - path.events[i])
+    return transport
 
 
 # -- preparation ------------------------------------------------------------------------
@@ -155,15 +169,13 @@ def test_witness_never_folded_and_length_constant():
     path = fast_fold(setup)
     w = word_of_loop(path.source_prepared, path.witness)
     base = translation_length(path.source_prepared, w)
+    tloop = path.witness
     for i, g in enumerate(path.snapshots):
         assert translation_length(g, w) == base
         if path.events[i] < path.end_time:
-            loop = None
             # the transported witness never passes a folding turn
-            tloop = path.witness
-            for tr in path.transports[:i]:
-                tloop = tr(tloop, "loop")
             assert multiplicity(path, path.events[i], tloop) == 0
+            tloop = transport_at(path, i)(tloop, "loop")
 
 
 def test_mu_monotone_along_path():
@@ -186,7 +198,7 @@ def test_mu_monotone_along_path():
                 values.append(0)
                 break
             values.append(multiplicity(path, t, cur))
-            cur = path.transports[i](cur, "loop")
+            cur = transport_at(path, i)(cur, "loop")
         assert all(a >= b for a, b in zip(values, values[1:]))
 
 
@@ -281,6 +293,33 @@ def test_fold_random_pairs_geodesic_properties():
         for i in range(len(path.events) - 1):
             dv = volume(path.snapshots[i]) - volume(path.snapshots[i + 1])
             assert dv >= path.events[i + 1] - path.events[i]
+
+
+def test_rank3_and_rank4_pairs_certify_and_fold():
+    """Seeded K4 (rank 3) and K3,3 (rank 4) pairs, each target twisted by a
+    2-move Nielsen automorphism: the optimizer certifies at its default
+    budget and the fold runs to the target."""
+    pairs = [("K4", seed) for seed in range(1001, 1007)]
+    pairs += [("K33", seed) for seed in range(2001, 2004)]
+    start = time.perf_counter()
+    for family, seed in pairs:
+        rng = random.Random(seed)
+        A = random_tree_marked(rng, family)
+        B = apply_automorphism_to_marking(
+            random_tree_marked(rng, family),
+            random_nielsen_automorphism(rng, A.rank, 2))
+        setup = prepare_folding_setup(A, B)
+        # the setup's map, read with the volume-one source lengths (collapsed
+        # edges, stretched by 0, are gone), has the certified stretch
+        An, _ = normalize_volume(A)
+        f = setup.optimal_map
+        assert validate_pl_map(f) == []
+        assert max(pl_length(p) / An.length(e)
+                   for e, p in f.edge_image.items()) \
+            == lambda_r(An, normalize_volume(B)[0]).value
+        # fast_fold raises unless its last snapshot is the target
+        fast_fold(setup)
+    assert time.perf_counter() - start < 3
 
 
 @pytest.mark.parametrize("pair", ["theta", "twist3", "barbell"])
