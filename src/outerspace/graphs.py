@@ -223,6 +223,16 @@ def translation_length(G: MarkedMetricGraph, w: Word) -> Fraction:
     return path_length(G, realize_word_as_loop(G, w))
 
 
+def _read_labels(G: MarkedMetricGraph, path: EdgePath) -> Word:
+    """Freely reduced readout of the inverse labels along a checked path
+    whose edges all have labels."""
+    letters: list[int] = []
+    for (e, sign) in path:
+        w = G.labels[e].letters
+        letters.extend(w if sign > 0 else [-x for x in reversed(w)])
+    return free_reduce(letters, G.rank)
+
+
 def word_of_loop(G: MarkedMetricGraph, loop: EdgePath) -> Word:
     """Freely reduced readout of the inverse labels along a loop."""
     if not is_loop(G, loop):
@@ -333,8 +343,9 @@ def validate_marked_graph(G: MarkedMetricGraph) -> ValidationReport:
         issues.append(f"edge {missing[0]} has no inverse label")
         return ValidationReport(False, tuple(issues))
     if not issues:
+        # every petal is a checked loop and every edge has a label
         for i, petal in enumerate(G.marking, start=1):
-            readout = word_of_loop(G, petal)
+            readout = _read_labels(G, petal)
             if readout != generator(i, G.rank):
                 issues.append(
                     f"marking consistency fails for generator {i}: "

@@ -9,11 +9,12 @@ arc).  An enumeration reads the graph's incidence once into tables and
 finds each circle once; the last few candidate sets are kept per
 combinatorial type (see `enumerate_candidates`).  A candidate is evaluated
 through per-edge image paths: every edge label of the source is realized
-once through the target's marking, and the candidate's image is the cyclic
-reduction of its darts' images.  Lengths are summed as integers, each
-graph's scaled by the common denominator of its edge lengths.  Everything
-here is exact; logarithms appear only in the report fields meant for
-display.
+once through the target's marking, as a tuple of integer darts, and the
+candidate's image is the cyclic reduction of its darts' images, found in
+one stack pass.  Lengths are summed as integers, each graph's scaled by the
+common denominator of its edge lengths, and ratios are compared by
+cross-multiplication.  Everything here is exact; logarithms appear only in
+the report fields meant for display.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .graphs import (
     MarkedMetricGraph,
     is_cyclically_reduced,
     realize_word_as_path,
-    reduce_darts,
     rev,
     volume,
 )
@@ -302,36 +302,68 @@ def lambda_r(A: MarkedMetricGraph, B: MarkedMetricGraph) -> StretchValue:
     the candidate set of A, with every maximizing candidate as witness.
 
     Candidate images are evaluated through the marking, independently of any
-    map.  Each edge label of A is realized once as a reduced path of B; a
-    candidate's image is its darts' images concatenated and cyclically
-    reduced, which is the loop realizing the candidate's word, since free
-    reduction is confluent.  Both lengths are integer sums (`_integer_lengths`)
-    and form one exact ratio.
+    map.  Each edge label of A is realized once as a reduced path of B, kept
+    with B's darts as integers: the i-th edge of B in sorted order is
+    crossed forward as i + 1 and backward as -(i + 1), so reversal is
+    negation.  A candidate's image is its darts' images concatenated and
+    cyclically reduced, which is the loop realizing the candidate's word,
+    since free reduction is confluent.  One stack pass per candidate pushes
+    each dart's image, popping where it cancels against the top (only at a
+    seam, as every image is reduced), then trims matching ends; the length
+    is the images' integer lengths (`_integer_lengths`) less twice each
+    cancelled or trimmed dart's.  Ratios are compared by cross-multiplying
+    these integers, and one `Fraction` is built, for the maximum.
     """
     if A.rank != B.rank:
         raise RankMismatchError(f"ranks differ: {A.rank} != {B.rank}")
-    image: dict[Dart, EdgePath] = {}
-    for e in sorted(A.edges):
-        path = realize_word_as_path(B, A.label_of_dart((e, 1)))
-        image[(e, 1)] = path
-        image[(e, -1)] = tuple(rev(d) for d in reversed(path))
-    scale_a, len_a = _integer_lengths(A)
     scale_b, len_b = _integer_lengths(B)
-    rows = []
+    number: dict[str, int] = {}
+    length_b: dict[int, int] = {}   # the scaled length of either dart
+    for i, e in enumerate(sorted(B.edges), start=1):
+        number[e] = i
+        length_b[i] = length_b[-i] = len_b[e]
+    scale_a, len_a = _integer_lengths(A)
+    # per dart of A: its image, the image's length and the dart's length
+    image: dict[Dart, tuple[tuple[int, ...], int, int]] = {}
+    for e in sorted(A.edges):
+        path = tuple(number[f] * sign for (f, sign) in
+                     realize_word_as_path(B, A.label_of_dart((e, 1))))
+        length = sum(length_b[x] for x in path)
+        image[(e, 1)] = (path, length, len_a[e])
+        image[(e, -1)] = (tuple(-x for x in reversed(path)), length, len_a[e])
+    best_b, best_a = 0, 1
+    witnesses: list[CandidateLoop] = []
     for cand in enumerate_candidates(A):
-        loop_b = reduce_darts((x for d in cand.loop for x in image[d]),
-                              cyclic=True)
-        lb = sum(len_b[d[0]] for d in loop_b)
+        stack: list[int] = []
+        lb = la = 0
+        for d in cand.loop:
+            path, length_path, length_d = image[d]
+            lb += length_path
+            la += length_d
+            k = 0
+            while stack and k < len(path) and stack[-1] == -path[k]:
+                lb -= 2 * length_b[stack.pop()]
+                k += 1
+            stack += path[k:]
+        i, j = 0, len(stack) - 1
+        while i < j and stack[i] == -stack[j]:
+            lb -= 2 * length_b[stack[i]]
+            i += 1
+            j -= 1
         if lb <= 0:
             raise InvalidInputError(
                 "candidate loop maps to a trivial class; marking is not an "
                 "isomorphism"
             )
-        la = sum(len_a[d[0]] for d in cand.loop)
-        rows.append((cand, Fraction(lb * scale_a, la * scale_b)))
-    best = max(ratio for (_, ratio) in rows)
-    witnesses = tuple(cand for (cand, ratio) in rows if ratio == best)
-    return StretchValue(best, witnesses)
+        cross = lb * best_a - best_b * la
+        if cross > 0:
+            best_b, best_a, witnesses = lb, la, [cand]
+        elif cross == 0:
+            witnesses.append(cand)
+    if not witnesses:
+        raise InvalidInputError("source graph has no candidate loop")
+    return StretchValue(Fraction(best_b * scale_a, best_a * scale_b),
+                        tuple(witnesses))
 
 
 def lambda_l(A: MarkedMetricGraph, B: MarkedMetricGraph) -> StretchValue:

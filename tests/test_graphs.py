@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import outerspace.graphs as graphs
 from conftest import twisted_barbell
 from outerspace.docs import format_word
 from outerspace.errors import InvalidInputError
@@ -77,6 +78,20 @@ def test_validate_reports_wrong_rank():
     report = validate_marked_graph(bad)
     assert not report.ok
     assert "Betti" in report.issues[0]
+
+
+def test_validation_checks_each_petal_once(monkeypatch):
+    checked = []
+    check_path = graphs.check_path
+
+    def counted(G, path):
+        checked.append(path)
+        return check_path(G, path)
+
+    monkeypatch.setattr(graphs, "check_path", counted)
+    G = theta_left()
+    assert validate_marked_graph(G).ok
+    assert checked == list(G.marking)
 
 
 # -- tighten ---------------------------------------------------------------------

@@ -605,8 +605,27 @@ def rank2_pairs():
         yield A, B
 
 
+def cascade_pairs():
+    """The unit rose against roses with petals a.b and b, where the image of
+    x2^-1 cancels completely against the image of x1.  Candidates are kept
+    from their least dart (a, -1), so with labels a = x1 x2^-1, b = x2 the
+    cancellation happens across the two ends of the image; with petal b.a
+    and labels a = x2^-1 x1, b = x2 it happens between consecutive darts."""
+    edges = {"a": ("v", "v", 1), "b": ("v", "v", 1)}
+    yield unit_rose(2), make_graph(
+        2, edges, "v", [(("a", 1), ("b", 1)), (("b", 1),)],
+        {"a": Word((1, -2), 2), "b": generator(2, 2)})
+    yield unit_rose(2), make_graph(
+        2, edges, "v", [(("b", 1), ("a", 1)), (("b", 1),)],
+        {"a": Word((-2, 1), 2), "b": generator(2, 2)})
+
+
 def test_lambda_r_equals_word_based_definition():
-    for A, B in itertools.chain(high_rank_pairs(), rank2_pairs()):
+    tied = (unit_rose(3), rose([2, 2, 1]))
+    # a, b, ab and ab^-1 are all stretched by 2
+    assert len(lambda_r(*tied).witnesses) == 4
+    for A, B in itertools.chain(high_rank_pairs(), rank2_pairs(),
+                                cascade_pairs(), [tied]):
         for (P, Q) in ((A, B), (B, A)):
             got = lambda_r(P, Q)
             assert (got.value, got.witnesses) == word_based_lambda_r(P, Q)
@@ -670,3 +689,9 @@ def test_two_generators_on_one_loop_is_a_trivial_class():
                    [(("a", 1),), (("a", 1),)])
     with pytest.raises(InvalidInputError, match="trivial class"):
         lambda_r(theta_left(), B)
+
+
+def test_source_without_candidate_loops_is_rejected():
+    tree = make_graph(0, {"a": ("u", "v", 1)}, "u", [], {"a": Word((), 0)})
+    with pytest.raises(InvalidInputError, match="no candidate loop"):
+        lambda_r(tree, tree)
