@@ -5,11 +5,12 @@ length ratios over conjugacy classes; it is attained on a finite set of
 candidate loops of the source that depends only on the source graph:
 embedded circles, figure-eights (two embedded circles meeting at one point)
 and barbells / dumbbells (two disjoint embedded circles joined by an embedded
-arc).  An enumeration reads the graph's incidence once into tables and
-finds each circle once; the last few candidate sets are kept per
-combinatorial type (see `enumerate_candidates`).  A candidate is evaluated
-through per-edge image paths: every edge label of the source is realized
-once through the target's marking, as a tuple of integer darts, and the
+arc).  Darts are numbered as integers (see `_darts`).  An enumeration
+finds each circle once and keeps the candidates as integer loops in a table
+per combinatorial type; the last few tables are kept (see
+`enumerate_candidates`), and a `CandidateLoop` is built only when asked
+for.  A candidate is evaluated through per-edge image paths: every edge
+label of the source is realized once through the target's marking, and the
 candidate's image is the cyclic reduction of its darts' images, found in
 one stack pass.  Lengths are summed as integers, each graph's scaled by the
 common denominator of its edge lengths, and ratios are compared by
@@ -24,6 +25,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import Iterable
 
 from .docs import format_fraction
 from .errors import BudgetExhaustedError, InvalidInputError, RankMismatchError
@@ -31,13 +33,11 @@ from .graphs import (
     Dart,
     EdgePath,
     MarkedMetricGraph,
-    is_cyclically_reduced,
     realize_word_as_path,
     rev,
+    stars,
     volume,
 )
-
-Star = dict[str, list[Dart]]
 
 
 class CandidateShape(str, Enum):
@@ -56,22 +56,28 @@ class CandidateLoop:
         return (self.shape.value, canonical_loop(self.loop))
 
 
-def canonical_loop(loop: EdgePath) -> EdgePath:
-    """Least rotation among both orientations; identifies loops up to
-    rotation and inversion.
+def _darts(edges: Iterable[str]) -> list[Dart]:
+    """The darts of the edges, numbered by position: the i-th edge in sorted
+    order is crossed backward as 2i and forward as 2i + 1, so integer order
+    is `Dart` order and reversal is ``d ^ 1``."""
+    return [(e, sign) for e in sorted(edges) for sign in (-1, 1)]
 
-    The least rotation starts at the least dart of either orientation,
-    ``(e, -1)`` for the least edge e: in the loop itself where the loop
-    crosses e backward, in its reverse where it crosses e forward.  Only the
-    rotations starting there are compared, one when no dart repeats, as in
-    every candidate loop (two when it crosses e both ways).
+
+def _least_rotation(loop: tuple[int, ...]) -> tuple[int, ...]:
+    """Least rotation among both orientations of an integer loop.
+
+    It starts at the least dart of either orientation, the least edge's
+    backward dart: in the loop where the loop crosses that edge backward,
+    in its reverse where it crosses it forward.  Only the rotations starting
+    there are compared, one when no dart repeats, as in every candidate loop
+    (two when it crosses the edge both ways).
     """
     if not loop:
         return ()
-    least = (min(loop)[0], -1)
+    least = min(loop) & ~1
     seqs = [loop] if least in loop else []
-    if (least[0], 1) in loop:
-        seqs.append(tuple([(e, -sign) for (e, sign) in reversed(loop)]))
+    if (least | 1) in loop:
+        seqs.append(tuple([d ^ 1 for d in reversed(loop)]))
     rotations = []
     for seq in seqs:
         i = -1
@@ -81,6 +87,16 @@ def canonical_loop(loop: EdgePath) -> EdgePath:
     return min(rotations)
 
 
+def canonical_loop(loop: EdgePath) -> EdgePath:
+    """Least rotation among both orientations; identifies loops up to
+    rotation and inversion.  Numbers the loop's darts by `_darts`, which
+    keeps their order, for `_least_rotation`."""
+    darts = _darts({e for (e, _) in loop})
+    code = {d: k for k, d in enumerate(darts)}
+    least = _least_rotation(tuple(code[d] for d in loop))
+    return tuple(darts[k] for k in least)
+
+
 def _combinatorial_type(G: MarkedMetricGraph) -> tuple:
     """What the candidate set depends on: the vertex set and the sorted
     ``(edge, origin, terminus)`` triples, without lengths or marking."""
@@ -88,61 +104,43 @@ def _combinatorial_type(G: MarkedMetricGraph) -> tuple:
             tuple(sorted((e, o, t) for e, (o, t, _) in G.edges.items())))
 
 
-class _Topology:
-    """Incidence tables of one combinatorial type, read once: every dart
-    (one shared tuple each), its reverse and its two ends; each vertex's
-    star in sorted dart order, so a loop edge's (e, -1) comes before its
-    (e, 1), unlike in `MarkedMetricGraph.star`; and after each dart the
-    darts that continue it without backtracking, with their heads.  The
-    searches run in star order, and a capped bounded-cancellation
-    enumeration keeps the loops it reaches first.  It has a graph's
-    `origin` and `terminus`, so incidence checks such as
-    `is_cyclically_reduced` accept it."""
-
-    def __init__(self, vertices: frozenset[str],
-                 triples: tuple[tuple[str, str, str], ...]):
-        self.vertices = vertices
-        self.star: Star = {v: [] for v in sorted(vertices)}
-        self.head: dict[Dart, str] = {}
-        self.tail: dict[Dart, str] = {}
-        self.flip: dict[Dart, Dart] = {}
-        for (e, o, t) in triples:
-            fwd, bwd = (e, 1), (e, -1)
-            self.head[fwd], self.tail[fwd] = t, o
-            self.head[bwd], self.tail[bwd] = o, t
-            self.flip[fwd], self.flip[bwd] = bwd, fwd
-            self.star[t].append(bwd)
-            self.star[o].append(fwd)
-        self.turns: dict[Dart, tuple[tuple[Dart, str], ...]] = {
-            d: tuple((x, self.head[x]) for x in self.star[w]
-                     if x != self.flip[d])
-            for d, w in self.head.items()}
-
-    def origin(self, d: Dart) -> str:
-        return self.tail[d]
-
-    def terminus(self, d: Dart) -> str:
-        return self.head[d]
-
-    def reverse(self, path: EdgePath) -> EdgePath:
-        return tuple(self.flip[d] for d in reversed(path))
+def _incidence(vertices: frozenset[str],
+               triples: tuple[tuple[str, str, str], ...]) -> tuple:
+    """``(head, tail, star, turns)`` of a combinatorial type on integer
+    darts and vertices (in sorted order): each dart's ends, each vertex's
+    star in dart order, and after each dart the darts that continue it
+    without backtracking, with their heads.  The searches run in star
+    order."""
+    index = {v: i for i, v in enumerate(sorted(vertices))}
+    head: list[int] = []
+    tail: list[int] = []
+    star: list[list[int]] = [[] for _ in index]
+    for i, (_, o, t) in enumerate(triples):
+        o, t = index[o], index[t]
+        head += (o, t)
+        tail += (t, o)
+        star[t].append(2 * i)
+        star[o].append(2 * i + 1)
+    turns = [tuple((x, head[x]) for x in star[w] if x != d ^ 1)
+             for d, w in enumerate(head)]
+    return head, tail, star, turns
 
 
-def _embedded_circles(top: _Topology) -> list[EdgePath]:
+def _embedded_circles(inc: tuple) -> list[tuple[int, ...]]:
     """All embedded circles in canonical form, sorted.
 
     Each is found once: from its least vertex s, in the orientation whose
     first dart is less than the reverse of its last.  That reverse also
     leaves s toward a later vertex, so the greatest such dart starts none.
     """
-    head, flip, turns = top.head, top.flip, top.turns
+    head, _, star, turns = inc
     circles = []
 
-    def extend(path: list[Dart], free: set[str], start: str):
+    def extend(path: list[int], free: set[int], start: int):
         for d, w in turns[path[-1]]:
             if w == start:
-                if path[0] < flip[d]:
-                    circles.append(canonical_loop(tuple(path) + (d,)))
+                if path[0] < d ^ 1:
+                    circles.append(_least_rotation(tuple(path) + (d,)))
             elif w in free:
                 free.remove(w)
                 path.append(d)
@@ -150,11 +148,11 @@ def _embedded_circles(top: _Topology) -> list[EdgePath]:
                 path.pop()
                 free.add(w)
 
-    later = set(top.vertices)
-    for v in sorted(top.vertices):
+    later = set(range(len(star)))
+    for v in range(len(star)):
         later.remove(v)
-        circles += [(d,) for d in top.star[v] if head[d] == v and d[1] < 0]
-        firsts = [d for d in top.star[v] if head[d] in later]
+        circles += [(d,) for d in star[v] if head[d] == v and not d & 1]
+        firsts = [d for d in star[v] if head[d] in later]
         for d in firsts[:-1]:
             later.remove(head[d])
             extend([d], later, v)
@@ -163,14 +161,14 @@ def _embedded_circles(top: _Topology) -> list[EdgePath]:
     return circles
 
 
-def _embedded_arcs(top: _Topology, src: frozenset[str],
-                   dst: frozenset[str]) -> list[EdgePath]:
+def _embedded_arcs(inc: tuple, src: set[int],
+                   dst: set[int]) -> list[tuple[int, ...]]:
     """Embedded arcs from a vertex of src to a vertex of dst whose interior
     avoids both endpoint sets."""
-    head, star, turns = top.head, top.star, top.turns
+    head, _, star, turns = inc
     arcs = []
 
-    def extend(path: list[Dart], visited: set[str]):
+    def extend(path: list[int], visited: set[int]):
         last = path[-1]
         at = head[last]
         if at in dst:
@@ -193,8 +191,39 @@ def _embedded_arcs(top: _Topology, src: frozenset[str],
     return arcs
 
 
-# candidate sets kept across calls, one per combinatorial type; a set of a
-# trivalent graph of rank 4 to 6 takes about 50 KB, so a full cache under 1 MB
+def _reverse(path: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple([d ^ 1 for d in reversed(path)])
+
+
+class _CandidateTable:
+    """The candidate set of one combinatorial type in canonical order: each
+    candidate's shape and integer loop and components.  Candidate k's
+    `CandidateLoop` is built when first asked for, then shared."""
+
+    def __init__(self, darts: list[Dart],
+                 found: list[tuple[CandidateShape, tuple[int, ...],
+                                   tuple[tuple[int, ...], ...]]]):
+        self.darts = darts
+        self.shapes = [shape for (shape, _, _) in found]
+        self.loops = [loop for (_, loop, _) in found]
+        self.components = [components for (_, _, components) in found]
+        self.built: list[CandidateLoop | None] = [None] * len(found)
+
+    def decode(self, path: tuple[int, ...]) -> EdgePath:
+        darts = self.darts
+        return tuple([darts[d] for d in path])
+
+    def candidate(self, k: int) -> CandidateLoop:
+        cand = self.built[k]
+        if cand is None:
+            cand = self.built[k] = CandidateLoop(
+                self.shapes[k], self.decode(self.loops[k]),
+                tuple(map(self.decode, self.components[k])))
+        return cand
+
+
+# candidate tables kept across calls, one per combinatorial type; one of a
+# trivalent graph of rank 4 to 6 takes at most about 75 KB, so about 1 MB
 _TYPE_CACHE_SIZE = 16
 
 
@@ -208,33 +237,34 @@ def enumerate_candidates(G: MarkedMetricGraph) -> list[CandidateLoop]:
     cache, never on the graph, which every fold snapshot would keep alive;
     each call returns a fresh list of the shared frozen candidates.
     """
-    return list(_candidates_of_type(*_combinatorial_type(G)))
+    table = _candidates_of_type(*_combinatorial_type(G))
+    return [table.candidate(k) for k in range(len(table.loops))]
 
 
 @functools.lru_cache(maxsize=_TYPE_CACHE_SIZE)
 def _candidates_of_type(vertices: frozenset[str],
                         triples: tuple[tuple[str, str, str], ...]
-                        ) -> tuple[CandidateLoop, ...]:
-    top = _Topology(vertices, triples)
-    circles = _embedded_circles(top)
-    names = sorted(vertices)
-    bit = {v: 1 << i for i, v in enumerate(names)}
-    out: dict[tuple, CandidateLoop] = {}
+                        ) -> _CandidateTable:
+    inc = _incidence(vertices, triples)
+    head, tail, _, turns = inc
+    circles = _embedded_circles(inc)
+    found: dict[tuple, tuple] = {}
 
-    def add(shape: CandidateShape, loop: EdgePath,
-            components: tuple[EdgePath, ...]) -> None:
-        cand = CandidateLoop(shape, loop, components)
-        out.setdefault(cand.key(), cand)
+    def add(shape: CandidateShape, loop: tuple[int, ...],
+            components: tuple[tuple[int, ...], ...]) -> None:
+        # `CandidateLoop.key`; a str enum sorts by its value
+        found.setdefault((shape, _least_rotation(loop)),
+                         (shape, loop, components))
 
     # an embedded circle leaves each of its vertices once: ``at[j][v]`` is
     # the position of that dart in circle j; its reverse leaves v at the
     # mirrored position.  Rotations are built when first asked for.
-    orientations = [(c, top.reverse(c)) for c in circles]
-    at = [{top.tail[d]: i for i, d in enumerate(c)} for c in circles]
-    masks = [sum(bit[v] for v in pos) for pos in at]
-    rotations: dict[tuple[int, int, str], EdgePath] = {}
+    orientations = [(c, _reverse(c)) for c in circles]
+    at = [{tail[d]: i for i, d in enumerate(c)} for c in circles]
+    masks = [sum(1 << v for v in pos) for pos in at]
+    rotations: dict[tuple[int, int, int], tuple[int, ...]] = {}
 
-    def rotation(j: int, k: int, v: str) -> EdgePath:
+    def rotation(j: int, k: int, v: int) -> tuple[int, ...]:
         """Circle j (k = 0) or its reverse (k = 1), starting at v."""
         r = rotations.get((j, k, v))
         if r is None:
@@ -251,7 +281,7 @@ def _candidates_of_type(vertices: frozenset[str],
             common = masks[i] & masks[j]
             if common and not common & (common - 1):
                 # exactly one common vertex: a figure-eight
-                v = names[common.bit_length() - 1]
+                v = common.bit_length() - 1
                 r1 = rotation(i, 0, v)
                 for k in (0, 1):
                     r2 = rotation(j, k, v)
@@ -260,10 +290,9 @@ def _candidates_of_type(vertices: frozenset[str],
                 pair = (masks[i], masks[j])
                 if pair not in arcs:
                     arcs[pair] = [
-                        (arc, top.reverse(arc), top.tail[arc[0]],
-                         top.head[arc[-1]])
-                        for arc in _embedded_arcs(top, frozenset(at[i]),
-                                                  frozenset(at[j]))]
+                        (arc, _reverse(arc), tail[arc[0]], head[arc[-1]])
+                        for arc in _embedded_arcs(inc, set(at[i]),
+                                                  set(at[j]))]
                 for (arc, arc_rev, u, w) in arcs[pair]:
                     r1 = rotation(i, 0, u)
                     for k in (0, 1):
@@ -271,12 +300,17 @@ def _candidates_of_type(vertices: frozenset[str],
                         add(CandidateShape.DUMBBELL, r1 + arc + r2 + arc_rev,
                             (r1, r2, arc))
 
-    for cand in out.values():
-        if not is_cyclically_reduced(top, cand.loop):
+    table = _CandidateTable(_darts(e for (e, _, _) in triples),
+                            [found[key] for key in sorted(found)])
+    # each cyclically consecutive dart pair must be a turn
+    turn_pairs = {(d, x) for d, after in enumerate(turns) for (x, _) in after}
+    for loop in table.loops:
+        if not turn_pairs.issuperset(zip(loop, loop[1:] + loop[:1])):
             raise InvalidInputError(
-                f"candidate loop {cand.loop} is not cyclically reduced"
+                f"candidate loop {table.decode(loop)} is not cyclically "
+                "reduced"
             )
-    return tuple(out[key] for key in sorted(out))
+    return table
 
 
 @dataclass(frozen=True)
@@ -302,51 +336,50 @@ def lambda_r(A: MarkedMetricGraph, B: MarkedMetricGraph) -> StretchValue:
     the candidate set of A, with every maximizing candidate as witness.
 
     Candidate images are evaluated through the marking, independently of any
-    map.  Each edge label of A is realized once as a reduced path of B, kept
-    with B's darts as integers: the i-th edge of B in sorted order is
-    crossed forward as i + 1 and backward as -(i + 1), so reversal is
-    negation.  A candidate's image is its darts' images concatenated and
-    cyclically reduced, which is the loop realizing the candidate's word,
-    since free reduction is confluent.  One stack pass per candidate pushes
-    each dart's image, popping where it cancels against the top (only at a
-    seam, as every image is reduced), then trims matching ends; the length
-    is the images' integer lengths (`_integer_lengths`) less twice each
-    cancelled or trimmed dart's.  Ratios are compared by cross-multiplying
-    these integers, and one `Fraction` is built, for the maximum.
+    map, on the integer loops of A's candidate table.  Each edge label of
+    A is realized once as a reduced path of B's integer darts.  A
+    candidate's image is its darts' images concatenated and cyclically
+    reduced, which is the loop realizing the candidate's word, since free
+    reduction is confluent.  One stack pass per candidate pushes each
+    dart's image, popping where it cancels against the top (only at a seam,
+    as every image is reduced), then trims matching ends; the length is the
+    images' integer lengths (`_integer_lengths`) less twice each cancelled
+    or trimmed dart's.  Ratios are compared by cross-multiplying these
+    integers; one `Fraction` is built, and `CandidateLoop`s only for the
+    witnesses.
     """
     if A.rank != B.rank:
         raise RankMismatchError(f"ranks differ: {A.rank} != {B.rank}")
+    table = _candidates_of_type(*_combinatorial_type(A))
     scale_b, len_b = _integer_lengths(B)
-    number: dict[str, int] = {}
-    length_b: dict[int, int] = {}   # the scaled length of either dart
-    for i, e in enumerate(sorted(B.edges), start=1):
-        number[e] = i
-        length_b[i] = length_b[-i] = len_b[e]
+    darts_b = _darts(B.edges)
+    code_b = {d: k for k, d in enumerate(darts_b)}
+    length_b = [len_b[e] for (e, _) in darts_b]
     scale_a, len_a = _integer_lengths(A)
     # per dart of A: its image, the image's length and the dart's length
-    image: dict[Dart, tuple[tuple[int, ...], int, int]] = {}
-    for e in sorted(A.edges):
-        path = tuple(number[f] * sign for (f, sign) in
-                     realize_word_as_path(B, A.label_of_dart((e, 1))))
+    image: list[tuple[tuple[int, ...], int, int]] = []
+    for (e, _) in table.darts[1::2]:
+        path = tuple([code_b[d] for d in
+                      realize_word_as_path(B, A.label_of_dart((e, 1)))])
         length = sum(length_b[x] for x in path)
-        image[(e, 1)] = (path, length, len_a[e])
-        image[(e, -1)] = (tuple(-x for x in reversed(path)), length, len_a[e])
+        image += ((_reverse(path), length, len_a[e]),
+                  (path, length, len_a[e]))
     best_b, best_a = 0, 1
-    witnesses: list[CandidateLoop] = []
-    for cand in enumerate_candidates(A):
+    witnesses: list[int] = []
+    for k, loop in enumerate(table.loops):
         stack: list[int] = []
         lb = la = 0
-        for d in cand.loop:
+        for d in loop:
             path, length_path, length_d = image[d]
             lb += length_path
             la += length_d
-            k = 0
-            while stack and k < len(path) and stack[-1] == -path[k]:
+            i = 0
+            while stack and i < len(path) and stack[-1] == path[i] ^ 1:
                 lb -= 2 * length_b[stack.pop()]
-                k += 1
-            stack += path[k:]
+                i += 1
+            stack += path[i:]
         i, j = 0, len(stack) - 1
-        while i < j and stack[i] == -stack[j]:
+        while i < j and stack[i] == stack[j] ^ 1:
             lb -= 2 * length_b[stack[i]]
             i += 1
             j -= 1
@@ -357,13 +390,13 @@ def lambda_r(A: MarkedMetricGraph, B: MarkedMetricGraph) -> StretchValue:
             )
         cross = lb * best_a - best_b * la
         if cross > 0:
-            best_b, best_a, witnesses = lb, la, [cand]
+            best_b, best_a, witnesses = lb, la, [k]
         elif cross == 0:
-            witnesses.append(cand)
+            witnesses.append(k)
     if not witnesses:
         raise InvalidInputError("source graph has no candidate loop")
     return StretchValue(Fraction(best_b * scale_a, best_a * scale_b),
-                        tuple(witnesses))
+                        tuple(map(table.candidate, witnesses)))
 
 
 def lambda_l(A: MarkedMetricGraph, B: MarkedMetricGraph) -> StretchValue:
@@ -421,9 +454,9 @@ def distance(A: MarkedMetricGraph, B: MarkedMetricGraph) -> float:
 def _loops_at_by_length(G: MarkedMetricGraph, v: str, length_cap: Fraction,
                         max_count: int):
     """Reduced edge loops based at v of length <= length_cap, breadth first
-    (shortest loops first).  Yields at most max_count loops, then signals
-    truncation by yielding None."""
-    star = _Topology(*_combinatorial_type(G)).star
+    (shortest loops first), stars in sorted dart order.  Yields at most
+    max_count loops, then signals truncation by yielding None."""
+    star = {u: sorted(darts) for u, darts in stars(G).items()}
     frontier: list[tuple[EdgePath, Fraction]] = [((), Fraction(0))]
     produced = 0
     while frontier:

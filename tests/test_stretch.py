@@ -282,18 +282,59 @@ def test_no_candidate_state_on_graphs():
         assert set(vars(G)) == fields
 
 
-def test_lambda_r_enumerates_through_the_public_function(monkeypatch):
+def test_lambda_r_reads_the_candidate_table_once_per_call(monkeypatch):
     calls = []
-    original = stretch.enumerate_candidates
+    original = stretch._candidates_of_type
 
-    def counting(G):
-        calls.append(G)
-        return original(G)
+    def counting(*key):
+        calls.append(key)
+        return original(*key)
 
-    monkeypatch.setattr(stretch, "enumerate_candidates", counting)
+    monkeypatch.setattr(stretch, "_candidates_of_type", counting)
     lambda_r(theta_left(), theta_right())
     stretch_report(theta_left(), theta_right())
     assert len(calls) == 3
+
+
+def test_lambda_r_builds_candidates_only_for_witnesses(monkeypatch):
+    rng = random.Random(3)
+    A = random_tree_marked(rng, "K33")
+    B = apply_automorphism_to_marking(random_tree_marked(rng, "K33"),
+                                      random_nielsen_automorphism(rng, 4, 2))
+    built = []
+
+    def counting(*fields):
+        built.append(CandidateLoop(*fields))
+        return built[-1]
+
+    monkeypatch.setattr(stretch, "CandidateLoop", counting)
+    stretch._candidates_of_type.cache_clear()
+    got = lambda_r(A, B)
+    assert list(map(id, built)) == list(map(id, got.witnesses))
+    assert lambda_r(A, B) == got and len(built) == len(got.witnesses)
+    cands = enumerate_candidates(A)
+    assert len(built) == len(cands) > len(got.witnesses)
+    shared = {id(c) for c in cands}
+    assert all(id(w) in shared for w in got.witnesses)
+
+
+def test_backtracking_candidate_is_rejected(monkeypatch):
+    original = stretch._embedded_arcs
+
+    def backtracking(inc, src, dst):
+        # each arc goes back over its last edge and forth again
+        return [arc + (arc[-1] ^ 1, arc[-1])
+                for arc in original(inc, src, dst)]
+
+    monkeypatch.setattr(stretch, "_embedded_arcs", backtracking)
+    stretch._candidates_of_type.cache_clear()
+    try:
+        with pytest.raises(InvalidInputError,
+                           match=r"^candidate loop \(\('.* is not "
+                                 r"cyclically reduced$"):
+            enumerate_candidates(barbell(1, 1, 1))
+    finally:
+        stretch._candidates_of_type.cache_clear()
 
 
 # -- the crossing-example tables ------------------------------------------------------
