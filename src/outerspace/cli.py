@@ -114,6 +114,9 @@ def cmd_candidates(args) -> Report:
 
 
 def cmd_distance(args) -> Report:
+    if args.sample_words < 0:
+        raise InvalidInputError(
+            f"sample word count {args.sample_words} is negative")
     A = _load_validated(args.fileA)
     B = _load_validated(args.fileB)
     _require_same_rank(A, B)
@@ -248,7 +251,10 @@ def cmd_checkgeod(args) -> Report:
               "-" if ok4 else f"indices {viol[:4]}")
     if args.qg is not None:
         lam = parse_fraction(args.qg[0])
-        eps = float(args.qg[1])
+        try:
+            eps = float(args.qg[1])
+        except ValueError:
+            raise InvalidInputError(f"bad EPS {args.qg[1]!r}") from None
         samples = list(enumerate(graphs))
         okq, worst = check_quasi_geodesic(samples, lam, eps, args.metric)
         t.add(
@@ -265,7 +271,10 @@ def _parse_automorphism(spec: str, inverse_spec: str, rank: int
     def parse_side(s):
         images = {}
         for part in s.split(","):
-            lhs, rhs = part.split("=", 1)
+            lhs, eq, rhs = part.partition("=")
+            if not eq:
+                raise InvalidInputError(
+                    f"bad image {part!r}: expected generator=word")
             lhs = lhs.strip()
             w = parse_word(lhs, rank)
             if len(w.letters) != 1 or w.letters[0] < 0:

@@ -123,7 +123,7 @@ def doc_to_graph(doc: dict) -> MarkedMetricGraph:
             tuple(parse_dart(s) for s in petal) for petal in doc["marking"]
         ]
         basepoint = doc["basepoint"]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInputError(f"malformed graph document: {exc}")
     return ensure_labels(make_graph(rank, edges, basepoint, marking,
                                     labels if have_labels else None))

@@ -1,12 +1,13 @@
 """Fast folding paths and their diagnostics.
 
 A prepared setup carries a rescaled, subdivided source whose map to the
-(subdivided) target sends every edge isometrically onto a single target edge.
-Folding then zips, at unit speed and at every vertex simultaneously, the
-groups of darts with a common image germ; an event happens whenever some edge
-of a zipping group is completely consumed, at which point the quotient is
-rebuilt and the process re-anchored.  All times, lengths and stretch factors
-stay rational.
+target (never subdivided) sends every edge isometrically into a single target
+edge, at a recorded offset; a source edge is cut only where its image crosses
+a target vertex.  Folding then zips, at unit speed and at every vertex
+simultaneously, the groups of darts with a common image germ; an event
+happens whenever some edge of a zipping group is completely consumed, at
+which point the quotient is rebuilt and the process re-anchored.  All times,
+lengths and stretch factors stay rational.
 
 The literal point-pair relation defining the quotient would also identify
 distant fibre points in ways that break the homotopy type; the zip semantics
@@ -17,6 +18,7 @@ definition and the volume bound.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -80,8 +82,8 @@ def image_point(G: MarkedMetricGraph, B: MarkedMetricGraph, sigma: Sigma,
 @dataclass(frozen=True)
 class FoldSetup:
     source: MarkedMetricGraph          # A0: rescaled and subdivided
-    target: MarkedMetricGraph          # the (subdivided) target
-    sigma: Sigma                       # simplicial isometric edge map
+    target: MarkedMetricGraph          # the target, normalized by default
+    sigma: Sigma                       # isometric edge map into target edges
     witness: EdgePath                  # candidate loop never folded
     optimal_map: PLMap                 # the certified map the setup came from
 
@@ -162,8 +164,8 @@ def _collapse_constant_edges(f: PLMap):
 def prepare_folding_setup(A: MarkedMetricGraph, B: MarkedMetricGraph,
                           normalize_target: bool = True,
                           max_moves: int = 500) -> FoldSetup:
-    """Rescale and subdivide so the optimal map becomes simplicial and
-    isometric on edges.
+    """Rescale and subdivide the source so the optimal map sends every edge
+    isometrically into one target edge.
 
     The source is normalized to volume one before optimizing; the target is
     normalized unless ``normalize_target=False`` (stretching factors scale
@@ -185,46 +187,17 @@ def prepare_folding_setup(A: MarkedMetricGraph, B: MarkedMetricGraph,
     A2 = replace(A1, edges=edges)
     f = PLMap(A2, Bt, f.vertex_image, f.edge_image)
 
-    # subdivide the target at interior vertex images
-    b_cuts: dict[str, set] = {}
-    for v, p in f.vertex_image.items():
-        if p[0] == "e":
-            b_cuts.setdefault(p[1], set()).add(p[2])
-    Bs, b_exp = subdivide(Bt, {e: sorted(c) for e, c in b_cuts.items()})
-
-    def refine_seg(seg):
-        """Split one image segment into full darts of the subdivided target."""
-        d, a, b = seg
-        pieces = b_exp[d]
-        out = []
-        pos = Fraction(0)
-        for pd in pieces:
-            l = dart_len(Bs, pd)
-            lo, hi = pos, pos + l
-            pos = hi
-            if hi <= a or lo >= b:
-                continue
-            if lo < a or hi > b:
-                raise InternalInvariantError(
-                    "image segment boundary misses every subdivision point"
-                )
-            out.append(pd)
-        return out
-
-    # subdivide the source so each edge maps onto exactly one target edge
+    # cut each source edge where its image crosses a target vertex: the
+    # segments of a normalized PL path meet only there, so each piece maps
+    # isometrically into a single target edge
     a_cuts: dict[str, list] = {}
-    images: dict[str, list] = {}
     for e in sorted(A2.edges):
-        darts = []
-        for seg in f.edge_image[e].segs:
-            darts.extend(refine_seg(seg))
-        if not darts:
+        segs = f.edge_image[e].segs
+        if not segs:
             raise InternalInvariantError("constant image survived collapsing")
-        images[e] = darts
-        cuts = []
-        pos = Fraction(0)
-        for pd in darts[:-1]:
-            pos += dart_len(Bs, pd)
+        pos, cuts = Fraction(0), []
+        for _, a, b in segs[:-1]:
+            pos += b - a
             cuts.append(pos)
         if cuts:
             a_cuts[e] = cuts
@@ -232,21 +205,16 @@ def prepare_folding_setup(A: MarkedMetricGraph, B: MarkedMetricGraph,
 
     sigma: Sigma = {}
     for e in sorted(A2.edges):
-        pieces = a_exp[(e, 1)]
-        if len(pieces) != len(images[e]):
-            raise InternalInvariantError("subdivision mismatch")
-        for piece, bd in zip(pieces, images[e]):
-            pe = piece[0]
-            if dart_len(A0, piece) != dart_len(Bs, bd):
+        for (pe, _), (bd, a, b) in zip(a_exp[(e, 1)], f.edge_image[e].segs,
+                                       strict=True):
+            if A0.length(pe) != b - a:
                 raise InternalInvariantError("piece is not isometric")
-            if piece[1] < 0:
-                bd = rev(bd)
-            sigma[pe] = (bd, Fraction(0))
+            sigma[pe] = (bd, a)
 
     witness0 = tuple(x for d in witness_loop for x in a_exp[d])
     if not is_cyclically_reduced(A0, witness0):
         raise InternalInvariantError("witness loop degenerated in the setup")
-    return FoldSetup(A0, Bs, sigma, witness0, f)
+    return FoldSetup(A0, Bt, sigma, witness0, f)
 
 
 # -- the zip engine ---------------------------------------------------------------------
@@ -477,36 +445,6 @@ def fast_fold(setup: FoldSetup, strategy: str = "simultaneous",
     )
 
 
-def _stage_index(path: FoldingPath, t: Fraction) -> int:
-    if not (0 <= t <= path.end_time):
-        raise InvalidInputError(
-            f"time {t} outside [0, {path.end_time}]"
-        )
-    for i in range(len(path.events) - 1, -1, -1):
-        if path.events[i] <= t:
-            return i
-    raise InternalInvariantError("unreachable")
-
-
-def graph_at(path: FoldingPath, t: Fraction):
-    """(graph, sigma) at an arbitrary time, rebuilding partial folds."""
-    t = Fraction(t)
-    i = _stage_index(path, t)
-    G, sigma = path.snapshots[i], path.sigmas[i]
-    if t == path.events[i]:
-        return G, sigma
-    classes = active_classes(G, path.target, sigma, path.strategy)
-    G2, sigma2, _ = fold_step(G, path.target, sigma, classes,
-                              t - path.events[i])
-    return G2, sigma2
-
-
-def sample_path(path: FoldingPath, t: Fraction):
-    """Marked graph and map to the target at time t (labels carried)."""
-    G, sigma = graph_at(path, t)
-    return G, setup_as_plmap(G, path.target, sigma)
-
-
 @dataclass(frozen=True)
 class FoldPoint:
     """A folding path at one time: the graph, its edge map to the target and
@@ -518,43 +456,37 @@ class FoldPoint:
 
 
 def point_at(path: FoldingPath, t: Fraction) -> FoldPoint:
-    """The fold point at time t, its partial fold built once for every
-    reader of that time."""
+    """The fold point at time t: an event's snapshot, or the partial fold
+    from the last event before t, built once for every reader of that
+    time."""
     t = Fraction(t)
-    G, sigma = graph_at(path, t)
-    turns = frozenset() if t == path.end_time else frozenset(
-        folding_turns(active_classes(G, path.target, sigma, path.strategy)))
-    return FoldPoint(t, G, sigma, turns)
+    if not (0 <= t <= path.end_time):
+        raise InvalidInputError(f"time {t} outside [0, {path.end_time}]")
+    i = bisect_right(path.events, t) - 1
+    G, sigma = path.snapshots[i], path.sigmas[i]
+    if t == path.end_time:
+        return FoldPoint(t, G, sigma, frozenset())
+    classes = active_classes(G, path.target, sigma, path.strategy)
+    if t > path.events[i]:
+        G, sigma, _ = fold_step(G, path.target, sigma, classes,
+                                t - path.events[i])
+        classes = active_classes(G, path.target, sigma, path.strategy)
+    return FoldPoint(t, G, sigma, frozenset(folding_turns(classes)))
 
 
-def turns_at(path: FoldingPath, t: Fraction) -> set:
-    """Unordered dart pairs being folded at time t (right-continuous)."""
-    t = Fraction(t)
-    if t >= path.end_time:
-        return set()
-    return set(point_at(path, t).turns)
-
-
-def multiplicity_of_loop(G: MarkedMetricGraph, turns: set,
-                         loop: EdgePath) -> int:
-    """Unoriented count of passages of a cyclically reduced loop through the
-    given turns."""
-    if not is_cyclically_reduced(G, loop):
+def multiplicity(point: FoldPoint, loop: EdgePath) -> int:
+    """Unoriented count of passages of a cyclically reduced loop of the
+    point's graph through the turns being folded there."""
+    if not is_cyclically_reduced(point.graph, loop):
         raise InvalidInputError("multiplicity needs a cyclically reduced loop")
     count = 0
     n = len(loop)
     for i in range(n):
         d_in = loop[i]
         d_out = loop[(i + 1) % n]
-        if frozenset((rev(d_in), d_out)) in turns:
+        if frozenset((rev(d_in), d_out)) in point.turns:
             count += 1
     return count
-
-
-def multiplicity(path: FoldingPath, t: Fraction, loop: EdgePath) -> int:
-    """Folding multiplicity of a loop of the time-t snapshot."""
-    point = point_at(path, t)
-    return multiplicity_of_loop(point.graph, point.turns, loop)
 
 
 @dataclass(frozen=True)
@@ -570,18 +502,15 @@ class SpeedReport:
     ratio: Fraction
 
 
-def speeds(path: FoldingPath, t) -> SpeedReport:
-    """Local speed 2 mu/l of the folding path and the speed toward the
-    target, with the loops realizing them; ``t`` is a time or a
-    `FoldPoint` of the path."""
-    time = t.time if isinstance(t, FoldPoint) else Fraction(t)
-    if time >= path.end_time:
+def speeds(path: FoldingPath, point: FoldPoint) -> SpeedReport:
+    """Local speed 2 mu/l of the folding path at a point and the speed
+    toward the target, with the loops realizing them."""
+    if point.time >= path.end_time:
         raise InvalidInputError("the path has no folding turn at its end")
-    point = t if isinstance(t, FoldPoint) else point_at(path, time)
-    G, turns = point.graph, point.turns
+    G = point.graph
     best = None
     for cand in enumerate_candidates(G):
-        mu = multiplicity_of_loop(G, turns, cand.loop)
+        mu = multiplicity(point, cand.loop)
         if mu == 0:
             continue
         l = loop_length(G, cand.loop)
@@ -594,7 +523,7 @@ def speeds(path: FoldingPath, t) -> SpeedReport:
     gamma_b = lamL.witness.loop
     w = word_of_loop(path.target, gamma_b)
     realized = realize_word_as_loop(G, w)
-    mu_b = multiplicity_of_loop(G, turns, realized)
+    mu_b = multiplicity(point, realized)
     # folding one vertex at a time may leave the witness unfolded for a while
     if mu_b < 1 and path.strategy != "single-vertex":
         raise InternalInvariantError(
@@ -687,6 +616,8 @@ def check_quasi_geodesic(samples, lam, eps, metric: str = "d"):
     lam = Fraction(lam)
     if lam < 1:
         raise InvalidInputError("quasi-geodesic constant must be >= 1")
+    if not (math.isfinite(eps) and eps >= 0):
+        raise InvalidInputError(f"EPS {eps} must be finite and non-negative")
     field = "Lambda" if metric == "d" else "lambda_R"
     D = _pairwise(graphs, lambda a, b: getattr(stretch_report(a, b), field))
     exact = (eps == 0)

@@ -620,11 +620,7 @@ class GaugedClasses:
                 self.edges.setdefault(v, set()).add(e)
 
     def find(self, v):
-        parent = self.parent
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
+        return uf_find(self.parent, v)
 
     def read(self, d: Dart) -> Word:
         w = self.labels[d[0]]

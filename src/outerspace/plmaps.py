@@ -184,17 +184,6 @@ def pl_cancellation(G: MarkedMetricGraph, p: PLPath, q: PLPath) -> Fraction:
     return _cancel_seam(G, list(p.segs), list(q.segs))
 
 
-def pl_cyclic_length(G: MarkedMetricGraph, p: PLPath) -> Fraction:
-    """Length of the free homotopy class of a closed PL path.
-
-    A reduced closed path is u.w.u~ with w cyclically reduced, and the seam
-    of p.p cancels exactly u, so the cyclic length is |p| - 2|u|.
-    """
-    if path_start(G, p) != path_end(G, p):
-        raise InvalidInputError("cyclic length needs a closed path")
-    return pl_length(p) - 2 * _cancel_seam(G, list(p.segs), list(p.segs))
-
-
 def plloop_word(B: MarkedMetricGraph, p: PLPath) -> Word:
     """Word (in B's labels) of a closed PL path, based at a nearby vertex.
 

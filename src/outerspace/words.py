@@ -93,11 +93,6 @@ def cyclic_reduce(w: Word) -> tuple[Word, Word]:
     return Word(letters[i:j], w.rank), Word(letters[:i], w.rank)
 
 
-def cyclic_length(w: Word) -> int:
-    """Length of the cyclic reduction; a conjugacy-class function."""
-    return len(cyclic_reduce(w)[0])
-
-
 def cyclic_key(w: Word) -> tuple[int, ...]:
     """Canonical representative of the conjugacy class of ``w`` up to
     inversion: the least rotation among the cyclic core and its inverse."""
@@ -152,9 +147,6 @@ class AutomorphismPair:
 
     def apply(self, w: Word) -> Word:
         return apply_endomorphism(w, self.forward_images)
-
-    def apply_inverse(self, w: Word) -> Word:
-        return apply_endomorphism(w, self.inverse_images)
 
     def inverse(self) -> "AutomorphismPair":
         return AutomorphismPair(self.inverse_images, self.forward_images, self.rank)

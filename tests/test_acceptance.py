@@ -30,6 +30,7 @@ from outerspace.folding import (
     check_four_point,
     check_quasi_geodesic,
     fast_fold,
+    point_at,
     prepare_folding_setup,
     speeds,
     systole_and_thin_test,
@@ -113,7 +114,7 @@ def test_criterion_2_polynomial_fold_exact():
         assert path.events == list(range(k + 1))
         for i in range(k):
             for delta in (F(0), F(1, 4), F(1, 2), F(3, 4)):
-                rep = speeds(path, i + delta)
+                rep = speeds(path, point_at(path, i + delta))
                 formula = F(k + 2 - i - 2 * delta,
                             2 * k + 1 - 2 * i - 2 * delta)
                 assert rep.ratio == formula

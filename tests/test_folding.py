@@ -32,13 +32,12 @@ from outerspace.folding import (
     check_quasi_geodesic,
     fast_fold,
     fold_step,
-    graph_at,
     multiplicity,
+    point_at,
     prepare_folding_setup,
-    sample_path,
+    setup_as_plmap,
     speeds,
     systole_and_thin_test,
-    turns_at,
 )
 from outerspace.graphs import (
     apply_automorphism_to_marking,
@@ -95,6 +94,30 @@ def test_prepare_poly_twist_shapes():
     assert lambda_r(A0, setup.target).value == 1
 
 
+def test_setup_folds_onto_the_target_as_given():
+    """The setup keeps the target unsubdivided (normalized unless asked not
+    to), and every source edge maps into one target edge from its recorded
+    offset; the K4 pairs send vertices into target edges."""
+    pairs = [(theta_left(), theta_right(), True),
+             (*poly_twist_pair(3), False)]
+    for seed in (31, 1001):
+        rng = random.Random(seed)
+        A = random_tree_marked(rng, "K4")
+        B = apply_automorphism_to_marking(
+            random_tree_marked(rng, "K4"),
+            random_nielsen_automorphism(rng, A.rank, 2))
+        pairs.append((A, B, True))
+    offsets = []
+    for A, B, normalize in pairs:
+        setup = prepare_folding_setup(A, B, normalize_target=normalize)
+        assert setup.target == (normalize_volume(B)[0] if normalize else B)
+        for e, (bd, off) in setup.sigma.items():
+            assert 0 <= off
+            assert off + setup.source.length(e) <= setup.target.length(bd[0])
+            offsets.append(off)
+    assert any(off > 0 for off in offsets)
+
+
 def test_prepare_stretches_by_one():
     rng = random.Random(5)
     for _ in range(5):
@@ -128,12 +151,13 @@ def test_poly_fold_intermediate_graph(k):
     A, B = poly_twist_pair(k)
     path = fold_pair(A, B, normalize_target=False)
     i, delta = 1, F(1, 2)
-    G, f = sample_path(path, i + delta)
+    point = point_at(path, i + delta)
+    G = point.graph
     assert validate_marked_graph(G).ok
     K = canonicalize(G)
     lengths = sorted(K.length(e) for e in K.edges)
     assert lengths == sorted([1 - delta, k + 1 - i - delta, delta])
-    assert validate_pl_map(f) == []
+    assert validate_pl_map(setup_as_plmap(G, path.target, point.sigma)) == []
 
 
 @pytest.mark.parametrize("k", [2, 3, 5])
@@ -142,7 +166,7 @@ def test_poly_fold_speed_ratio_formula(k):
     path = fold_pair(A, B, normalize_target=False)
     for i in range(k):
         for delta in (F(0), F(1, 4), F(1, 2), F(3, 4)):
-            rep = speeds(path, i + delta)
+            rep = speeds(path, point_at(path, i + delta))
             assert rep.local_speed == F(2, k + 2 - i - 2 * delta)
             assert rep.toward_speed == F(2, 2 * k + 1 - 2 * i - 2 * delta)
             assert rep.ratio == F(k + 2 - i - 2 * delta,
@@ -154,12 +178,10 @@ def test_poly_fold_multiplicities():
     k = 3
     A, B = poly_twist_pair(k)
     path = fold_pair(A, B, normalize_target=False)
-    t = F(3, 2)
-    rep = speeds(path, t)
+    point = point_at(path, F(3, 2))
+    rep = speeds(path, point)
     assert rep.local_mu == 1 and rep.toward_mu == 1
-    # the witness loop is never folded
-    G, _ = graph_at(path, t)
-    assert multiplicity(path, t, rep.local_witness) == 1
+    assert multiplicity(point, rep.local_witness) == 1
 
 
 def test_witness_never_folded_and_length_constant():
@@ -174,7 +196,7 @@ def test_witness_never_folded_and_length_constant():
         assert translation_length(g, w) == base
         if path.events[i] < path.end_time:
             # the transported witness never passes a folding turn
-            assert multiplicity(path, path.events[i], tloop) == 0
+            assert multiplicity(point_at(path, path.events[i]), tloop) == 0
             tloop = transport_at(path, i)(tloop, "loop")
 
 
@@ -197,7 +219,7 @@ def test_mu_monotone_along_path():
             if t >= path.end_time:
                 values.append(0)
                 break
-            values.append(multiplicity(path, t, cur))
+            values.append(multiplicity(point_at(path, t), cur))
             cur = transport_at(path, i)(cur, "loop")
         assert all(a >= b for a, b in zip(values, values[1:]))
 
@@ -268,7 +290,7 @@ def test_single_vertex_strategy_folds_one_vertex_per_event(pair):
             continue
         v = min(every)
         assert one == {v: every[v]}
-        turns = turns_at(path, t)
+        turns = point_at(path, t).turns
         assert turns
         assert all(G.origin(d) == v for turn in turns for d in turn)
     assert most == (1 if pair == "twist3" else 2)
@@ -345,7 +367,7 @@ def test_folding_carries_labels_without_deriving(pair, monkeypatch):
         assert validate_marked_graph(G).ok, validate_marked_graph(G).issues
     ends = path.events
     for t in ends + [(a + b) / 2 for a, b in zip(ends, ends[1:])]:
-        G, _ = sample_path(path, t)
+        G = point_at(path, t).graph
         assert validate_marked_graph(G).ok, validate_marked_graph(G).issues
     assert check_dR_geodesic(path.snapshots)[0]
     if pair == "barbell":
@@ -504,11 +526,11 @@ def test_local_speed_finite_differences():
     A, B = poly_twist_pair(k)
     path = fold_pair(A, B, normalize_target=False)
     t = F(1, 2)
-    target = float(speeds(path, t).local_speed)
+    target = float(speeds(path, point_at(path, t)).local_speed)
     errors = []
     for h in (F(1, 8), F(1, 16), F(1, 32)):
-        G1, _ = sample_path(path, t)
-        G2, _ = sample_path(path, t + h)
+        G1 = point_at(path, t).graph
+        G2 = point_at(path, t + h).graph
         d = math.log(float(stretch_report(G1, G2).Lambda))
         errors.append(abs(d / float(h) - target))
     assert errors[0] > errors[1] > errors[2]
@@ -519,7 +541,6 @@ def test_thick_path_speed_ratio_bound():
     """On a path staying in the eps-thick part the speed ratio is bounded
     below by eps/(2M), with M the computed maximal turn multiplicity of a
     simple candidate loop along the path."""
-    from outerspace.folding import multiplicity_of_loop, turns_at
     from outerspace.stretch import CandidateShape, enumerate_candidates
 
     k = 3
@@ -530,19 +551,19 @@ def test_thick_path_speed_ratio_bound():
     sample_times = [t for t in path.events[:-1]] + \
         [path.events[i] + F(1, 3) for i in range(len(path.events) - 1)]
     for t in sample_times:
-        G, _ = sample_path(path, t)
-        turns = turns_at(path, t)
+        point = point_at(path, t)
+        G = point.graph
         for cand in enumerate_candidates(G):
             if cand.shape == CandidateShape.DUMBBELL:
                 continue
-            M = max(M, multiplicity_of_loop(G, turns, cand.loop))
+            M = max(M, multiplicity(point, cand.loop))
         s, _, _ = systole_and_thin_test(G, F(1, 100))
         min_systole = s if min_systole is None else min(min_systole, s)
     assert M >= 1
     eps = min_systole  # the path stays eps-thick for this eps
     bound = eps / (2 * M)
     for t in sample_times:
-        assert speeds(path, t).ratio >= bound
+        assert speeds(path, point_at(path, t)).ratio >= bound
 
 
 def test_train_track_rose_stretch_close_to_perron_frobenius():

@@ -18,7 +18,7 @@ from fractions import Fraction
 import pytest
 
 from outerspace import cli
-from outerspace.docs import save_graph
+from outerspace.docs import canonical_text, graph_to_doc, save_graph
 from outerspace.fixtures import (
     poly_twist_pair,
     random_nielsen_automorphism,
@@ -35,6 +35,9 @@ PAIRS = {"theta": ("theta_left.json", "theta_right.json"),
          "twist3": ("twist3_source.json", "twist3_target.json")}
 # rank 4 and 6: the witnesses pin which candidate representatives are chosen
 HIGH_RANK = {"k33": ("K33", 1), "petersen": ("petersen", 2)}
+# rank 3: the optimal map sends vertices into target edges; the fold has no
+# event where a source edge's image only crosses such a point
+FOLD_RANK3 = {"k4": ("K4", 31)}
 
 CASES = {}
 for _name in ("wiest-coulbois", "polygrowth", "incompleteness", "orbit"):
@@ -50,6 +53,9 @@ for _pair, (_a, _b) in PAIRS.items():
 for _name in HIGH_RANK:
     CASES[f"distance-{_name}"] = ["distance", f"{_name}_source.json",
                                   f"{_name}_target.json", "--witness"]
+for _name in FOLD_RANK3:
+    CASES[f"foldpath-{_name}"] = ["foldpath", f"{_name}_source.json",
+                                  f"{_name}_target.json"]
 # X = theta_left, Y = theta_right, M = rose_t(1/2), T = rose_t(5/8)
 _X, _Y, _M, _T = ("theta_left.json", "theta_right.json", "rose_half.json",
                   "rose_five_eighths.json")
@@ -69,6 +75,15 @@ CASES.update({
                               "--qg", "1", "0.25"],
     "checkgeod-qg-bad-constant": ["checkgeod", _X, _T, _Y, "--qg", "1/2",
                                   "0"],
+    "checkgeod-qg-eps-malformed": ["checkgeod", _X, _T, _Y, "--qg", "2",
+                                   "abc"],
+    "checkgeod-qg-eps-nan": ["checkgeod", _X, _T, _Y, "--qg", "2", "nan"],
+    "checkgeod-qg-eps-infinite": ["checkgeod", _X, _T, _Y, "--qg", "2",
+                                  "inf"],
+    "checkgeod-qg-eps-negative": ["checkgeod", _X, _T, _Y, "--qg", "2",
+                                  "-0.1"],
+    "orbit-aut-malformed": ["orbit", _X, "--aut", "ab", "--inv", "a=b"],
+    "validate-rank-not-integer": ["validate", "rank_not_integer.json"],
 })
 # budgets: a negative one is an input error (exit 2); zero still gives the
 # exact budget partial
@@ -77,6 +92,8 @@ CASES.update({
     "optmap-budget-zero": ["optmap", _X, _Y, "--max-moves", "0"],
     "foldpath-budget-negative": ["foldpath", _X, _Y, "--max-moves", "-3"],
     "foldpath-samples-negative": ["foldpath", _X, _Y, "--samples", "-2"],
+    "distance-sample-words-negative": ["distance", _X, _Y, "--sample-words",
+                                       "-3"],
     "bcc-pair-cap-negative": ["bcc", _X, _Y, "--pair-cap", "-1"],
     "bcc-pair-cap-zero": ["bcc", _X, _Y, "--pair-cap", "0"],
 })
@@ -91,7 +108,13 @@ def write_inputs(directory):
                      ("twist3_source.json", source),
                      ("twist3_target.json", target)):
         save_graph(os.path.join(directory, fname), G)
-    for name, (family, seed) in HIGH_RANK.items():
+    # a graph document whose rank is not an integer
+    doc = graph_to_doc(theta_left())
+    doc["rank"] = "two"
+    with open(os.path.join(directory, "rank_not_integer.json"), "w",
+              encoding="utf-8") as fh:
+        fh.write(canonical_text(doc))
+    for name, (family, seed) in {**HIGH_RANK, **FOLD_RANK3}.items():
         # a target on the same graph with its own lengths, marking twisted by
         # two Nielsen moves
         rng = random.Random(seed)

@@ -41,7 +41,6 @@ from outerspace.plmaps import (
     path_image_length,
     pl_cancellation,
     pl_concat,
-    pl_cyclic_length,
     pl_from_darts,
     pl_length,
     pl_reverse,
@@ -76,14 +75,6 @@ def test_concat_partial_cancellation_keeps_remainder():
     assert out.segs == ((("a", 1), F(0), F(3, 4)),)
 
 
-def test_cyclic_length_cancels_seam():
-    G = unit_rose(2)
-    # b . a . b~ as a closed path at the vertex: class of a, length 1
-    p = pl_from_darts(G, (("b", 1), ("a", 1), ("b", -1)))
-    assert pl_length(p) == 3
-    assert pl_cyclic_length(G, p) == 1
-
-
 def test_seam_cancellation_matches_translation_length():
     """Images of based loops under optimized (or budget-partial) maps between
     random rank-2 pairs: the cyclic length is the translation length of the
@@ -108,7 +99,9 @@ def test_seam_cancellation_matches_translation_length():
                 images.append(push_loop(f, loop))
         interior += f.vertex_image[A.basepoint][0] == "e"
         for p in images:
-            assert pl_cyclic_length(B, p) == \
+            # a reduced closed path is u.w.u~ with w cyclically reduced,
+            # and the seam of p.p cancels exactly u
+            assert pl_length(p) - 2 * pl_cancellation(B, p, p) == \
                 translation_length(B, plloop_word(B, p))
             for q in images[:4]:
                 cases += 1

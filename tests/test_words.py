@@ -9,7 +9,6 @@ from outerspace.words import (
     Word,
     apply_endomorphism,
     compose,
-    cyclic_length,
     cyclic_reduce,
     free_reduce,
     generator,
@@ -92,13 +91,6 @@ def test_cyclic_reduce_reconstructs():
             core_v.letters[r:] + core_v.letters[:r] for r in range(max(1, len(core_v)))
         }
         assert core_w.letters in rotations
-
-
-@given(letters, letters)
-def test_cyclic_length_is_class_function(seq, conj_seq):
-    w = free_reduce(seq, 3)
-    u = free_reduce(conj_seq, 3)
-    assert cyclic_length(u * w * u.inverse()) == cyclic_length(w)
 
 
 def phi_poly():
