@@ -29,7 +29,7 @@ from .errors import (
     OuterspaceError,
     RankMismatchError,
 )
-from .fixtures import random_word
+from .fixtures import aut_power, random_word
 from .folding import (
     check_dR_geodesic,
     check_four_point,
@@ -49,13 +49,12 @@ from .graphs import (
     volume,
     word_of_loop,
 )
-from .plmaps import optimize_pl_map, stretch_analysis
-from .stretch import (
+from .plmaps import (
     bounded_cancellation_bound,
-    enumerate_candidates,
-    lambda_r,
-    stretch_report,
+    optimize_pl_map,
+    stretch_analysis,
 )
+from .stretch import enumerate_candidates, lambda_r, stretch_report
 from .words import AutomorphismPair, validate_automorphism_pair
 
 
@@ -123,10 +122,13 @@ def cmd_distance(args) -> Report:
     srep = stretch_report(A, B)
     rep = Report(f"distance between {args.fileA} and {args.fileB}")
     t = rep.table("stretching factors", ["quantity", "exact", "log"])
-    t.add("Lambda_R", format_fraction(srep.lambda_R), format_log(srep.d_R))
-    t.add("Lambda_L", format_fraction(srep.lambda_L), format_log(srep.d_L))
-    t.add("Lambda", format_fraction(srep.Lambda), format_log(srep.d))
-    chosen = {"d": srep.d, "dR": srep.d_R, "dL": srep.d_L}[args.metric]
+    t.add("Lambda_R", format_fraction(srep.lambda_R),
+          format_log(srep.lambda_R))
+    t.add("Lambda_L", format_fraction(srep.lambda_L),
+          format_log(srep.lambda_L))
+    t.add("Lambda", format_fraction(srep.Lambda), format_log(srep.Lambda))
+    chosen = {"d": srep.Lambda, "dR": srep.lambda_R,
+              "dL": srep.lambda_L}[args.metric]
     t.add(f"distance ({args.metric})", "-", format_log(chosen))
     if args.witness:
         w = rep.table("witnesses", ["side", "loop", "word"])
@@ -299,13 +301,11 @@ def cmd_orbit(args) -> Report:
         "distances to the base point of the orbit",
         ["h", "Lambda_R", "Lambda_L", "Lambda", "d"],
     )
-    from .fixtures import aut_power
-
     for h in range(args.hmin, args.hmax + 1):
         Gh = apply_automorphism_to_marking(G, aut_power(phi, h))
         srep = stretch_report(Gh, G)
         t.add(h, format_fraction(srep.lambda_R), format_fraction(srep.lambda_L),
-              format_fraction(srep.Lambda), format_log(srep.d))
+              format_fraction(srep.Lambda), format_log(srep.Lambda))
     return rep
 
 
@@ -314,7 +314,7 @@ def cmd_bcc(args) -> Report:
     B = _load_validated(args.fileB)
     _require_same_rank(A, B)
     f = optimize_pl_map(A, B, max_moves=args.max_moves)
-    bound = bounded_cancellation_bound(A, B, f, pair_cap=args.pair_cap)
+    bound = bounded_cancellation_bound(f, pair_cap=args.pair_cap)
     rep = Report(f"bounded cancellation constant for {args.fileA} -> "
                  f"{args.fileB}")
     t = rep.table("result", ["quantity", "value"])

@@ -10,6 +10,7 @@ so a document round-trips byte-identically.
 from __future__ import annotations
 
 import json
+import math
 import re
 from fractions import Fraction
 
@@ -33,7 +34,8 @@ def parse_fraction(s: str) -> Fraction:
 
 
 def format_log(x) -> str:
-    return f"{float(x):.12g}"
+    """The natural logarithm of a positive factor, for display only."""
+    return f"{math.log(x):.12g}"
 
 
 def format_word(w: Word) -> str:
@@ -104,7 +106,12 @@ def graph_to_doc(G: MarkedMetricGraph) -> dict:
 
 def doc_to_graph(doc: dict) -> MarkedMetricGraph:
     try:
-        rank = int(doc["rank"])
+        rank = doc["rank"]
+        # int() would truncate 2.5 to 2 and read true as 1
+        if isinstance(rank, (bool, float)):
+            raise InvalidInputError(f"malformed graph document: rank "
+                                    f"{json.dumps(rank)} is not an integer")
+        rank = int(rank)
         edges = {}
         labels = {}
         have_labels = True

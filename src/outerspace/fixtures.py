@@ -17,6 +17,7 @@ from .words import (
     AutomorphismPair,
     Word,
     compose,
+    free_reduce,
     generator,
     identity,
     identity_automorphism,
@@ -266,8 +267,6 @@ def random_tree_marked(rng: random.Random, family: str) -> MarkedMetricGraph:
 
 
 def random_word(rng: random.Random, rank: int, max_len: int = 10) -> Word:
-    from .words import free_reduce
-
     n = rng.randrange(0, max_len + 1)
     letters = []
     for _ in range(n):

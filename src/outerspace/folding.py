@@ -59,6 +59,10 @@ from .stretch import (
     stretch_report,
 )
 
+# a fold that has not finished after this many events is reported as an
+# internal invariant violation rather than left to run on
+MAX_EVENTS = 1000
+
 # image of a forward edge: it covers [offset, offset + length] of a target dart
 Germ = tuple[Dart, Fraction]
 Sigma = dict  # edge id -> Germ
@@ -382,8 +386,7 @@ def fold_step(G: MarkedMetricGraph, B: MarkedMetricGraph, sigma: Sigma,
     return G2, sigma2, transport
 
 
-def fast_fold(setup: FoldSetup, strategy: str = "simultaneous",
-              max_events: int = 1000) -> FoldingPath:
+def fast_fold(setup: FoldSetup, strategy: str = "simultaneous") -> FoldingPath:
     """Run the zips to completion; the result is the event-indexed folding
     path from the prepared source onto the target."""
     if strategy not in ("simultaneous", "single-vertex"):
@@ -399,7 +402,7 @@ def fast_fold(setup: FoldSetup, strategy: str = "simultaneous",
         classes = active_classes(G, B, sigma, strategy)
         if not classes:
             break
-        if len(events) > max_events:
+        if len(events) > MAX_EVENTS:
             raise InternalInvariantError("event budget exceeded")
         delta = next_event_delta(G, classes)
         G, sigma, transport = fold_step(G, B, sigma, classes, delta)

@@ -72,10 +72,8 @@ class MarkedMetricGraph:
         return len(self.star(v))
 
     def label_of_dart(self, d: Dart) -> Word:
-        if self.labels is None:
-            raise InvalidInputError("graph has no inverse labels; derive them first")
-        if d[0] not in self.labels:
-            raise InvalidInputError(f"edge {d[0]} has no inverse label")
+        if self.labels is None or d[0] not in self.labels:
+            _require_labels(self, (d,))  # raises
         w = self.labels[d[0]]
         return w if d[1] > 0 else w.inverse()
 
@@ -223,6 +221,15 @@ def translation_length(G: MarkedMetricGraph, w: Word) -> Fraction:
     return path_length(G, realize_word_as_loop(G, w))
 
 
+def _require_labels(G: MarkedMetricGraph, path: EdgePath) -> None:
+    """Raise unless every edge the path crosses has an inverse label."""
+    if G.labels is None:
+        raise InvalidInputError("graph has no inverse labels; derive them first")
+    for (e, _) in path:
+        if e not in G.labels:
+            raise InvalidInputError(f"edge {e} has no inverse label")
+
+
 def _read_labels(G: MarkedMetricGraph, path: EdgePath) -> Word:
     """Freely reduced readout of the inverse labels along a checked path
     whose edges all have labels."""
@@ -238,10 +245,8 @@ def word_of_loop(G: MarkedMetricGraph, loop: EdgePath) -> Word:
     if not is_loop(G, loop):
         raise InvalidInputError("word_of_loop needs a closed path")
     check_path(G, loop)
-    letters: list[int] = []
-    for d in loop:
-        letters.extend(G.label_of_dart(d).letters)
-    return free_reduce(letters, G.rank)
+    _require_labels(G, loop)
+    return _read_labels(G, loop)
 
 
 # -- volume and scaling ---------------------------------------------------------

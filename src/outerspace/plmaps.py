@@ -35,8 +35,10 @@ from .graphs import (
     stars,
     uf_find,
     uf_union,
+    volume,
 )
 from .simplex import maximize
+from .stretch import lambda_r
 from .words import Word, cyclic_reduce, free_reduce, generator
 
 Point = tuple
@@ -705,8 +707,6 @@ def optimize_pl_map(A: MarkedMetricGraph, B: MarkedMetricGraph,
     cell exactly.  Each map is analysed once; the analysis travels with it
     through the loop.
     """
-    from .stretch import lambda_r
-
     if max_moves < 0:
         raise InvalidInputError(f"move budget {max_moves} is negative")
     target = lambda_r(A, B).value
@@ -763,3 +763,88 @@ def optimize_pl_map(A: MarkedMetricGraph, B: MarkedMetricGraph,
             g = _cell_minimum(f, target)
             if g is not None:
                 return g
+
+
+# -- bounded cancellation ---------------------------------------------------------------
+
+def _loops_at_by_length(G: MarkedMetricGraph, v: str, length_cap: Fraction,
+                        max_count: int):
+    """Reduced edge loops based at v of length <= length_cap, breadth first
+    (shortest loops first), stars in sorted dart order.  Yields at most
+    max_count loops, then signals truncation by yielding None."""
+    star = {u: sorted(darts) for u, darts in stars(G).items()}
+    frontier: list[tuple[EdgePath, Fraction]] = [((), Fraction(0))]
+    produced = 0
+    while frontier:
+        nxt = []
+        for (path, used) in frontier:
+            at = G.terminus(path[-1]) if path else v
+            for d in star[at]:
+                if path and d == rev(path[-1]):
+                    continue
+                l = used + G.length(d[0])
+                if l > length_cap:
+                    continue
+                new = path + (d,)
+                if G.terminus(d) == v:
+                    produced += 1
+                    if produced > max_count:
+                        yield None
+                        return
+                    yield new
+                nxt.append((new, l))
+        frontier = nxt
+
+
+def bounded_cancellation_bound(f: PLMap, pair_cap: int = 10 ** 6) -> Fraction:
+    """An explicit bounded cancellation constant K + lambda vol(A) for a PL
+    map f: A -> B: the concatenation of reduced loops loses at most twice
+    this much image length.
+
+    K maximizes (|f(alpha)| + |f(beta)| - |f(alpha beta)|)/2 over vertex-based
+    loop pairs with |alpha|, |beta| <= 4 lambda vol(A) Lambda_L(A, B) and
+    alpha beta cyclically reduced.  The enumeration pairs short loops first
+    and is capped at ``pair_cap`` pairs; past the cap the partial maximum is
+    reported as a lower bound through the raised error.
+    """
+    if pair_cap < 0:
+        raise InvalidInputError(f"pair cap {pair_cap} is negative")
+    A, B = f.source, f.target
+    lam = stretch_analysis(f).stretch
+    cap = 4 * lam * volume(A) * lambda_r(B, A).value
+    K = Fraction(0)
+    pairs = 0
+    max_loops = max(int(pair_cap ** 0.5) + 1, 16)
+    loops_truncated = False
+    pairs_capped = False
+    for v in sorted(A.vertices):
+        loops: list[tuple[EdgePath, PLPath]] = []
+        for alpha in _loops_at_by_length(A, v, cap, max_loops):
+            if alpha is None:
+                loops_truncated = True
+                break
+            loops.append((alpha, push_loop(f, alpha)))
+        for (alpha, fa) in loops:
+            if pairs_capped:
+                break
+            for (beta, fb) in loops:
+                # alpha . beta reduced at the junction, cyclically reduced
+                if beta[0] == rev(alpha[-1]):
+                    continue
+                if alpha[0] == rev(beta[-1]):
+                    continue
+                pairs += 1
+                if pairs > pair_cap:
+                    pairs_capped = True
+                    break
+                K = max(K, pl_cancellation(B, fa, fb))
+        if pairs_capped:
+            break
+    bound = K + lam * volume(A)
+    if loops_truncated or pairs_capped:
+        raise BudgetExhaustedError(
+            f"pair cap {pair_cap} reached; partial bound "
+            f"{format_fraction(bound)} is a lower bound",
+            partial=bound,
+        )
+    return bound

@@ -341,9 +341,9 @@ def repro_orbit(hmin: int = -4, hmax: int = 4) -> Report:
                 format_fraction(srep.lambda_R),
                 format_fraction(srep.lambda_L),
                 format_fraction(srep.Lambda),
-                format_log(srep.d),
-                format_log(srep.d_R),
-                format_log(srep.d_L),
+                format_log(srep.Lambda),
+                format_log(srep.lambda_R),
+                format_log(srep.lambda_L),
             )
     return rep
 

@@ -14,8 +14,8 @@ label of the source is realized once through the target's marking, and the
 candidate's image is the cyclic reduction of its darts' images, found in
 one stack pass.  Lengths are summed as integers, each graph's scaled by the
 common denominator of its edge lengths, and ratios are compared by
-cross-multiplication.  Everything here is exact; logarithms appear only in
-the report fields meant for display.
+cross-multiplication.  Everything here is exact: the reports carry the
+factors as fractions, and their logarithms are left to display.
 """
 
 from __future__ import annotations
@@ -27,15 +27,12 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable
 
-from .docs import format_fraction
-from .errors import BudgetExhaustedError, InvalidInputError, RankMismatchError
+from .errors import InvalidInputError, RankMismatchError
 from .graphs import (
     Dart,
     EdgePath,
     MarkedMetricGraph,
     realize_word_as_path,
-    rev,
-    stars,
     volume,
 )
 
@@ -50,7 +47,6 @@ class CandidateShape(str, Enum):
 class CandidateLoop:
     shape: CandidateShape
     loop: EdgePath
-    components: tuple[EdgePath, ...]  # circles, then the arc for dumbbells
 
     def key(self):
         return (self.shape.value, canonical_loop(self.loop))
@@ -197,16 +193,14 @@ def _reverse(path: tuple[int, ...]) -> tuple[int, ...]:
 
 class _CandidateTable:
     """The candidate set of one combinatorial type in canonical order: each
-    candidate's shape and integer loop and components.  Candidate k's
-    `CandidateLoop` is built when first asked for, then shared."""
+    candidate's shape and integer loop.  Candidate k's `CandidateLoop` is
+    built when first asked for, then shared."""
 
     def __init__(self, darts: list[Dart],
-                 found: list[tuple[CandidateShape, tuple[int, ...],
-                                   tuple[tuple[int, ...], ...]]]):
+                 found: list[tuple[CandidateShape, tuple[int, ...]]]):
         self.darts = darts
-        self.shapes = [shape for (shape, _, _) in found]
-        self.loops = [loop for (_, loop, _) in found]
-        self.components = [components for (_, _, components) in found]
+        self.shapes = [shape for (shape, _) in found]
+        self.loops = [loop for (_, loop) in found]
         self.built: list[CandidateLoop | None] = [None] * len(found)
 
     def decode(self, path: tuple[int, ...]) -> EdgePath:
@@ -217,13 +211,13 @@ class _CandidateTable:
         cand = self.built[k]
         if cand is None:
             cand = self.built[k] = CandidateLoop(
-                self.shapes[k], self.decode(self.loops[k]),
-                tuple(map(self.decode, self.components[k])))
+                self.shapes[k], self.decode(self.loops[k]))
         return cand
 
 
 # candidate tables kept across calls, one per combinatorial type; one of a
-# trivalent graph of rank 4 to 6 takes at most about 75 KB, so about 1 MB
+# trivalent graph of rank 4 to 6 takes at most about 100 KB with every
+# candidate built, so at most about 1.6 MB
 _TYPE_CACHE_SIZE = 16
 
 
@@ -250,11 +244,9 @@ def _candidates_of_type(vertices: frozenset[str],
     circles = _embedded_circles(inc)
     found: dict[tuple, tuple] = {}
 
-    def add(shape: CandidateShape, loop: tuple[int, ...],
-            components: tuple[tuple[int, ...], ...]) -> None:
+    def add(shape: CandidateShape, loop: tuple[int, ...]) -> None:
         # `CandidateLoop.key`; a str enum sorts by its value
-        found.setdefault((shape, _least_rotation(loop)),
-                         (shape, loop, components))
+        found.setdefault((shape, _least_rotation(loop)), (shape, loop))
 
     # an embedded circle leaves each of its vertices once: ``at[j][v]`` is
     # the position of that dart in circle j; its reverse leaves v at the
@@ -274,7 +266,7 @@ def _candidates_of_type(vertices: frozenset[str],
         return r
 
     for c in circles:
-        add(CandidateShape.O, c, (c,))
+        add(CandidateShape.O, c)
     arcs: dict[tuple[int, int], list[tuple]] = {}
     for i in range(len(circles)):
         for j in range(i + 1, len(circles)):
@@ -285,7 +277,7 @@ def _candidates_of_type(vertices: frozenset[str],
                 r1 = rotation(i, 0, v)
                 for k in (0, 1):
                     r2 = rotation(j, k, v)
-                    add(CandidateShape.FIGURE_EIGHT, r1 + r2, (r1, r2))
+                    add(CandidateShape.FIGURE_EIGHT, r1 + r2)
             elif not common:
                 pair = (masks[i], masks[j])
                 if pair not in arcs:
@@ -297,8 +289,7 @@ def _candidates_of_type(vertices: frozenset[str],
                     r1 = rotation(i, 0, u)
                     for k in (0, 1):
                         r2 = rotation(j, k, w)
-                        add(CandidateShape.DUMBBELL, r1 + arc + r2 + arc_rev,
-                            (r1, r2, arc))
+                        add(CandidateShape.DUMBBELL, r1 + arc + r2 + arc_rev)
 
     table = _CandidateTable(_darts(e for (e, _, _) in triples),
                             [found[key] for key in sorted(found)])
@@ -399,27 +390,18 @@ def lambda_r(A: MarkedMetricGraph, B: MarkedMetricGraph) -> StretchValue:
                         tuple(map(table.candidate, witnesses)))
 
 
-def lambda_l(A: MarkedMetricGraph, B: MarkedMetricGraph) -> StretchValue:
-    return lambda_r(B, A)
-
-
 @dataclass(frozen=True)
 class StretchReport:
     lambda_R: Fraction          # on volume-one representatives
     lambda_L: Fraction
     Lambda: Fraction            # lambda_R * lambda_L (scale-invariant)
-    d: float
-    d_R: float
-    d_L: float
-    witness_R: CandidateLoop
-    witness_L: CandidateLoop
     witnesses_R: tuple[CandidateLoop, ...]
     witnesses_L: tuple[CandidateLoop, ...]
 
 
 def stretch_report(A: MarkedMetricGraph, B: MarkedMetricGraph) -> StretchReport:
-    """Both stretching factors on volume-one representatives plus the
-    symmetric and one-sided distances (logs are display-only).
+    """Both stretching factors on volume-one representatives, their
+    product, and every maximizing candidate on either side.
 
     The factors are computed on A and B themselves and rescaled by their
     volumes: the candidates depend only on the topology and a positive
@@ -430,108 +412,10 @@ def stretch_report(A: MarkedMetricGraph, B: MarkedMetricGraph) -> StretchReport:
     left = lambda_r(B, A)
     lam_R = right.value * volume(A) / volume(B)
     lam_L = left.value * volume(B) / volume(A)
-    lam = lam_R * lam_L
     return StretchReport(
         lambda_R=lam_R,
         lambda_L=lam_L,
-        Lambda=lam,
-        d=math.log(lam),
-        d_R=math.log(lam_R),
-        d_L=math.log(lam_L),
-        witness_R=right.witness,
-        witness_L=left.witness,
+        Lambda=lam_R * lam_L,
         witnesses_R=right.witnesses,
         witnesses_L=left.witnesses,
     )
-
-
-def distance(A: MarkedMetricGraph, B: MarkedMetricGraph) -> float:
-    return stretch_report(A, B).d
-
-
-# -- bounded cancellation ---------------------------------------------------------------
-
-def _loops_at_by_length(G: MarkedMetricGraph, v: str, length_cap: Fraction,
-                        max_count: int):
-    """Reduced edge loops based at v of length <= length_cap, breadth first
-    (shortest loops first), stars in sorted dart order.  Yields at most
-    max_count loops, then signals truncation by yielding None."""
-    star = {u: sorted(darts) for u, darts in stars(G).items()}
-    frontier: list[tuple[EdgePath, Fraction]] = [((), Fraction(0))]
-    produced = 0
-    while frontier:
-        nxt = []
-        for (path, used) in frontier:
-            at = G.terminus(path[-1]) if path else v
-            for d in star[at]:
-                if path and d == rev(path[-1]):
-                    continue
-                l = used + G.length(d[0])
-                if l > length_cap:
-                    continue
-                new = path + (d,)
-                if G.terminus(d) == v:
-                    produced += 1
-                    if produced > max_count:
-                        yield None
-                        return
-                    yield new
-                nxt.append((new, l))
-        frontier = nxt
-
-
-def bounded_cancellation_bound(A: MarkedMetricGraph, B: MarkedMetricGraph,
-                               f, pair_cap: int = 10 ** 6) -> Fraction:
-    """An explicit bounded cancellation constant K + lambda vol(A) for a PL
-    map f: the concatenation of reduced loops loses at most twice this much
-    image length.
-
-    K maximizes (|f(alpha)| + |f(beta)| - |f(alpha beta)|)/2 over vertex-based
-    loop pairs with |alpha|, |beta| <= 4 lambda vol(A) Lambda_L(A, B) and
-    alpha beta cyclically reduced.  The enumeration pairs short loops first
-    and is capped at ``pair_cap`` pairs; past the cap the partial maximum is
-    reported as a lower bound through the raised error.
-    """
-    from .plmaps import pl_cancellation, push_loop, stretch_analysis
-
-    if pair_cap < 0:
-        raise InvalidInputError(f"pair cap {pair_cap} is negative")
-    lam = stretch_analysis(f).stretch
-    lamL = lambda_l(A, B).value
-    cap = 4 * lam * volume(A) * lamL
-    K = Fraction(0)
-    pairs = 0
-    max_loops = max(int(pair_cap ** 0.5) + 1, 16)
-    loops_truncated = False
-    pairs_capped = False
-    for v in sorted(A.vertices):
-        loops: list[tuple[EdgePath, object]] = []
-        for alpha in _loops_at_by_length(A, v, cap, max_loops):
-            if alpha is None:
-                loops_truncated = True
-                break
-            loops.append((alpha, push_loop(f, alpha)))
-        for (alpha, fa) in loops:
-            if pairs_capped:
-                break
-            for (beta, fb) in loops:
-                # alpha . beta reduced at the junction, cyclically reduced
-                if beta[0] == rev(alpha[-1]):
-                    continue
-                if alpha[0] == rev(beta[-1]):
-                    continue
-                pairs += 1
-                if pairs > pair_cap:
-                    pairs_capped = True
-                    break
-                K = max(K, pl_cancellation(f.target, fa, fb))
-        if pairs_capped:
-            break
-    bound = K + lam * volume(A)
-    if loops_truncated or pairs_capped:
-        raise BudgetExhaustedError(
-            f"pair cap {pair_cap} reached; partial bound "
-            f"{format_fraction(bound)} is a lower bound",
-            partial=bound,
-        )
-    return bound

@@ -84,6 +84,8 @@ CASES.update({
                                   "-0.1"],
     "orbit-aut-malformed": ["orbit", _X, "--aut", "ab", "--inv", "a=b"],
     "validate-rank-not-integer": ["validate", "rank_not_integer.json"],
+    "validate-rank-fractional": ["validate", "rank_fractional.json"],
+    "validate-rank-boolean": ["validate", "rank_boolean.json"],
 })
 # budgets: a negative one is an input error (exit 2); zero still gives the
 # exact budget partial
@@ -108,12 +110,14 @@ def write_inputs(directory):
                      ("twist3_source.json", source),
                      ("twist3_target.json", target)):
         save_graph(os.path.join(directory, fname), G)
-    # a graph document whose rank is not an integer
-    doc = graph_to_doc(theta_left())
-    doc["rank"] = "two"
-    with open(os.path.join(directory, "rank_not_integer.json"), "w",
-              encoding="utf-8") as fh:
-        fh.write(canonical_text(doc))
+    # graph documents whose rank is not an integer
+    for fname, rank in (("rank_not_integer.json", "two"),
+                        ("rank_fractional.json", 2.5),
+                        ("rank_boolean.json", True)):
+        doc = dict(graph_to_doc(theta_left()), rank=rank)
+        with open(os.path.join(directory, fname), "w",
+                  encoding="utf-8") as fh:
+            fh.write(canonical_text(doc))
     for name, (family, seed) in {**HIGH_RANK, **FOLD_RANK3}.items():
         # a target on the same graph with its own lengths, marking twisted by
         # two Nielsen moves

@@ -181,6 +181,23 @@ def test_word_of_loop_roundtrip():
         assert translation_length(X, back) == loop_length(X, loop)
 
 
+def test_word_of_loop_needs_labels():
+    X = theta_left()
+    loop = realize_word_as_loop(X, generator(1, 2))
+    unlabelled = X.with_labels(None)
+    for path in (loop, ()):
+        with pytest.raises(InvalidInputError, match="no inverse labels"):
+            word_of_loop(unlabelled, path)
+    with pytest.raises(InvalidInputError, match="no inverse labels"):
+        unlabelled.label_of_dart(loop[0])
+    e = loop[0][0]
+    partial = X.with_labels({f: w for f, w in X.labels.items() if f != e})
+    with pytest.raises(InvalidInputError, match=f"edge {e} has no inverse label"):
+        word_of_loop(partial, loop)
+    with pytest.raises(InvalidInputError, match=f"edge {e} has no inverse label"):
+        partial.label_of_dart(loop[0])
+
+
 def test_counting_inner_product_table_row():
     X = theta_left()
     assert counting_inner_product(X, (("A", 1), ("C", -1))) == F(2, 3)

@@ -1,0 +1,51 @@
+"""Source layout: every import sits at module level, and the modules of the
+package import each other in one direction only."""
+
+import ast
+import os
+
+import pytest
+
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                   "src", "outerspace")
+
+# each module imports only modules listed before it
+LAYERS = ["errors", "words", "graphs", "simplex", "docs", "stretch", "plmaps",
+          "folding", "fixtures", "repro", "cli", "__init__"]
+
+
+def parse(name):
+    with open(os.path.join(SRC, f"{name}.py"), encoding="utf-8") as fh:
+        return ast.parse(fh.read())
+
+
+def package_imports(tree):
+    """The package modules a module imports, by their short names."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module:
+                out.add(node.module)
+            else:
+                out.update(alias.name for alias in node.names)
+    return out
+
+
+def test_layers_list_every_module():
+    names = sorted(f[:-3] for f in os.listdir(SRC) if f.endswith(".py"))
+    assert sorted(LAYERS) == names
+
+
+@pytest.mark.parametrize("name", LAYERS)
+def test_no_import_inside_a_function(name):
+    for fn in ast.walk(parse(name)):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner = [node.lineno for node in ast.walk(fn)
+                     if isinstance(node, (ast.Import, ast.ImportFrom))]
+            assert not inner, f"{name}.{fn.name} imports at lines {inner}"
+
+
+@pytest.mark.parametrize("name", LAYERS)
+def test_modules_import_in_one_direction(name):
+    earlier = set(LAYERS[:LAYERS.index(name)])
+    assert package_imports(parse(name)) <= earlier

@@ -32,6 +32,7 @@ from outerspace.graphs import (
     volume,
 )
 from outerspace.plmaps import (
+    bounded_cancellation_bound,
     image_of_dart,
     initial_pl_map,
     is_optimal,
@@ -50,7 +51,7 @@ from outerspace.plmaps import (
     stratified_boundary_condition,
     validate_pl_map,
 )
-from outerspace.stretch import bounded_cancellation_bound, lambda_r
+from outerspace.stretch import lambda_r
 from outerspace.words import generator
 
 
@@ -451,12 +452,10 @@ def test_stratified_boundary_checker_runs():
 
 # -- bounded cancellation ---------------------------------------------------------------
 
-def bcc_or_partial(A, B, f, pair_cap=10 ** 6):
+def bcc_or_partial(f, pair_cap=10 ** 6):
     """The exact bound, or the capped lower bound with a truncation flag."""
-    from outerspace.errors import BudgetExhaustedError
-
     try:
-        return bounded_cancellation_bound(A, B, f, pair_cap), True
+        return bounded_cancellation_bound(f, pair_cap), True
     except BudgetExhaustedError as exc:
         return exc.partial, False
 
@@ -464,7 +463,7 @@ def bcc_or_partial(A, B, f, pair_cap=10 ** 6):
 def test_bcc_rank_one_circle_completes():
     G = rose([1])
     f = optimize_pl_map(G, G)
-    assert bounded_cancellation_bound(G, G, f) == volume(G)
+    assert bounded_cancellation_bound(f) == volume(G)
 
 
 def test_bcc_identity_rose():
@@ -472,7 +471,7 @@ def test_bcc_identity_rose():
     # the capped enumeration reports exactly vol(A)
     G = unit_rose(2)
     f = optimize_pl_map(G, G)
-    bound, exact = bcc_or_partial(G, G, f, pair_cap=20000)
+    bound, exact = bcc_or_partial(f, pair_cap=20000)
     assert bound == volume(G)
 
 
@@ -480,7 +479,7 @@ def test_bcc_poly_automorphism():
     G = unit_rose(2)
     H = apply_automorphism_to_marking(G, aut_poly())
     f = optimize_pl_map(G, H)
-    bound, _ = bcc_or_partial(G, H, f, pair_cap=20000)
+    bound, _ = bcc_or_partial(f, pair_cap=20000)
     assert bound >= 1 + volume(G)
 
 
@@ -489,7 +488,7 @@ def test_bcc_capped_partial_follows_sorted_stars():
     # the first pairs under a small cap, and the partial bound, are fixed
     A, B = poly_twist_pair(3)
     f = optimize_pl_map(A, B)
-    assert bcc_or_partial(A, B, f, pair_cap=10) == (8, False)
+    assert bcc_or_partial(f, pair_cap=10) == (8, False)
 
 
 def test_bcc_never_exceeded_by_longer_pairs():
@@ -498,7 +497,7 @@ def test_bcc_never_exceeded_by_longer_pairs():
     H = apply_automorphism_to_marking(G, aut_poly())
     f = optimize_pl_map(G, H)
     lam = stretch_analysis(f).stretch
-    bound, _ = bcc_or_partial(G, H, f, pair_cap=50000)
+    bound, _ = bcc_or_partial(f, pair_cap=50000)
     K = bound - lam * volume(G)
     from outerspace.graphs import realize_word_as_path
 

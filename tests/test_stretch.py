@@ -1,7 +1,6 @@
 import dataclasses
 import hashlib
 import itertools
-import math
 import random
 from fractions import Fraction as F
 
@@ -43,7 +42,6 @@ from outerspace.stretch import (
     CandidateShape,
     canonical_loop,
     enumerate_candidates,
-    lambda_l,
     lambda_r,
     stretch_report,
 )
@@ -176,12 +174,12 @@ def reference_candidates(G):
 
     out = {}
 
-    def add(shape, loop, components):
-        cand = CandidateLoop(shape, loop, components)
+    def add(shape, loop):
+        cand = CandidateLoop(shape, loop)
         out.setdefault(cand.key(), cand)
 
     for c in circles:
-        add(CandidateShape.O, c, (c,))
+        add(CandidateShape.O, c)
     for i, c1 in enumerate(circles):
         v1 = {G.origin(d) for d in c1}
         for c2 in circles[i + 1:]:
@@ -191,14 +189,14 @@ def reference_candidates(G):
                 v = common.pop()
                 for c2o in (c2, backward(c2)):
                     r1, r2 = rotate_to(c1, v), rotate_to(c2o, v)
-                    add(CandidateShape.FIGURE_EIGHT, r1 + r2, (r1, r2))
+                    add(CandidateShape.FIGURE_EIGHT, r1 + r2)
             elif not common:
                 for arc in arcs(v1, v2):
                     r1 = rotate_to(c1, G.origin(arc[0]))
                     for c2o in (c2, backward(c2)):
                         r2 = rotate_to(c2o, G.terminus(arc[-1]))
                         add(CandidateShape.DUMBBELL,
-                            r1 + arc + r2 + backward(arc), (r1, r2, arc))
+                            r1 + arc + r2 + backward(arc))
     return [out[key] for key in sorted(out)]
 
 
@@ -225,11 +223,10 @@ def test_cached_candidates_equal_reference_enumeration():
     graphs += [random_multigraph(rng) for _ in range(60)]
     stretch._candidates_of_type.cache_clear()
     for G in graphs:
-        want = [(c.shape, c.loop, c.components)
-                for c in reference_candidates(G)]
+        want = [(c.shape, c.loop) for c in reference_candidates(G)]
         for _ in range(2):  # filled, then read from the cache
             got = enumerate_candidates(G)
-            assert [(c.shape, c.loop, c.components) for c in got] == want
+            assert [(c.shape, c.loop) for c in got] == want
 
 
 def test_candidate_cache_is_bounded():
@@ -503,9 +500,6 @@ def test_report_crossing_pair_values():
     rep = stretch_report(X, Y)
     assert rep.lambda_R == 2 and rep.lambda_L == 2
     assert rep.Lambda == 4
-    import math
-
-    assert rep.d == math.log(4)
 
 
 def test_report_symmetry_and_zero():
@@ -517,8 +511,8 @@ def test_report_symmetry_and_zero():
     assert ab.Lambda == ba.Lambda
     assert ab.lambda_R == ba.lambda_L and ab.lambda_L == ba.lambda_R
     same = stretch_report(A, A)
-    assert same.Lambda == 1 and same.d == 0.0
-    assert same.d_R == 0.0 and same.d_L == 0.0
+    assert same.Lambda == 1
+    assert same.lambda_R == 1 and same.lambda_L == 1
 
 
 def test_report_equals_volume_one_reference():
@@ -541,11 +535,10 @@ def test_report_equals_volume_one_reference():
         rep = stretch_report(A, B)
         assert (rep.lambda_R, rep.lambda_L, rep.Lambda) == \
             (right.value, left.value, lam)
-        assert (rep.d, rep.d_R, rep.d_L) == \
-            (math.log(lam), math.log(right.value), math.log(left.value))
         assert (rep.witnesses_R, rep.witnesses_L) == \
             (right.witnesses, left.witnesses)
-        assert (rep.witness_R, rep.witness_L) == (right.witness, left.witness)
+        assert (rep.witnesses_R[0], rep.witnesses_L[0]) == \
+            (right.witness, left.witness)
 
 
 def test_scale_invariance():
@@ -556,7 +549,7 @@ def test_scale_invariance():
     rep_scaled = stretch_report(scale_graph(A, 3), scale_graph(B, F(5, 7)))
     assert rep.Lambda == rep_scaled.Lambda
     assert rep.lambda_R == rep_scaled.lambda_R
-    assert rep.d == rep_scaled.d
+    assert rep.lambda_L == rep_scaled.lambda_L
 
 
 def test_rescaled_copy_has_distance_zero():
@@ -573,7 +566,7 @@ def test_supinf_bounds_on_sampled_words():
     An, _ = normalize_volume(A)
     Bn, _ = normalize_volume(B)
     lam_r = lambda_r(An, Bn).value
-    lam_l = lambda_l(An, Bn).value
+    lam_l = lambda_r(Bn, An).value
     ratios = []
     for w in WORDS_LEN8[:300]:
         la = translation_length(An, w)
@@ -672,28 +665,29 @@ def test_lambda_r_equals_word_based_definition():
             assert (got.value, got.witnesses) == word_based_lambda_r(P, Q)
 
 
-# counts and SHA-256 digests of the key list and of the (loop, components)
-# representatives of `enumerate_candidates`, recorded before the evaluation
-# moved to per-edge image paths
+# counts and SHA-256 digests of the key list and of the loop representatives
+# of `enumerate_candidates`; the key digests were recorded before the
+# evaluation moved to per-edge image paths, the loop digests while candidates
+# still carried their components
 CANDIDATE_PINS = {
     "K4": (7, "dd30340c63348f72185b8e19dc8422e0789687848fe6c005f2800f68672d11bb",
-           "993689a432337428c1a03b2796d1af1ca721002695317a05834e1a2be37ffbbe"),
+           "dd18ef75c089e55972ad22a1001a3d48e83a210ad45f113b590a4c99b2151273"),
     "K33": (15,
             "bd6f6fe3ed4cc63c4b5d614a6437d045450fc6fb5c4592523c88a79c9df338a8",
-            "a4fbc1edc643835b61ff8250ca828758b3936e9b2570c54e4c9688a8d822f71e"),
+            "fe5601007a2216137aa89005c05e8d4fcc10687fefc0a54dc4e03a2fd1f9c7fc"),
     "prism5": (
         162, "e0208707deb671f1b75d6d3922146f6feec43fb5ca63f8ef1361df6b6e04ef4f",
-        "751fd650c644c0ad8ddbcaa53c2bd07035d94f6e70f5c453571025da8876dd34"),
+        "5815392342bff8cf8d3f1750e88ccc36d97e888c9fd740e722dfaea24b51fb45"),
     "petersen": (
         117, "897dc82a09ba96e032498d33cf5d69fa0b87800a645f4b41537dc09d25ba4d9f",
-        "2c33e520c7c27f178de63fbd8335000f6ae3395079b739cb908d6d9771b87c51"),
+        "53757391902de93bd85bada255d0b5d9cb1361232ae6fc66fb4e62a369720834"),
     # graphs with loop edges
     "unit_rose3": (
         9, "9667b20253da46c4723287f251f587f81e885b67f0a431d5042f5dd1bf8ceec0",
-        "921561f8726d10dd9922063292cef65e09d50197e6bc34d2b824141ae1e88094"),
+        "25b738f091a72cb34243f2433788ef8db928964844773a86f9c6db4e86d419b5"),
     "barbell": (
         4, "416c121990f2ee3745b5420f2bd1baeb04e56b4869150f32a15ed8635f65b558",
-        "8939244ebb355c3b82b1500b2d1dcb108feeddd8057473404bdc4ee60bc30b56"),
+        "b2170853de02cc3f619b4631510f954a92902b86f1e1498a28f29beb937680cd"),
 }
 
 
@@ -711,7 +705,7 @@ def test_candidate_set_pinned(name):
         return hashlib.sha256(repr(items).encode()).hexdigest()
 
     assert (len(cands), digest([c.key() for c in cands]),
-            digest([(c.loop, c.components) for c in cands])) == \
+            digest([c.loop for c in cands])) == \
         CANDIDATE_PINS[name]
 
 
