@@ -240,7 +240,7 @@ def cmd_checkgeod(args) -> Report:
     rep = Report("geodesic diagnostics")
     t = rep.table("checks", ["check", "result", "detail"])
     if len(graphs) >= 3:
-        ok, failures, _ = check_dR_geodesic(graphs)
+        ok, failures = check_dR_geodesic(graphs)
         detail = "-" if ok else \
             f"triple {failures[0][:3]}: product {format_fraction(failures[0][3])}" \
             f" != {format_fraction(failures[0][4])}"
@@ -325,13 +325,7 @@ def cmd_bcc(args) -> Report:
 
 
 def cmd_repro(args) -> Report:
-    fn = repro_mod.REPRO_NAMES.get(args.name)
-    if fn is None:
-        raise InvalidInputError(
-            f"unknown reproduction {args.name!r}; choose from "
-            f"{sorted(repro_mod.REPRO_NAMES)}"
-        )
-    return fn()
+    return repro_mod.REPRO_NAMES[args.name]()
 
 
 def build_parser() -> argparse.ArgumentParser:

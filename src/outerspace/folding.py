@@ -39,6 +39,7 @@ from .graphs import (
     rev,
     stars,
     subdivide,
+    translation_length,
     uf_find,
     uf_union,
     validate_marked_graph,
@@ -126,6 +127,28 @@ def setup_as_plmap(source, target, sigma) -> PLMap:
 
 # -- preparation -----------------------------------------------------------------------
 
+def _quotient(vc: GaugedClasses, G: MarkedMetricGraph,
+              image: dict) -> MarkedMetricGraph:
+    """The quotient of G by the vertex classes of ``vc`` (whose labels it
+    takes) and the dart map ``image``; a dart missing from the map is
+    dropped.  The kept edges are the forward images, with the lengths and
+    ends they have in G."""
+    kept = sorted({d[0] for d in image.values()})
+    edges = {}
+    for e in kept:
+        o, t, l = G.edges[e]
+        edges[e] = (vc.find(o), vc.find(t), l)
+    return MarkedMetricGraph(
+        rank=G.rank,
+        vertices=frozenset(vc.find(v) for v in G.vertices),
+        edges=edges,
+        basepoint=vc.find(G.basepoint),
+        marking=tuple(reduce_darts(image[d] for d in petal if d in image)
+                      for petal in G.marking),
+        labels={e: vc.labels[e] for e in kept},
+    )
+
+
 def _collapse_constant_edges(f: PLMap):
     """Collapse source edges with constant image (their endpoints share the
     image); returns the smaller graph, the surviving map data, and the dart
@@ -142,23 +165,8 @@ def _collapse_constant_edges(f: PLMap):
             raise InternalInvariantError(
                 "constant image on an essential loop edge"
             )
-    edges = {
-        e: (vc.find(o), vc.find(t), l)
-        for e, (o, t, l) in A.edges.items() if e not in dead
-    }
     drop = {(e, s) for e in dead for s in (1, -1)}
-    marking = tuple(
-        reduce_darts(d for d in petal if d not in drop)
-        for petal in A.marking
-    )
-    A2 = MarkedMetricGraph(
-        rank=A.rank,
-        vertices=frozenset(vc.find(v) for v in A.vertices),
-        edges=edges,
-        basepoint=vc.find(A.basepoint),
-        marking=marking,
-        labels={e: vc.labels[e] for e in edges},
-    )
+    A2 = _quotient(vc, A, {d: d for d in A.darts() if d not in drop})
     vertex_image = {vc.find(v): f.vertex_image[v] for v in A.vertices}
     edge_image = {e: p for e, p in f.edge_image.items() if e not in dead}
     f2 = PLMap(A2, f.target, vertex_image, edge_image)
@@ -267,15 +275,17 @@ def folding_turns(classes: dict) -> set:
     return turns
 
 
+def _zip_limits(G: MarkedMetricGraph, classes: dict) -> dict:
+    """Each zipping dart with how far it can zip: half its edge if its
+    reverse also zips, else the whole edge."""
+    active = {d for groups in classes.values() for g in groups for d in g}
+    return {d: G.length(d[0]) / 2 if rev(d) in active else G.length(d[0])
+            for d in active}
+
+
 def next_event_delta(G: MarkedMetricGraph, classes: dict) -> Fraction:
     """Time until some edge of a zipping group is completely consumed."""
-    active = {d for groups in classes.values() for g in groups for d in g}
-    best = None
-    for d in sorted(active):
-        l = G.length(d[0])
-        avail = l / 2 if rev(d) in active else l
-        if best is None or avail < best:
-            best = avail
+    best = min(_zip_limits(G, classes).values(), default=None)
     if best is None or best <= 0:
         raise InternalInvariantError("no active fold to advance")
     return best
@@ -285,18 +295,14 @@ def fold_step(G: MarkedMetricGraph, B: MarkedMetricGraph, sigma: Sigma,
               classes: dict, delta: Fraction):
     """Advance every active zip by ``delta`` and rebuild the quotient.
 
-    Returns the new graph, its edge map, and a loop transport callable.
-    Identified darts are gauged to read one word, so labels are carried.
+    Returns the new graph and its edge map.  Identified darts are gauged to
+    read one word, so labels are carried.
     """
-    active = {d for groups in classes.values() for g in groups for d in g}
     cuts: dict[str, set] = {}
-    for d in sorted(active):
-        e, s = d
-        l = G.length(e)
-        both = rev(d) in active
-        limit = l / 2 if both else l
+    for (e, s), limit in _zip_limits(G, classes).items():
         if delta > limit:
             raise InvalidInputError("step passes the next event")
+        l = G.length(e)
         cut = delta if s > 0 else l - delta
         if 0 < cut < l:
             cuts.setdefault(e, set()).add(cut)
@@ -330,49 +336,24 @@ def fold_step(G: MarkedMetricGraph, B: MarkedMetricGraph, sigma: Sigma,
                 vc.merge(G1.terminus(lead), G1.terminus(other),
                          vc.read(lead).inverse() * vc.read(other))
 
-    # rebuild the quotient graph
-    new_edges: dict[str, tuple] = {}
     rep_of: dict[Dart, Dart] = {}
-    for e in sorted(G1.edges):
+    for e in G1.edges:
         r = uf_find(dparent, (e, 1))
         rep_of[(e, 1)] = r
         rep_of[(e, -1)] = rev(r)
-    kept = sorted({r[0] for r in rep_of.values()})
-    for e in kept:
-        o, t, l = G1.edges[e]
-        new_edges[e] = (vc.find(o), vc.find(t), l)
-    for e in G1.edges:
-        r = rep_of[(e, 1)]
-        if dart_len(G1, (e, 1)) != new_edges[r[0]][2]:
-            raise InternalInvariantError("folded edges have unequal lengths")
-
-    def map_dart(d: Dart) -> Dart:
-        r = rep_of[(d[0], 1)]
-        return r if d[1] > 0 else rev(r)
-
-    def transport(path: EdgePath, mode: str = "path") -> EdgePath:
-        return reduce_darts((map_dart(x) for d in path for x in exp[d]),
-                            mode == "loop")
-
-    marking = tuple(transport(p) for p in G.marking)
-    sigma2 = {e: sigma1[e] for e in kept}
-    G2 = MarkedMetricGraph(
-        rank=G.rank,
-        vertices=frozenset(vc.find(v) for v in G1.vertices),
-        edges=new_edges,
-        basepoint=vc.find(G.basepoint),
-        marking=marking,
-        labels={e: vc.labels[e] for e in kept},
-    )
+    G2 = _quotient(vc, G1, rep_of)
+    sigma2 = {e: sigma1[e] for e in G2.edges}
     betti = len(G2.edges) - len(G2.vertices) + 1
     if betti != G.rank:
         raise InternalInvariantError(
             "fold changed the rank; the setup map was not a homotopy "
             "equivalence"
         )
-    # germ and label consistency of merged darts
+    # length, germ and label consistency of merged darts
     for e in G1.edges:
         r = rep_of[(e, 1)]
+        if G1.length(e) != G2.length(r[0]):
+            raise InternalInvariantError("folded edges have unequal lengths")
         if germ_of_dart(G2, B, sigma2, r) != \
                 germ_of_dart(G1, B, sigma1, (e, 1)):
             raise InternalInvariantError("merged darts disagree on their image")
@@ -383,7 +364,7 @@ def fold_step(G: MarkedMetricGraph, B: MarkedMetricGraph, sigma: Sigma,
         raise InternalInvariantError(
             f"fold produced an invalid marked graph: {report.issues[0]}"
         )
-    return G2, sigma2, transport
+    return G2, sigma2
 
 
 def fast_fold(setup: FoldSetup, strategy: str = "simultaneous") -> FoldingPath:
@@ -392,8 +373,9 @@ def fast_fold(setup: FoldSetup, strategy: str = "simultaneous") -> FoldingPath:
     if strategy not in ("simultaneous", "single-vertex"):
         raise InvalidInputError(f"unknown folding strategy {strategy!r}")
     G, B, sigma = setup.source, setup.target, setup.sigma
-    witness = setup.witness
-    witness_len = loop_length(G, witness)
+    # the witness is never folded: its word keeps one translation length
+    w = word_of_loop(G, setup.witness)
+    witness_len = translation_length(G, w)
     t = Fraction(0)
     snapshots = [G]
     sigmas = [sigma]
@@ -405,9 +387,8 @@ def fast_fold(setup: FoldSetup, strategy: str = "simultaneous") -> FoldingPath:
         if len(events) > MAX_EVENTS:
             raise InternalInvariantError("event budget exceeded")
         delta = next_event_delta(G, classes)
-        G, sigma, transport = fold_step(G, B, sigma, classes, delta)
-        witness = transport(witness, "loop")
-        if loop_length(G, witness) != witness_len:
+        G, sigma = fold_step(G, B, sigma, classes, delta)
+        if translation_length(G, w) != witness_len:
             raise InternalInvariantError("witness loop was folded")
         t += delta
         events.append(t)
@@ -471,8 +452,8 @@ def point_at(path: FoldingPath, t: Fraction) -> FoldPoint:
         return FoldPoint(t, G, sigma, frozenset())
     classes = active_classes(G, path.target, sigma, path.strategy)
     if t > path.events[i]:
-        G, sigma, _ = fold_step(G, path.target, sigma, classes,
-                                t - path.events[i])
+        G, sigma = fold_step(G, path.target, sigma, classes,
+                             t - path.events[i])
         classes = active_classes(G, path.target, sigma, path.strategy)
     return FoldPoint(t, G, sigma, frozenset(folding_turns(classes)))
 
@@ -650,7 +631,7 @@ def check_dR_geodesic(points):
     """Exact right-factor triangle equality on every ordered triple.
 
     Volumes cancel, so raw stretching factors multiply exactly along a
-    geodesic.  Returns (flag, failures, consecutive witnesses).
+    geodesic.  Returns (flag, failures).
     """
     graphs = list(points)
     n = len(graphs)
@@ -664,5 +645,4 @@ def check_dR_geodesic(points):
                 prod = D(i, j).value * D(j, k).value
                 if prod != D(i, k).value:
                     failures.append((i, j, k, prod, D(i, k).value))
-    witnesses = [D(i, i + 1).witnesses for i in range(n - 1)]
-    return not failures, failures, witnesses
+    return not failures, failures

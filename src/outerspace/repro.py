@@ -192,7 +192,7 @@ def repro_crossing() -> Report:
     )
     for alpha, name in ((lo_r, "alpha_R"), (lo_l, "alpha_L")):
         T = rose_t(alpha)
-        ok, _, _ = check_dR_geodesic(
+        ok, _ = check_dR_geodesic(
             [X, T, Y] if name == "alpha_R" else [Y, T, X]
         )
         verdict.add(f"{name} crossing realizes the triangle equality",
@@ -252,8 +252,8 @@ def repro_polynomial_growth(ks=(2, 3, 5),
               "yes" if ok_fold else "NO")
         v.add("whole path is a (4,0) quasi-geodesic",
               "yes" if ok_whole else "NO")
-        ok_dr, failures, _ = check_dR_geodesic(path.snapshots) \
-            if len(path.snapshots) >= 3 else (True, [], None)
+        ok_dr = check_dR_geodesic(path.snapshots)[0] \
+            if len(path.snapshots) >= 3 else True
         v.add("event snapshots realize the right-factor triangle equality",
               "yes" if ok_dr else "NO")
     return rep

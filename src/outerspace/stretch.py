@@ -130,20 +130,7 @@ def _embedded_circles(inc: tuple) -> list[tuple[int, ...]]:
     leaves s toward a later vertex, so the greatest such dart starts none.
     """
     head, _, star, turns = inc
-    circles = []
-
-    def extend(path: list[int], free: set[int], start: int):
-        for d, w in turns[path[-1]]:
-            if w == start:
-                if path[0] < d ^ 1:
-                    circles.append(_least_rotation(tuple(path) + (d,)))
-            elif w in free:
-                free.remove(w)
-                path.append(d)
-                extend(path, free, start)
-                path.pop()
-                free.add(w)
-
+    circles: list[tuple[int, ...]] = []
     later = set(range(len(star)))
     for v in range(len(star)):
         later.remove(v)
@@ -151,10 +138,26 @@ def _embedded_circles(inc: tuple) -> list[tuple[int, ...]]:
         firsts = [d for d in star[v] if head[d] in later]
         for d in firsts[:-1]:
             later.remove(head[d])
-            extend([d], later, v)
+            _close_circles(turns, [d], later, v, circles)
             later.add(head[d])
     circles.sort()
     return circles
+
+
+def _close_circles(turns: list, path: list[int], free: set[int], start: int,
+                   circles: list) -> None:
+    """Extend ``path`` through the ``free`` vertices in every way, adding
+    each circle that closes at ``start`` in `_embedded_circles`' form."""
+    for d, w in turns[path[-1]]:
+        if w == start:
+            if path[0] < d ^ 1:
+                circles.append(_least_rotation(tuple(path) + (d,)))
+        elif w in free:
+            free.remove(w)
+            path.append(d)
+            _close_circles(turns, path, free, start, circles)
+            path.pop()
+            free.add(w)
 
 
 def _embedded_arcs(inc: tuple, src: set[int],
@@ -162,29 +165,33 @@ def _embedded_arcs(inc: tuple, src: set[int],
     """Embedded arcs from a vertex of src to a vertex of dst whose interior
     avoids both endpoint sets."""
     head, _, star, turns = inc
-    arcs = []
-
-    def extend(path: list[int], visited: set[int]):
-        last = path[-1]
-        at = head[last]
-        if at in dst:
-            arcs.append(tuple(path))
-            return
-        if at in src:
-            return
-        for d, w in turns[last]:
-            if w in visited:
-                continue
-            visited.add(w)
-            path.append(d)
-            extend(path, visited)
-            path.pop()
-            visited.discard(w)
-
+    arcs: list[tuple[int, ...]] = []
     for v in sorted(src):
         for d in star[v]:
-            extend([d], {v, head[d]})
+            _reach_arcs(head, turns, [d], {v, head[d]}, src, dst, arcs)
     return arcs
+
+
+def _reach_arcs(head: list[int], turns: list, path: list[int],
+                visited: set[int], src: set[int], dst: set[int],
+                arcs: list) -> None:
+    """Extend ``path`` through unvisited vertices in every way, adding each
+    arc that reaches ``dst`` before ``src``."""
+    last = path[-1]
+    at = head[last]
+    if at in dst:
+        arcs.append(tuple(path))
+        return
+    if at in src:
+        return
+    for d, w in turns[last]:
+        if w in visited:
+            continue
+        visited.add(w)
+        path.append(d)
+        _reach_arcs(head, turns, path, visited, src, dst, arcs)
+        path.pop()
+        visited.discard(w)
 
 
 def _reverse(path: tuple[int, ...]) -> tuple[int, ...]:

@@ -31,7 +31,6 @@ from outerspace.folding import (
     check_four_point,
     check_quasi_geodesic,
     fast_fold,
-    fold_step,
     multiplicity,
     point_at,
     prepare_folding_setup,
@@ -46,6 +45,7 @@ from outerspace.graphs import (
     interpolate_in_simplex,
     loop_length,
     normalize_volume,
+    realize_word_as_loop,
     scale_graph,
     translation_length,
     validate_marked_graph,
@@ -60,16 +60,6 @@ from outerspace.words import generator
 def fold_pair(A, B, normalize_target=True, strategy="simultaneous"):
     setup = prepare_folding_setup(A, B, normalize_target=normalize_target)
     return fast_fold(setup, strategy=strategy)
-
-
-def transport_at(path, i):
-    """The loop transport from snapshot i to snapshot i + 1, rebuilt by
-    running fold step i again."""
-    G, sigma = path.snapshots[i], path.sigmas[i]
-    classes = active_classes(G, path.target, sigma, path.strategy)
-    _, _, transport = fold_step(G, path.target, sigma, classes,
-                                path.events[i + 1] - path.events[i])
-    return transport
 
 
 # -- preparation ------------------------------------------------------------------------
@@ -191,13 +181,12 @@ def test_witness_never_folded_and_length_constant():
     path = fast_fold(setup)
     w = word_of_loop(path.source_prepared, path.witness)
     base = translation_length(path.source_prepared, w)
-    tloop = path.witness
     for i, g in enumerate(path.snapshots):
         assert translation_length(g, w) == base
         if path.events[i] < path.end_time:
-            # the transported witness never passes a folding turn
-            assert multiplicity(point_at(path, path.events[i]), tloop) == 0
-            tloop = transport_at(path, i)(tloop, "loop")
+            # the witness, realized in the snapshot, passes no folding turn
+            loop = realize_word_as_loop(g, w)
+            assert multiplicity(point_at(path, path.events[i]), loop) == 0
 
 
 def test_mu_monotone_along_path():
@@ -207,20 +196,15 @@ def test_mu_monotone_along_path():
     rng = random.Random(11)
     for _ in range(10):
         w = random_word(rng, 2, 6)
-        from outerspace.graphs import realize_word_as_loop
-
-        loop = realize_word_as_loop(path.snapshots[0], w)
-        if not loop:
+        if not realize_word_as_loop(path.snapshots[0], w):
             continue
         values = []
-        cur = loop
-        for i in range(len(path.events)):
-            t = path.events[i]
+        for t, g in zip(path.events, path.snapshots):
             if t >= path.end_time:
                 values.append(0)
                 break
-            values.append(multiplicity(point_at(path, t), cur))
-            cur = transport_at(path, i)(cur, "loop")
+            values.append(multiplicity(point_at(path, t),
+                                       realize_word_as_loop(g, w)))
         assert all(a >= b for a, b in zip(values, values[1:]))
 
 
@@ -496,7 +480,7 @@ def test_dR_geodesic_on_simplex_segment():
     A = barbell(1, 1, 1)
     B = barbell(2, F(1, 2), 1)
     pts = [interpolate_in_simplex(A, B, t) for t in (F(0), F(1, 4), F(1, 2), F(1))]
-    ok, failures, _ = check_dR_geodesic(pts)
+    ok, failures = check_dR_geodesic(pts)
     assert ok, failures
 
 
@@ -504,7 +488,7 @@ def test_dR_geodesic_fails_at_wrong_crossing():
     X = theta_left()
     Y = theta_right()
     T = rose([F(1, 2), F(1, 2)])  # alpha = 1/2 instead of 5/8
-    ok, failures, _ = check_dR_geodesic([X, T, Y])
+    ok, failures = check_dR_geodesic([X, T, Y])
     assert not ok
 
 
@@ -513,7 +497,7 @@ def test_dR_geodesic_with_correct_crossing():
 
     X = theta_left()
     Y = theta_right()
-    ok, failures, _ = check_dR_geodesic([X, rose_t(F(5, 8)), Y])
+    ok, failures = check_dR_geodesic([X, rose_t(F(5, 8)), Y])
     assert ok, failures
 
 

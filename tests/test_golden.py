@@ -23,6 +23,7 @@ from outerspace.fixtures import (
     poly_twist_pair,
     random_nielsen_automorphism,
     random_tree_marked,
+    rose,
     rose_t,
     theta_left,
     theta_right,
@@ -99,6 +100,8 @@ CASES.update({
     "bcc-pair-cap-negative": ["bcc", _X, _Y, "--pair-cap", "-1"],
     "bcc-pair-cap-zero": ["bcc", _X, _Y, "--pair-cap", "0"],
 })
+# rank 1: the one bcc case that finishes within the default pair cap
+CASES["bcc-circle"] = ["bcc", "circle_one.json", "circle_two.json"]
 
 
 def write_inputs(directory):
@@ -107,6 +110,8 @@ def write_inputs(directory):
                      ("theta_right.json", theta_right()),
                      ("rose_half.json", rose_t(Fraction(1, 2))),
                      ("rose_five_eighths.json", rose_t(Fraction(5, 8))),
+                     ("circle_one.json", rose([1])),
+                     ("circle_two.json", rose([2])),
                      ("twist3_source.json", source),
                      ("twist3_target.json", target)):
         save_graph(os.path.join(directory, fname), G)

@@ -49,3 +49,19 @@ def test_no_import_inside_a_function(name):
 def test_modules_import_in_one_direction(name):
     earlier = set(LAYERS[:LAYERS.index(name)])
     assert package_imports(parse(name)) <= earlier
+
+
+@pytest.mark.parametrize("name", LAYERS)
+def test_no_nested_function_refers_to_itself(name):
+    """A nested function that calls itself holds a reference cycle through
+    its closure, which only the cycle collector frees."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    found = []
+    for fn in ast.walk(parse(name)):
+        if isinstance(fn, functions):
+            for inner in ast.walk(fn):
+                if inner is not fn and isinstance(inner, functions) and any(
+                        isinstance(node, ast.Name) and node.id == inner.name
+                        for node in ast.walk(inner)):
+                    found.append(f"{fn.name}.{inner.name}")
+    assert not found, f"{name}: {found} refer to themselves"

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import hashlib
 import itertools
 import random
@@ -707,6 +708,25 @@ def test_candidate_set_pinned(name):
     assert (len(cands), digest([c.key() for c in cands]),
             digest([c.loop for c in cands])) == \
         CANDIDATE_PINS[name]
+
+
+def test_candidate_tables_leave_no_cyclic_garbage():
+    """A table build makes no reference cycle: with the cycle collector
+    off, dropping the tables frees everything they made."""
+    build = stretch._candidates_of_type.__wrapped__
+    types = [stretch._combinatorial_type(random_tree_marked(random.Random(s),
+                                                            fam))
+             for fam in ("K33", "prism5") for s in (0, 1)]
+    gc.collect()
+    gc.disable()
+    try:
+        for key in types:
+            table = build(*key)
+            assert table.loops
+            del table
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_generator_families_are_valid_tree_markings():
