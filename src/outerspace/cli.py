@@ -35,6 +35,7 @@ from .folding import (
     check_four_point,
     check_quasi_geodesic,
     fast_fold,
+    pairwise,
     point_at,
     prepare_folding_setup,
     speeds,
@@ -245,10 +246,11 @@ def cmd_checkgeod(args) -> Report:
             f"triple {failures[0][:3]}: product {format_fraction(failures[0][3])}" \
             f" != {format_fraction(failures[0][4])}"
         t.add("right-factor triangle equality", "yes" if ok else "NO", detail)
+    # one stretch report per pair of files, shared by the symmetric checks
+    S = pairwise(graphs, stretch_report)
+    indices = range(len(graphs))
     if len(graphs) >= 4:
-        ok4, viol = check_four_point(
-            graphs, lambda x, y: stretch_report(x, y).Lambda
-        )
+        ok4, viol = check_four_point(indices, lambda i, j: S(i, j).Lambda)
         t.add("4-point property", "yes" if ok4 else "NO",
               "-" if ok4 else f"indices {viol[:4]}")
     if args.qg is not None:
@@ -257,14 +259,13 @@ def cmd_checkgeod(args) -> Report:
             eps = float(args.qg[1])
         except ValueError:
             raise InvalidInputError(f"bad EPS {args.qg[1]!r}") from None
-        samples = list(enumerate(graphs))
-        okq, worst = check_quasi_geodesic(samples, lam, eps, args.metric)
+        field = "Lambda" if args.metric == "d" else "lambda_R"
+        okq, worst = check_quasi_geodesic(
+            indices, lambda i, j: getattr(S(i, j), field), lam, eps)
         t.add(
             f"({format_fraction(lam)}, {eps:g}) quasi-geodesic "
             f"({args.metric})",
-            "yes" if okq else "NO",
-            f"worst margin {worst[0]:.6g}" if worst else "-",
-        )
+            "yes" if okq else "NO", f"worst margin {worst[0]:.6g}")
     return rep
 
 
@@ -281,6 +282,9 @@ def _parse_automorphism(spec: str, inverse_spec: str, rank: int
             w = parse_word(lhs, rank)
             if len(w.letters) != 1 or w.letters[0] < 0:
                 raise InvalidInputError(f"bad generator {lhs!r}")
+            if w.letters[0] in images:
+                raise InvalidInputError(
+                    "every generator needs exactly one image")
             images[w.letters[0]] = parse_word(rhs.strip(), rank)
         if sorted(images) != list(range(1, rank + 1)):
             raise InvalidInputError("every generator needs exactly one image")

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 from fractions import Fraction
 
 from .errors import InvalidInputError
@@ -33,9 +34,23 @@ def parse_fraction(s: str) -> Fraction:
         raise InvalidInputError(f"bad rational {s!r}: {exc}")
 
 
+def log_of(x) -> float:
+    """The natural logarithm of a positive rational, as a float.  Where the
+    float of x overflows or underflows, it is the difference of the logs of
+    numerator and denominator (near 1 that difference would lose digits)."""
+    x = Fraction(x)
+    try:
+        f = float(x)
+    except OverflowError:
+        f = math.inf
+    if sys.float_info.min <= f < math.inf:
+        return math.log(f)
+    return math.log(x.numerator) - math.log(x.denominator)
+
+
 def format_log(x) -> str:
     """The natural logarithm of a positive factor, for display only."""
-    return f"{math.log(x):.12g}"
+    return f"{log_of(x):.12g}"
 
 
 def format_word(w: Word) -> str:
@@ -104,6 +119,15 @@ def graph_to_doc(G: MarkedMetricGraph) -> dict:
     }
 
 
+def _text(value, what: str) -> str:
+    # ids, darts, labels and "p/q" lengths are strings; a JSON number would be
+    # read as a binary float, and other types fail deep inside the library
+    if not isinstance(value, str):
+        raise InvalidInputError(f"malformed graph document: {what} "
+                                f"{json.dumps(value)} is not a string")
+    return value
+
+
 def doc_to_graph(doc: dict) -> MarkedMetricGraph:
     try:
         rank = doc["rank"]
@@ -116,20 +140,23 @@ def doc_to_graph(doc: dict) -> MarkedMetricGraph:
         labels = {}
         have_labels = True
         for rec in doc["edges"]:
-            eid = rec["id"]
+            eid = _text(rec["id"], "edge id")
             if not _ID_RE.match(eid):
                 raise InvalidInputError(f"bad edge id {eid!r}")
             if eid in edges:
                 raise InvalidInputError(f"duplicate edge id {eid!r}")
-            edges[eid] = (rec["from"], rec["to"], parse_fraction(rec["length"]))
+            edges[eid] = (_text(rec["from"], "endpoint"),
+                          _text(rec["to"], "endpoint"),
+                          parse_fraction(_text(rec["length"], "length")))
             if "label" in rec:
-                labels[eid] = parse_word(rec["label"], rank)
+                labels[eid] = parse_word(_text(rec["label"], "label"), rank)
             else:
                 have_labels = False
         marking = [
-            tuple(parse_dart(s) for s in petal) for petal in doc["marking"]
+            tuple(parse_dart(_text(s, "dart")) for s in petal)
+            for petal in doc["marking"]
         ]
-        basepoint = doc["basepoint"]
+        basepoint = _text(doc["basepoint"], "basepoint")
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInputError(f"malformed graph document: {exc}")
     return ensure_labels(make_graph(rank, edges, basepoint, marking,

@@ -22,6 +22,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
+from .docs import log_of
 from .errors import (
     InternalInvariantError,
     InvalidInputError,
@@ -54,11 +55,7 @@ from .plmaps import (
     optimize_pl_map,
     pl_length,
 )
-from .stretch import (
-    enumerate_candidates,
-    lambda_r,
-    stretch_report,
-)
+from .stretch import enumerate_candidates, lambda_r
 
 # a fold that has not finished after this many events is reported as an
 # internal invariant violation rather than left to run on
@@ -477,12 +474,9 @@ def multiplicity(point: FoldPoint, loop: EdgePath) -> int:
 class SpeedReport:
     local_speed: Fraction
     local_mu: int
-    local_length: Fraction
     local_witness: EdgePath
     toward_speed: Fraction
     toward_mu: int
-    toward_length: Fraction
-    toward_witness: EdgePath
     ratio: Fraction
 
 
@@ -499,7 +493,7 @@ def speeds(path: FoldingPath, point: FoldPoint) -> SpeedReport:
             continue
         l = loop_length(G, cand.loop)
         if best is None or Fraction(2 * mu) / l > best[0]:
-            best = (Fraction(2 * mu) / l, mu, l, cand.loop)
+            best = (Fraction(2 * mu) / l, mu, cand.loop)
     if best is None:
         raise InternalInvariantError("no candidate passes a folding turn")
 
@@ -513,14 +507,10 @@ def speeds(path: FoldingPath, point: FoldPoint) -> SpeedReport:
         raise InternalInvariantError(
             "the maximal stretch witness avoids every folding turn"
         )
-    l_b = loop_length(G, realized)
-    toward = Fraction(2 * mu_b) / l_b
+    toward = Fraction(2 * mu_b) / loop_length(G, realized)
     return SpeedReport(
-        local_speed=best[0], local_mu=best[1], local_length=best[2],
-        local_witness=best[3],
-        toward_speed=toward, toward_mu=mu_b, toward_length=l_b,
-        toward_witness=realized,
-        ratio=toward / best[0],
+        local_speed=best[0], local_mu=best[1], local_witness=best[2],
+        toward_speed=toward, toward_mu=mu_b, ratio=toward / best[0],
     )
 
 
@@ -544,7 +534,7 @@ def systole_and_thin_test(G: MarkedMetricGraph, eps: Fraction):
     return systole, loop, systole < eps
 
 
-def _pairwise(points, dist):
+def pairwise(points, dist):
     """D(i, j) = dist(points[i], points[j]), computed when first asked and
     at most once per index pair."""
     memo = {}
@@ -558,52 +548,46 @@ def _pairwise(points, dist):
 
 
 def check_four_point(points, dist):
-    """Verify d(p_i, p_l) >= d(p_j, p_k) for all i <= j <= k <= l.
+    """Verify d(p_i, p_l) >= d(p_j, p_k) for all i <= j < k <= l.
 
-    Returns (flag, first violation or None); the distance callback must
-    return comparable values and is called at most once per index pair.
+    A point's distance to itself is the least value of a metric, so the
+    pairs j == k cannot fail and are not compared.  Returns (flag, first
+    violation or None); the distance callback must return comparable values
+    and is called at most once per index pair.
     """
     n = len(points)
     if n < 4:
         raise InvalidInputError("need at least four sample points")
-    D = _pairwise(points, dist)
+    D = pairwise(points, dist)
     for i in range(n):
         for l in range(i + 3, n):
             outer = D(i, l)
             for j in range(i, l + 1):
-                for k in range(j, l + 1):
+                for k in range(j + 1, l + 1):
                     inner = D(j, k)
                     if inner > outer:
                         return False, (i, j, k, l, inner, outer)
     return True, None
 
 
-def check_quasi_geodesic(samples, lam, eps, metric: str = "d"):
+def check_quasi_geodesic(points, dist, lam, eps):
     """Check the two-sided quasi-geodesic inequality on a sampled path.
 
-    ``samples`` is a list of (parameter, graph) with strictly increasing
-    parameters fixing the order; the parameter used in the inequality is the
-    arc length (sum of consecutive distances).  ``metric`` is "d" (symmetric
-    Lambda) or "dR" (right factor on volume-one representatives).  With
+    ``dist`` is a multiplicative distance (a stretching factor >= 1) between
+    points, taken in their order; the parameter in the inequality is the
+    multiplicative arc length (the product of consecutive distances).  With
     eps == 0 and rational lam the check is exact (power comparisons of
-    rational Lambda values).
+    rational values).  Returns (flag, (worst log margin, index pair)).
     """
-    params = [p for (p, _) in samples]
-    if any(b <= a for a, b in zip(params, params[1:])):
-        raise InvalidInputError("parameters must be strictly increasing")
-    graphs = [g for (_, g) in samples]
-    n = len(graphs)
+    n = len(points)
     if n < 2:
         raise InvalidInputError("need at least two samples")
-    if metric not in ("d", "dR"):
-        raise InvalidInputError(f"unknown metric {metric!r}")
     lam = Fraction(lam)
     if lam < 1:
         raise InvalidInputError("quasi-geodesic constant must be >= 1")
     if not (math.isfinite(eps) and eps >= 0):
         raise InvalidInputError(f"EPS {eps} must be finite and non-negative")
-    field = "Lambda" if metric == "d" else "lambda_R"
-    D = _pairwise(graphs, lambda a, b: getattr(stretch_report(a, b), field))
+    D = pairwise(points, dist)
     exact = (eps == 0)
     worst = None
     ok = True
@@ -611,15 +595,16 @@ def check_quasi_geodesic(samples, lam, eps, metric: str = "d"):
         M = Fraction(1)  # multiplicative arc length between i and j
         for j in range(i + 1, n):
             M *= D(j - 1, j)
-            dist = D(i, j)
+            d = D(i, j)
+            log_m, log_d = log_of(M), log_of(d)
             if exact:
                 p, q = lam.numerator, lam.denominator
-                lower_ok = M ** q <= dist ** p
-                upper_ok = dist ** q <= M ** p
+                lower_ok = M ** q <= d ** p
+                upper_ok = d ** q <= M ** p
             else:
-                lower_ok = math.log(M) / float(lam) - eps <= math.log(dist)
-                upper_ok = math.log(dist) <= float(lam) * math.log(M) + eps
-            margin = math.log(float(dist)) - math.log(float(M)) / float(lam)
+                lower_ok = log_m / float(lam) - eps <= log_d
+                upper_ok = log_d <= float(lam) * log_m + eps
+            margin = log_d - log_m / float(lam)
             if worst is None or margin < worst[0]:
                 worst = (margin, (i, j))
             if not (lower_ok and upper_ok):
@@ -637,7 +622,7 @@ def check_dR_geodesic(points):
     n = len(graphs)
     if n < 3:
         raise InvalidInputError("need at least three points")
-    D = _pairwise(graphs, lambda_r)
+    D = pairwise(graphs, lambda_r)
     failures = []
     for i in range(n):
         for j in range(i + 1, n):

@@ -27,6 +27,7 @@ from .folding import (
     check_dR_geodesic,
     check_quasi_geodesic,
     fast_fold,
+    pairwise,
     point_at,
     prepare_folding_setup,
     speeds,
@@ -235,18 +236,16 @@ def repro_polynomial_growth(ks=(2, 3, 5),
                     "yes" if sp.ratio == formula else "NO",
                     "yes" if sp.ratio >= F(1, 2) else "NO",
                 )
-        # quasi-geodesic verdicts: the shrink piece, the fold piece, the whole
-        # path (the prepared source is a subdivided copy of the shrunk rose)
+        # quasi-geodesic verdicts from one Lambda table over the whole path:
+        # the shrink samples, then the fold events after the prepared source
+        # (a subdivided copy of the shrunk rose, the last shrink sample); the
+        # fold piece is the tail from the shrunk rose on
         shrunk = rose([F(1), F(k + 1)])
-        shrink = [
-            (F(s, 4), interpolate_in_simplex(A, shrunk, F(s, 4)))
-            for s in range(5)
-        ]
-        fold_samples = list(zip(path.events, path.snapshots))
-        ok_fold, _ = check_quasi_geodesic(fold_samples, F(2), 0, "d")
-        whole = [(F(s, 4) - 1, g) for s, (_, g) in enumerate(shrink)]
-        whole += fold_samples[1:]
-        ok_whole, _ = check_quasi_geodesic(whole, F(4), 0, "d")
+        whole = [interpolate_in_simplex(A, shrunk, F(s, 4)) for s in range(5)]
+        whole += path.snapshots[1:]
+        D = pairwise(whole, lambda a, b: stretch_report(a, b).Lambda)
+        ok_fold, _ = check_quasi_geodesic(range(4, len(whole)), D, F(2), 0)
+        ok_whole, _ = check_quasi_geodesic(range(len(whole)), D, F(4), 0)
         v = rep.table(f"k={k}: verdicts", ["check", "result"])
         v.add("fold piece is a (2,0) quasi-geodesic",
               "yes" if ok_fold else "NO")

@@ -30,6 +30,7 @@ from outerspace.folding import (
     check_four_point,
     check_quasi_geodesic,
     fast_fold,
+    pairwise,
     point_at,
     prepare_folding_setup,
     speeds,
@@ -119,18 +120,18 @@ def test_criterion_2_polynomial_fold_exact():
                             2 * k + 1 - 2 * i - 2 * delta)
                 assert rep.ratio == formula
                 assert rep.ratio >= F(1, 2)
-        fold_samples = list(zip(path.events, path.snapshots))
-        ok_piece, _ = check_quasi_geodesic(fold_samples, F(2), 0, "d")
-        assert ok_piece
+        # one Lambda table: the shrink samples, then the fold events after
+        # the prepared source, which is the same point as the shrunk rose
         shrunk = rose([F(1), F(k + 1)])
-        whole = [
-            (F(s, 4) - 1, interpolate_in_simplex(A, shrunk, F(s, 4)))
-            for s in range(5)
-        ]
-        shrink_ok, _ = check_quasi_geodesic(whole, F(2), 0, "d")
+        whole = [interpolate_in_simplex(A, shrunk, F(s, 4)) for s in range(5)]
+        assert stretch_report(whole[4], path.snapshots[0]).Lambda == 1
+        whole += path.snapshots[1:]
+        D = pairwise(whole, lambda a, b: stretch_report(a, b).Lambda)
+        ok_piece, _ = check_quasi_geodesic(range(4, len(whole)), D, F(2), 0)
+        assert ok_piece
+        shrink_ok, _ = check_quasi_geodesic(range(5), D, F(2), 0)
         assert shrink_ok
-        whole += fold_samples[1:]
-        ok_whole, _ = check_quasi_geodesic(whole, F(4), 0, "d")
+        ok_whole, _ = check_quasi_geodesic(range(len(whole)), D, F(4), 0)
         assert ok_whole
     elapsed = time.monotonic() - start
     assert elapsed < 5.0

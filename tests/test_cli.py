@@ -1,5 +1,11 @@
+import copy
+import io
 import json
+import math
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
+from functools import reduce
+from operator import getitem
 
 import pytest
 
@@ -10,6 +16,7 @@ from outerspace.docs import (
     doc_to_graph,
     format_word,
     graph_to_doc,
+    log_of,
     parse_word,
     save_graph,
 )
@@ -79,6 +86,44 @@ def test_document_without_labels_derives_them():
     G = doc_to_graph(doc)
     assert G.labels is not None
     assert G == theta_left()
+
+
+# one value of each JSON type: string, int, float, bool, null, list, object
+JSON_VALUES = ["x", 7, 2.5, True, None, ["x"], {"x": "x"}]
+
+
+def json_locations(value, path=()):
+    """The path of every value in a JSON document, the document included."""
+    yield path
+    if isinstance(value, (dict, list)):
+        keys = value if isinstance(value, dict) else range(len(value))
+        for k in keys:
+            yield from json_locations(value[k], path + (k,))
+
+
+def replaced(doc, path, value):
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    reduce(getitem, path[:-1], doc)[path[-1]] = value
+    return doc
+
+
+def test_validate_survives_every_single_swap(tmp_path):
+    # each value of a valid document, replaced by a value of each other JSON
+    # type, is either still valid or an input error (exit 2), never a crash
+    base = graph_to_doc(theta_left())
+    swapped = tmp_path / "swapped.json"
+    for path in json_locations(base):
+        current = reduce(getitem, path, base)
+        for value in JSON_VALUES:
+            if type(value) is type(current):
+                continue
+            swapped.write_text(json.dumps(replaced(base, path, value)))
+            with redirect_stdout(io.StringIO()), \
+                    redirect_stderr(io.StringIO()):
+                code = cli.main(["validate", str(swapped)])
+            assert code in (0, 2), (path, value)
 
 
 # -- commands -------------------------------------------------------------------------------
@@ -267,6 +312,64 @@ def test_checkgeod_quasi(files, capsys):
                        files["Y"], "--qg", "4", "0")
     assert code == 0
     assert "quasi-geodesic" in out
+
+
+@pytest.mark.parametrize("metric", ["dL", "nonsense"])
+def test_checkgeod_rejects_unknown_metric(files, capsys, metric):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["checkgeod", files["X"], files["T"], files["Y"],
+                  "--metric", metric, "--qg", "2", "0"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
+def test_log_of_factors_beyond_the_float_range():
+    assert log_of(F(3, 2)) == math.log(1.5)
+    assert log_of(F(6 * 10 ** 399)) == pytest.approx(
+        math.log(6) + 399 * math.log(10))
+    assert log_of(F(1, 10 ** 400)) == pytest.approx(-400 * math.log(10))
+
+
+@pytest.mark.parametrize("argv", [
+    ["checkgeod", "H", "X", "T", "Y", "--qg", "2", "0"],
+    ["checkgeod", "H", "X", "T", "--qg", "2", "0.1"],
+    ["orbit", "H", "--aut", "a=ab,b=a", "--inv", "a=b,b=Ba", "--hmin", "0",
+     "--hmax", "1"],
+])
+def test_logs_of_huge_factors_are_reported(files, tmp_path, capsys, argv):
+    doc = graph_to_doc(theta_left())
+    doc["edges"][0]["length"] = "1e400"
+    files["H"] = str(tmp_path / "H.json")
+    with open(files["H"], "w", encoding="utf-8") as fh:
+        fh.write(canonical_text(doc))
+    code, _, err = run(capsys, *(files.get(a, a) for a in argv))
+    assert code == 0, err
+
+
+def test_checkgeod_reads_one_stretch_table(files, tmp_path, capsys,
+                                           monkeypatch):
+    # four files have 6 index pairs: one stretch report (two lambda_r calls)
+    # per pair serves the four-point and quasi-geodesic checks, and the
+    # right-factor check reads its own 6 lambda_r values
+    import outerspace.folding as folding
+    import outerspace.stretch as stretch
+
+    calls = []
+    original = stretch.lambda_r
+
+    def counting(A, B):
+        calls.append((A, B))
+        return original(A, B)
+
+    monkeypatch.setattr(stretch, "lambda_r", counting)
+    monkeypatch.setattr(folding, "lambda_r", counting)
+    M = str(tmp_path / "M.json")
+    save_graph(M, rose_t(F(1, 2)))
+    code, out, err = run(capsys, "checkgeod", files["X"], M, files["T"],
+                         files["Y"], "--qg", "2", "0")
+    assert code == 0, err
+    assert "4-point property\tyes" in out
+    assert len(calls) == 18
 
 
 def test_orbit_command(files, capsys):

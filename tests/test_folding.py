@@ -411,8 +411,10 @@ def test_four_point_on_sqrt_metric():
     pts = [F(i, 10) for i in range(11)]
     dist, calls = counting(lambda s, t: math.sqrt(abs(t - s)))
     assert check_four_point(pts, dist) == (True, None)
-    # one call per index pair j <= k
-    assert len(calls) == len(set(calls)) == 11 * 12 // 2
+    # one call per index pair j < k; a point's distance to itself is never
+    # asked for
+    assert len(calls) == len(set(calls)) == 11 * 10 // 2
+    assert all(x != y for x, y in calls)
 
 
 def test_four_point_fails_on_doubling_back():
@@ -441,38 +443,36 @@ def test_four_point_stops_at_the_first_violation():
     dist, calls = counting(lambda x, y: stretch_report(x, y).Lambda)
     ok, violation = check_four_point([X, M, Y, M, X], dist)
     assert (ok, violation) == (False, (0, 0, 2, 3, 4, F(5, 2)))
-    assert calls == [(X, M), (X, X), (X, M), (X, Y)]
+    assert calls == [(X, M), (X, M), (X, Y)]
 
 
-@pytest.mark.parametrize("metric, lam", [("dL", 2), ("nonsense", 2),
-                                         ("d", F(1, 2)), ("dR", F(1, 2))])
-def test_quasi_geodesic_rejects_before_any_distance(metric, lam, monkeypatch):
-    import outerspace.stretch as stretch
+@pytest.mark.parametrize("n, lam, eps", [(3, F(1, 2), 0), (3, 2, math.nan),
+                                         (3, 2, math.inf), (3, 2, -0.1),
+                                         (1, 2, 0)],
+                         ids=["constant-below-one", "eps-nan", "eps-infinite",
+                              "eps-negative", "one-point"])
+def test_quasi_geodesic_rejects_before_any_distance(n, lam, eps):
+    def no_distance(x, y):
+        raise AssertionError("a distance was computed")
 
-    def no_distance(*args):
-        raise AssertionError("a stretching factor was computed")
-
-    # every stretch_report distance goes through stretch.lambda_r
-    monkeypatch.setattr(stretch, "lambda_r", no_distance)
-    samples = [(0, theta_left()), (1, rose_t(F(5, 8))), (2, theta_right())]
     with pytest.raises(InvalidInputError):
-        check_quasi_geodesic(samples, lam, 0, metric)
+        check_quasi_geodesic(range(n), no_distance, lam, eps)
 
 
 def test_quasi_geodesic_fold_piece():
     k = 3
     A, B = poly_twist_pair(k)
     path = fold_pair(A, B, normalize_target=False)
-    samples = [(t, g) for t, g in zip(path.events, path.snapshots)]
-    ok, _ = check_quasi_geodesic(samples, F(2), 0, "d")
+    ok, _ = check_quasi_geodesic(
+        path.snapshots, lambda x, y: stretch_report(x, y).Lambda, F(2), 0)
     assert ok
 
 
 def test_quasi_geodesic_rejects_bad_constant():
     A, B = poly_twist_pair(3)
     path = fold_pair(A, B, normalize_target=False)
-    samples = [(t, g) for t, g in zip(path.events, path.snapshots)]
-    ok, _ = check_quasi_geodesic(samples, F(1), 0, "d")
+    ok, _ = check_quasi_geodesic(
+        path.snapshots, lambda x, y: stretch_report(x, y).Lambda, F(1), 0)
     assert not ok  # the fold piece is not a d-geodesic
 
 

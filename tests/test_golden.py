@@ -84,9 +84,39 @@ CASES.update({
     "checkgeod-qg-eps-negative": ["checkgeod", _X, _T, _Y, "--qg", "2",
                                   "-0.1"],
     "orbit-aut-malformed": ["orbit", _X, "--aut", "ab", "--inv", "a=b"],
-    "validate-rank-not-integer": ["validate", "rank_not_integer.json"],
-    "validate-rank-fractional": ["validate", "rank_fractional.json"],
-    "validate-rank-boolean": ["validate", "rank_boolean.json"],
+})
+# input errors: one malformed field of theta_left, a graph whose marking
+# disagrees with its labels, unreadable files and malformed options
+_MALFORMED = {
+    "rank-not-integer": (("rank",), "two"),
+    "rank-fractional": (("rank",), 2.5),
+    "rank-boolean": (("rank",), True),
+    "endpoint-list": (("edges", 0, "from"), ["u"]),
+    "endpoint-int": (("edges", 0, "from"), 1),
+    "basepoint-list": (("basepoint",), ["u"]),
+    "dart-int": (("marking", 0, 0), 1),
+    "label-int": (("edges", 0, "label"), 1),
+    "length-number": (("edges", 0, "length"), 0.1),
+    "edge-id-bad": (("edges", 0, "id"), "1bad"),
+    "edge-id-duplicate": (("edges", 1, "id"), "A"),
+}
+for _name in _MALFORMED:
+    CASES[f"validate-{_name}"] = ["validate", f"{_name}.json"]
+CASES.update({
+    "validate-missing-file": ["validate", "missing.json"],
+    "validate-not-json": ["validate", "not_json.json"],
+    "candidates-marking-inconsistent": ["candidates", "label_b.json"],
+    "orbit-aut-bad-generator": ["orbit", _X, "--aut", "A=ab,b=a", "--inv",
+                                "a=b,b=Ba"],
+    "orbit-aut-missing-image": ["orbit", _X, "--aut", "a=ab", "--inv",
+                                "a=b,b=Ba"],
+    "orbit-aut-duplicate-image": ["orbit", _X, "--aut", "a=ab,b=a,a=b",
+                                  "--inv", "a=b,b=Ba"],
+    "checkgeod-qg-bad-rational": ["checkgeod", _X, _T, _Y, "--qg", "two",
+                                  "0"],
+    # one edge of length 10^400: its factors overflow a float, their logs do
+    # not
+    "distance-huge-length": ["distance", "huge_length.json", _Y],
 })
 # budgets: a negative one is an input error (exit 2); zero still gives the
 # exact budget partial
@@ -115,14 +145,21 @@ def write_inputs(directory):
                      ("twist3_source.json", source),
                      ("twist3_target.json", target)):
         save_graph(os.path.join(directory, fname), G)
-    # graph documents whose rank is not an integer
-    for fname, rank in (("rank_not_integer.json", "two"),
-                        ("rank_fractional.json", 2.5),
-                        ("rank_boolean.json", True)):
-        doc = dict(graph_to_doc(theta_left()), rank=rank)
+    edits = {f"{name}.json": edit for name, edit in _MALFORMED.items()}
+    edits["label_b.json"] = (("edges", 0, "label"), "b")
+    edits["huge_length.json"] = (("edges", 0, "length"), "1e400")
+    for fname, ((*keys, last), value) in edits.items():
+        doc = graph_to_doc(theta_left())
+        field = doc
+        for key in keys:
+            field = field[key]
+        field[last] = value
         with open(os.path.join(directory, fname), "w",
                   encoding="utf-8") as fh:
             fh.write(canonical_text(doc))
+    with open(os.path.join(directory, "not_json.json"), "w",
+              encoding="utf-8") as fh:
+        fh.write("not json\n")
     for name, (family, seed) in {**HIGH_RANK, **FOLD_RANK3}.items():
         # a target on the same graph with its own lengths, marking twisted by
         # two Nielsen moves
