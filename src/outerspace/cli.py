@@ -43,9 +43,9 @@ from .folding import (
 )
 from .graphs import (
     apply_automorphism_to_marking,
-    canonicalize,
     loop_length,
     translation_length,
+    unsubdivided_lengths,
     validate_marked_graph,
     volume,
     word_of_loop,
@@ -225,9 +225,9 @@ def cmd_foldpath(args) -> Report:
     s.add("end time", format_fraction(path.end_time))
     s.add("witness loop", format_path(path.witness))
     s.add("strategy", path.strategy)
-    final = canonicalize(path.snapshots[-1])
     s.add("final edge lengths",
-          " ".join(format_fraction(final.length(e)) for e in sorted(final.edges)))
+          " ".join(format_fraction(l)
+                   for l in unsubdivided_lengths(path.snapshots[-1])))
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as fh:
             fh.write(rep.render(args.format))

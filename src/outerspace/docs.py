@@ -128,14 +128,22 @@ def _text(value, what: str) -> str:
     return value
 
 
+def _list(value, what: str) -> list:
+    # a string or an object would be iterated character by character or key
+    # by key
+    if not isinstance(value, list):
+        raise InvalidInputError(f"malformed graph document: {what} "
+                                f"{json.dumps(value)} is not a list")
+    return value
+
+
 def doc_to_graph(doc: dict) -> MarkedMetricGraph:
     try:
         rank = doc["rank"]
-        # int() would truncate 2.5 to 2 and read true as 1
-        if isinstance(rank, (bool, float)):
+        # a JSON integer, which Python reads as an int that is not a bool
+        if type(rank) is not int:
             raise InvalidInputError(f"malformed graph document: rank "
                                     f"{json.dumps(rank)} is not an integer")
-        rank = int(rank)
         edges = {}
         labels = {}
         have_labels = True
@@ -152,9 +160,16 @@ def doc_to_graph(doc: dict) -> MarkedMetricGraph:
                 labels[eid] = parse_word(_text(rec["label"], "label"), rank)
             else:
                 have_labels = False
+        vertices = [_text(v, "vertex")
+                    for v in _list(doc["vertices"], "vertices")]
+        endpoints = sorted({v for (o, t, _) in edges.values() for v in (o, t)})
+        if sorted(vertices) != endpoints:
+            raise InvalidInputError(
+                f"malformed graph document: vertices {json.dumps(vertices)} "
+                f"are not the edge endpoints {json.dumps(endpoints)}")
         marking = [
-            tuple(parse_dart(_text(s, "dart")) for s in petal)
-            for petal in doc["marking"]
+            tuple(parse_dart(_text(s, "dart")) for s in _list(petal, "petal"))
+            for petal in _list(doc["marking"], "marking")
         ]
         basepoint = _text(doc["basepoint"], "basepoint")
     except (KeyError, TypeError, ValueError) as exc:

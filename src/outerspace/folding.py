@@ -570,14 +570,39 @@ def check_four_point(points, dist):
     return True, None
 
 
+def _power_le(x, y, log_x, log_y, lam, lam_f) -> bool:
+    """Exactly whether x ** q <= y ** p for lam = p/q, given the `log_of`
+    values of the positive rationals x and y and the float lam_f of lam.
+
+    Let b(z) = 1 + the bit lengths of z's numerator and denominator, so
+    |ln z| < b(z).  `log_of(z)` rounds z (or its numerator and denominator)
+    to floats and takes libm logs, each off by an ulp or so of a value below
+    b(z), so it is within 2^-50 b(z) of ln z; rounding lam, the product and
+    the difference add less than 2^-51 (b(x) + lam b(y)).  The float gap is
+    thus within 2^-49 (b(x) + lam b(y)) of the true one, far inside
+    ``bound``.  Only a gap inside the bound is decided by exact powers,
+    whose size grows with q.
+    """
+    def b(z):
+        return 1 + z.numerator.bit_length() + z.denominator.bit_length()
+
+    gap = log_x - lam_f * log_y  # (q ln x - p ln y) / q
+    bound = (b(x) + lam_f * b(y)) * 2.0 ** -38
+    if gap > bound:
+        return False
+    if gap < -bound:
+        return True
+    return x ** lam.denominator <= y ** lam.numerator
+
+
 def check_quasi_geodesic(points, dist, lam, eps):
     """Check the two-sided quasi-geodesic inequality on a sampled path.
 
     ``dist`` is a multiplicative distance (a stretching factor >= 1) between
     points, taken in their order; the parameter in the inequality is the
     multiplicative arc length (the product of consecutive distances).  With
-    eps == 0 and rational lam the check is exact (power comparisons of
-    rational values).  Returns (flag, (worst log margin, index pair)).
+    eps == 0 and rational lam the check is exact (`_power_le`).  Returns
+    (flag, (worst log margin, index pair)).
     """
     n = len(points)
     if n < 2:
@@ -585,6 +610,11 @@ def check_quasi_geodesic(points, dist, lam, eps):
     lam = Fraction(lam)
     if lam < 1:
         raise InvalidInputError("quasi-geodesic constant must be >= 1")
+    try:
+        lam_f = float(lam)
+    except OverflowError:
+        raise InvalidInputError(
+            "quasi-geodesic constant is beyond the float range") from None
     if not (math.isfinite(eps) and eps >= 0):
         raise InvalidInputError(f"EPS {eps} must be finite and non-negative")
     D = pairwise(points, dist)
@@ -598,13 +628,12 @@ def check_quasi_geodesic(points, dist, lam, eps):
             d = D(i, j)
             log_m, log_d = log_of(M), log_of(d)
             if exact:
-                p, q = lam.numerator, lam.denominator
-                lower_ok = M ** q <= d ** p
-                upper_ok = d ** q <= M ** p
+                lower_ok = _power_le(M, d, log_m, log_d, lam, lam_f)
+                upper_ok = _power_le(d, M, log_d, log_m, lam, lam_f)
             else:
-                lower_ok = log_m / float(lam) - eps <= log_d
-                upper_ok = log_d <= float(lam) * log_m + eps
-            margin = log_d - log_m / float(lam)
+                lower_ok = log_m / lam_f - eps <= log_d
+                upper_ok = log_d <= lam_f * log_m + eps
+            margin = log_d - log_m / lam_f
             if worst is None or margin < worst[0]:
                 worst = (margin, (i, j))
             if not (lower_ok and upper_ok):

@@ -68,9 +68,6 @@ class MarkedMetricGraph:
         contributes ``(e, 1)`` then ``(e, -1)``); one entry of `stars`."""
         return stars(self).get(v, [])
 
-    def valence(self, v: str) -> int:
-        return len(self.star(v))
-
     def label_of_dart(self, d: Dart) -> Word:
         if self.labels is None or d[0] not in self.labels:
             _require_labels(self, (d,))  # raises
@@ -420,7 +417,7 @@ def subdivide(G: MarkedMetricGraph, cuts: Mapping[str, Sequence[Fraction]]
             continue
         bounds = [Fraction(0)] + offs + [l]
         piece_ids = []
-        taken = set(edges) | {x for p in expansion.values() for (x, _) in p}
+        taken = set(edges)  # holds the pieces of every edge cut so far
         for k in range(len(bounds) - 1):
             piece_ids.append(fresh_id(f"{e}.{k + 1}", taken))
             taken.add(piece_ids[-1])
@@ -462,7 +459,7 @@ def subdivide(G: MarkedMetricGraph, cuts: Mapping[str, Sequence[Fraction]]
     return G2, expansion
 
 
-# -- rebasing and canonical form -----------------------------------------------------
+# -- spanning trees and union-find ----------------------------------------------------
 
 def bfs_tree(G: MarkedMetricGraph, root: str) -> dict[str, Optional[Dart]]:
     """Breadth-first spanning tree of the component of ``root``: each reached
@@ -483,110 +480,6 @@ def bfs_tree(G: MarkedMetricGraph, root: str) -> dict[str, Optional[Dart]]:
     return tree
 
 
-def rebase(G: MarkedMetricGraph, new_base: str) -> MarkedMetricGraph:
-    """Move the basepoint, conjugating marking paths and gauge-fixing the
-    labels so consistency (readout == generator) is preserved exactly."""
-    if new_base not in G.vertices:
-        raise InvalidInputError(f"unknown vertex {new_base}")
-    if new_base == G.basepoint:
-        return G
-    tree = bfs_tree(G, new_base)
-    if G.basepoint not in tree:
-        raise InvalidInputError(f"no path from {new_base} to {G.basepoint}")
-    steps = []
-    v = G.basepoint
-    while v != new_base:
-        steps.append(tree[v])
-        v = G.origin(tree[v])
-    conn = tuple(reversed(steps))
-    conn_rev = tuple(rev(d) for d in reversed(conn))
-    marking = tuple(
-        tighten(G, conn + petal + conn_rev, "path") for petal in G.marking
-    )
-    labels = None
-    if G.labels is not None:
-        g = free_reduce(
-            [x for d in conn for x in G.label_of_dart(d).letters], G.rank
-        )
-        gi = g.inverse()
-        labels = {e: gi * w * g for e, w in G.labels.items()}
-    return replace(G, basepoint=new_base, marking=marking, labels=labels)
-
-
-def canonicalize(G: MarkedMetricGraph) -> MarkedMetricGraph:
-    """Suppress valence-two vertices (subdivision artifacts).
-
-    If the basepoint itself is bivalent it is first moved to a retained
-    vertex and the marking re-tightened.  Translation lengths are unchanged.
-    """
-    while True:
-        target = None
-        star = stars(G)
-        for v in sorted(G.vertices):
-            if len(star[v]) != 2:
-                continue
-            d1, d2 = star[v]
-            if d1[0] == d2[0]:
-                continue  # the two ends of a single loop edge; nothing to merge
-            target = (v, d1, d2)
-            break
-        if target is None:
-            return G
-        v, d_out1, d_out2 = target
-        if v == G.basepoint:
-            # move the basepoint across the smaller-id edge
-            G = rebase(G, G.terminus(d_out1))
-            continue
-        # merge: arrive along rev(d_out1), leave along d_out2
-        d_in = rev(d_out1)
-        u = G.origin(d_in)
-        w = G.terminus(d_out2)
-        l_new = G.length(d_in[0]) + G.length(d_out2[0])
-        edges = dict(G.edges)
-        del edges[d_in[0]]
-        del edges[d_out2[0]]
-        new_id = fresh_id(d_in[0], edges)
-        edges[new_id] = (u, w, l_new)
-        labels = None
-        if G.labels is not None:
-            labels = {e: lw for e, lw in G.labels.items()
-                      if e not in (d_in[0], d_out2[0])}
-            labels[new_id] = G.label_of_dart(d_in) * G.label_of_dart(d_out2)
-
-        def transform(path: EdgePath) -> EdgePath:
-            out: list[Dart] = []
-            i = 0
-            while i < len(path):
-                d = path[i]
-                if d == d_in:
-                    if i + 1 >= len(path) or path[i + 1] != d_out2:
-                        raise InternalInvariantError(
-                            "path stops at a suppressed bivalent vertex"
-                        )
-                    out.append((new_id, 1))
-                    i += 2
-                elif d == rev(d_out2):
-                    if i + 1 >= len(path) or path[i + 1] != rev(d_in):
-                        raise InternalInvariantError(
-                            "path stops at a suppressed bivalent vertex"
-                        )
-                    out.append((new_id, -1))
-                    i += 2
-                else:
-                    out.append(d)
-                    i += 1
-            return tuple(out)
-
-        G = MarkedMetricGraph(
-            rank=G.rank,
-            vertices=frozenset(G.vertices - {v}),
-            edges=edges,
-            basepoint=G.basepoint,
-            marking=tuple(transform(p) for p in G.marking),
-            labels=labels,
-        )
-
-
 def uf_find(parent: dict, x):
     """Root of x in a dict-based union-find; unseen elements are singletons."""
     parent.setdefault(x, x)
@@ -601,6 +494,21 @@ def uf_union(parent: dict, a, b) -> None:
     ra, rb = uf_find(parent, a), uf_find(parent, b)
     if ra != rb:
         parent[max(ra, rb)] = min(ra, rb)
+
+
+def unsubdivided_lengths(G: MarkedMetricGraph) -> list[Fraction]:
+    """Edge lengths of the graph that ``G`` subdivides: one total per
+    maximal chain of edges through bivalent vertices, ordered by the least
+    edge id of each chain.  The two ends of one loop edge make no joint."""
+    parent: dict[str, str] = {}
+    for star in stars(G).values():
+        if len(star) == 2 and star[0][0] != star[1][0]:
+            uf_union(parent, star[0][0], star[1][0])
+    totals: dict[str, Fraction] = {}
+    for e in sorted(G.edges):
+        root = uf_find(parent, e)
+        totals[root] = totals.get(root, Fraction(0)) + G.length(e)
+    return [totals[root] for root in sorted(totals)]
 
 
 # -- gauged vertex classes and label derivation ------------------------------------------

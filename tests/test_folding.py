@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import sys
@@ -40,7 +41,6 @@ from outerspace.folding import (
 )
 from outerspace.graphs import (
     apply_automorphism_to_marking,
-    canonicalize,
     derive_inverse_marking,
     interpolate_in_simplex,
     loop_length,
@@ -48,6 +48,7 @@ from outerspace.graphs import (
     realize_word_as_loop,
     scale_graph,
     translation_length,
+    unsubdivided_lengths,
     validate_marked_graph,
     volume,
     word_of_loop,
@@ -127,13 +128,11 @@ def test_poly_fold_events_and_snapshots(k):
     assert path.events == list(range(k + 1))
     # after stage i the canonical shape has loops of lengths 1 and k+1-i
     for i in range(k + 1):
-        g = canonicalize(path.snapshots[i])
-        lengths = sorted(g.length(e) for e in g.edges)
+        lengths = sorted(unsubdivided_lengths(path.snapshots[i]))
         assert lengths == sorted([1, k + 1 - i]) or (
             i == k and lengths == [1, 1]
         )
-    final = canonicalize(path.snapshots[-1])
-    assert sorted(final.length(e) for e in final.edges) == [1, 1]
+    assert sorted(unsubdivided_lengths(path.snapshots[-1])) == [1, 1]
 
 
 @pytest.mark.parametrize("k", [3])
@@ -144,10 +143,45 @@ def test_poly_fold_intermediate_graph(k):
     point = point_at(path, i + delta)
     G = point.graph
     assert validate_marked_graph(G).ok
-    K = canonicalize(G)
-    lengths = sorted(K.length(e) for e in K.edges)
+    lengths = sorted(unsubdivided_lengths(G))
     assert lengths == sorted([1 - delta, k + 1 - i - delta, delta])
     assert validate_pl_map(setup_as_plmap(G, path.target, point.sigma)) == []
+
+
+# SHA-256 of the shape table below as suppressing every bivalent vertex
+# (rebasing a bivalent basepoint first) read it, one merge at a time
+FOLD_SHAPES_SHA256 = \
+    "520c999d478aa790fcc5bd247150ffd0820a67b01ee2f877d464d1b1e09e3ff4"
+
+
+def test_unsubdivided_lengths_pin_fold_shapes():
+    """The golden fold pairs (theta, twist3, K4 seed 31) and poly-twist
+    k = 2, 5, under both strategies: the shape of every event snapshot and
+    of the partial fold halfway to the next event."""
+    rng = random.Random(31)
+    A = random_tree_marked(rng, "K4")
+    B = apply_automorphism_to_marking(
+        random_tree_marked(rng, "K4"),
+        random_nielsen_automorphism(rng, A.rank, 2))
+    pairs = [("theta", theta_left(), theta_right(), True),
+             ("twist3", *poly_twist_pair(3), True),
+             ("k4", A, B, True),
+             ("poly2", *poly_twist_pair(2), False),
+             ("poly5", *poly_twist_pair(5), False)]
+    lines = []
+    for name, A, B, normalize in pairs:
+        setup = prepare_folding_setup(A, B, normalize_target=normalize)
+        for strategy in ("simultaneous", "single-vertex"):
+            path = fast_fold(setup, strategy=strategy)
+            ev = path.events
+            times = sorted(set(ev) | {(a + b) / 2 for a, b in zip(ev, ev[1:])})
+            for t in times:
+                lengths = unsubdivided_lengths(point_at(path, t).graph)
+                lines.append(f"{name} {strategy} {t} "
+                             + " ".join(map(str, lengths)))
+    assert len(lines) == 94
+    text = "\n".join(lines) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == FOLD_SHAPES_SHA256
 
 
 @pytest.mark.parametrize("k", [2, 3, 5])
@@ -446,11 +480,12 @@ def test_four_point_stops_at_the_first_violation():
     assert calls == [(X, M), (X, M), (X, Y)]
 
 
-@pytest.mark.parametrize("n, lam, eps", [(3, F(1, 2), 0), (3, 2, math.nan),
-                                         (3, 2, math.inf), (3, 2, -0.1),
-                                         (1, 2, 0)],
-                         ids=["constant-below-one", "eps-nan", "eps-infinite",
-                              "eps-negative", "one-point"])
+@pytest.mark.parametrize("n, lam, eps", [(3, F(1, 2), 0), (3, 10 ** 400, 0),
+                                         (3, 2, math.nan), (3, 2, math.inf),
+                                         (3, 2, -0.1), (1, 2, 0)],
+                         ids=["constant-below-one", "constant-beyond-float",
+                              "eps-nan", "eps-infinite", "eps-negative",
+                              "one-point"])
 def test_quasi_geodesic_rejects_before_any_distance(n, lam, eps):
     def no_distance(x, y):
         raise AssertionError("a distance was computed")
@@ -474,6 +509,33 @@ def test_quasi_geodesic_rejects_bad_constant():
     ok, _ = check_quasi_geodesic(
         path.snapshots, lambda x, y: stretch_report(x, y).Lambda, F(1), 0)
     assert not ok  # the fold piece is not a d-geodesic
+
+
+def test_quasi_geodesic_exact_verdict_is_the_power_comparison():
+    """Distances that are powers of 2 and 3 make M ** q == d ** p happen,
+    where the float screen cannot decide; every verdict equals the one read
+    from exact powers."""
+    rng = random.Random(17)
+    values = [F(1), F(2), F(4), F(8), F(3, 2), F(9, 4), F(1, 2)]
+    lams = [F(1), F(2), F(3), F(3, 2), F(4, 3), F(1001, 1000)]
+    verdicts = set()
+    for _ in range(300):
+        n = rng.randint(2, 5)
+        D = {(i, j): rng.choice(values)
+             for i in range(n) for j in range(i + 1, n)}
+        lam = rng.choice(lams)
+        p, q = lam.numerator, lam.denominator
+        expected = True
+        for i in range(n):
+            M = F(1)
+            for j in range(i + 1, n):
+                M *= D[(j - 1, j)]
+                d = D[(i, j)]
+                expected &= M ** q <= d ** p and d ** q <= M ** p
+        ok, _ = check_quasi_geodesic(range(n), lambda i, j: D[(i, j)], lam, 0)
+        assert ok == expected
+        verdicts.add(ok)
+    assert verdicts == {True, False}
 
 
 def test_dR_geodesic_on_simplex_segment():

@@ -68,6 +68,9 @@ CASES.update({
     "checkgeod-qg-d-fails": ["checkgeod", _X, _M, _T, _Y, "--qg", "1", "0"],
     "checkgeod-qg-d-float": ["checkgeod", _X, _M, _T, _Y, "--qg", "3/2",
                              "0.1"],
+    # denominator 10^7: decided from logarithms, not from 10^7-th powers
+    "checkgeod-qg-d-large-denominator": ["checkgeod", _X, _M, _T, _Y, "--qg",
+                                         "1.0000001", "0"],
     "checkgeod-qg-dR": ["checkgeod", _X, _M, _T, _Y, "--metric", "dR",
                         "--qg", "2", "0"],
     "checkgeod-qg-dR-fails": ["checkgeod", _X, _T, _Y, _M, "--metric", "dR",
@@ -76,6 +79,8 @@ CASES.update({
                               "--qg", "1", "0.25"],
     "checkgeod-qg-bad-constant": ["checkgeod", _X, _T, _Y, "--qg", "1/2",
                                   "0"],
+    "checkgeod-qg-huge-constant": ["checkgeod", _X, _T, _Y, "--qg", "1e400",
+                                   "0"],
     "checkgeod-qg-eps-malformed": ["checkgeod", _X, _T, _Y, "--qg", "2",
                                    "abc"],
     "checkgeod-qg-eps-nan": ["checkgeod", _X, _T, _Y, "--qg", "2", "nan"],
@@ -99,8 +104,24 @@ _MALFORMED = {
     "length-number": (("edges", 0, "length"), 0.1),
     "edge-id-bad": (("edges", 0, "id"), "1bad"),
     "edge-id-duplicate": (("edges", 1, "id"), "A"),
+    "rank-string": (("rank",), "2"),
+    "vertices-wrong": (("vertices",), ["nothing", 5]),
+    "vertices-other": (("vertices",), ["u", "w"]),
+    "vertices-duplicate": (("vertices",), ["u", "u", "v"]),
 }
-for _name in _MALFORMED:
+# documents of other graphs: (graph, keep its labels?, edits); without
+# labels they are derived from the marking, which must fold onto the graph
+_EDITED = {
+    "petal-string": (rose([1, 2]), True, {("marking",): ["a", "b"]}),
+    "marking-not-a-loop": (theta_left(), False,
+                           {("marking",): [["A"], ["A"]]}),
+    "marking-misses-an-edge": (rose([1, 1, 1]), False,
+                               {("rank",): 2, ("marking",): [["a"], ["b"]]}),
+    "marking-folds-onto-one-edge": (rose([1, 1, 1]), False,
+                                    {("rank",): 2,
+                                     ("marking",): [["a"], ["b", "b"]]}),
+}
+for _name in (*_MALFORMED, *_EDITED):
     CASES[f"validate-{_name}"] = ["validate", f"{_name}.json"]
 CASES.update({
     "validate-missing-file": ["validate", "missing.json"],
@@ -114,6 +135,7 @@ CASES.update({
                                   "--inv", "a=b,b=Ba"],
     "checkgeod-qg-bad-rational": ["checkgeod", _X, _T, _Y, "--qg", "two",
                                   "0"],
+    "tlength-bad-character": ["tlength", _X, "a1"],
     # one edge of length 10^400: its factors overflow a float, their logs do
     # not
     "distance-huge-length": ["distance", "huge_length.json", _Y],
@@ -145,15 +167,23 @@ def write_inputs(directory):
                      ("twist3_source.json", source),
                      ("twist3_target.json", target)):
         save_graph(os.path.join(directory, fname), G)
-    edits = {f"{name}.json": edit for name, edit in _MALFORMED.items()}
-    edits["label_b.json"] = (("edges", 0, "label"), "b")
-    edits["huge_length.json"] = (("edges", 0, "length"), "1e400")
-    for fname, ((*keys, last), value) in edits.items():
-        doc = graph_to_doc(theta_left())
-        field = doc
-        for key in keys:
-            field = field[key]
-        field[last] = value
+    edits = {f"{name}.json": (theta_left(), True, {keys: value})
+             for name, (keys, value) in _MALFORMED.items()}
+    edits.update({f"{name}.json": edit for name, edit in _EDITED.items()})
+    edits["label_b.json"] = (theta_left(), True,
+                             {("edges", 0, "label"): "b"})
+    edits["huge_length.json"] = (theta_left(), True,
+                                 {("edges", 0, "length"): "1e400"})
+    for fname, (G, labelled, changes) in edits.items():
+        doc = graph_to_doc(G)
+        if not labelled:
+            for rec in doc["edges"]:
+                del rec["label"]
+        for (*keys, last), value in changes.items():
+            field = doc
+            for key in keys:
+                field = field[key]
+            field[last] = value
         with open(os.path.join(directory, fname), "w",
                   encoding="utf-8") as fh:
             fh.write(canonical_text(doc))

@@ -21,7 +21,6 @@ from outerspace.fixtures import (
 )
 from outerspace.graphs import (
     apply_automorphism_to_marking,
-    canonicalize,
     counting_inner_product,
     derive_inverse_marking,
     interpolate_in_simplex,
@@ -29,10 +28,10 @@ from outerspace.graphs import (
     make_graph,
     normalize_volume,
     realize_word_as_loop,
-    rebase,
     subdivide,
     tighten,
     translation_length,
+    unsubdivided_lengths,
     validate_marked_graph,
     volume,
     word_of_loop,
@@ -369,7 +368,7 @@ def test_derive_labels_pinned_on_twisted_barbell():
         {"a": "aaB", "b": "bAAbAAbA", "c": "aaBaaB"}
 
 
-# -- subdivision and canonical form ---------------------------------------------------
+# -- subdivision and unsubdivided lengths -------------------------------------------
 
 def test_subdivide_preserves_lengths_and_marking():
     G = theta_left()
@@ -382,44 +381,18 @@ def test_subdivide_preserves_lengths_and_marking():
         assert translation_length(H, w) == translation_length(G, w)
 
 
-def test_canonicalize_subdivided_rose():
-    G = unit_rose(2)
-    H, _ = subdivide(G, {"a": [F(1, 3)], "b": [F(1, 2)]})
-    K = canonicalize(H)
-    assert len(K.edges) == 2
-    assert all(K.valence(v) >= 2 for v in K.vertices)
+def test_unsubdivided_lengths_read_chains():
+    H, _ = subdivide(unit_rose(2), {"a": [F(1, 3)], "b": [F(1, 2)]})
+    assert unsubdivided_lengths(H) == [1, 1]
+    # theta_left with the basepoint m inside B: B1 and B2 make one chain
+    edges = {"A": ("u", "v", F(1, 6)), "B1": ("u", "m", F(1, 12)),
+             "B2": ("m", "v", F(1, 4)), "C": ("u", "v", F(1, 2))}
+    marking = [(("B1", -1), ("A", 1), ("B2", -1)),
+               (("B1", -1), ("C", 1), ("B2", -1))]
+    labels = {"A": generator(1, 2), "B1": identity(2), "B2": identity(2),
+              "C": generator(2, 2)}
+    K = make_graph(2, edges, "m", marking, labels)
     assert validate_marked_graph(K).ok
-    assert canonicalize(K) == K
-
-
-def test_canonicalize_preserves_translation_lengths():
-    rng = random.Random(81)
-    for _ in range(10):
-        G = random_graph(rng)
-        cuts = {e: [G.length(e) / 3] for e in list(G.edges)[:2]}
-        H, _ = subdivide(G, cuts)
-        K = canonicalize(H)
-        assert validate_marked_graph(K).ok
-        for _ in range(10):
-            w = random_word(rng, 2, 8)
-            assert translation_length(K, w) == translation_length(G, w)
-
-
-def test_canonicalize_moves_bivalent_basepoint():
-    # subdivide so that the basepoint keeps valence 2 after a rebase
-    G = theta_left()
-    H = rebase(G, "v")
-    assert validate_marked_graph(H).ok
-    K, _ = subdivide(G, {"B": [F(1, 6)]})
-    L = canonicalize(K)
-    assert validate_marked_graph(L).ok
-    assert len(L.edges) == 3
-
-
-def test_rebase_keeps_lengths():
-    G = theta_left()
-    H = rebase(G, "v")
-    rng = random.Random(91)
-    for _ in range(20):
-        w = random_word(rng, 2, 8)
-        assert translation_length(H, w) == translation_length(G, w)
+    assert unsubdivided_lengths(K) == [F(1, 6), F(1, 3), F(1, 2)]
+    # the two ends of a loop edge at a bivalent vertex are no joint
+    assert unsubdivided_lengths(rose([2])) == [2]
