@@ -6,8 +6,11 @@ edge, at a recorded offset; a source edge is cut only where its image crosses
 a target vertex.  Folding then zips, at unit speed and at every vertex
 simultaneously, the groups of darts with a common image germ; an event
 happens whenever some edge of a zipping group is completely consumed, at
-which point the quotient is rebuilt and the process re-anchored.  All times,
-lengths and stretch factors stay rational.
+which point the quotient is rebuilt and the process re-anchored.  The
+quotient keeps no straight vertex (one that maps inside a target edge with
+its two darts continuing one another), so snapshots after the first are
+graphs, not subdivisions, and events are the path's own breakpoints.  All
+times, lengths and stretch factors stay rational.
 
 The literal point-pair relation defining the quotient would also identify
 distant fibre points in ways that break the homotopy type; the zip semantics
@@ -56,6 +59,7 @@ from .plmaps import (
     pl_length,
 )
 from .stretch import enumerate_candidates, lambda_r
+from .words import identity
 
 # a fold that has not finished after this many events is reported as an
 # internal invariant violation rather than left to run on
@@ -94,7 +98,8 @@ class FoldSetup:
 class FoldingPath:
     target: MarkedMetricGraph
     events: list                       # event times, starting at 0
-    snapshots: list                    # MarkedMetricGraph per event (labelled)
+    snapshots: list                    # MarkedMetricGraph per event (labelled;
+                                       # no straight vertex after the first)
     sigmas: list                       # edge map to the target per event
     witness: EdgePath
     strategy: str
@@ -124,26 +129,78 @@ def setup_as_plmap(source, target, sigma) -> PLMap:
 
 # -- preparation -----------------------------------------------------------------------
 
-def _quotient(vc: GaugedClasses, G: MarkedMetricGraph,
+def _quotient(G: MarkedMetricGraph, edges: dict, labels: dict, base: str,
               image: dict) -> MarkedMetricGraph:
+    """The graph on ``edges`` (id -> (origin, terminus, length)) with these
+    labels and basepoint, whose petals are G's carried by the dart map
+    ``image`` and reduced; a dart missing from the map is dropped."""
+    return MarkedMetricGraph(
+        rank=G.rank,
+        vertices=frozenset({base, *(v for o, t, _ in edges.values()
+                                    for v in (o, t))}),
+        edges=edges,
+        basepoint=base,
+        marking=tuple(reduce_darts(image[d] for d in petal if d in image)
+                      for petal in G.marking),
+        labels=labels,
+    )
+
+
+def _class_quotient(vc: GaugedClasses, G: MarkedMetricGraph,
+                    image: dict) -> MarkedMetricGraph:
     """The quotient of G by the vertex classes of ``vc`` (whose labels it
-    takes) and the dart map ``image``; a dart missing from the map is
-    dropped.  The kept edges are the forward images, with the lengths and
-    ends they have in G."""
+    takes) and the dart map ``image``.  The kept edges are the forward
+    images, with the lengths they have in G."""
     kept = sorted({d[0] for d in image.values()})
     edges = {}
     for e in kept:
         o, t, l = G.edges[e]
         edges[e] = (vc.find(o), vc.find(t), l)
-    return MarkedMetricGraph(
-        rank=G.rank,
-        vertices=frozenset(vc.find(v) for v in G.vertices),
-        edges=edges,
-        basepoint=vc.find(G.basepoint),
-        marking=tuple(reduce_darts(image[d] for d in petal if d in image)
-                      for petal in G.marking),
-        labels={e: vc.labels[e] for e in kept},
-    )
+    return _quotient(G, edges, {e: vc.labels[e] for e in kept},
+                     vc.find(G.basepoint), image)
+
+
+def _suppress_joints(G: MarkedMetricGraph, B: MarkedMetricGraph,
+                     sigma: Sigma):
+    """G and its edge map with every straight vertex suppressed.
+
+    A straight vertex (a joint) is not the basepoint and has two darts, of
+    different edges, whose germs are (bd, x) and (rev bd, L - x) with
+    0 < x: it maps inside the target edge.  Each maximal chain through
+    joints becomes one edge, named by the chain's least id and oriented
+    along the walk from its first end (vertices in sorted order, darts in
+    star order); it reads the product of the chain's labels and has its
+    first dart's germ.  Other edges stay as they are.
+    """
+    star = stars(G)
+    joints = set()
+    for v, ds in star.items():
+        if v == G.basepoint or len(ds) != 2 or ds[0][0] == ds[1][0]:
+            continue
+        (bd, x), (bd2, y) = (germ_of_dart(G, B, sigma, d) for d in ds)
+        if bd2 == rev(bd) and 0 < x and y == dart_len(B, bd) - x:
+            joints.add(v)
+    if not joints:
+        return G, sigma
+    edges, labels, sigma2, image = {}, {}, {}, {}
+    for v, ds in star.items():
+        if v in joints:
+            continue
+        for d in ds:
+            if d in image:
+                continue
+            chain = [d] if G.terminus(d) in joints else [(d[0], 1)]
+            while (w := G.terminus(chain[-1])) in joints:
+                a, b = star[w]
+                chain.append(b if a == rev(chain[-1]) else a)
+            e = min(c[0] for c in chain)
+            image[chain[0]], image[rev(chain[-1])] = (e, 1), (e, -1)
+            edges[e] = (G.origin(chain[0]), G.terminus(chain[-1]),
+                        sum(G.length(c[0]) for c in chain))
+            labels[e] = math.prod(map(G.label_of_dart, chain),
+                                  start=identity(G.rank))
+            sigma2[e] = germ_of_dart(G, B, sigma, chain[0])
+    return _quotient(G, edges, labels, G.basepoint, image), sigma2
 
 
 def _collapse_constant_edges(f: PLMap):
@@ -163,7 +220,7 @@ def _collapse_constant_edges(f: PLMap):
                 "constant image on an essential loop edge"
             )
     drop = {(e, s) for e in dead for s in (1, -1)}
-    A2 = _quotient(vc, A, {d: d for d in A.darts() if d not in drop})
+    A2 = _class_quotient(vc, A, {d: d for d in A.darts() if d not in drop})
     vertex_image = {vc.find(v): f.vertex_image[v] for v in A.vertices}
     edge_image = {e: p for e, p in f.edge_image.items() if e not in dead}
     f2 = PLMap(A2, f.target, vertex_image, edge_image)
@@ -290,7 +347,8 @@ def next_event_delta(G: MarkedMetricGraph, classes: dict) -> Fraction:
 
 def fold_step(G: MarkedMetricGraph, B: MarkedMetricGraph, sigma: Sigma,
               classes: dict, delta: Fraction):
-    """Advance every active zip by ``delta`` and rebuild the quotient.
+    """Advance every active zip by ``delta`` and rebuild the quotient, with
+    its straight vertices suppressed.
 
     Returns the new graph and its edge map.  Identified darts are gauged to
     read one word, so labels are carried.
@@ -338,14 +396,8 @@ def fold_step(G: MarkedMetricGraph, B: MarkedMetricGraph, sigma: Sigma,
         r = uf_find(dparent, (e, 1))
         rep_of[(e, 1)] = r
         rep_of[(e, -1)] = rev(r)
-    G2 = _quotient(vc, G1, rep_of)
+    G2 = _class_quotient(vc, G1, rep_of)
     sigma2 = {e: sigma1[e] for e in G2.edges}
-    betti = len(G2.edges) - len(G2.vertices) + 1
-    if betti != G.rank:
-        raise InternalInvariantError(
-            "fold changed the rank; the setup map was not a homotopy "
-            "equivalence"
-        )
     # length, germ and label consistency of merged darts
     for e in G1.edges:
         r = rep_of[(e, 1)]
@@ -356,12 +408,19 @@ def fold_step(G: MarkedMetricGraph, B: MarkedMetricGraph, sigma: Sigma,
             raise InternalInvariantError("merged darts disagree on their image")
         if vc.read(r) != vc.read((e, 1)):
             raise InternalInvariantError("merged darts read different words")
-    report = validate_marked_graph(G2)
+    G3, sigma3 = _suppress_joints(G2, B, sigma2)
+    betti = len(G3.edges) - len(G3.vertices) + 1
+    if betti != G.rank:
+        raise InternalInvariantError(
+            "fold changed the rank; the setup map was not a homotopy "
+            "equivalence"
+        )
+    report = validate_marked_graph(G3)
     if not report.ok:
         raise InternalInvariantError(
             f"fold produced an invalid marked graph: {report.issues[0]}"
         )
-    return G2, sigma2
+    return G3, sigma3
 
 
 def fast_fold(setup: FoldSetup, strategy: str = "simultaneous") -> FoldingPath:

@@ -146,18 +146,25 @@ def _embedded_circles(inc: tuple) -> list[tuple[int, ...]]:
 
 def _close_circles(turns: list, path: list[int], free: set[int], start: int,
                    circles: list) -> None:
-    """Extend ``path`` through the ``free`` vertices in every way, adding
-    each circle that closes at ``start`` in `_embedded_circles`' form."""
-    for d, w in turns[path[-1]]:
-        if w == start:
-            if path[0] < d ^ 1:
-                circles.append(_least_rotation(tuple(path) + (d,)))
-        elif w in free:
-            free.remove(w)
-            path.append(d)
-            _close_circles(turns, path, free, start, circles)
-            path.pop()
-            free.add(w)
+    """Extend ``path`` through the ``free`` vertices in every way, depth
+    first on an explicit stack, adding each circle that closes at ``start``
+    in `_embedded_circles`' form."""
+    stack = [(iter(turns[path[-1]]), None)]
+    while stack:
+        for d, w in stack[-1][0]:
+            if w == start:
+                if path[0] < d ^ 1:
+                    circles.append(_least_rotation(tuple(path) + (d,)))
+            elif w in free:
+                free.remove(w)
+                path.append(d)
+                stack.append((iter(turns[d]), w))
+                break
+        else:
+            w = stack.pop()[1]
+            if w is not None:
+                path.pop()
+                free.add(w)
 
 
 def _embedded_arcs(inc: tuple, src: set[int],
@@ -168,30 +175,35 @@ def _embedded_arcs(inc: tuple, src: set[int],
     arcs: list[tuple[int, ...]] = []
     for v in sorted(src):
         for d in star[v]:
-            _reach_arcs(head, turns, [d], {v, head[d]}, src, dst, arcs)
+            if head[d] in dst:
+                arcs.append((d,))
+            elif head[d] not in src:
+                _reach_arcs(turns, [d], {v, head[d]}, src, dst, arcs)
     return arcs
 
 
-def _reach_arcs(head: list[int], turns: list, path: list[int],
-                visited: set[int], src: set[int], dst: set[int],
-                arcs: list) -> None:
-    """Extend ``path`` through unvisited vertices in every way, adding each
-    arc that reaches ``dst`` before ``src``."""
-    last = path[-1]
-    at = head[last]
-    if at in dst:
-        arcs.append(tuple(path))
-        return
-    if at in src:
-        return
-    for d, w in turns[last]:
-        if w in visited:
-            continue
-        visited.add(w)
-        path.append(d)
-        _reach_arcs(head, turns, path, visited, src, dst, arcs)
-        path.pop()
-        visited.discard(w)
+def _reach_arcs(turns: list, path: list[int], visited: set[int],
+                src: set[int], dst: set[int], arcs: list) -> None:
+    """Extend ``path`` through unvisited vertices in every way, depth first
+    on an explicit stack, adding each arc that reaches ``dst`` before
+    ``src``."""
+    stack = [(iter(turns[path[-1]]), None)]
+    while stack:
+        for d, w in stack[-1][0]:
+            if w in visited:
+                continue
+            if w in dst:
+                arcs.append(tuple(path) + (d,))
+            elif w not in src:
+                visited.add(w)
+                path.append(d)
+                stack.append((iter(turns[d]), w))
+                break
+        else:
+            w = stack.pop()[1]
+            if w is not None:
+                path.pop()
+                visited.discard(w)
 
 
 def _reverse(path: tuple[int, ...]) -> tuple[int, ...]:

@@ -27,8 +27,9 @@ from outerspace.fixtures import (
     rose_t,
     theta_left,
     theta_right,
+    unit_rose,
 )
-from outerspace.graphs import apply_automorphism_to_marking
+from outerspace.graphs import apply_automorphism_to_marking, subdivide
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
@@ -139,6 +140,8 @@ CASES.update({
     # one edge of length 10^400: its factors overflow a float, their logs do
     # not
     "distance-huge-length": ["distance", "huge_length.json", _Y],
+    # petal a cut into 1,200 pieces: deeper than the default recursion limit
+    "distance-cut-petal": ["distance", "cut_petal.json", "unit_rose.json"],
 })
 # budgets: a negative one is an input error (exit 2); zero still gives the
 # exact budget partial
@@ -158,6 +161,8 @@ CASES["bcc-circle"] = ["bcc", "circle_one.json", "circle_two.json"]
 
 def write_inputs(directory):
     source, target = poly_twist_pair(3)
+    cut_petal, _ = subdivide(unit_rose(2), {
+        "a": [Fraction(k, 1200) for k in range(1, 1200)]})
     for fname, G in (("theta_left.json", theta_left()),
                      ("theta_right.json", theta_right()),
                      ("rose_half.json", rose_t(Fraction(1, 2))),
@@ -165,7 +170,9 @@ def write_inputs(directory):
                      ("circle_one.json", rose([1])),
                      ("circle_two.json", rose([2])),
                      ("twist3_source.json", source),
-                     ("twist3_target.json", target)):
+                     ("twist3_target.json", target),
+                     ("unit_rose.json", unit_rose(2)),
+                     ("cut_petal.json", cut_petal)):
         save_graph(os.path.join(directory, fname), G)
     edits = {f"{name}.json": (theta_left(), True, {keys: value})
              for name, (keys, value) in _MALFORMED.items()}

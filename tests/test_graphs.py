@@ -36,7 +36,7 @@ from outerspace.graphs import (
     volume,
     word_of_loop,
 )
-from outerspace.words import Word, free_reduce, generator, identity
+from outerspace.words import generator, identity
 
 
 # -- fixtures validate ---------------------------------------------------------

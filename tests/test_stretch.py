@@ -34,6 +34,7 @@ from outerspace.graphs import (
     normalize_volume,
     rev,
     scale_graph,
+    subdivide,
     translation_length,
     validate_marked_graph,
     word_of_loop,
@@ -46,7 +47,7 @@ from outerspace.stretch import (
     lambda_r,
     stretch_report,
 )
-from outerspace.words import Word, free_reduce, generator
+from outerspace.words import Word, generator
 
 
 def loops_by_shape(cands):
@@ -368,6 +369,14 @@ def test_lambda_r_X_to_Y_is_two_with_witness_AC():
 
 def test_lambda_r_identity():
     assert lambda_r(X, X).value == 1
+
+
+def test_candidate_searches_run_on_explicit_stacks():
+    """A petal cut into 1,200 pieces: the circle and arc searches go deeper
+    than the interpreter's default recursion limit of 1,000."""
+    R = unit_rose(2)
+    H, _ = subdivide(R, {"a": [F(k, 1200) for k in range(1, 1200)]})
+    assert lambda_r(H, R).value == 1 == lambda_r(R, H).value
 
 
 def test_lambda_r_T_to_Y_at_crossing():
