@@ -170,24 +170,15 @@ def _close_circles(turns: list, path: list[int], free: set[int], start: int,
 def _embedded_arcs(inc: tuple, src: set[int],
                    dst: set[int]) -> list[tuple[int, ...]]:
     """Embedded arcs from a vertex of src to a vertex of dst whose interior
-    avoids both endpoint sets."""
+    avoids both endpoint sets: each first dart out of src, in order, then
+    every way on through unvisited vertices, depth first on an explicit
+    stack."""
     head, _, star, turns = inc
     arcs: list[tuple[int, ...]] = []
-    for v in sorted(src):
-        for d in star[v]:
-            if head[d] in dst:
-                arcs.append((d,))
-            elif head[d] not in src:
-                _reach_arcs(turns, [d], {v, head[d]}, src, dst, arcs)
-    return arcs
-
-
-def _reach_arcs(turns: list, path: list[int], visited: set[int],
-                src: set[int], dst: set[int], arcs: list) -> None:
-    """Extend ``path`` through unvisited vertices in every way, depth first
-    on an explicit stack, adding each arc that reaches ``dst`` before
-    ``src``."""
-    stack = [(iter(turns[path[-1]]), None)]
+    path: list[int] = []
+    visited: set[int] = set()
+    stack = [(iter([(d, head[d]) for v in sorted(src) for d in star[v]]),
+              None)]
     while stack:
         for d, w in stack[-1][0]:
             if w in visited:
@@ -204,6 +195,7 @@ def _reach_arcs(turns: list, path: list[int], visited: set[int],
             if w is not None:
                 path.pop()
                 visited.discard(w)
+    return arcs
 
 
 def _reverse(path: tuple[int, ...]) -> tuple[int, ...]:
