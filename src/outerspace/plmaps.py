@@ -514,15 +514,15 @@ def _next_v(f: PLMap, v: str, ana: StretchAnalysis, ends: Ends
         local = max([*vals.values(), *local_top])
         return (S_t, len(am_t), local), am_t
 
-    # crossings of two moving lines, and of a moving line with a constant
-    # one; two constant lines never cross
+    # crossings of two moving lines, and t_feas.  No crossing with a
+    # constant line is needed: once the highest falling line drops below
+    # a constant one, the maximum stays flat until the highest rising line
+    # reaches it, and those two moving lines cross in between.
     crossings = {t_feas}
-    values = set(const.values())
-    items = sorted(moving.items())
-    for i, (_, (s1, r1)) in enumerate(items):
-        meets = [(c - s1) / r1 for c in values]
-        meets += [(s2 - s1) / (r1 - r2) for (_, (s2, r2)) in items[i + 1:]
-                  if r1 != r2]
+    items = sorted(moving.values())
+    for i, (s1, r1) in enumerate(items):
+        meets = [(s2 - s1) / (r1 - r2) for (s2, r2) in items[i + 1:]
+                 if r1 != r2]
         crossings.update(t for t in meets if 0 < t <= t_feas)
 
     key0, _ = key_at(Fraction(0))
@@ -555,57 +555,23 @@ def _next_v(f: PLMap, v: str, ana: StretchAnalysis, ends: Ends
     return out, out_ana
 
 
-def _extrapolate_fixed_point(f: PLMap, history: dict, ends: Ends
-                             ) -> Optional[PLMap]:
-    """Guess the limit of geometrically converging vertex slides.
-
-    Successive positions of a vertex along one target edge often follow an
-    exact affine recurrence; its rational fixed point is then the limit map,
-    also exactly.  The guess is only adopted by the caller after an exact
-    stretch check, so this is a pure accelerator.  ``ends`` is the source's
-    `_incident_ends`.
-    """
-    B = f.target
-    g = f
-    applied = False
-    for v, run in history.items():
-        if len(run) < 3:
-            continue
-        (_, E, x0), (_, _, x1), (_, _, x2) = run[-3:]
-        d1, d2 = x1 - x0, x2 - x1
-        if d1 == 0 or d2 == 0:
-            continue
-        r = d2 / d1
-        if not (0 < abs(r) < 1):
-            continue
-        x_star = x2 + d2 * r / (1 - r)
-        l = B.length(E)
-        if not (0 <= x_star <= l) or x_star == x2:
-            continue
-        if x_star < x2:
-            alpha, q, t = (E, 1), x2, x2 - x_star
-        else:
-            alpha, q, t = (E, -1), l - x2, x_star - x2
-        try:
-            g = _move_vertex(g, v, alpha, q, t, ends)
-            applied = True
-        except (InvalidInputError, InternalInvariantError):
-            continue
-    return g if applied else None
-
-
-def _cell_minimum(f: PLMap, target: Fraction) -> Optional[PLMap]:
-    """The best map of f's cell, if it attains ``target``; else None.
+def _cell_minimum(f: PLMap, target: Fraction
+                  ) -> Optional[tuple[PLMap, StretchAnalysis]]:
+    """The best map of f's cell with its analysis; None if no vertex image
+    can slide.
 
     The cell keeps every image path's interior segments and the target edge
     of every vertex image.  Each vertex image inside a target edge slides
     along it, the endpoints of a constant-image edge together, while images
     at target vertices stay fixed; only the two end coordinates of each
     image path vary.  Image lengths are then affine in the offsets, so one
-    exact LP gives the cell's least Lipschitz constant S: minimize S subject
-    to ``a <= b`` on every end segment and ``len_e(x) <= S l_e``.  A map
-    built from the optimum is returned only if it is valid and its stretch
-    is exactly ``target``.
+    exact LP gives the cell's least Lipschitz constant S*: minimize S
+    subject to ``a <= b`` on every end segment and ``len_e(x) <= S l_e``.
+    A second LP on the same rows plus ``S <= S*`` picks, among the optima,
+    one of least total image length: a fold from the map starts at that
+    volume, so the tightest optimum bounds the fold's length.  The map
+    built from it must be valid with stretch exactly S*, and S* may not
+    beat ``target``.
     """
     A, B = f.source, f.target
     parent: dict = {}
@@ -634,6 +600,7 @@ def _cell_minimum(f: PLMap, target: Fraction) -> Optional[PLMap]:
 
     rows = [({i: 1}, B.length(E)) for i, E in enumerate(edge_of)]
     fixed = [Fraction(0)]
+    total = [Fraction(0)] * (k + 1)  # total image length's coefficients
     for e in sorted(A.edges):
         p = f.edge_image[e]
         o, t, l = A.edges[e]
@@ -655,6 +622,8 @@ def _cell_minimum(f: PLMap, target: Fraction) -> Optional[PLMap]:
             const += c0 - b
             coef[var[t]] = coef.get(var[t], 0) + c1
             ends[1] = (c0, c1, var[t])
+        for i, c in coef.items():
+            total[i] += c
         coef[k] = -l
         rows.append((coef, -const))
         if len(p.segs) == 1 and None not in ends:
@@ -666,10 +635,12 @@ def _cell_minimum(f: PLMap, target: Fraction) -> Optional[PLMap]:
     lp = maximize([0] * k + [-1], rows)
     if lp.status != "optimal":
         raise InternalInvariantError(f"cell LP is {lp.status}")
-    if -lp.value < target:
+    S = -lp.value
+    if S < target:
         raise InternalInvariantError("cell LP beats the candidate bound")
-    if -lp.value > target:
-        return None
+    lp = maximize([-c for c in total], rows + [({k: 1}, S)])
+    if lp.status != "optimal":
+        raise InternalInvariantError(f"least-length cell LP is {lp.status}")
 
     point = {v: dart_point(B, (edge_of[i], 1), lp.x[i])
              for v, i in var.items()}
@@ -691,9 +662,10 @@ def _cell_minimum(f: PLMap, target: Fraction) -> Optional[PLMap]:
     except InvalidInputError as exc:
         raise InternalInvariantError(f"cell LP optimum is not a map: {exc}")
     g = PLMap(A, B, vertex_image, edge_image)
-    if validate_pl_map(g) or stretch_analysis(g).stretch != target:
+    ana = stretch_analysis(g)
+    if validate_pl_map(g) or ana.stretch != S:
         raise InternalInvariantError("cell LP optimum is not certified")
-    return g
+    return g, ana
 
 
 def optimize_pl_map(A: MarkedMetricGraph, B: MarkedMetricGraph,
@@ -702,10 +674,10 @@ def optimize_pl_map(A: MarkedMetricGraph, B: MarkedMetricGraph,
 
     The candidate value of the stretching factor is an exact termination
     certificate.  Each move slides the offending vertex moved least
-    recently (smallest id first among ties); every sixth move tries a
-    fixed-point extrapolation of the slides and then solves the current
-    cell exactly.  Each map is analysed once; the analysis travels with it
-    through the loop.
+    recently (smallest id first among ties); every sixth move solves the
+    current cell exactly and adopts its optimum if that lowers the
+    stretch, which returns it when it attains the target.  Each map is
+    analysed once; the analysis travels with it through the loop.
     """
     if max_moves < 0:
         raise InvalidInputError(f"move budget {max_moves} is negative")
@@ -713,7 +685,6 @@ def optimize_pl_map(A: MarkedMetricGraph, B: MarkedMetricGraph,
     f = initial_pl_map(A, B)
     ana = stretch_analysis(f)
     ends = _incident_ends(A)
-    history: dict = {}
     last_moved: dict = {}
     moves = 0
     while True:
@@ -742,27 +713,13 @@ def optimize_pl_map(A: MarkedMetricGraph, B: MarkedMetricGraph,
         f, ana = _next_v(f, v, ana, ends)
         moves += 1
         last_moved[v] = moves
-        pos = f.vertex_image[v]
-        run = history.get(v, [])
-        if pos[0] == "e" and run and run[-1][1] == pos[1]:
-            run = run[-5:] + [pos]
-        elif pos[0] == "e":
-            run = [pos]
-        else:
-            run = []
-        history[v] = run
         if moves % 6 == 0:
-            g = _extrapolate_fixed_point(f, history, ends)
-            if g is not None:
-                ana_g = stretch_analysis(g)
-                if ana_g.stretch == target:
-                    return g
-                if ana_g.stretch < ana.stretch:
-                    f, ana = g, ana_g
-                    history = {}
-            g = _cell_minimum(f, target)
-            if g is not None:
-                return g
+            # at the target the LP map wins even when f is there too: it is
+            # the cell's optimum of least total image length
+            cell = _cell_minimum(f, target)
+            if cell is not None and (cell[1].stretch < ana.stretch
+                                     or cell[1].stretch == target):
+                f, ana = cell
 
 
 # -- bounded cancellation ---------------------------------------------------------------

@@ -55,7 +55,12 @@ from outerspace.graphs import (
     volume,
     word_of_loop,
 )
-from outerspace.plmaps import pl_length, validate_pl_map
+from outerspace.plmaps import (
+    optimize_pl_map,
+    pl_length,
+    stretch_analysis,
+    validate_pl_map,
+)
 from outerspace.stretch import lambda_r, stretch_report
 
 
@@ -395,22 +400,46 @@ def straight_vertices(path, k):
     return out
 
 
+def sweep_pair(family, seed):
+    """The robustness sweep's pair: a tree-marked `family` graph, and
+    another whose marking is twisted by a Nielsen automorphism of 1 to 4
+    moves, all drawn from ``Random(10_000 + seed)``."""
+    rng = random.Random(10_000 + seed)
+    A = random_tree_marked(rng, family)
+    moves = rng.randint(1, 4)
+    B = apply_automorphism_to_marking(
+        random_tree_marked(rng, family),
+        random_nielsen_automorphism(rng, A.rank, moves))
+    return A, B
+
+
 @pytest.mark.parametrize("seed", [11, 64, 74, 95])
 def test_k33_sweep_pairs_fold_without_straight_vertices(seed):
     """K3,3 pairs of the robustness sweep whose subdivided folds ran past
     the event budget (seeds 11, 64 and 74) or the recursion limit (95):
     each folds, and no snapshot after the prepared source keeps a straight
     vertex."""
-    rng = random.Random(10_000 + seed)
-    A = random_tree_marked(rng, "K33")
-    moves = rng.randint(1, 4)
-    B = apply_automorphism_to_marking(
-        random_tree_marked(rng, "K33"),
-        random_nielsen_automorphism(rng, A.rank, moves))
-    path = fast_fold(prepare_folding_setup(A, B))
+    path = fast_fold(prepare_folding_setup(*sweep_pair("K33", seed)))
     assert path.end_time > 0
     for k in range(1, len(path.snapshots)):
         assert straight_vertices(path, k) == []
+
+
+def test_sweep_pairs_where_coordinate_descent_stalled_certify():
+    """Sweep pairs on which the optimizer's moves crept toward a point above
+    the optimum (K3,3 seed 97 exhausted the move budget; K3,3 seed 60 and
+    the prism seeds ran for seconds): each certifies at the default
+    budget, and K3,3 seed 97 folds along a d_R geodesic."""
+    start = time.perf_counter()
+    for family, seed in [("K33", 60), ("K33", 97), ("prism5", 8),
+                         ("prism5", 12), ("prism5", 15)]:
+        A, B = (normalize_volume(G)[0] for G in sweep_pair(family, seed))
+        f = optimize_pl_map(A, B)
+        assert validate_pl_map(f) == []
+        assert stretch_analysis(f).stretch == lambda_r(A, B).value
+    path = fast_fold(prepare_folding_setup(*sweep_pair("K33", 97)))
+    assert check_dR_geodesic(path.snapshots)[0]
+    assert time.perf_counter() - start < 3
 
 
 @pytest.mark.parametrize("pair", ["theta", "twist3", "barbell"])
