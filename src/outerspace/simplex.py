@@ -1,23 +1,26 @@
-"""Exact linear programming: the simplex method on Fractions.
+"""Exact linear programming: a fraction-free simplex method.
 
 Solves ``maximize c.x subject to A x <= b, x >= 0`` in dictionary form
-(Chvatal, "Linear Programming", 1983, ch. 2-3): every basic variable is
-kept as an affine expression in the nonbasic ones, so a slack is a row
-name, not a column.  Bland's rule (Bland, "New finite pivoting rules for
-the simplex method", Math. Oper. Res. 1977) picks the entering and the
-leaving variable with the smallest index, which rules out cycling on
-degenerate problems.  An infeasible starting dictionary is repaired by the
-auxiliary problem of the two-phase method.  Every quantity stays exact.
+(Chvatal, "Linear Programming", 1983), a slack being a row name.  Each row
+and the objective are scaled by an integer that clears their denominators
+(which scales the row's slack: no sign, ratio or index read below moves),
+so every entry is an integer over one denominator D = |det basis|; a pivot
+on p divides each update by D exactly and sets D = |p| (Edmonds, J. Res.
+NBS 71B, 1967; Bareiss, Math. Comp. 22, 1968).  Bland's smallest-index
+rule (Math. Oper. Res. 1977) rules out cycling; an infeasible start is
+repaired by the two-phase method's auxiliary problem.  Only the result,
+which is exact, holds Fractions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
 
-# a row x_basic = const + sum(coef[j] * x_j) over nonbasic j
-Row = tuple[Fraction, dict]
+# a row D * x_basic = const + sum(coef[j] * x_j) over nonbasic j, in integers
+Row = tuple[int, dict]
 
 
 @dataclass(frozen=True)
@@ -27,98 +30,95 @@ class LPResult:
     x: Optional[tuple] = None          # an optimal basic solution
 
 
-def _plus(row: Row, m: Fraction, other: Row) -> Row:
-    """``row + m * other``, dropping zero coefficients."""
-    coef = dict(row[1])
-    for j, c in other[1].items():
-        s = coef.get(j, 0) + m * c
-        if s:
-            coef[j] = s
-        else:
-            coef.pop(j, None)
-    return (row[0] + m * other[0], coef)
+def _combine(q: int, row: Row, m: int, other: Row, D: int) -> Row:
+    """``(q * row + m * other) / D``, exact, dropping zero coefficients."""
+    coef = {j: q * a for j, a in row[1].items()}
+    for j, a in other[1].items() if m else ():
+        coef[j] = coef.get(j, 0) + m * a
+    return ((q * row[0] + m * other[0]) // D,
+            {j: a // D for j, a in coef.items() if a})
 
 
-def _pivot(rows: dict, obj: Row, leave: int, enter: int) -> Row:
+def _pivot(rows: dict, obj: Row, D: int, leave: int, enter: int) -> tuple:
     """Exchange basic ``leave`` and nonbasic ``enter`` in place; returns the
-    rewritten objective row."""
+    rewritten objective row and the new denominator."""
     const, coef = rows.pop(leave)
-    inv = -1 / coef[enter]
-    # the leaving row solved for the entering variable
-    new = (const * inv, {j: c * inv for j, c in coef.items() if j != enter})
-    new[1][leave] = -inv
-
-    def substitute(row: Row) -> Row:
-        m = row[1].get(enter)
-        if m is None:
-            return row
-        rest = {j: c for j, c in row[1].items() if j != enter}
-        return _plus((row[0], rest), m, new)
-
-    for i in rows:
-        rows[i] = substitute(rows[i])
+    p = coef.pop(enter)
+    coef[leave] = -D
+    # the leaving row solved for the entering variable, over |p|
+    t = -1 if p > 0 else 1
+    new = (t * const, {j: t * a for j, a in coef.items()})
+    q = abs(p)
+    for i, row in rows.items():
+        rows[i] = _combine(q, row, row[1].pop(enter, 0), new, D)
     rows[enter] = new
-    return substitute(obj)
+    return _combine(q, obj, obj[1].pop(enter, 0), new, D), q
 
 
-def _optimize(rows: dict, obj: Row) -> Optional[Row]:
+def _optimize(rows: dict, obj: Row, D: int) -> tuple[Optional[Row], int]:
     """Bland's-rule pivots to an optimal dictionary; returns its objective
-    row, or None when the objective is unbounded."""
+    row, or None when the objective is unbounded, and the denominator."""
     while True:
-        enter = min((j for j, c in obj[1].items() if c > 0), default=None)
+        enter = min((j for j, a in obj[1].items() if a > 0), default=None)
         if enter is None:
-            return obj
-        best = None
+            return obj, D
+        best = None  # (const, a, i) of least ratio const / a, then least i
         for i, (const, coef) in rows.items():
-            a = coef.get(enter, 0)
-            if a < 0:
-                key = (const / -a, i)
-                if best is None or key < best:
-                    best = key
+            a = -coef.get(enter, 0)
+            if a > 0 and (best is None or const * best[1] < best[0] * a or (
+                    const * best[1] == best[0] * a and i < best[2])):
+                best = (const, a, i)
         if best is None:
-            return None
-        obj = _pivot(rows, obj, best[1], enter)
+            return None, D
+        obj, D = _pivot(rows, obj, D, best[2], enter)
 
 
 def maximize(c: Sequence, constraints: Sequence) -> LPResult:
     """Maximize ``sum(c[j] * x_j)`` over ``x >= 0`` subject to each
     ``(coef, rhs)`` in ``constraints``, meaning
     ``sum(coef[j] * x_j) <= rhs`` with ``coef`` a dict from variable index
-    to coefficient.  Variables are numbered 0..len(c)-1."""
+    to coefficient.  Variables are numbered 0..len(c)-1; every number is an
+    int or a Fraction."""
     n = len(c)
     rows: dict[int, Row] = {}
+    scale = []  # the integer each row is multiplied by
     for i, (coef, rhs) in enumerate(constraints):
-        rows[n + i] = (Fraction(rhs),
-                       {j: -Fraction(a) for j, a in coef.items() if a})
-    obj: Row = (Fraction(0), {j: Fraction(a) for j, a in enumerate(c) if a})
-
-    worst = min(rows, key=lambda i: (rows[i][0], i), default=None)
-    if worst is not None and rows[worst][0] < 0:
-        # phase one: maximize -x0 with x0 added to every row; pivoting x0
-        # into the most violated row makes the dictionary feasible
+        s = lcm(rhs.denominator, *(a.denominator for a in coef.values()))
+        rows[n + i] = (rhs.numerator * s // rhs.denominator,
+                       {j: -a.numerator * s // a.denominator
+                        for j, a in coef.items() if a})
+        scale.append(s)
+    obj_scale = lcm(*(a.denominator for a in c))
+    obj: Row = (0, {j: a.numerator * obj_scale // a.denominator
+                    for j, a in enumerate(c) if a})
+    D = 1
+    worst = min(range(len(rows)), key=lambda i: constraints[i][1], default=0)
+    if rows and constraints[worst][1] < 0:
+        # phase one: maximize -x0 with x0 added to every row, times its scale;
+        # pivoting x0 into the most violated row makes the dictionary feasible
         x0 = n + len(rows)
-        for _, coef in rows.values():
-            coef[x0] = Fraction(1)
-        aux = _optimize(rows, _pivot(rows, (Fraction(0), {x0: Fraction(-1)}),
-                                     worst, x0))
+        for i, (_, coef) in rows.items():
+            coef[x0] = scale[i - n]
+        aux, D = _optimize(rows, *_pivot(rows, (0, {x0: -1}), D, n + worst,
+                                         x0))
         if aux[0] < 0:
             return LPResult("infeasible")
-        if x0 in rows:  # degenerate: x0 is basic at value 0
-            if rows[x0][1]:
-                _pivot(rows, aux, x0, min(rows[x0][1]))
-            else:
-                del rows[x0]
+        if x0 in rows:
+            # x0 is basic at 0; its row has a nonzero coefficient, for if
+            # its row y of the inverse basis were 0 on every column but x0's,
+            # the slack columns (the identity) would give y = 0, not y.x0 = 1
+            _, D = _pivot(rows, aux, D, x0, min(rows[x0][1]))
         for _, coef in rows.values():
             coef.pop(x0, None)
         # the original objective in terms of the current nonbasic variables
-        const, coef = obj
-        obj = (const, {j: a for j, a in coef.items() if j not in rows})
+        coef = obj[1]
+        obj = (0, {j: D * a for j, a in coef.items() if j not in rows})
         for j, a in coef.items():
             if j in rows:
-                obj = _plus(obj, a, rows[j])
+                obj = _combine(1, obj, a, rows[j], 1)
 
-    final = _optimize(rows, obj)
+    final, D = _optimize(rows, obj, D)
     if final is None:
         return LPResult("unbounded")
-    x = tuple(rows[j][0] if j in rows else Fraction(0) for j in range(n))
-    return LPResult("optimal", final[0], x)
+    x = tuple(Fraction(rows[j][0] if j in rows else 0, D) for j in range(n))
+    return LPResult("optimal", Fraction(final[0], D * obj_scale), x)

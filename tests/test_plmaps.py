@@ -369,6 +369,63 @@ def test_optimizer_output_pinned():
     assert got == OPTIMIZER_PINS
 
 
+
+# every cell LP that optimize_pl_map solves on three pinned inputs, as
+# (value, x) of an optimal LPResult: the stretch solve, then the least-length
+# solve, at each checkpoint.  A solver that keeps every value may still
+# return another optimal vertex, and the least-length one becomes the map
+CELL_LP_PINS = {
+    "K4-0": [
+        ("-71/30", "59/90 71/90 71/30"),
+        ("-13/9", "59/90 71/90 71/30"),
+        ("-2", "17/60 59/60 19/20 101/60 2"),
+        ("-10/3", "0 19/15 2/3 7/5 2"),
+    ],
+    "K33-1": [
+        ("-257/150", "71/150 257/150"),
+        ("221/300", "221/300 257/150"),
+        ("-49/30", "1 1/30 23/60 11/30 49/30"),
+        ("13/60", "1 1/30 23/60 11/30 49/30"),
+        ("-464/285", "1/2 4/57 11/190 223/570 203/570 464/285"),
+        ("-151/114", "128/285 11/570 2/285 42/95 116/285 464/285"),
+    ],
+    "K33-3": [
+        ("-1227/230", "128/115 1227/230"),
+        ("-128/115", "128/115 1227/230"),
+        ("-45/13", "4/5 60/13 1403/260 45/13"),
+        ("-411/260", "4/5 60/13 1403/260 45/13"),
+        ("-1315/404", "69439/12120 353/4040 53659/12120 1315/404"),
+        ("122039/12120", "69439/12120 353/4040 53659/12120 1315/404"),
+    ],
+}
+
+
+def test_cell_lp_results_pinned(monkeypatch):
+    """The simplex keeps its pivot path: each cell LP returns the same
+    optimal vertex, not only the same value, and every one of them starts
+    infeasible, so phase one runs."""
+    import outerspace.plmaps as plmaps
+    from outerspace.simplex import LPResult
+
+    solve = plmaps.maximize
+    solved = []
+
+    def recording(c, rows):
+        assert min(rhs for _, rhs in rows) < 0  # needs phase one
+        solved.append(solve(c, rows))
+        return solved[-1]
+
+    monkeypatch.setattr(plmaps, "maximize", recording)
+    got = {}
+    for name, A, B, m in _pinned_optimizer_inputs():
+        if name in CELL_LP_PINS:
+            solved = got[name] = []
+            optimize_pl_map(A, B, m)
+    assert got == {
+        name: [LPResult("optimal", F(v), tuple(F(t) for t in x.split()))
+               for v, x in pins]
+        for name, pins in CELL_LP_PINS.items()}
+
 def test_terminal_germ_reads_the_stored_path(monkeypatch):
     """The germ and the last image segment read off the stored path agree
     with the reversed image for every dart of every map the optimizer

@@ -42,38 +42,51 @@ def brute_force(c, constraints):
     return best
 
 
-def random_lp(rng, n):
+def random_lp(rng, n, max_den=3):
     """A bounded LP (a box row caps every variable) whose other rows have
-    signed right-hand sides, so some instances are infeasible."""
-    def num():
-        return F(rng.randint(-6, 6), rng.randint(1, 3))
+    signed right-hand sides, so some instances are infeasible.  Above the
+    default ``max_den`` every row, the box row too, holds only Fractions
+    over a denominator bound of its own, so each row has its own scale."""
+    def num(den=max_den):
+        return F(rng.randint(-6, 6), rng.randint(1, den))
 
-    constraints = [({j: 1 for j in range(n)}, rng.randint(1, 9))]
+    if max_den == 3:
+        constraints = [({j: 1 for j in range(n)}, rng.randint(1, 9))]
+    else:
+        den = rng.randint(2, max_den)
+        constraints = [({j: F(rng.randint(1, 6), rng.randint(1, den))
+                         for j in range(n)},
+                        F(rng.randint(1, 9), rng.randint(1, den)))]
     for _ in range(rng.randint(1, 4)):
-        coef = {j: num() for j in range(n) if rng.random() < 0.8}
-        constraints.append((coef, num()))
+        den = max_den if max_den == 3 else rng.randint(2, max_den)
+        coef = {j: num(den) for j in range(n) if rng.random() < 0.8}
+        constraints.append((coef, num(den)))
     return [num() for _ in range(n)], constraints
 
 
 def test_matches_vertex_enumeration_on_random_lps():
-    rng = random.Random(1977)
-    statuses = set()
-    for _ in range(240):
-        c, constraints = random_lp(rng, rng.choice((2, 3)))
-        res = maximize(c, constraints)
-        expected = brute_force(c, constraints)
-        statuses.add(res.status)
-        if expected is None:
-            assert res.status == "infeasible"
-            continue
-        assert res.status == "optimal"
-        assert res.value == expected
-        # the reported point is feasible and attains the value
-        assert all(xi >= 0 for xi in res.x)
-        for coef, rhs in constraints:
-            assert sum(F(a) * res.x[j] for j, a in coef.items()) <= rhs
-        assert sum(F(ci) * xi for ci, xi in zip(c, res.x)) == res.value
-    assert statuses == {"optimal", "infeasible"}
+    """Against vertex enumeration, on small denominators and on rows whose
+    denominators run up to 50, different in every row; the second draw
+    exercises the row scaling and the exact divisions of the pivots."""
+    for seed, max_den in ((1977, 3), (1968, 50)):
+        rng = random.Random(seed)
+        statuses = set()
+        for _ in range(240):
+            c, constraints = random_lp(rng, rng.choice((2, 3)), max_den)
+            res = maximize(c, constraints)
+            expected = brute_force(c, constraints)
+            statuses.add(res.status)
+            if expected is None:
+                assert res.status == "infeasible"
+                continue
+            assert res.status == "optimal"
+            assert res.value == expected
+            # the reported point is feasible and attains the value
+            assert all(xi >= 0 for xi in res.x)
+            for coef, rhs in constraints:
+                assert sum(F(a) * res.x[j] for j, a in coef.items()) <= rhs
+            assert sum(F(ci) * xi for ci, xi in zip(c, res.x)) == res.value
+        assert statuses == {"optimal", "infeasible"}
 
 
 def test_reports_infeasible():
@@ -111,6 +124,23 @@ def test_beale_cycling_example_terminates():
     assert res.status == "optimal"
     assert res.value == brute_force(c, constraints) == F(5, 4)
     assert res.x == (F(1), F(0), F(1), F(0))
+
+
+def test_degenerate_cell_lp_keeps_its_vertex():
+    """A stretch cell LP of the optimizer (K3,3 sweep pair 81) with more
+    than one optimal vertex: the smallest-index tie in the ratio test
+    decides which one is returned."""
+    constraints = [
+        ({0: 1}, F(2, 3)), ({1: 1}, 6), ({2: 1}, 6),
+        ({1: 1, 3: F(-1, 3)}, 0), ({2: 1, 3: F(-1, 2)}, 0),
+        ({1: 1, 3: F(-4, 3)}, F(-3, 2)), ({2: -1, 3: -1}, F(-22, 3)),
+        ({0: -1, 1: -1, 3: F(-4, 3)}, F(-20, 3)),
+        ({0: 1, 2: 1, 3: F(-6, 5)}, F(-5, 2)),
+        ({0: 1, 3: -1}, F(-59, 12)), ({3: -1}, F(-37, 10)),
+    ]
+    res = maximize([0, 0, 0, -1], constraints)
+    assert res.value == brute_force([0, 0, 0, -1], constraints) == F(-59, 12)
+    assert res.x == (0, F(1, 9), F(29, 12), F(59, 12))
 
 
 def test_no_constraints():
