@@ -128,6 +128,10 @@ CASES.update({
     "validate-missing-file": ["validate", "missing.json"],
     "validate-not-json": ["validate", "not_json.json"],
     "candidates-marking-inconsistent": ["candidates", "label_b.json"],
+    # every shape: figure-eights need a vertex on two circles, which the
+    # rose's loop edges give
+    "candidates-k33": ["candidates", "k33_source.json"],
+    "candidates-rose3": ["candidates", "rose3.json"],
     "orbit-aut-bad-generator": ["orbit", _X, "--aut", "A=ab,b=a", "--inv",
                                 "a=b,b=Ba"],
     "orbit-aut-missing-image": ["orbit", _X, "--aut", "a=ab", "--inv",
@@ -172,6 +176,7 @@ def write_inputs(directory):
                      ("twist3_source.json", source),
                      ("twist3_target.json", target),
                      ("unit_rose.json", unit_rose(2)),
+                     ("rose3.json", rose([1, 2, 3])),
                      ("cut_petal.json", cut_petal)):
         save_graph(os.path.join(directory, fname), G)
     edits = {f"{name}.json": (theta_left(), True, {keys: value})
