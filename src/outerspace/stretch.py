@@ -5,17 +5,18 @@ length ratios over conjugacy classes; it is attained on a finite set of
 candidate loops of the source that depends only on the source graph:
 embedded circles, figure-eights (two embedded circles meeting at one point)
 and barbells / dumbbells (two disjoint embedded circles joined by an embedded
-arc).  Darts are numbered as integers (see `_darts`).  An enumeration
-finds each circle once and keeps the candidates as integer loops in a table
-per combinatorial type; the last few tables are kept (see
-`enumerate_candidates`), and a `CandidateLoop` is built only when asked
-for.  A candidate is evaluated through per-edge image paths: every edge
-label of the source is realized once through the target's marking, and the
-candidate's image is the cyclic reduction of its darts' images, found in
-one stack pass.  Lengths are summed as integers, each graph's scaled by the
-common denominator of its edge lengths, and ratios are compared by
-cross-multiplication.  Everything here is exact: the reports carry the
-factors as fractions, and their logarithms are left to display.
+arc).  Darts are numbered as integers (see `_darts`).  An enumeration finds
+each circle once and keeps the candidates as integer loops in a table per
+combinatorial type, in the order found; the last few tables are kept (see
+`enumerate_candidates`).  A candidate's canonical key and its `CandidateLoop`
+are computed only where they are read: to order the witnesses of a factor,
+or the whole set where it is listed.  A candidate is evaluated through
+per-edge image paths: every edge label of the source is realized once through
+the target's marking, and the candidate's image is the cyclic reduction of
+its darts' images, found in one stack pass.  Lengths are summed as integers,
+each graph's scaled by the common denominator of its edge lengths, and ratios
+are compared by cross-multiplication.  Everything here is exact: the reports
+carry the factors as fractions, and their logarithms are left to display.
 """
 
 from __future__ import annotations
@@ -203,20 +204,20 @@ def _reverse(path: tuple[int, ...]) -> tuple[int, ...]:
 
 
 class _CandidateTable:
-    """The candidate set of one combinatorial type in canonical order: each
-    candidate's shape and integer loop.  Candidate k's `CandidateLoop` is
-    built when first asked for, then shared."""
+    """The candidate set of one combinatorial type in enumeration order: each
+    candidate's shape and integer loop.  Candidate k's canonical key and its
+    `CandidateLoop` are computed when first asked for, then kept."""
 
-    def __init__(self, darts: list[Dart],
-                 found: list[tuple[CandidateShape, tuple[int, ...]]]):
+    def __init__(self, darts: list[Dart], shapes: list[CandidateShape],
+                 loops: list[tuple[int, ...]]):
         self.darts = darts
-        self.shapes = [shape for (shape, _) in found]
-        self.loops = [loop for (_, loop) in found]
-        self.built: list[CandidateLoop | None] = [None] * len(found)
+        self.shapes = shapes
+        self.loops = loops
+        self.keys: list[tuple | None] = [None] * len(loops)
+        self.built: list[CandidateLoop | None] = [None] * len(loops)
 
     def decode(self, path: tuple[int, ...]) -> EdgePath:
-        darts = self.darts
-        return tuple([darts[d] for d in path])
+        return tuple([self.darts[d] for d in path])
 
     def candidate(self, k: int) -> CandidateLoop:
         cand = self.built[k]
@@ -225,10 +226,28 @@ class _CandidateTable:
                 self.shapes[k], self.decode(self.loops[k]))
         return cand
 
+    def canonical(self, ks: Iterable[int]) -> list[int]:
+        """The candidates ``ks``, given in enumeration order, sorted by
+        `CandidateLoop.key` (a str enum sorts by its value), keeping the first
+        of each key.  Each key is computed once per table."""
+        first: dict[tuple, int] = {}
+        for k in ks:
+            key = self.keys[k]
+            if key is None:
+                key = self.keys[k] = (self.shapes[k],
+                                      _least_rotation(self.loops[k]))
+            first.setdefault(key, k)
+        return [first[key] for key in sorted(first)]
+
+    @functools.cached_property
+    def order(self) -> list[int]:
+        """Every candidate in canonical order."""
+        return self.canonical(range(len(self.loops)))
+
 
 # candidate tables kept across calls, one per combinatorial type; one of a
-# trivalent graph of rank 4 to 6 takes at most about 100 KB with every
-# candidate built, so at most about 1.6 MB
+# trivalent graph of rank 4 to 6 takes at most about 140 KB with every
+# candidate keyed, sorted and built, so at most about 2.2 MB
 _TYPE_CACHE_SIZE = 16
 
 
@@ -236,14 +255,15 @@ def enumerate_candidates(G: MarkedMetricGraph) -> list[CandidateLoop]:
     """The finite candidate set of G: every embedded circle, figure-eight and
     dumbbell, each once up to rotation and inversion, sorted canonically.
 
-    The set depends only on the combinatorial type of G: its vertex set
-    and its (edge, origin, terminus) triples.  The sets of the
-    `_TYPE_CACHE_SIZE` types used last are kept in a module-level
-    cache, never on the graph, which every fold snapshot would keep alive;
-    each call returns a fresh list of the shared frozen candidates.
+    The set depends only on the combinatorial type of G: its vertex set and
+    its (edge, origin, terminus) triples.  The sets of the `_TYPE_CACHE_SIZE`
+    types used last are kept in enumeration order in a module-level cache,
+    never on the graph, which every fold snapshot would keep alive; the
+    canonical order is sorted once, on the first call that reads it.  Each
+    call returns a fresh list of the shared frozen candidates.
     """
     table = _candidates_of_type(*_combinatorial_type(G))
-    return [table.candidate(k) for k in range(len(table.loops))]
+    return [table.candidate(k) for k in table.order]
 
 
 @functools.lru_cache(maxsize=_TYPE_CACHE_SIZE)
@@ -253,60 +273,44 @@ def _candidates_of_type(vertices: frozenset[str],
     inc = _incidence(vertices, triples)
     head, tail, _, turns = inc
     circles = _embedded_circles(inc)
-    found: dict[tuple, tuple] = {}
-
-    def add(shape: CandidateShape, loop: tuple[int, ...]) -> None:
-        # `CandidateLoop.key`; a str enum sorts by its value
-        found.setdefault((shape, _least_rotation(loop)), (shape, loop))
-
-    # an embedded circle leaves each of its vertices once: ``at[j][v]`` is
-    # the position of that dart in circle j; its reverse leaves v at the
-    # mirrored position.  Rotations are built when first asked for.
-    orientations = [(c, _reverse(c)) for c in circles]
-    at = [{tail[d]: i for i, d in enumerate(c)} for c in circles]
-    masks = [sum(1 << v for v in pos) for pos in at]
-    rotations: dict[tuple[int, int, int], tuple[int, ...]] = {}
-
-    def rotation(j: int, k: int, v: int) -> tuple[int, ...]:
-        """Circle j (k = 0) or its reverse (k = 1), starting at v."""
-        r = rotations.get((j, k, v))
-        if r is None:
-            seq = orientations[j][k]
-            i = at[j][v] if k == 0 else -at[j][v] % len(seq)
-            r = rotations[j, k, v] = seq[i:] + seq[:i]
-        return r
-
+    shapes = [CandidateShape.O] * len(circles)
+    loops = list(circles)
+    # an embedded circle leaves each of its vertices once: ``starts[j][v]``
+    # is circle j, then its reverse, rotated to leave v first
+    starts = []
     for c in circles:
-        add(CandidateShape.O, c)
+        r, n = _reverse(c), len(c)
+        starts.append({tail[d]: (c[i:] + c[:i], r[n - i:] + r[:n - i])
+                       for i, d in enumerate(c)})
+    masks = [sum(1 << v for v in at) for at in starts]
     arcs: dict[tuple[int, int], list[tuple]] = {}
     for i in range(len(circles)):
         for j in range(i + 1, len(circles)):
             common = masks[i] & masks[j]
             if common and not common & (common - 1):
-                # exactly one common vertex: a figure-eight
+                # exactly one common vertex: a figure-eight, on an empty arc
                 v = common.bit_length() - 1
-                r1 = rotation(i, 0, v)
-                for k in (0, 1):
-                    r2 = rotation(j, k, v)
-                    add(CandidateShape.FIGURE_EIGHT, r1 + r2)
+                shape, joins = CandidateShape.FIGURE_EIGHT, [((), (), v, v)]
             elif not common:
                 pair = (masks[i], masks[j])
                 if pair not in arcs:
                     arcs[pair] = [
                         (arc, _reverse(arc), tail[arc[0]], head[arc[-1]])
-                        for arc in _embedded_arcs(inc, set(at[i]),
-                                                  set(at[j]))]
-                for (arc, arc_rev, u, w) in arcs[pair]:
-                    r1 = rotation(i, 0, u)
-                    for k in (0, 1):
-                        r2 = rotation(j, k, w)
-                        add(CandidateShape.DUMBBELL, r1 + arc + r2 + arc_rev)
+                        for arc in _embedded_arcs(inc, set(starts[i]),
+                                                  set(starts[j]))]
+                shape, joins = CandidateShape.DUMBBELL, arcs[pair]
+            else:
+                continue
+            for (arc, arc_rev, u, w) in joins:
+                r1 = starts[i][u][0]
+                for r2 in starts[j][w]:
+                    shapes.append(shape)
+                    loops.append(r1 + arc + r2 + arc_rev)
 
-    table = _CandidateTable(_darts(e for (e, _, _) in triples),
-                            [found[key] for key in sorted(found)])
+    table = _CandidateTable(_darts(e for (e, _, _) in triples), shapes, loops)
     # each cyclically consecutive dart pair must be a turn
     turn_pairs = {(d, x) for d, after in enumerate(turns) for (x, _) in after}
-    for loop in table.loops:
+    for loop in loops:
         if not turn_pairs.issuperset(zip(loop, loop[1:] + loop[:1])):
             raise InvalidInputError(
                 f"candidate loop {table.decode(loop)} is not cyclically "
@@ -338,17 +342,17 @@ def lambda_r(A: MarkedMetricGraph, B: MarkedMetricGraph) -> StretchValue:
     the candidate set of A, with every maximizing candidate as witness.
 
     Candidate images are evaluated through the marking, independently of any
-    map, on the integer loops of A's candidate table.  Each edge label of
-    A is realized once as a reduced path of B's integer darts.  A
-    candidate's image is its darts' images concatenated and cyclically
+    map, on the integer loops of A's candidate table, in its order.  Each
+    edge label of A is realized once as a reduced path of B's integer darts.
+    A candidate's image is its darts' images concatenated and cyclically
     reduced, which is the loop realizing the candidate's word, since free
     reduction is confluent.  One stack pass per candidate pushes each
     dart's image, popping where it cancels against the top (only at a seam,
     as every image is reduced), then trims matching ends; the length is the
     images' integer lengths (`_integer_lengths`) less twice each cancelled
     or trimmed dart's.  Ratios are compared by cross-multiplying these
-    integers; one `Fraction` is built, and `CandidateLoop`s only for the
-    witnesses.
+    integers; one `Fraction` is built, and keys and `CandidateLoop`s only
+    for the witnesses, which are listed in canonical order.
     """
     if A.rank != B.rank:
         raise RankMismatchError(f"ranks differ: {A.rank} != {B.rank}")
@@ -398,7 +402,8 @@ def lambda_r(A: MarkedMetricGraph, B: MarkedMetricGraph) -> StretchValue:
     if not witnesses:
         raise InvalidInputError("source graph has no candidate loop")
     return StretchValue(Fraction(best_b * scale_a, best_a * scale_b),
-                        tuple(map(table.candidate, witnesses)))
+                        tuple(map(table.candidate,
+                                  table.canonical(witnesses))))
 
 
 @dataclass(frozen=True)
@@ -419,14 +424,9 @@ def stretch_report(A: MarkedMetricGraph, B: MarkedMetricGraph) -> StretchReport:
     factor keeps the maximizers, so values and witnesses are exactly those
     of the volume-one copies.
     """
-    right = lambda_r(A, B)
-    left = lambda_r(B, A)
-    lam_R = right.value * volume(A) / volume(B)
-    lam_L = left.value * volume(B) / volume(A)
-    return StretchReport(
-        lambda_R=lam_R,
-        lambda_L=lam_L,
-        Lambda=lam_R * lam_L,
-        witnesses_R=right.witnesses,
-        witnesses_L=left.witnesses,
-    )
+    right, left = lambda_r(A, B), lambda_r(B, A)
+    ratio = volume(A) / volume(B)
+    lam_R, lam_L = right.value * ratio, left.value / ratio
+    return StretchReport(lambda_R=lam_R, lambda_L=lam_L, Lambda=lam_R * lam_L,
+                         witnesses_R=right.witnesses,
+                         witnesses_L=left.witnesses)

@@ -675,6 +675,43 @@ def test_lambda_r_equals_word_based_definition():
             assert (got.value, got.witnesses) == word_based_lambda_r(P, Q)
 
 
+def test_witnesses_found_out_of_order_are_listed_canonically():
+    """The table keeps candidates in the order the enumeration finds them:
+    the circles a and b before the figure-eights ab and ab^-1.  The
+    witnesses are the maximizers in `enumerate_candidates` order."""
+    A, B = unit_rose(3), rose([2, 2, 1])
+    got = lambda_r(A, B)
+    table = stretch._candidates_of_type(*stretch._combinatorial_type(A))
+    found = [c for c in map(table.candidate, range(len(table.loops)))
+             if c in got.witnesses]
+    assert [c.shape for c in found] == [CandidateShape.O] * 2 + \
+        [CandidateShape.FIGURE_EIGHT] * 2
+    assert found != list(got.witnesses)
+    assert got.witnesses == word_based_lambda_r(A, B)[1]
+
+
+def test_candidate_keys_are_computed_once_per_table(monkeypatch):
+    """`lambda_r` keys only its witnesses, listing the set keys the rest,
+    and a cached table computes no key again."""
+    A, B = list(high_rank_pairs())[4]  # prism5 onto Petersen
+    stretch._candidates_of_type.cache_clear()
+    witnesses = lambda_r(A, B).witnesses
+    keys = []
+    original = stretch._least_rotation
+
+    def counting(loop):
+        keys.append(loop)
+        return original(loop)
+
+    monkeypatch.setattr(stretch, "_least_rotation", counting)
+    assert lambda_r(A, B).witnesses == witnesses and keys == []
+    cands = enumerate_candidates(A)
+    assert len(keys) == len(cands) - len(witnesses) > 100
+    assert enumerate_candidates(A) == cands
+    lambda_r(A, B)
+    assert len(keys) == len(cands) - len(witnesses)
+
+
 # counts and SHA-256 digests of the key list and of the loop representatives
 # of `enumerate_candidates`; the key digests were recorded before the
 # evaluation moved to per-edge image paths, the loop digests while candidates
