@@ -70,7 +70,7 @@ class MarkedMetricGraph:
 
     def label_of_dart(self, d: Dart) -> Word:
         if self.labels is None or d[0] not in self.labels:
-            _require_labels(self, (d,))  # raises
+            require_labels(self, (d,))  # raises
         w = self.labels[d[0]]
         return w if d[1] > 0 else w.inverse()
 
@@ -218,7 +218,7 @@ def translation_length(G: MarkedMetricGraph, w: Word) -> Fraction:
     return path_length(G, realize_word_as_loop(G, w))
 
 
-def _require_labels(G: MarkedMetricGraph, path: EdgePath) -> None:
+def require_labels(G: MarkedMetricGraph, path: EdgePath) -> None:
     """Raise unless every edge the path crosses has an inverse label."""
     if G.labels is None:
         raise InvalidInputError("graph has no inverse labels; derive them first")
@@ -227,9 +227,9 @@ def _require_labels(G: MarkedMetricGraph, path: EdgePath) -> None:
             raise InvalidInputError(f"edge {e} has no inverse label")
 
 
-def _read_labels(G: MarkedMetricGraph, path: EdgePath) -> Word:
-    """Freely reduced readout of the inverse labels along a checked path
-    whose edges all have labels."""
+def read_labels(G: MarkedMetricGraph, path: EdgePath) -> Word:
+    """Freely reduced readout of the inverse labels along a path whose
+    edges all have labels (see `require_labels`)."""
     letters: list[int] = []
     for (e, sign) in path:
         w = G.labels[e].letters
@@ -242,8 +242,8 @@ def word_of_loop(G: MarkedMetricGraph, loop: EdgePath) -> Word:
     if not is_loop(G, loop):
         raise InvalidInputError("word_of_loop needs a closed path")
     check_path(G, loop)
-    _require_labels(G, loop)
-    return _read_labels(G, loop)
+    require_labels(G, loop)
+    return read_labels(G, loop)
 
 
 # -- volume and scaling ---------------------------------------------------------
@@ -347,7 +347,7 @@ def validate_marked_graph(G: MarkedMetricGraph) -> ValidationReport:
     if not issues:
         # every petal is a checked loop and every edge has a label
         for i, petal in enumerate(G.marking, start=1):
-            readout = _read_labels(G, petal)
+            readout = read_labels(G, petal)
             if readout != generator(i, G.rank):
                 issues.append(
                     f"marking consistency fails for generator {i}: "

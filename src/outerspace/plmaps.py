@@ -10,7 +10,10 @@ never backtrack, so paths are reduced by construction.
 A PL map stores one image path per forward edge plus a point per vertex; the
 image of a reversed edge is the reversed path.  The homotopy class is pinned
 by the witness invariant: pushing a marking petal through the map gives a
-loop freely homotopic to the corresponding petal of the target.
+loop freely homotopic to the corresponding petal of the target.  Words are
+read off image paths by snapping every interior point to the origin of its
+edge: a path then crosses exactly the edges whose terminus one of its
+segments reaches in the edge's forward orientation.
 """
 
 from __future__ import annotations
@@ -30,7 +33,9 @@ from .graphs import (
     EdgePath,
     MarkedMetricGraph,
     bfs_tree,
+    read_labels,
     realize_word_as_path,
+    require_labels,
     rev,
     stars,
     uf_find,
@@ -39,7 +44,7 @@ from .graphs import (
 )
 from .simplex import maximize
 from .stretch import lambda_r
-from .words import Word, cyclic_reduce, free_reduce, generator
+from .words import Word, cyclic_reduce, generator, identity
 
 Point = tuple
 Seg = tuple[Dart, Fraction, Fraction]
@@ -74,10 +79,6 @@ def seg_start(G: MarkedMetricGraph, seg: Seg) -> Point:
 
 def seg_end(G: MarkedMetricGraph, seg: Seg) -> Point:
     return dart_point(G, seg[0], seg[2])
-
-
-def path_start(G: MarkedMetricGraph, p: PLPath) -> Point:
-    return p.anchor
 
 
 def path_end(G: MarkedMetricGraph, p: PLPath) -> Point:
@@ -170,7 +171,7 @@ def _cancel_seam(G: MarkedMetricGraph, P: list, Q: list) -> Fraction:
 
 def pl_concat(G: MarkedMetricGraph, p: PLPath, q: PLPath) -> PLPath:
     """Concatenate and tighten two reduced paths sharing an endpoint."""
-    if path_end(G, p) != path_start(G, q):
+    if path_end(G, p) != q.anchor:
         raise InvalidInputError("paths do not share an endpoint")
     P = list(p.segs)
     Q = list(q.segs)
@@ -181,33 +182,18 @@ def pl_concat(G: MarkedMetricGraph, p: PLPath, q: PLPath) -> PLPath:
 def pl_cancellation(G: MarkedMetricGraph, p: PLPath, q: PLPath) -> Fraction:
     """Length cancelled when concatenating two reduced paths; equals
     (len(p) + len(q) - len(p.q tightened)) / 2."""
-    if path_end(G, p) != path_start(G, q):
+    if path_end(G, p) != q.anchor:
         raise InvalidInputError("paths do not share an endpoint")
     return _cancel_seam(G, list(p.segs), list(q.segs))
 
 
-def plloop_word(B: MarkedMetricGraph, p: PLPath) -> Word:
-    """Word (in B's labels) of a closed PL path, based at a nearby vertex.
-
-    The conjugacy class of the result is the free homotopy class of the loop.
-    """
-    if path_start(B, p) != path_end(B, p):
-        raise InvalidInputError("need a closed path")
-    if not p.segs:
-        return free_reduce([], B.rank)
-    start = path_start(B, p)
-    if start[0] == "e":
-        e = start[1]
-        conn = make_plpath(B, [((e, 1), Fraction(0), start[2])])
-        p = pl_concat(B, conn, pl_concat(B, p, pl_reverse(B, conn)))
-    letters: list[int] = []
-    for (d, a, b) in p.segs:
-        if a != 0 or b != dart_len(B, d):
-            raise InternalInvariantError(
-                "vertex-based tight loop has a partial segment"
-            )
-        letters.extend(B.label_of_dart(d).letters)
-    return free_reduce(letters, B.rank)
+def pl_word(B: MarkedMetricGraph, p: PLPath) -> Word:
+    """Word (in B's labels) of a PL path between the snaps of its ends; for
+    a closed path its conjugacy class is the loop's free homotopy class."""
+    darts = [d for (d, a, b) in p.segs
+             if (b == dart_len(B, d) if d[1] > 0 else a == 0)]
+    require_labels(B, darts)
+    return read_labels(B, darts)
 
 
 # -- PL maps ------------------------------------------------------------------------
@@ -235,14 +221,16 @@ def push_loop(f: PLMap, loop: EdgePath) -> PLPath:
     return out
 
 
-def path_image_length(f: PLMap, path: EdgePath) -> Fraction:
-    """Length of the tightened image of a based edge path."""
-    if not path:
-        return Fraction(0)
-    return pl_length(push_loop(f, path))
-
-
 def validate_pl_map(f: PLMap) -> list[str]:
+    """Issues that keep f from representing the change of marking: missing
+    images, image paths off their endpoints' images, and petals whose
+    pushed word is not conjugate to the target's generator.
+
+    Each edge image's word is read once by `pl_word`, which snaps every
+    interior point to the origin of its edge.  Consecutive images share a
+    vertex image, so their snapped ends agree, and a petal's word is the
+    product of its edges' words, inverted on reversed darts.
+    """
     issues = []
     A, B = f.source, f.target
     for v in sorted(A.vertices):
@@ -254,17 +242,18 @@ def validate_pl_map(f: PLMap) -> list[str]:
             continue
         p = f.edge_image[e]
         o, t, _ = A.edges[e]
-        if path_start(B, p) != f.vertex_image[o]:
+        if o in f.vertex_image and p.anchor != f.vertex_image[o]:
             issues.append(f"image of edge {e} does not start at the image of {o}")
-        if path_end(B, p) != f.vertex_image[t]:
+        if t in f.vertex_image and path_end(B, p) != f.vertex_image[t]:
             issues.append(f"image of edge {e} does not end at the image of {t}")
     if issues:
         return issues
+    words = {e: pl_word(B, p) for e, p in f.edge_image.items()}
     for i, petal in enumerate(A.marking, start=1):
-        pushed = push_loop(f, petal)
-        w = plloop_word(B, pushed)
-        core, _ = cyclic_reduce(w)
-        if core != generator(i, A.rank):
+        w = identity(B.rank)
+        for (e, sign) in petal:
+            w = w * (words[e] if sign > 0 else words[e].inverse())
+        if cyclic_reduce(w)[0] != generator(i, A.rank):
             issues.append(
                 f"pushed petal {i} is not freely homotopic to the target petal"
             )
@@ -280,7 +269,7 @@ def initial_pl_map(A: MarkedMetricGraph, B: MarkedMetricGraph) -> PLMap:
     if A.labels is None:
         raise InvalidInputError("source graph needs inverse labels")
     # BFS tree words from the basepoint
-    conn: dict[str, Word] = {A.basepoint: free_reduce([], A.rank)}
+    conn: dict[str, Word] = {A.basepoint: identity(A.rank)}
     for w, d in bfs_tree(A, A.basepoint).items():
         if d is not None:
             conn[w] = conn[A.origin(d)] * A.label_of_dart(d)

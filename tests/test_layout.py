@@ -2,12 +2,15 @@
 package import each other in one direction only."""
 
 import ast
+import importlib
 import os
 
 import pytest
 
-SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
-                   "src", "outerspace")
+from outerspace.graphs import MarkedMetricGraph
+
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+SRC = os.path.join(ROOT, "src", "outerspace")
 
 # each module imports only modules listed before it
 LAYERS = ["errors", "words", "graphs", "simplex", "docs", "stretch", "plmaps",
@@ -65,3 +68,26 @@ def test_no_nested_function_refers_to_itself(name):
                         for node in ast.walk(inner)):
                     found.append(f"{fn.name}.{inner.name}")
     assert not found, f"{name}: {found} refer to themselves"
+
+
+def traced_names():
+    """The ``TRACED`` (module, function) pairs of the benchmark's tracer,
+    read from its source without importing it."""
+    with open(os.path.join(ROOT, "bench", "tracing.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "TRACED"
+                for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError("bench/tracing.py defines no TRACED list")
+
+
+def test_traced_names_exist():
+    """The tracer wraps these by name; renaming one breaks traced runs."""
+    traced = traced_names()
+    assert traced
+    for module, function in traced:
+        mod = importlib.import_module(f"outerspace.{module}")
+        assert callable(getattr(mod, function, None)), f"{module}.{function}"
+    assert callable(getattr(MarkedMetricGraph, "star", None))

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -39,13 +40,12 @@ from outerspace.plmaps import (
     make_plpath,
     next_v,
     optimize_pl_map,
-    path_image_length,
     pl_cancellation,
     pl_concat,
     pl_from_darts,
     pl_length,
     pl_reverse,
-    plloop_word,
+    pl_word,
     push_loop,
     stretch_analysis,
     stratified_boundary_condition,
@@ -103,7 +103,7 @@ def test_seam_cancellation_matches_translation_length():
             # a reduced closed path is u.w.u~ with w cyclically reduced,
             # and the seam of p.p cancels exactly u
             assert pl_length(p) - 2 * pl_cancellation(B, p, p) == \
-                translation_length(B, plloop_word(B, p))
+                translation_length(B, pl_word(B, p))
             for q in images[:4]:
                 cases += 1
                 assert 2 * pl_cancellation(B, p, q) == \
@@ -137,6 +137,56 @@ def test_initial_map_valid_between_thetas():
     assert validate_pl_map(f) == []
     # Lipschitz bound dominates the stretching factor
     assert stretch_analysis(f).stretch >= 2
+
+
+def test_missing_vertex_image_is_reported():
+    f = initial_pl_map(theta_left(), theta_right())
+    vertex_image = dict(f.vertex_image)
+    del vertex_image["u"]
+    assert validate_pl_map(replace(f, vertex_image=vertex_image)) == \
+        ["vertex u has no image"]
+
+
+def test_certificate_needs_target_labels():
+    f = initial_pl_map(theta_left(), theta_right())
+    g = replace(f, target=f.target.with_labels(None))
+    with pytest.raises(InvalidInputError, match="no inverse labels"):
+        validate_pl_map(g)
+
+
+def test_edge_image_off_its_origin_image_is_reported():
+    f = optimize_pl_map(theta_left(), theta_right())
+    B = f.target
+    assert f.vertex_image["u"] != f.vertex_image["v"]
+    edge_image = dict(f.edge_image)
+    edge_image["A"] = pl_reverse(B, edge_image["A"])
+    assert validate_pl_map(replace(f, edge_image=edge_image)) == [
+        "image of edge A does not start at the image of u",
+        "image of edge A does not end at the image of v",
+    ]
+
+
+def test_twisted_source_marking_is_not_certified():
+    """A certified map does not represent the change of marking once its
+    source marking is twisted, also when the basepoint's image lies inside
+    a target edge."""
+    f = optimize_pl_map(theta_left(), theta_right())
+    A = apply_automorphism_to_marking(f.source, aut_poly())
+    assert validate_pl_map(replace(f, source=A)) == \
+        ["pushed petal 2 is not freely homotopic to the target petal"]
+    rng = random.Random(10_004)  # the robustness sweep's K4 seed 4
+    A = random_tree_marked(rng, "K4")
+    moves = rng.randint(1, 4)
+    B = apply_automorphism_to_marking(
+        random_tree_marked(rng, "K4"),
+        random_nielsen_automorphism(rng, A.rank, moves))
+    f = optimize_pl_map(A, B)
+    assert f.vertex_image[A.basepoint][0] == "e"
+    assert validate_pl_map(f) == []
+    A = apply_automorphism_to_marking(
+        A, random_nielsen_automorphism(random.Random(1), 3, 1))
+    assert validate_pl_map(replace(f, source=A)) == \
+        ["pushed petal 1 is not freely homotopic to the target petal"]
 
 
 def test_initial_map_pushes_words_with_bounded_stretch():
@@ -581,7 +631,7 @@ def test_bcc_never_exceeded_by_longer_pairs():
         if pb[0] == (pa[-1][0], -pa[-1][1]) or pa[0] == (pb[-1][0], -pb[-1][1]):
             continue
         checked += 1
-        la = path_image_length(f, pa)
-        lb = path_image_length(f, pb)
-        lab = path_image_length(f, pa + pb)
+        la = pl_length(push_loop(f, pa))
+        lb = pl_length(push_loop(f, pb))
+        lab = pl_length(push_loop(f, pa + pb))
         assert (la + lb - lab) / 2 <= K
