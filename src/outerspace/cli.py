@@ -229,8 +229,11 @@ def cmd_foldpath(args) -> Report:
           " ".join(format_fraction(l)
                    for l in unsubdivided_lengths(path.snapshots[-1])))
     if args.trace:
-        with open(args.trace, "w", encoding="utf-8") as fh:
-            fh.write(rep.render(args.format))
+        try:
+            with open(args.trace, "w", encoding="utf-8") as fh:
+                fh.write(rep.render(args.format))
+        except OSError as exc:
+            raise InvalidInputError(f"cannot write {args.trace}: {exc}")
         rep.note(f"trace written to {args.trace}")
     return rep
 

@@ -53,8 +53,6 @@ from .graphs import (
 from .plmaps import (
     PLMap,
     dart_len,
-    dart_point,
-    make_plpath,
     optimize_pl_map,
     pl_length,
 )
@@ -76,13 +74,6 @@ def germ_of_dart(G: MarkedMetricGraph, B: MarkedMetricGraph, sigma: Sigma,
     if d[1] > 0:
         return (bd, off)
     return (rev(bd), dart_len(B, bd) - off - G.length(d[0]))
-
-
-def image_point(G: MarkedMetricGraph, B: MarkedMetricGraph, sigma: Sigma,
-                d: Dart, x: Fraction):
-    """Image of the point at dart coordinate x on d."""
-    bd, off = germ_of_dart(G, B, sigma, d)
-    return dart_point(B, bd, off + x)
 
 
 @dataclass(frozen=True)
@@ -111,20 +102,6 @@ class FoldingPath:
     @property
     def end_time(self) -> Fraction:
         return self.events[-1]
-
-
-def setup_as_plmap(source, target, sigma) -> PLMap:
-    vertex_image = {}
-    for v, star in stars(source).items():
-        vertex_image[v] = image_point(source, target, sigma, star[0],
-                                      Fraction(0))
-    edge_image = {}
-    for e in sorted(source.edges):
-        bd, off = sigma[e]
-        edge_image[e] = make_plpath(
-            target, [(bd, off, off + source.length(e))]
-        )
-    return PLMap(source, target, vertex_image, edge_image)
 
 
 # -- preparation -----------------------------------------------------------------------

@@ -24,7 +24,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import InvalidInputError, InternalInvariantError, RankMismatchError
 from .words import Word, free_reduce, generator, identity, AutomorphismPair, \
-    validate_automorphism_pair, apply_endomorphism
+    ValidationReport, validate_automorphism_pair, apply_endomorphism
 
 Dart = tuple[str, int]
 EdgePath = tuple[Dart, ...]
@@ -87,12 +87,6 @@ def stars(G: MarkedMetricGraph) -> dict[str, list[Dart]]:
         out.setdefault(o, []).append((e, 1))
         out.setdefault(t, []).append((e, -1))
     return out
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    issues: tuple[str, ...]
 
 
 def make_graph(rank, edges, basepoint, marking, labels=None) -> MarkedMetricGraph:
@@ -176,17 +170,6 @@ def loop_length(G: MarkedMetricGraph, loop: EdgePath) -> Fraction:
     if not is_cyclically_reduced(G, loop):
         raise InvalidInputError("loop is not cyclically reduced")
     return path_length(G, loop)
-
-
-def counting_inner_product(G: MarkedMetricGraph, loop: EdgePath) -> Fraction:
-    """<lengths, counting vector>: length as a linear function of the loop's
-    unoriented edge occurrence counts.  Agrees with `loop_length`."""
-    if not is_cyclically_reduced(G, loop):
-        raise InvalidInputError("loop is not cyclically reduced")
-    counts: dict[str, int] = {}
-    for d in loop:
-        counts[d[0]] = counts.get(d[0], 0) + 1
-    return sum((G.length(e) * k for e, k in counts.items()), Fraction(0))
 
 
 # -- marking readouts ----------------------------------------------------------

@@ -18,6 +18,7 @@ segments reaches in the edge's forward orientation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -350,28 +351,6 @@ def _analysis(f: PLMap, per_edge: dict) -> StretchAnalysis:
         raise InternalInvariantError("map collapses every edge")
     a_max = frozenset(e for e, s in per_edge.items() if s == S)
     return StretchAnalysis(S, per_edge, a_max, subgraph_boundary(f, a_max))
-
-
-def is_optimal(f: PLMap) -> tuple[bool, tuple]:
-    """True iff the f-boundary of the maximally stretched subgraph is empty;
-    otherwise lists the offending vertices."""
-    ana = stretch_analysis(f)
-    return (len(ana.boundary) == 0, ana.boundary)
-
-
-def stratified_boundary_condition(f: PLMap) -> bool:
-    """Whether every stretch stratum has its boundary inside the union of the
-    strictly higher strata (the top stratum must have empty boundary)."""
-    ana = stretch_analysis(f)
-    values = sorted({s for s in ana.per_edge.values() if s > 0}, reverse=True)
-    above_vertices: set = set()
-    for s in values:
-        stratum = frozenset(e for e, se in ana.per_edge.items() if se == s)
-        for v in subgraph_boundary(f, stratum):
-            if v not in above_vertices:
-                return False
-        above_vertices |= {x for e in stratum for x in f.source.edges[e][:2]}
-    return True
 
 
 # -- the local improvement move ----------------------------------------------------------
@@ -760,7 +739,7 @@ def bounded_cancellation_bound(f: PLMap, pair_cap: int = 10 ** 6) -> Fraction:
     cap = 4 * lam * volume(A) * lambda_r(B, A).value
     K = Fraction(0)
     pairs = 0
-    max_loops = max(int(pair_cap ** 0.5) + 1, 16)
+    max_loops = max(math.isqrt(pair_cap) + 1, 16)
     loops_truncated = False
     pairs_capped = False
     for v in sorted(A.vertices):

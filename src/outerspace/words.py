@@ -93,21 +93,6 @@ def cyclic_reduce(w: Word) -> tuple[Word, Word]:
     return Word(letters[i:j], w.rank), Word(letters[:i], w.rank)
 
 
-def cyclic_key(w: Word) -> tuple[int, ...]:
-    """Canonical representative of the conjugacy class of ``w`` up to
-    inversion: the least rotation among the cyclic core and its inverse."""
-    core = cyclic_reduce(w)[0].letters
-    if not core:
-        return ()
-    best = None
-    for seq in (core, tuple(-x for x in reversed(core))):
-        for r in range(len(seq)):
-            rot = seq[r:] + seq[:r]
-            if best is None or rot < best:
-                best = rot
-    return best
-
-
 def apply_endomorphism(w: Word, images: Sequence[Word]) -> Word:
     """Substitute each generator of ``w`` by its image and freely reduce.
 
@@ -145,15 +130,14 @@ class AutomorphismPair:
     inverse_images: tuple[Word, ...]
     rank: int
 
-    def apply(self, w: Word) -> Word:
-        return apply_endomorphism(w, self.forward_images)
-
     def inverse(self) -> "AutomorphismPair":
         return AutomorphismPair(self.inverse_images, self.forward_images, self.rank)
 
 
 @dataclass(frozen=True)
-class PairReport:
+class ValidationReport:
+    """A check's verdict and the issues it found, in the order found."""
+
     ok: bool
     issues: tuple[str, ...]
 
@@ -172,7 +156,7 @@ def compose(p: AutomorphismPair, q: AutomorphismPair) -> AutomorphismPair:
     return AutomorphismPair(fwd, inv, p.rank)
 
 
-def validate_automorphism_pair(p: AutomorphismPair) -> PairReport:
+def validate_automorphism_pair(p: AutomorphismPair) -> ValidationReport:
     """Accept iff forward and inverse images really invert each other.
 
     Reports the first generator whose round-trip fails, in each direction.
@@ -183,7 +167,7 @@ def validate_automorphism_pair(p: AutomorphismPair) -> PairReport:
             f"expected {p.rank} forward and inverse images, got "
             f"{len(p.forward_images)} and {len(p.inverse_images)}"
         )
-        return PairReport(False, tuple(issues))
+        return ValidationReport(False, tuple(issues))
     for i in range(1, p.rank + 1):
         gen = generator(i, p.rank)
         round_trip = apply_endomorphism(p.forward_images[i - 1], p.inverse_images)
@@ -196,4 +180,4 @@ def validate_automorphism_pair(p: AutomorphismPair) -> PairReport:
         if round_trip != gen:
             issues.append(f"forward(inverse(a_{i})) = {round_trip.letters}, not a_{i}")
             break
-    return PairReport(not issues, tuple(issues))
+    return ValidationReport(not issues, tuple(issues))

@@ -1,5 +1,20 @@
 from outerspace.graphs import make_graph
-from outerspace.words import Word, cyclic_key
+from outerspace.words import Word, cyclic_reduce
+
+
+def cyclic_key(w):
+    """Canonical representative of the conjugacy class of ``w`` up to
+    inversion: the least rotation among the cyclic core and its inverse."""
+    core = cyclic_reduce(w)[0].letters
+    if not core:
+        return ()
+    best = None
+    for seq in (core, tuple(-x for x in reversed(core))):
+        for r in range(len(seq)):
+            rot = seq[r:] + seq[:r]
+            if best is None or rot < best:
+                best = rot
+    return best
 
 
 def cyclically_reduced_words(rank, max_len):

@@ -23,6 +23,7 @@ from outerspace.docs import (
 from outerspace.fixtures import (
     barbell,
     poly_twist_pair,
+    rose,
     rose_t,
     theta_left,
     theta_right,
@@ -197,8 +198,10 @@ def test_distance_sample_words(files, capsys):
     assert "\tyes" in out
 
 
-def test_distance_rank_mismatch(files, capsys):
-    code, _, err = run(capsys, "distance", files["R"], files["R3"])
+@pytest.mark.parametrize(
+    "command", ["distance", "optmap", "foldpath", "bcc", "checkgeod"])
+def test_two_graph_command_rank_mismatch(files, capsys, command):
+    code, _, err = run(capsys, command, files["R"], files["R3"])
     assert code == 3
 
 
@@ -242,27 +245,38 @@ def test_foldpath_trace(files, tmp_path, capsys):
             assert line.split("\t")[6] == "0/1"
 
 
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_foldpath_trace_unwritable(files, tmp_path, capsys, where):
+    trace = {"missing-directory": tmp_path / "missing" / "trace.tsv",
+             "directory": tmp_path}[where]
+    code, out, err = run(capsys, "foldpath", files["R"], files["T"],
+                         "--trace", str(trace))
+    assert code == 2
+    assert out == ""
+    assert f"cannot write {trace}" in err
+    assert "Traceback" not in err
+
+
 def test_foldpath_builds_only_what_it_reports(files, tmp_path, capsys,
                                               monkeypatch):
     # the k=3 twist folds in 3 events; each of the 3 sample times between
-    # them is one partial fold, read by its row and by its speeds, and no
-    # PL map is built for a report row
+    # them is one partial fold, read by its row and by its speeds
     import outerspace.folding as folding
 
-    calls = {"setup_as_plmap": 0, "fold_step": 0}
-    for name in calls:
-        def counting(*args, _name=name, _original=getattr(folding, name),
-                     **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
+    fold_step = folding.fold_step
+    calls = []
 
-        monkeypatch.setattr(folding, name, counting)
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return fold_step(*args, **kwargs)
+
+    monkeypatch.setattr(folding, "fold_step", counting)
     target = str(tmp_path / "P-target.json")
     save_graph(target, poly_twist_pair(3)[1])
     code, _, err = run(capsys, "foldpath", files["P"], target,
                        "--samples", "3")
     assert code == 0, err
-    assert calls == {"setup_as_plmap": 0, "fold_step": 6}
+    assert len(calls) == 6
 
 
 @pytest.mark.parametrize("source,target",
@@ -390,6 +404,18 @@ def test_bcc_budget_reports_partial(files, capsys):
                          "--pair-cap", "50")
     assert code == 4
     assert "partial lower bound: 2/1" in err
+
+
+def test_bcc_pair_cap_beyond_float_range(tmp_path, capsys):
+    # a cap past the largest float bounds the same enumeration as the default
+    paths = []
+    for name, G in (("one", rose([1])), ("two", rose([2]))):
+        paths.append(str(tmp_path / f"circle_{name}.json"))
+        save_graph(paths[-1], G)
+    code, out, err = run(capsys, "bcc", *paths)
+    assert code == 0, err
+    assert run(capsys, "bcc", *paths, "--pair-cap", str(10 ** 400)) == \
+        (0, out, err)
 
 
 def test_repro_names(capsys):

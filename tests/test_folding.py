@@ -33,11 +33,9 @@ from outerspace.folding import (
     check_quasi_geodesic,
     fast_fold,
     germ_of_dart,
-    image_point,
     multiplicity,
     point_at,
     prepare_folding_setup,
-    setup_as_plmap,
     speeds,
     systole_and_thin_test,
 )
@@ -56,6 +54,9 @@ from outerspace.graphs import (
     word_of_loop,
 )
 from outerspace.plmaps import (
+    PLMap,
+    dart_point,
+    make_plpath,
     optimize_pl_map,
     pl_length,
     stretch_analysis,
@@ -67,6 +68,24 @@ from outerspace.stretch import lambda_r, stretch_report
 def fold_pair(A, B, normalize_target=True, strategy="simultaneous"):
     setup = prepare_folding_setup(A, B, normalize_target=normalize_target)
     return fast_fold(setup, strategy=strategy)
+
+
+def image_point(G, B, sigma, d, x):
+    """Image of the point at dart coordinate x on d."""
+    bd, off = germ_of_dart(G, B, sigma, d)
+    return dart_point(B, bd, off + x)
+
+
+def setup_as_plmap(source, target, sigma):
+    """The PL map of a fold point: each edge isometrically onto its germ."""
+    vertex_image = {v: image_point(source, target, sigma, star[0], F(0))
+                    for v, star in stars(source).items()}
+    edge_image = {}
+    for e in sorted(source.edges):
+        bd, off = sigma[e]
+        edge_image[e] = make_plpath(
+            target, [(bd, off, off + source.length(e))])
+    return PLMap(source, target, vertex_image, edge_image)
 
 
 # -- preparation ------------------------------------------------------------------------

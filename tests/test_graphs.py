@@ -21,7 +21,6 @@ from outerspace.fixtures import (
 )
 from outerspace.graphs import (
     apply_automorphism_to_marking,
-    counting_inner_product,
     derive_inverse_marking,
     interpolate_in_simplex,
     loop_length,
@@ -36,7 +35,7 @@ from outerspace.graphs import (
     volume,
     word_of_loop,
 )
-from outerspace.words import generator, identity
+from outerspace.words import apply_endomorphism, generator, identity
 
 
 # -- fixtures validate ---------------------------------------------------------
@@ -197,23 +196,6 @@ def test_word_of_loop_needs_labels():
         partial.label_of_dart(loop[0])
 
 
-def test_counting_inner_product_table_row():
-    X = theta_left()
-    assert counting_inner_product(X, (("A", 1), ("C", -1))) == F(2, 3)
-
-
-def test_counting_inner_product_agrees_with_length():
-    rng = random.Random(21)
-    count = 0
-    while count < 100:
-        G = random_graph(rng)
-        loop = realize_word_as_loop(G, random_word(rng, 2, 8))
-        if not loop:
-            continue
-        count += 1
-        assert counting_inner_product(G, loop) == loop_length(G, loop)
-
-
 # -- conjugacy and powers -----------------------------------------------------------
 
 def test_translation_length_conjugacy_invariant():
@@ -304,8 +286,8 @@ def test_twisted_length_identity():
         assert validate_marked_graph(H).ok, validate_marked_graph(H).issues
         for _ in range(5):
             w = random_word(rng, 2, 6)
-            assert translation_length(H, w) == \
-                translation_length(G, phi.apply(w))
+            twisted = apply_endomorphism(w, phi.forward_images)
+            assert translation_length(H, w) == translation_length(G, twisted)
 
 
 def test_automorphism_round_trip_lengths():

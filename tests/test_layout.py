@@ -1,12 +1,15 @@
-"""Source layout: every import sits at module level, and the modules of the
-package import each other in one direction only."""
+"""Source layout: every import sits at module level, the modules of the
+package import each other in one direction only, and every export has a
+reader outside the tests."""
 
 import ast
 import importlib
 import os
+import re
 
 import pytest
 
+import outerspace
 from outerspace.graphs import MarkedMetricGraph
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
@@ -91,3 +94,37 @@ def test_traced_names_exist():
         mod = importlib.import_module(f"outerspace.{module}")
         assert callable(getattr(mod, function, None)), f"{module}.{function}"
     assert callable(getattr(MarkedMetricGraph, "star", None))
+
+
+def names_read(tree):
+    """The names a module reads: loaded names, attributes, and strings that
+    name something (as the tracer's ``TRACED`` pairs do); imports and
+    definitions are not reads."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and node.value.isidentifier():
+            out.add(node.value)
+    return out
+
+
+def test_every_export_has_a_reader():
+    """Each public name is read by the package, by README or by the
+    benchmark; a name only tests read is a second spelling to retire."""
+    read = set()
+    for name in LAYERS:
+        if name != "__init__":  # it only imports and lists the exports
+            read |= names_read(parse(name))
+    bench = os.path.join(ROOT, "bench")
+    for f in sorted(os.listdir(bench)):
+        if f.endswith(".py"):
+            with open(os.path.join(bench, f), encoding="utf-8") as fh:
+                read |= names_read(ast.parse(fh.read()))
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        read |= set(re.findall(r"\w+", fh.read()))
+    unread = [name for name in outerspace.__all__ if name not in read]
+    assert not unread, f"exported but read only by tests: {unread}"

@@ -12,7 +12,6 @@ from outerspace.errors import (
 )
 from outerspace.fixtures import (
     aut_poly,
-    barbell,
     poly_twist_pair,
     random_graph,
     random_nielsen_automorphism,
@@ -20,7 +19,6 @@ from outerspace.fixtures import (
     random_tree_marked,
     random_word,
     rose,
-    rose_t,
     shrinking_petal_rose,
     theta_left,
     theta_right,
@@ -36,7 +34,6 @@ from outerspace.plmaps import (
     bounded_cancellation_bound,
     image_of_dart,
     initial_pl_map,
-    is_optimal,
     make_plpath,
     next_v,
     optimize_pl_map,
@@ -48,11 +45,9 @@ from outerspace.plmaps import (
     pl_word,
     push_loop,
     stretch_analysis,
-    stratified_boundary_condition,
     validate_pl_map,
 )
 from outerspace.stretch import lambda_r
-from outerspace.words import generator
 
 
 # -- PL path machinery ----------------------------------------------------------------
@@ -128,8 +123,6 @@ def test_initial_map_identity_on_rose():
     assert ana.stretch == 1
     assert ana.a_max == frozenset({"a", "b"})
     assert ana.boundary == ()
-    ok, offenders = is_optimal(f)
-    assert ok and offenders == ()
 
 
 def test_initial_map_valid_between_thetas():
@@ -207,7 +200,7 @@ def test_stretch_analysis_identity_values():
     g = optimize_pl_map(A, B)
     ana = stretch_analysis(g)
     assert ana.stretch == lambda_r(A, B).value
-    assert is_optimal(g) == (True, ())
+    assert ana.boundary == ()
     # the cell's least-length optimum leaves C below the maximum
     assert ana.per_edge == {"A": F(4, 3), "B": F(4, 3), "C": F(11, 9)}
 
@@ -257,9 +250,8 @@ def test_next_v_lexicographic_progress():
         ana = stretch_analysis(f)
         if ana.stretch == 2:
             break
-        ok, offenders = is_optimal(f)
-        assert not ok
-        g = next_v(f, offenders[0])
+        assert ana.boundary
+        g = next_v(f, ana.boundary[0])
         ana2 = stretch_analysis(g)
         assert (ana2.stretch, len(ana2.a_max)) < (ana.stretch, len(ana.a_max)) \
             or ana2.stretch < ana.stretch
@@ -515,7 +507,7 @@ def test_move_off_its_stretch_line_is_caught(monkeypatch):
         lambda f, v, alpha, q, t, ends: move(f, v, alpha, q, t / 2, ends))
     f = initial_pl_map(theta_left(), theta_right())
     with pytest.raises(InternalInvariantError, match="off its stretch line"):
-        next_v(f, is_optimal(f)[1][0])
+        next_v(f, stretch_analysis(f).boundary[0])
 
 
 @pytest.mark.parametrize("fault", ["claims-target", "low", "moved-point"])
@@ -557,14 +549,6 @@ def test_wrong_cell_lp_optimum_is_never_returned(fault, monkeypatch):
         assert validate_pl_map(f) == []
     assert calls
     assert "InternalInvariantError" in outcomes
-
-
-def test_stratified_boundary_checker_runs():
-    X, Y = theta_left(), theta_right()
-    f = optimize_pl_map(X, Y)
-    assert stratified_boundary_condition(f) is True
-    g = optimize_pl_map(X, X)
-    assert stratified_boundary_condition(g) is True
 
 
 # -- bounded cancellation ---------------------------------------------------------------

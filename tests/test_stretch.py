@@ -7,6 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from conftest import cyclic_key
 import outerspace.stretch as stretch
 from outerspace.errors import InvalidInputError, RankMismatchError
 from outerspace.folding import fast_fold, prepare_folding_setup
@@ -58,8 +59,6 @@ def loops_by_shape(cands):
 
 
 def word_set(G, cands):
-    from outerspace.words import cyclic_key
-
     return {cyclic_key(word_of_loop(G, c.loop)) for c in cands}
 
 
@@ -72,7 +71,6 @@ def test_candidates_rank2_rose():
     assert len(by[CandidateShape.O]) == 2
     assert len(by[CandidateShape.FIGURE_EIGHT]) == 2
     assert CandidateShape.DUMBBELL not in by
-    from outerspace.words import cyclic_key
 
     a, b = generator(1, 2), generator(2, 2)
     expected = {cyclic_key(w) for w in (a, b, a * b, a * b.inverse())}
