@@ -20,6 +20,9 @@ from .graphs import MarkedMetricGraph, ensure_labels, make_graph
 from .words import Word, free_reduce
 
 _ID_RE = re.compile(r"[A-Za-z][A-Za-z0-9_.:]*$")
+# a decimal with an exponent: its mantissa and the exponent E
+_EXPONENT_RE = re.compile(
+    r"\s*([-+]?[\d_]*\.?[\d_]*)[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 
 
 def format_fraction(x: Fraction) -> str:
@@ -28,10 +31,25 @@ def format_fraction(x: Fraction) -> str:
 
 
 def parse_fraction(s: str) -> Fraction:
+    """The rational written s.  A numerator or denominator of more digits
+    than `sys.get_int_max_str_digits` cannot be printed, so such a value is
+    an input error; written with an exponent, it is caught before ten is
+    raised to that power."""
+    limit = sys.get_int_max_str_digits()
+    m = _EXPONENT_RE.match(s)
     try:
-        return Fraction(s)
+        # a nonzero mantissa lies within a factor 10^len(s) of 1, so 10^E
+        # times it has more than |E| - len(s) digits above or below the line
+        if limit and m and abs(int(m[2])) - len(s) >= limit:
+            if not Fraction(m[1]):
+                return Fraction(0)
+            raise ValueError(f"Exceeds the limit ({limit} digits) for "
+                             "integer string conversion")
+        x = Fraction(s)
+        str(x)  # raises past the limit, as printing x would
     except (ValueError, ZeroDivisionError) as exc:
         raise InvalidInputError(f"bad rational {s!r}: {exc}")
+    return x
 
 
 def log_of(x) -> float:

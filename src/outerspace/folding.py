@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -180,28 +181,41 @@ def _suppress_joints(G: MarkedMetricGraph, B: MarkedMetricGraph,
     return _quotient(G, edges, labels, G.basepoint, image), sigma2
 
 
+def _collapse_edges(G: MarkedMetricGraph, dead) -> tuple:
+    """G with the edges ``dead`` collapsed, each gauged to read the identity
+    first, and the vertex classes of the collapse."""
+    vc = GaugedClasses({e: (o, t) for e, (o, t, _) in G.edges.items()},
+                       G.labels, G.basepoint)
+    for e in sorted(dead):
+        o, t, _ = G.edges[e]
+        if not vc.merge(o, t, vc.read((e, 1))):
+            raise InternalInvariantError(
+                f"collapsed edge {e} closes an essential loop")
+    return _class_quotient(vc, G, {d: d for d in G.darts()
+                                   if d[0] not in dead}), vc
+
+
 def _collapse_constant_edges(f: PLMap):
     """Collapse source edges with constant image (their endpoints share the
     image); returns the smaller graph, the surviving map data, and the dart
-    drop set.  Collapsed edges are gauged to read the identity first."""
+    drop set."""
     A = f.source
     dead = {e for e, p in f.edge_image.items() if not p.segs}
     if not dead:
         return A, f, dead
-    vc = GaugedClasses({e: (o, t) for e, (o, t, _) in A.edges.items()},
-                       A.labels, A.basepoint)
-    for e in sorted(dead):
-        o, t, _ = A.edges[e]
-        if not vc.merge(o, t, vc.read((e, 1))):
-            raise InternalInvariantError(
-                "constant image on an essential loop edge"
-            )
+    A2, vc = _collapse_edges(A, dead)
     drop = {(e, s) for e in dead for s in (1, -1)}
-    A2 = _class_quotient(vc, A, {d: d for d in A.darts() if d not in drop})
     vertex_image = {vc.find(v): f.vertex_image[v] for v in A.vertices}
     edge_image = {e: p for e, p in f.edge_image.items() if e not in dead}
     f2 = PLMap(A2, f.target, vertex_image, edge_image)
     return A2, f2, drop
+
+
+def _hairs(G: MarkedMetricGraph) -> set:
+    """The edges with an end of valence one."""
+    valence = Counter(v for o, t, _ in G.edges.values() for v in (o, t))
+    return {e for e, (o, t, _) in G.edges.items()
+            if valence[o] == 1 or valence[t] == 1}
 
 
 def prepare_folding_setup(A: MarkedMetricGraph, B: MarkedMetricGraph,
@@ -325,7 +339,7 @@ def next_event_delta(G: MarkedMetricGraph, classes: dict) -> Fraction:
 def fold_step(G: MarkedMetricGraph, B: MarkedMetricGraph, sigma: Sigma,
               classes: dict, delta: Fraction):
     """Advance every active zip by ``delta`` and rebuild the quotient, with
-    its straight vertices suppressed.
+    its hairs collapsed and its straight vertices suppressed.
 
     Returns the new graph and its edge map.  Identified darts are gauged to
     read one word, so labels are carried.
@@ -385,6 +399,11 @@ def fold_step(G: MarkedMetricGraph, B: MarkedMetricGraph, sigma: Sigma,
             raise InternalInvariantError("merged darts disagree on their image")
         if vc.read(r) != vc.read((e, 1)):
             raise InternalInvariantError("merged darts read different words")
+    # a vertex whose darts all folded together leaves a hair; collapsing it
+    # slides the vertex along its one gate, inside the simplex
+    while hairs := _hairs(G2):
+        G2 = _collapse_edges(G2, hairs)[0]
+        sigma2 = {e: sigma2[e] for e in G2.edges}
     G3, sigma3 = _suppress_joints(G2, B, sigma2)
     betti = len(G3.edges) - len(G3.vertices) + 1
     if betti != G.rank:

@@ -36,9 +36,11 @@ from .graphs import (
     bfs_tree,
     read_labels,
     realize_word_as_path,
+    reduce_darts,
     require_labels,
     rev,
     stars,
+    subdivide,
     uf_find,
     uf_union,
     volume,
@@ -135,59 +137,6 @@ def pl_from_darts(G: MarkedMetricGraph, darts: EdgePath,
     return make_plpath(G, segs, anchor)
 
 
-def pl_reverse(G: MarkedMetricGraph, p: PLPath) -> PLPath:
-    segs = tuple(
-        (rev(d), dart_len(G, d) - b, dart_len(G, d) - a)
-        for (d, a, b) in reversed(p.segs)
-    )
-    return PLPath(segs, path_end(G, p))
-
-
-def _cancel_seam(G: MarkedMetricGraph, P: list, Q: list) -> Fraction:
-    """Cancel, in place, the backtracking at the seam where the segment list
-    P ends and Q starts; returns the length cancelled from each side."""
-    total = Fraction(0)
-    while P and Q:
-        d, a, b = P[-1]
-        d2, a2, b2 = Q[0]
-        if d2 != rev(d):
-            break
-        if a2 != dart_len(G, d) - b:
-            raise InternalInvariantError("seam points disagree during tightening")
-        c = min(b - a, b2 - a2)
-        total += c
-        P[-1] = (d, a, b - c)
-        Q[0] = (d2, a2 + c, b2)
-        popped = False
-        if P[-1][1] == P[-1][2]:
-            P.pop()
-            popped = True
-        if Q and Q[0][1] == Q[0][2]:
-            Q.pop(0)
-            popped = True
-        if not popped:
-            raise InternalInvariantError("tightening made no progress")
-    return total
-
-
-def pl_concat(G: MarkedMetricGraph, p: PLPath, q: PLPath) -> PLPath:
-    """Concatenate and tighten two reduced paths sharing an endpoint."""
-    if path_end(G, p) != q.anchor:
-        raise InvalidInputError("paths do not share an endpoint")
-    P = list(p.segs)
-    Q = list(q.segs)
-    _cancel_seam(G, P, Q)
-    return make_plpath(G, P + Q, p.anchor)
-
-
-def pl_cancellation(G: MarkedMetricGraph, p: PLPath, q: PLPath) -> Fraction:
-    """Length cancelled when concatenating two reduced paths; equals
-    (len(p) + len(q) - len(p.q tightened)) / 2."""
-    if path_end(G, p) != q.anchor:
-        raise InvalidInputError("paths do not share an endpoint")
-    return _cancel_seam(G, list(p.segs), list(q.segs))
-
-
 def pl_word(B: MarkedMetricGraph, p: PLPath) -> Word:
     """Word (in B's labels) of a PL path between the snaps of its ends; for
     a closed path its conjugacy class is the loop's free homotopy class."""
@@ -205,21 +154,6 @@ class PLMap:
     target: MarkedMetricGraph
     vertex_image: dict  # vertex -> Point of target
     edge_image: dict    # forward edge id -> PLPath in target
-
-
-def image_of_dart(f: PLMap, d: Dart) -> PLPath:
-    p = f.edge_image[d[0]]
-    return p if d[1] > 0 else pl_reverse(f.target, p)
-
-
-def push_loop(f: PLMap, loop: EdgePath) -> PLPath:
-    """Tightened image of an edge loop of the source."""
-    if not loop:
-        raise InvalidInputError("cannot push an empty loop")
-    out = image_of_dart(f, loop[0])
-    for d in loop[1:]:
-        out = pl_concat(f.target, out, image_of_dart(f, d))
-    return out
 
 
 def validate_pl_map(f: PLMap) -> list[str]:
@@ -307,8 +241,8 @@ def terminal_germ(f: PLMap, d: Dart) -> Optional[Dart]:
 
 
 def _terminal_seg(f: PLMap, d: Dart) -> Seg:
-    """``image_of_dart(f, d).segs[-1]`` for a nonconstant image, read off
-    the stored path without reversing it."""
+    """The last segment of d's nonconstant image, read off the stored path:
+    for a reversed dart, its first segment reversed."""
     p = f.edge_image[d[0]]
     if d[1] > 0:
         return p.segs[-1]
@@ -721,6 +655,44 @@ def _loops_at_by_length(G: MarkedMetricGraph, v: str, length_cap: Fraction,
         frontier = nxt
 
 
+def cut_target_images(f: PLMap) -> tuple[MarkedMetricGraph, dict]:
+    """The target cut at every vertex image inside an edge, and each source
+    dart's image as the darts of the pieces its segments cover."""
+    cuts: dict[str, set] = {}
+    for pt in f.vertex_image.values():
+        if pt[0] == "e":
+            cuts.setdefault(pt[1], set()).add(pt[2])
+    C, expansion = subdivide(f.target, cuts)
+    images = {}
+    for e, p in f.edge_image.items():
+        darts = []
+        for (d, a, b) in p.segs:
+            x = covered = Fraction(0)
+            for piece in expansion[d]:
+                l = C.length(piece[0])
+                if a <= x and x + l <= b:
+                    darts.append(piece)
+                    covered += l
+                x += l
+            if covered != b - a:
+                raise InternalInvariantError(f"a segment of the image of "
+                                             f"edge {e} splits a cut piece")
+        images[(e, 1)] = tuple(darts)
+        images[(e, -1)] = tuple(rev(d) for d in reversed(darts))
+    return C, images
+
+
+def cancellation(G: MarkedMetricGraph, p: EdgePath, q: EdgePath) -> Fraction:
+    """Length cancelled when the dart path q follows p: the common part of
+    p read backward and q."""
+    total = Fraction(0)
+    for x, y in zip(reversed(p), q):
+        if y != rev(x):
+            break
+        total += G.length(x[0])
+    return total
+
+
 def bounded_cancellation_bound(f: PLMap, pair_cap: int = 10 ** 6) -> Fraction:
     """An explicit bounded cancellation constant K + lambda vol(A) for a PL
     map f: A -> B: the concatenation of reduced loops loses at most twice
@@ -735,6 +707,7 @@ def bounded_cancellation_bound(f: PLMap, pair_cap: int = 10 ** 6) -> Fraction:
     if pair_cap < 0:
         raise InvalidInputError(f"pair cap {pair_cap} is negative")
     A, B = f.source, f.target
+    C, images = cut_target_images(f)
     lam = stretch_analysis(f).stretch
     cap = 4 * lam * volume(A) * lambda_r(B, A).value
     K = Fraction(0)
@@ -743,12 +716,13 @@ def bounded_cancellation_bound(f: PLMap, pair_cap: int = 10 ** 6) -> Fraction:
     loops_truncated = False
     pairs_capped = False
     for v in sorted(A.vertices):
-        loops: list[tuple[EdgePath, PLPath]] = []
+        loops: list[tuple[EdgePath, EdgePath]] = []
         for alpha in _loops_at_by_length(A, v, cap, max_loops):
             if alpha is None:
                 loops_truncated = True
                 break
-            loops.append((alpha, push_loop(f, alpha)))
+            loops.append((alpha, reduce_darts(
+                x for d in alpha for x in images[d])))
         for (alpha, fa) in loops:
             if pairs_capped:
                 break
@@ -762,7 +736,7 @@ def bounded_cancellation_bound(f: PLMap, pair_cap: int = 10 ** 6) -> Fraction:
                 if pairs > pair_cap:
                     pairs_capped = True
                     break
-                K = max(K, pl_cancellation(B, fa, fb))
+                K = max(K, cancellation(C, fa, fb))
         if pairs_capped:
             break
     bound = K + lam * volume(A)

@@ -203,13 +203,16 @@ def repro_crossing() -> Report:
 
 # -- polynomial growth folding -----------------------------------------------------------
 
-def repro_polynomial_growth(ks=(2, 3, 5),
-                            deltas=(F(0), F(1, 4), F(1, 2), F(3, 4))
-                            ) -> Report:
+# the twists' sizes k, and where each unit of fold time is sampled
+TWIST_SIZES = (2, 3, 5)
+TWIST_OFFSETS = (F(0), F(1, 4), F(1, 2), F(3, 4))
+
+
+def repro_polynomial_growth() -> Report:
     """Folding the large rose onto its polynomial twist: speeds, their exact
     ratio formula, and the quasi-geodesic verdicts."""
     rep = Report("polynomial-growth twist: folding speeds and quasigeodesy")
-    for k in ks:
+    for k in TWIST_SIZES:
         A, B = poly_twist_pair(k)
         path = fast_fold(prepare_folding_setup(A, B, normalize_target=False))
         t = rep.table(
@@ -218,7 +221,7 @@ def repro_polynomial_growth(ks=(2, 3, 5),
              "toward_speed", "ratio", "formula", "match", "ratio>=1/2"],
         )
         for i in range(k):
-            for delta in deltas:
+            for delta in TWIST_OFFSETS:
                 time = i + delta
                 point = point_at(path, time)
                 sp = speeds(path, point)
@@ -268,7 +271,11 @@ def recomputed_incompleteness_form(n: int, k: int, m: int) -> Fraction:
     return F((k + m) * (k * n - k + 1), k * ((k + m) * n - (k + m) + 1))
 
 
-def repro_incompleteness(n: int = 3, kmax: int = 10, mmax: int = 3) -> Report:
+# the roses' rank, and the largest k and m tabulated
+PETAL_RANK, PETAL_KMAX, PETAL_MMAX = 3, 10, 3
+
+
+def repro_incompleteness() -> Report:
     """The shrinking-petal sequence is right-factor Cauchy with no limit:
     stretching factors tend to one while the systole tends to zero.
 
@@ -278,19 +285,19 @@ def repro_incompleteness(n: int = 3, kmax: int = 10, mmax: int = 3) -> Report:
     """
     rep = Report("shrinking-petal sequence: one-sided incompleteness")
     t = rep.table(
-        f"stretching factors, rank {n}",
+        f"stretching factors, rank {PETAL_RANK}",
         ["k", "m", "Lambda_R(A_k, A_k+m)", "stated_form", "recomputed_form",
          "matches_stated", "matches_recomputed", "systole(A_k)"],
     )
     mono = []
-    for k in range(1, kmax + 1):
-        Ak = shrinking_petal_rose(n, k)
+    for k in range(1, PETAL_KMAX + 1):
+        Ak = shrinking_petal_rose(PETAL_RANK, k)
         sys_v, _, _ = systole_and_thin_test(Ak, F(1, 100))
-        for m in range(1, mmax + 1):
-            Akm = shrinking_petal_rose(n, k + m)
+        for m in range(1, PETAL_MMAX + 1):
+            Akm = shrinking_petal_rose(PETAL_RANK, k + m)
             lam = lambda_r(Ak, Akm).value
-            stated = paper_incompleteness_form(n, k, m)
-            recomputed = recomputed_incompleteness_form(n, k, m)
+            stated = paper_incompleteness_form(PETAL_RANK, k, m)
+            recomputed = recomputed_incompleteness_form(PETAL_RANK, k, m)
             if m == 1:
                 mono.append(lam)
             t.add(
@@ -305,8 +312,9 @@ def repro_incompleteness(n: int = 3, kmax: int = 10, mmax: int = 3) -> Report:
           "yes" if all(a > b for a, b in zip(mono, mono[1:]))
           and all(x > 1 for x in mono) else "NO")
     systoles = [
-        systole_and_thin_test(shrinking_petal_rose(n, k), F(1, 100))[0]
-        for k in range(1, kmax + 1)
+        systole_and_thin_test(shrinking_petal_rose(PETAL_RANK, k),
+                              F(1, 100))[0]
+        for k in range(1, PETAL_KMAX + 1)
     ]
     v.add("systole decreases to 0",
           "yes" if all(a > b for a, b in zip(systoles, systoles[1:]))
@@ -321,7 +329,11 @@ def repro_incompleteness(n: int = 3, kmax: int = 10, mmax: int = 3) -> Report:
 
 # -- orbits of automorphisms ----------------------------------------------------------------
 
-def repro_orbit(hmin: int = -4, hmax: int = 4) -> Report:
+# the powers h of each automorphism
+ORBIT_POWERS = range(-4, 5)
+
+
+def repro_orbit() -> Report:
     """Distances from the unit rose to its automorphism orbit, for an
     exponential and a polynomial automorphism."""
     rep = Report("automorphism orbits of the unit rose")
@@ -332,7 +344,7 @@ def repro_orbit(hmin: int = -4, hmax: int = 4) -> Report:
             name,
             ["h", "Lambda_R", "Lambda_L", "Lambda", "d", "d_R", "d_L"],
         )
-        for h in range(hmin, hmax + 1):
+        for h in ORBIT_POWERS:
             Rh = apply_automorphism_to_marking(R, aut_power(phi, h))
             srep = stretch_report(Rh, R)
             t.add(

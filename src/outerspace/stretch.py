@@ -123,6 +123,32 @@ def _incidence(vertices: frozenset[str],
     return head, tail, star, turns
 
 
+def _simple_paths(turns: list, firsts: list, free: set[int],
+                  stop: set[int]) -> list[tuple[int, ...]]:
+    """Every path that leaves by one of ``firsts``, ``(dart, head)`` pairs
+    in order, goes on through distinct ``free`` vertices and ends at the
+    first ``stop`` vertex it reaches: depth first on an explicit stack, which
+    hands ``free`` back as it found it."""
+    paths: list[tuple[int, ...]] = []
+    path: list[int] = []
+    stack = [(iter(firsts), None)]
+    while stack:
+        for d, w in stack[-1][0]:
+            if w in stop:
+                paths.append(tuple(path) + (d,))
+            elif w in free:
+                free.remove(w)
+                path.append(d)
+                stack.append((iter(turns[d]), w))
+                break
+        else:
+            w = stack.pop()[1]
+            if w is not None:
+                path.pop()
+                free.add(w)
+    return paths
+
+
 def _embedded_circles(inc: tuple) -> list[tuple[int, ...]]:
     """All embedded circles in canonical form, sorted.
 
@@ -136,67 +162,22 @@ def _embedded_circles(inc: tuple) -> list[tuple[int, ...]]:
     for v in range(len(star)):
         later.remove(v)
         circles += [(d,) for d in star[v] if head[d] == v and not d & 1]
-        firsts = [d for d in star[v] if head[d] in later]
-        for d in firsts[:-1]:
-            later.remove(head[d])
-            _close_circles(turns, [d], later, v, circles)
-            later.add(head[d])
+        firsts = [(d, head[d]) for d in star[v] if head[d] in later]
+        circles += [_least_rotation(c)
+                    for c in _simple_paths(turns, firsts[:-1], later, {v})
+                    if c[0] < c[-1] ^ 1]
     circles.sort()
     return circles
-
-
-def _close_circles(turns: list, path: list[int], free: set[int], start: int,
-                   circles: list) -> None:
-    """Extend ``path`` through the ``free`` vertices in every way, depth
-    first on an explicit stack, adding each circle that closes at ``start``
-    in `_embedded_circles`' form."""
-    stack = [(iter(turns[path[-1]]), None)]
-    while stack:
-        for d, w in stack[-1][0]:
-            if w == start:
-                if path[0] < d ^ 1:
-                    circles.append(_least_rotation(tuple(path) + (d,)))
-            elif w in free:
-                free.remove(w)
-                path.append(d)
-                stack.append((iter(turns[d]), w))
-                break
-        else:
-            w = stack.pop()[1]
-            if w is not None:
-                path.pop()
-                free.add(w)
 
 
 def _embedded_arcs(inc: tuple, src: set[int],
                    dst: set[int]) -> list[tuple[int, ...]]:
     """Embedded arcs from a vertex of src to a vertex of dst whose interior
-    avoids both endpoint sets: each first dart out of src, in order, then
-    every way on through unvisited vertices, depth first on an explicit
-    stack."""
+    avoids both endpoint sets, each first dart out of src in order."""
     head, _, star, turns = inc
-    arcs: list[tuple[int, ...]] = []
-    path: list[int] = []
-    visited: set[int] = set()
-    stack = [(iter([(d, head[d]) for v in sorted(src) for d in star[v]]),
-              None)]
-    while stack:
-        for d, w in stack[-1][0]:
-            if w in visited:
-                continue
-            if w in dst:
-                arcs.append(tuple(path) + (d,))
-            elif w not in src:
-                visited.add(w)
-                path.append(d)
-                stack.append((iter(turns[d]), w))
-                break
-        else:
-            w = stack.pop()[1]
-            if w is not None:
-                path.pop()
-                visited.discard(w)
-    return arcs
+    return _simple_paths(turns,
+                         [(d, head[d]) for v in sorted(src) for d in star[v]],
+                         set(range(len(star))) - src - dst, dst)
 
 
 def _reverse(path: tuple[int, ...]) -> tuple[int, ...]:

@@ -2,6 +2,7 @@ import copy
 import io
 import json
 import math
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
 from functools import reduce
@@ -16,6 +17,7 @@ from outerspace.docs import (
     doc_to_graph,
     format_word,
     graph_to_doc,
+    load_graph,
     log_of,
     parse_word,
     save_graph,
@@ -28,6 +30,11 @@ from outerspace.fixtures import (
     theta_left,
     theta_right,
     unit_rose,
+)
+from outerspace.folding import (
+    check_dR_geodesic,
+    fast_fold,
+    prepare_folding_setup,
 )
 from outerspace.graphs import make_graph
 from outerspace.words import Word
@@ -142,6 +149,22 @@ def test_validate_rejects_bad_doc(tmp_path, capsys):
     bad.write_text(canonical_text(doc))
     code, _, err = run(capsys, "validate", str(bad))
     assert code == 2
+
+
+@pytest.mark.parametrize("length", ["1e5000", "1e10000000"])
+def test_validate_rejects_a_length_past_the_digit_limit(tmp_path, capsys,
+                                                        length):
+    # its numerator could not be printed; the exponent alone decides, before
+    # ten is raised to it
+    bad = tmp_path / "bad.json"
+    doc = graph_to_doc(theta_left())
+    doc["edges"][0]["length"] = length
+    bad.write_text(canonical_text(doc))
+    start = time.perf_counter()
+    code, _, err = run(capsys, "validate", str(bad))
+    assert code == 2
+    assert "Exceeds the limit" in err
+    assert time.perf_counter() - start < 0.5
 
 
 def test_tlength(files, capsys):
@@ -293,13 +316,11 @@ def test_foldpath_single_vertex_toward_speed_zero(files, capsys, source,
     assert "0/1" in [row[4] for row in rows]
 
 
-@pytest.mark.parametrize("source,target,vertex", [("V", "Y", "w"),
-                                                  ("B1", "V", "u")])
-def test_foldpath_valence_one_snapshot_is_an_internal_error(
-        files, tmp_path, capsys, source, target, vertex):
+@pytest.mark.parametrize("source,target", [("V", "Y"), ("B1", "V")])
+def test_foldpath_collapses_a_hair(files, tmp_path, capsys, source, target):
     # a fold of these pairs leaves a vertex with a single edge (the source's
-    # w, or the basepoint u); such a snapshot is not a marked graph, an open
-    # problem of the zip semantics rather than an input error
+    # w, or the basepoint u); collapsing that hair keeps the path a d_R
+    # geodesic
     G = barbell(F(1, 3), F(1, 2), F(1, 5))
     a, A, b, B = ("a", 1), ("a", -1), ("b", 1), ("b", -1)
     c, C = ("c", 1), ("c", -1)
@@ -309,9 +330,13 @@ def test_foldpath_valence_one_snapshot_is_an_internal_error(
     for name, H in (("V", V), ("B1", twisted_barbell())):
         files[name] = str(tmp_path / f"{name}.json")
         save_graph(files[name], H)
-    code, _, err = run(capsys, "foldpath", files[source], files[target])
-    assert code == 5
-    assert f"vertex {vertex} has valence 1" in err
+    code, out, err = run(capsys, "foldpath", files[source], files[target])
+    assert code == 0, err
+    assert {line.split("\t")[6] for line in out.splitlines()
+            if line[:1].isdigit()} == {"0/1"}
+    path = fast_fold(prepare_folding_setup(load_graph(files[source]),
+                                           load_graph(files[target])))
+    assert check_dR_geodesic(path.snapshots)[0]
 
 
 def test_checkgeod_crossing(files, capsys):

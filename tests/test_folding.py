@@ -444,6 +444,26 @@ def test_k33_sweep_pairs_fold_without_straight_vertices(seed):
         assert straight_vertices(path, k) == []
 
 
+@pytest.mark.parametrize("family,seed", [("K4", 34), ("K4", 42),
+                                         ("K33", 17)])
+def test_sweep_pairs_whose_fold_leaves_a_hair(family, seed):
+    """Sweep pairs with a one-gate vertex, the basepoint for K4 seed 34:
+    its darts fold together and leave an edge with a valence-one end.  The
+    fold collapses it, every snapshot is a consistently marked graph, and
+    the path is a d_R geodesic."""
+    setup = prepare_folding_setup(*sweep_pair(family, seed))
+    G, B, sigma = setup.source, setup.target, setup.sigma
+    gates = {v: {germ_of_dart(G, B, sigma, d) for d in ds}
+             for v, ds in stars(G).items()}
+    one_gate = [v for v, germs in gates.items() if len(germs) == 1]
+    assert len(one_gate) == 1
+    assert (one_gate[0] == G.basepoint) == (seed == 34)
+    path = fast_fold(setup)
+    for H in path.snapshots:
+        assert validate_marked_graph(H).ok, validate_marked_graph(H).issues
+    assert check_dR_geodesic(path.snapshots)[0]
+
+
 def test_sweep_pairs_where_coordinate_descent_stalled_certify():
     """Sweep pairs on which the optimizer's moves crept toward a point above
     the optimum (K3,3 seed 97 exhausted the move budget; K3,3 seed 60 and

@@ -58,6 +58,9 @@ for _name in HIGH_RANK:
 for _name in FOLD_RANK3:
     CASES[f"foldpath-{_name}"] = ["foldpath", f"{_name}_source.json",
                                   f"{_name}_target.json"]
+    # the optimal map sends vertices into a target edge, which bcc cuts
+    CASES[f"bcc-{_name}"] = ["bcc", f"{_name}_source.json",
+                             f"{_name}_target.json", "--pair-cap", "2000"]
 # X = theta_left, Y = theta_right, M = rose_t(1/2), T = rose_t(5/8)
 _X, _Y, _M, _T = ("theta_left.json", "theta_right.json", "rose_half.json",
                   "rose_five_eighths.json")

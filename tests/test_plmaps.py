@@ -26,56 +26,80 @@ from outerspace.fixtures import (
 )
 from outerspace.graphs import (
     apply_automorphism_to_marking,
+    path_length,
     realize_word_as_path,
+    reduce_darts,
+    rev,
     translation_length,
     volume,
+    word_of_loop,
 )
 from outerspace.plmaps import (
+    PLMap,
+    PLPath,
     bounded_cancellation_bound,
-    image_of_dart,
+    cancellation,
+    cut_target_images,
+    dart_len,
     initial_pl_map,
     make_plpath,
     next_v,
     optimize_pl_map,
-    pl_cancellation,
-    pl_concat,
-    pl_from_darts,
+    path_end,
     pl_length,
-    pl_reverse,
-    pl_word,
-    push_loop,
     stretch_analysis,
     validate_pl_map,
 )
 from outerspace.stretch import lambda_r
 
 
+def reversed_path(G, p):
+    """The PL path p run backward."""
+    segs = tuple((rev(d), dart_len(G, d) - b, dart_len(G, d) - a)
+                 for (d, a, b) in reversed(p.segs))
+    return PLPath(segs, path_end(G, p))
+
+
+def pushed(images, loop):
+    """The tightened image of a source loop, on the cut target."""
+    return reduce_darts(x for d in loop for x in images[d])
+
+
 # -- PL path machinery ----------------------------------------------------------------
 
-def test_concat_cancels_partial_overlap():
+def test_cut_target_images_cancel_a_partial_edge():
+    """The rose's vertex goes halfway along petal a, so the target is cut
+    there; the image of b is b conjugated by the half a.2, and b^-1 after
+    a^-1, the second loop pair, cancels that half edge."""
     G = unit_rose(2)
-    # path going half way into a and back cancels entirely
-    p = make_plpath(G, [(("a", 1), F(0), F(1, 2))])
-    q = pl_reverse(G, p)
-    out = pl_concat(G, p, q)
-    assert pl_length(out) == 0
-    assert out.anchor == ("v", "v")
-
-
-def test_concat_partial_cancellation_keeps_remainder():
-    G = unit_rose(2)
-    p = pl_from_darts(G, (("a", 1),))
-    q = make_plpath(G, [(("a", -1), F(0), F(1, 4))])
-    out = pl_concat(G, p, q)
-    assert pl_length(out) == F(3, 4)
-    assert out.segs == ((("a", 1), F(0), F(3, 4)),)
+    h = F(1, 2)
+    a, b = ("a", 1), ("b", 1)
+    f = PLMap(G, G, {"v": ("e", "a", h)}, {
+        "a": make_plpath(G, [(a, h, F(1)), (a, F(0), h)]),
+        "b": make_plpath(G, [(a, h, F(1)), (b, F(0), F(1)),
+                             (rev(a), F(0), h)]),
+    })
+    assert validate_pl_map(f) == []
+    C, images = cut_target_images(f)
+    assert C.edges == {"a.1": ("v", "a:v1", h), "a.2": ("a:v1", "v", h),
+                       "b": ("v", "v", F(1))}
+    assert images[a] == (("a.2", 1), ("a.1", 1))
+    assert images[rev(b)] == (("a.2", 1), rev(b), ("a.2", -1))
+    assert cancellation(C, images[rev(a)], images[rev(b)]) == h
+    assert bcc_or_partial(f, pair_cap=1) == (4, False)
+    assert bcc_or_partial(f, pair_cap=2) == (4 + h, False)
+    # an image segment that ends at no vertex image splits a piece
+    g = replace(f, edge_image={**f.edge_image,
+                               "a": make_plpath(G, [(a, F(1, 4), F(1))])})
+    with pytest.raises(InternalInvariantError, match="splits a cut piece"):
+        cut_target_images(g)
 
 
 def test_seam_cancellation_matches_translation_length():
     """Images of based loops under optimized (or budget-partial) maps between
-    random rank-2 pairs: the cyclic length is the translation length of the
-    loop's word, and the cancellation at a seam accounts exactly for the
-    length lost by concatenation."""
+    random rank-2 pairs, on the cut target: the cyclic length is the
+    translation length of the loop's word, and the cancellation at a seam
+    accounts exactly for the length lost by concatenation."""
     rng = random.Random(41)
     cases = interior = partial = 0
     for _ in range(24):
@@ -88,21 +112,22 @@ def test_seam_cancellation_matches_translation_length():
         except BudgetExhaustedError as exc:
             f = exc.partial[0]
             partial += 1
+        C, dart_images = cut_target_images(f)
         images = []
         while len(images) < 8:
             loop = realize_word_as_path(A, random_word(rng, 2, 6))
             if loop:
-                images.append(push_loop(f, loop))
+                images.append(pushed(dart_images, loop))
         interior += f.vertex_image[A.basepoint][0] == "e"
         for p in images:
             # a reduced closed path is u.w.u~ with w cyclically reduced,
             # and the seam of p.p cancels exactly u
-            assert pl_length(p) - 2 * pl_cancellation(B, p, p) == \
-                translation_length(B, pl_word(B, p))
+            assert path_length(C, p) - 2 * cancellation(C, p, p) == \
+                translation_length(B, word_of_loop(C, p))
             for q in images[:4]:
                 cases += 1
-                assert 2 * pl_cancellation(B, p, q) == \
-                    pl_length(p) + pl_length(q) - pl_length(pl_concat(B, p, q))
+                assert 2 * cancellation(C, p, q) == path_length(C, p) + \
+                    path_length(C, q) - path_length(C, reduce_darts(p + q))
     assert cases == 768
     assert interior > 0 and partial > 0
 
@@ -152,7 +177,7 @@ def test_edge_image_off_its_origin_image_is_reported():
     B = f.target
     assert f.vertex_image["u"] != f.vertex_image["v"]
     edge_image = dict(f.edge_image)
-    edge_image["A"] = pl_reverse(B, edge_image["A"])
+    edge_image["A"] = reversed_path(B, edge_image["A"])
     assert validate_pl_map(replace(f, edge_image=edge_image)) == [
         "image of edge A does not start at the image of u",
         "image of edge A does not end at the image of v",
@@ -489,7 +514,9 @@ def test_terminal_germ_reads_the_stored_path(monkeypatch):
     assert len(maps) > 80
     for f in maps:
         for d in f.source.darts():
-            p = image_of_dart(f, d)
+            p = f.edge_image[d[0]]
+            if d[1] < 0:
+                p = reversed_path(f.target, p)
             assert plmaps.terminal_germ(f, d) == \
                 (p.segs[-1][0] if p.segs else None)
             if p.segs:
@@ -600,8 +627,7 @@ def test_bcc_never_exceeded_by_longer_pairs():
     lam = stretch_analysis(f).stretch
     bound, _ = bcc_or_partial(f, pair_cap=50000)
     K = bound - lam * volume(G)
-    from outerspace.graphs import realize_word_as_path
-
+    C, images = cut_target_images(f)
     checked = 0
     while checked < 200:
         wa = random_word(rng, 2, 12)
@@ -615,7 +641,7 @@ def test_bcc_never_exceeded_by_longer_pairs():
         if pb[0] == (pa[-1][0], -pa[-1][1]) or pa[0] == (pb[-1][0], -pb[-1][1]):
             continue
         checked += 1
-        la = pl_length(push_loop(f, pa))
-        lb = pl_length(push_loop(f, pb))
-        lab = pl_length(push_loop(f, pa + pb))
+        la = path_length(C, pushed(images, pa))
+        lb = path_length(C, pushed(images, pb))
+        lab = path_length(C, pushed(images, pa + pb))
         assert (la + lb - lab) / 2 <= K
