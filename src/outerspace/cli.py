@@ -424,8 +424,11 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, BudgetExhaustedError) and exc.partial is not None \
                 and isinstance(exc.partial, Fraction):
-            print(f"partial lower bound: {format_fraction(exc.partial)}",
-                  file=sys.stderr)
+            try:
+                partial = format_fraction(exc.partial)
+            except InvalidInputError as too_long:
+                partial = f"not printed: {too_long}"
+            print(f"partial lower bound: {partial}", file=sys.stderr)
         return exc.exit_code
     sys.stdout.write(report.render(args.format))
     return 0

@@ -26,8 +26,18 @@ _EXPONENT_RE = re.compile(
 
 
 def format_fraction(x: Fraction) -> str:
+    """``p/q``.  A value computed from inputs that each pass
+    `parse_fraction` can still have more digits than
+    `sys.get_int_max_str_digits` allows to print; that is an input error
+    too."""
     x = Fraction(x)
-    return f"{x.numerator}/{x.denominator}"
+    try:
+        return f"{x.numerator}/{x.denominator}"
+    except ValueError:
+        raise InvalidInputError(
+            "a value to print exceeds the limit "
+            f"({sys.get_int_max_str_digits()} digits) for integer string "
+            "conversion") from None
 
 
 def parse_fraction(s: str) -> Fraction:

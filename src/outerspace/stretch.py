@@ -15,14 +15,21 @@ per-edge image paths: every edge label of the source is realized once through
 the target's marking, and the candidate's image is the cyclic reduction of
 its darts' images, found in one stack pass.  Lengths are summed as integers,
 each graph's scaled by the common denominator of its edge lengths, and ratios
-are compared by cross-multiplication.  Everything here is exact: the reports
-carry the factors as fractions, and their logarithms are left to display.
+are compared by cross-multiplication.  What the evaluation reads of a graph
+(its type key, integer lengths, dart numbers, labels, reduced integer petals
+and volume) is prepared once per graph object, and the last values asked
+for are kept; both caches key graphs by identity, so a graph must not be
+changed in place after a query (see `_PAIR_CACHE_SIZE`).  Everything here
+is exact: the reports carry the factors as fractions, and their logarithms
+are left to display.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
+from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -34,7 +41,8 @@ from .graphs import (
     EdgePath,
     MarkedMetricGraph,
     realize_word_as_path,
-    volume,
+    reduce_darts,
+    require_labels,
 )
 
 
@@ -226,10 +234,20 @@ class _CandidateTable:
         return self.canonical(range(len(self.loops)))
 
 
-# candidate tables kept across calls, one per combinatorial type; one of a
-# trivalent graph of rank 4 to 6 takes at most about 140 KB with every
-# candidate keyed, sorted and built, so at most about 2.2 MB
+# Three bounded module-level caches drop the entry used least recently;
+# sizes by tracemalloc (Python 3.11) on the trivalent graphs of rank 4 to 6
+# of the distance-highrank benchmark pool.  Candidate tables, by
+# combinatorial type: one takes at most about 140 KB with every candidate
+# keyed, sorted and built, so at most about 2.2 MB.
 _TYPE_CACHE_SIZE = 16
+# `_GraphRecord`s, by graph identity: about 3.4 KB each, 109 KB in all.
+_RECORD_CACHE_SIZE = 32
+# `lambda_r` values, by the identities of source and target: 225 KB in all
+# with the witnesses they keep.  An identity entry keeps its graphs alive,
+# so no other object can take their ids while it is kept; a graph changed
+# in place after a query would read stale entries (graphs are immutable by
+# convention).
+_PAIR_CACHE_SIZE = 256
 
 
 def enumerate_candidates(G: MarkedMetricGraph) -> list[CandidateLoop]:
@@ -310,47 +328,133 @@ class StretchValue:
         return self.witnesses[0]
 
 
-def _integer_lengths(G: MarkedMetricGraph) -> tuple[int, dict[str, int]]:
-    """The common denominator D of the edge lengths, and each length times
-    D."""
-    D = math.lcm(*(l.denominator for (_, _, l) in G.edges.values()))
-    return D, {e: l.numerator * (D // l.denominator)
-               for e, (_, _, l) in G.edges.items()}
+class _GraphRecord:
+    """What `lambda_r` reads of a graph on either side, prepared once: its
+    type key, the common denominator ``scale`` of its edge lengths and each
+    dart's length times it, in `_darts` order, its labels by sorted edge
+    (None where missing), its volume, and by letter each petal as a reduced
+    path of integer darts with the vertices its unreduced steps leave and
+    reach (None for an empty petal), or None if a step is unknown or does
+    not meet the next."""
+
+    __slots__ = ("key", "scale", "lengths", "labels", "volume", "petals")
+
+    def __init__(self, G: MarkedMetricGraph):
+        self.key = _combinatorial_type(G)
+        edges = sorted(G.edges)
+        lengths = [G.length(e) for e in edges]
+        self.scale = math.lcm(*(l.denominator for l in lengths))
+        ints = [l.numerator * (self.scale // l.denominator) for l in lengths]
+        self.lengths = [n for n in ints for _ in (0, 1)]
+        self.volume = Fraction(sum(ints), self.scale)
+        darts = _darts(edges)
+        code = {d: k for k, d in enumerate(darts)}
+        self.labels = [(G.labels or {}).get(e) for e in edges]
+        ends = [G.terminus(d) for d in darts]
+        self.petals: dict[int, tuple | None] = {}
+        for x, petal in enumerate(G.marking, start=1):
+            steps = [code.get(d) for d in petal]
+            if None in steps or any(ends[a] != ends[b ^ 1]
+                                    for a, b in zip(steps, steps[1:])):
+                self.petals[x] = self.petals[-x] = None
+                continue
+            o, t = (ends[steps[0] ^ 1], ends[steps[-1]]) if steps else \
+                (None, None)
+            path = tuple([code[d] for d in reduce_darts(petal)])
+            self.petals[x] = (path, o, t)
+            self.petals[-x] = (_reverse(path), t, o)
+
+
+_RECORDS: OrderedDict = OrderedDict()
+_PAIRS: OrderedDict = OrderedDict()
+
+
+def _identity_lru(cache: OrderedDict, size: int, build, *objs):
+    """``build(*objs)``, kept in ``cache`` under the objects' ids with the
+    ``size`` entries used last; a hit needs the very same objects."""
+    key = tuple(map(id, objs))
+    hit = cache.get(key)
+    if hit is not None and all(map(operator.is_, hit[0], objs)):
+        cache.move_to_end(key)
+        return hit[1]
+    value = build(*objs)
+    cache[key] = (objs, value)
+    if len(cache) > size:
+        cache.popitem(last=False)
+    return value
+
+
+def _record(G: MarkedMetricGraph) -> _GraphRecord:
+    return _identity_lru(_RECORDS, _RECORD_CACHE_SIZE, _GraphRecord, G)
+
+
+def _realize(B: MarkedMetricGraph, rb: _GraphRecord, w) -> tuple[int, ...]:
+    """The reduced path of B's integer darts tracing the word ``w``: each
+    letter's petal pushed onto one stack, popping where it cancels against
+    the top (only at a seam, as every petal is reduced).  Where a petal has
+    a bad step, or where two petals do not meet, `realize_word_as_path`
+    raises its error on the word."""
+    if w.rank != B.rank:
+        raise RankMismatchError(f"word rank {w.rank} != graph rank {B.rank}")
+    stack: list[int] = []
+    at = None  # where the unreduced steps have arrived so far
+    for x in w.letters:
+        petal = rb.petals.get(x)
+        if petal is None or at is not None and petal[1] not in (None, at):
+            code = {d: k for k, d in enumerate(_darts(B.edges))}
+            return tuple([code[d] for d in realize_word_as_path(B, w)])
+        path, _, end = petal
+        if end is not None:
+            at = end
+        i = 0
+        while stack and i < len(path) and stack[-1] == path[i] ^ 1:
+            stack.pop()
+            i += 1
+        stack += path[i:]
+    return tuple(stack)
 
 
 def lambda_r(A: MarkedMetricGraph, B: MarkedMetricGraph) -> StretchValue:
     """Right-hand stretching factor sup l_B(w)/l_A(w), computed exactly on
     the candidate set of A, with every maximizing candidate as witness.
 
-    Candidate images are evaluated through the marking, independently of any
-    map, on the integer loops of A's candidate table, in its order.  Each
-    edge label of A is realized once as a reduced path of B's integer darts.
-    A candidate's image is its darts' images concatenated and cyclically
-    reduced, which is the loop realizing the candidate's word, since free
-    reduction is confluent.  One stack pass per candidate pushes each
-    dart's image, popping where it cancels against the top (only at a seam,
-    as every image is reduced), then trims matching ends; the length is the
-    images' integer lengths (`_integer_lengths`) less twice each cancelled
-    or trimmed dart's.  Ratios are compared by cross-multiplying these
-    integers; one `Fraction` is built, and keys and `CandidateLoop`s only
-    for the witnesses, which are listed in canonical order.
+    The values of the last `_PAIR_CACHE_SIZE` pairs are kept by the
+    identities of A and B (`_evaluate` computes them).
     """
     if A.rank != B.rank:
         raise RankMismatchError(f"ranks differ: {A.rank} != {B.rank}")
-    table = _candidates_of_type(*_combinatorial_type(A))
-    scale_b, len_b = _integer_lengths(B)
-    darts_b = _darts(B.edges)
-    code_b = {d: k for k, d in enumerate(darts_b)}
-    length_b = [len_b[e] for (e, _) in darts_b]
-    scale_a, len_a = _integer_lengths(A)
+    return _identity_lru(_PAIRS, _PAIR_CACHE_SIZE, _evaluate, A, B)
+
+
+def _evaluate(A: MarkedMetricGraph, B: MarkedMetricGraph) -> StretchValue:
+    """`lambda_r` on the integer loops of A's candidate table, in its order,
+    independently of any map.
+
+    Each edge label of A is realized once as a reduced path of B's integer
+    darts (`_realize`).  A candidate's image is its darts' images
+    concatenated and cyclically reduced, which is the loop realizing the
+    candidate's word, since free reduction is confluent.  One stack pass per
+    candidate pushes each dart's image, popping where it cancels against the
+    top (only at a seam, as every image is reduced), then trims matching
+    ends; the length is the images' integer lengths (`_GraphRecord`) less
+    twice each cancelled or trimmed dart's.  Ratios are compared by
+    cross-multiplying these integers; one `Fraction` is built, and keys and
+    `CandidateLoop`s only for the witnesses, which are listed in canonical
+    order.
+    """
+    ra, rb = _record(A), _record(B)
+    table = _candidates_of_type(*ra.key)
+    length_b = rb.lengths
     # per dart of A: its image, the image's length and the dart's length
     image: list[tuple[tuple[int, ...], int, int]] = []
-    for (e, _) in table.darts[1::2]:
-        path = tuple([code_b[d] for d in
-                      realize_word_as_path(B, A.label_of_dart((e, 1)))])
+    for i, (e, _) in enumerate(table.darts[1::2]):
+        w = ra.labels[i]
+        if w is None:
+            require_labels(A, ((e, 1),))  # raises
+        path = _realize(B, rb, w)
         length = sum(length_b[x] for x in path)
-        image += ((_reverse(path), length, len_a[e]),
-                  (path, length, len_a[e]))
+        image += ((_reverse(path), length, ra.lengths[2 * i]),
+                  (path, length, ra.lengths[2 * i]))
     best_b, best_a = 0, 1
     witnesses: list[int] = []
     for k, loop in enumerate(table.loops):
@@ -382,7 +486,7 @@ def lambda_r(A: MarkedMetricGraph, B: MarkedMetricGraph) -> StretchValue:
             witnesses.append(k)
     if not witnesses:
         raise InvalidInputError("source graph has no candidate loop")
-    return StretchValue(Fraction(best_b * scale_a, best_a * scale_b),
+    return StretchValue(Fraction(best_b * ra.scale, best_a * rb.scale),
                         tuple(map(table.candidate,
                                   table.canonical(witnesses))))
 
@@ -406,7 +510,7 @@ def stretch_report(A: MarkedMetricGraph, B: MarkedMetricGraph) -> StretchReport:
     of the volume-one copies.
     """
     right, left = lambda_r(A, B), lambda_r(B, A)
-    ratio = volume(A) / volume(B)
+    ratio = _record(A).volume / _record(B).volume
     lam_R, lam_L = right.value * ratio, left.value / ratio
     return StretchReport(lambda_R=lam_R, lambda_L=lam_L, Lambda=lam_R * lam_L,
                          witnesses_R=right.witnesses,

@@ -1,5 +1,22 @@
+import pytest
+
+import outerspace.stretch as stretch
 from outerspace.graphs import make_graph
 from outerspace.words import Word, cyclic_reduce
+
+
+def clear_stretch_caches():
+    """Empty the module-level caches of `outerspace.stretch`."""
+    stretch._candidates_of_type.cache_clear()
+    stretch._RECORDS.clear()
+    stretch._PAIRS.clear()
+
+
+@pytest.fixture(autouse=True)
+def empty_stretch_caches():
+    """Every test starts with the stretch caches empty, so that no test's
+    result depends on the tests run before it."""
+    clear_stretch_caches()
 
 
 def cyclic_key(w):

@@ -468,6 +468,21 @@ def test_internal_invariant_exit_code(files, capsys, monkeypatch):
     assert code == 5
 
 
+def test_unprintable_partial_bound_keeps_the_budget_exit_code(
+        files, capsys, monkeypatch):
+    from outerspace.errors import BudgetExhaustedError
+
+    def exhausted(*a, **k):
+        raise BudgetExhaustedError("forced budget", partial=F(10 ** 5000, 3))
+
+    monkeypatch.setattr(cli, "stretch_report", exhausted)
+    code, out, err = run(capsys, "distance", files["X"], files["Y"])
+    assert (code, out) == (4, "")
+    assert err == ("error: forced budget\npartial lower bound: not printed: "
+                   "a value to print exceeds the limit (4300 digits) for "
+                   "integer string conversion\n")
+
+
 def test_byte_determinism(files, capsys):
     a = run(capsys, "repro", "orbit")
     b = run(capsys, "repro", "orbit")

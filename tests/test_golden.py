@@ -149,6 +149,11 @@ CASES.update({
     "distance-huge-length": ["distance", "huge_length.json", _Y],
     # petal a cut into 1,200 pieces: deeper than the default recursion limit
     "distance-cut-petal": ["distance", "cut_petal.json", "unit_rose.json"],
+    # lengths 10^4000 and 10^-4000 each print, but the volume and the values
+    # computed from them have too many digits to print
+    "validate-long-value": ["validate", "long_value.json"],
+    "distance-long-value": ["distance", "long_value.json", _Y],
+    "tlength-long-value": ["tlength", "long_value.json", "ab"],
 })
 # budgets: a negative one is an input error (exit 2); zero still gives the
 # exact budget partial
@@ -189,6 +194,9 @@ def write_inputs(directory):
                              {("edges", 0, "label"): "b"})
     edits["huge_length.json"] = (theta_left(), True,
                                  {("edges", 0, "length"): "1e400"})
+    edits["long_value.json"] = (theta_left(), True,
+                                {("edges", 0, "length"): "1e4000",
+                                 ("edges", 1, "length"): "1e-4000"})
     for fname, (G, labelled, changes) in edits.items():
         doc = graph_to_doc(G)
         if not labelled:

@@ -7,10 +7,15 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import cyclic_key
+from conftest import clear_stretch_caches, cyclic_key
 import outerspace.stretch as stretch
 from outerspace.errors import InvalidInputError, RankMismatchError
-from outerspace.folding import fast_fold, prepare_folding_setup
+from outerspace.folding import (
+    check_dR_geodesic,
+    check_four_point,
+    fast_fold,
+    prepare_folding_setup,
+)
 from outerspace.fixtures import (
     FAMILIES,
     barbell,
@@ -230,7 +235,6 @@ def test_cached_candidates_equal_reference_enumeration():
 
 
 def test_candidate_cache_is_bounded():
-    stretch._candidates_of_type.cache_clear()
     bound = stretch._TYPE_CACHE_SIZE
     assert stretch._candidates_of_type.cache_info().maxsize == bound
     for k in range(bound + 5):
@@ -243,7 +247,6 @@ def test_candidate_cache_is_bounded():
 
 
 def test_candidate_cache_key_is_the_combinatorial_type():
-    stretch._candidates_of_type.cache_clear()
     G = theta_left()
     same = theta_left((F(1, 2), F(1, 7), F(2, 3)))
     flipped = make_graph(2, dict(G.edges, A=("v", "u", G.length("A"))),
@@ -277,6 +280,97 @@ def test_no_candidate_state_on_graphs():
     fields = {f.name for f in dataclasses.fields(MarkedMetricGraph)}
     for G in graphs:
         assert set(vars(G)) == fields
+
+
+def test_replaced_copies_get_their_own_values():
+    """A `dataclasses.replace` copy is another graph to the caches, which
+    key graphs by identity: its value is the one computed afresh."""
+    X, Y = theta_left(), theta_right()
+    phi = random_nielsen_automorphism(random.Random(5), 2, 3)
+    Xphi, Yphi = (apply_automorphism_to_marking(G, phi) for G in (X, Y))
+    copies = [
+        (X, dataclasses.replace(Y, edges=dict(Y.edges, E=("u", "v", F(2))))),
+        (X, dataclasses.replace(Y, marking=Yphi.marking, labels=Yphi.labels)),
+        (dataclasses.replace(X, labels=Xphi.labels), Y),
+    ]
+    before = (lambda_r(X, Y), stretch_report(X, Y))
+    got = [(lambda_r(P, Q), stretch_report(P, Q)) for P, Q in copies]
+    clear_stretch_caches()
+    assert got == [(lambda_r(P, Q), stretch_report(P, Q)) for P, Q in copies]
+    assert all(g[0].value != before[0].value and g[1] != before[1]
+               for g in got)
+    # the source's labels and the target's marking are all that is read
+    assert got[2][0] == lambda_r(Xphi, Y)
+
+
+def test_stretch_caches_are_bounded(monkeypatch):
+    X, Y = theta_left(), theta_right()
+    targets = [scale_graph(Y, k) for k in range(1, stretch._PAIR_CACHE_SIZE
+                                                + 2)]
+    first = lambda_r(X, targets[0])
+    for B in targets[1:]:
+        lambda_r(X, B)
+        assert len(stretch._RECORDS) <= stretch._RECORD_CACHE_SIZE
+        assert len(stretch._PAIRS) <= stretch._PAIR_CACHE_SIZE
+    assert len(stretch._RECORDS) == stretch._RECORD_CACHE_SIZE
+    assert len(stretch._PAIRS) == stretch._PAIR_CACHE_SIZE
+    calls = []
+    original = stretch._evaluate
+
+    def counting(A, B):
+        calls.append((A, B))
+        return original(A, B)
+
+    monkeypatch.setattr(stretch, "_evaluate", counting)
+    assert lambda_r(X, targets[-1]) == lambda_r(X, targets[-1]) and \
+        calls == []
+    # evicted: computed again, to an equal value
+    assert lambda_r(X, targets[0]) == first
+    assert calls == [(X, targets[0])]
+
+
+def test_geodesic_checks_evaluate_each_ordered_pair_once(monkeypatch):
+    rng = random.Random(1)
+    A = random_tree_marked(rng, "K4")
+    B = apply_automorphism_to_marking(random_tree_marked(rng, "K4"),
+                                      random_nielsen_automorphism(rng, 3, 2))
+    snaps = fast_fold(prepare_folding_setup(A, B)).snapshots
+    assert len(snaps) >= 6
+    calls = []
+    original = stretch._evaluate
+
+    def counting(P, Q):
+        calls.append((snaps.index(P), snaps.index(Q)))
+        return original(P, Q)
+
+    monkeypatch.setattr(stretch, "_evaluate", counting)
+    assert check_dR_geodesic(snaps)[0]
+    assert check_four_point(snaps,
+                            lambda x, y: stretch_report(x, y).Lambda)[0]
+    assert sorted(calls) == [(i, j) for i in range(len(snaps))
+                             for j in range(len(snaps)) if i != j]
+
+
+@pytest.mark.parametrize("marking, message", [
+    # a petal with a step between edges that do not meet
+    ([(("E", 1), ("F", 1)), (("F", 1), ("G", -1))],
+     "non-incident steps ('E', 1) -> ('F', 1)"),
+    # petals that are paths but not loops, so that two do not meet
+    ([(("E", 1),), (("F", 1),)], "non-incident steps ('E', 1) -> ('F', 1)"),
+    # a petal crossing an edge the graph does not have
+    ([(("E", 1), ("Z", 1)), (("F", 1), ("G", -1))],
+     "unknown oriented edge ('Z', 1)"),
+])
+def test_bad_target_marking_raises_the_realization_error(marking, message):
+    # the source's label ab crosses the seam between the two petals
+    a, b = generator(1, 2), generator(2, 2)
+    X = dataclasses.replace(theta_left(), labels=dict(theta_left().labels,
+                                                      A=a * b))
+    Y = dataclasses.replace(theta_right(), marking=tuple(marking))
+    for _ in range(2):  # the second time with the target's record kept
+        with pytest.raises(InvalidInputError) as err:
+            lambda_r(X, Y)
+        assert str(err.value) == message
 
 
 def test_lambda_r_reads_the_candidate_table_once_per_call(monkeypatch):
