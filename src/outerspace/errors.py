@@ -26,7 +26,9 @@ class RankMismatchError(OuterspaceError):
 class BudgetExhaustedError(OuterspaceError):
     """An enumeration or iteration budget ran out (exit code 4).
 
-    Carries the best partial result so callers can report a lower bound.
+    Carries the exact partial result: the optimizer's best map with its
+    stretch and certified target, bounded cancellation's lower bound, or the
+    fold's `FoldingPath` up to its last event.
     """
 
     exit_code = 4

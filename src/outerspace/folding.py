@@ -28,6 +28,7 @@ from fractions import Fraction
 
 from .docs import log_of
 from .errors import (
+    BudgetExhaustedError,
     InternalInvariantError,
     InvalidInputError,
 )
@@ -60,8 +61,8 @@ from .plmaps import (
 from .stretch import enumerate_candidates, lambda_r
 from .words import identity
 
-# a fold that has not finished after this many events is reported as an
-# internal invariant violation rather than left to run on
+# a fold that has not finished after this many events stops with a budget
+# error carrying the path folded so far, rather than running on
 MAX_EVENTS = 1000
 
 # image of a forward edge: it covers [offset, offset + length] of a target dart
@@ -421,7 +422,9 @@ def fold_step(G: MarkedMetricGraph, B: MarkedMetricGraph, sigma: Sigma,
 
 def fast_fold(setup: FoldSetup, strategy: str = "simultaneous") -> FoldingPath:
     """Run the zips to completion; the result is the event-indexed folding
-    path from the prepared source onto the target."""
+    path from the prepared source onto the target.  A fold still running
+    after `MAX_EVENTS` events raises `BudgetExhaustedError` whose partial is
+    the path up to its last event."""
     if strategy not in ("simultaneous", "single-vertex"):
         raise InvalidInputError(f"unknown folding strategy {strategy!r}")
     G, B, sigma = setup.source, setup.target, setup.sigma
@@ -437,7 +440,10 @@ def fast_fold(setup: FoldSetup, strategy: str = "simultaneous") -> FoldingPath:
         if not classes:
             break
         if len(events) > MAX_EVENTS:
-            raise InternalInvariantError("event budget exceeded")
+            raise BudgetExhaustedError(
+                f"fold event budget {MAX_EVENTS} exhausted",
+                partial=FoldingPath(B, events, snapshots, sigmas,
+                                    setup.witness, strategy))
         delta = next_event_delta(G, classes)
         G, sigma = fold_step(G, B, sigma, classes, delta)
         if translation_length(G, w) != witness_len:

@@ -153,6 +153,7 @@ def tighten(G: MarkedMetricGraph, path: EdgePath, mode: str = "path") -> EdgePat
 
 
 def is_cyclically_reduced(G: MarkedMetricGraph, path: EdgePath) -> bool:
+    check_path(G, path)
     if not path or not is_loop(G, path):
         return False
     for a, b in zip(path, path[1:]):
@@ -222,9 +223,9 @@ def read_labels(G: MarkedMetricGraph, path: EdgePath) -> Word:
 
 def word_of_loop(G: MarkedMetricGraph, loop: EdgePath) -> Word:
     """Freely reduced readout of the inverse labels along a loop."""
+    check_path(G, loop)
     if not is_loop(G, loop):
         raise InvalidInputError("word_of_loop needs a closed path")
-    check_path(G, loop)
     require_labels(G, loop)
     return read_labels(G, loop)
 

@@ -128,6 +128,7 @@ def repro_crossing() -> Report:
     rep = Report("crossing example: the symmetric metric is not geodesic")
 
     lam_xy = lambda_r(X, Y)
+    forms = []  # each tabulated word and its length in T(alpha)
     t1 = rep.table(
         "circles of the left theta graph",
         ["loop", "word", "length_X", "length_T(alpha)", "ratio_T/X",
@@ -138,6 +139,7 @@ def repro_crossing() -> Report:
         lX = loop_length(X, cand.loop)
         lY = translation_length(Y, w)
         c0, c1 = _t_length_form(w)
+        forms.append((w, c0, c1))
         t1.add(
             format_path(cand.loop),
             format_word(w),
@@ -155,6 +157,7 @@ def repro_crossing() -> Report:
     )
     for w in _rose_candidate_words():
         c0, c1 = _t_length_form(w)
+        forms.append((w, c0, c1))
         lY = translation_length(Y, w)
         t2.add(
             format_word(w),
@@ -166,13 +169,7 @@ def repro_crossing() -> Report:
     # self-check: the table functions agree with the general machinery
     for alpha in (F(3, 8), F(1, 2), F(5, 8), F(3, 4)):
         T = rose_t(alpha)
-        for cand in enumerate_candidates(X):
-            w = word_of_loop(X, cand.loop)
-            c0, c1 = _t_length_form(w)
-            if translation_length(T, w) != c0 + c1 * alpha:
-                raise InternalInvariantError("table self-check failed")
-        for w in _rose_candidate_words():
-            c0, c1 = _t_length_form(w)
+        for w, c0, c1 in forms:
             if translation_length(T, w) != c0 + c1 * alpha:
                 raise InternalInvariantError("table self-check failed")
 
@@ -191,11 +188,9 @@ def repro_crossing() -> Report:
         "no simultaneous right/left geodesic; no symmetric-metric geodesic "
         "joins the two points" if crossing_differs else "inconclusive",
     )
-    for alpha, name in ((lo_r, "alpha_R"), (lo_l, "alpha_L")):
-        T = rose_t(alpha)
-        ok, _ = check_dR_geodesic(
-            [X, T, Y] if name == "alpha_R" else [Y, T, X]
-        )
+    for name, P, alpha, Q in (("alpha_R", X, lo_r, Y),
+                              ("alpha_L", Y, lo_l, X)):
+        ok, _ = check_dR_geodesic([P, rose_t(alpha), Q])
         verdict.add(f"{name} crossing realizes the triangle equality",
                     "yes" if ok else "NO")
     return rep
@@ -289,13 +284,14 @@ def repro_incompleteness() -> Report:
         ["k", "m", "Lambda_R(A_k, A_k+m)", "stated_form", "recomputed_form",
          "matches_stated", "matches_recomputed", "systole(A_k)"],
     )
+    roses = [shrinking_petal_rose(PETAL_RANK, k)
+             for k in range(1, PETAL_KMAX + PETAL_MMAX + 1)]
+    systoles = [systole_and_thin_test(A, F(1, 100))[0]
+                for A in roses[:PETAL_KMAX]]
     mono = []
     for k in range(1, PETAL_KMAX + 1):
-        Ak = shrinking_petal_rose(PETAL_RANK, k)
-        sys_v, _, _ = systole_and_thin_test(Ak, F(1, 100))
         for m in range(1, PETAL_MMAX + 1):
-            Akm = shrinking_petal_rose(PETAL_RANK, k + m)
-            lam = lambda_r(Ak, Akm).value
+            lam = lambda_r(roses[k - 1], roses[k + m - 1]).value
             stated = paper_incompleteness_form(PETAL_RANK, k, m)
             recomputed = recomputed_incompleteness_form(PETAL_RANK, k, m)
             if m == 1:
@@ -305,17 +301,12 @@ def repro_incompleteness() -> Report:
                 format_fraction(recomputed),
                 "yes" if lam == stated else "no",
                 "yes" if lam == recomputed else "no",
-                format_fraction(sys_v),
+                format_fraction(systoles[k - 1]),
             )
     v = rep.table("verdicts", ["check", "result"])
     v.add("Lambda_R(A_k, A_k+1) decreases monotonically to 1",
           "yes" if all(a > b for a, b in zip(mono, mono[1:]))
           and all(x > 1 for x in mono) else "NO")
-    systoles = [
-        systole_and_thin_test(shrinking_petal_rose(PETAL_RANK, k),
-                              F(1, 100))[0]
-        for k in range(1, PETAL_KMAX + 1)
-    ]
     v.add("systole decreases to 0",
           "yes" if all(a > b for a, b in zip(systoles, systoles[1:]))
           else "NO")

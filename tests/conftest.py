@@ -1,7 +1,10 @@
+import random
+
 import pytest
 
 import outerspace.stretch as stretch
-from outerspace.graphs import make_graph
+from outerspace.fixtures import random_nielsen_automorphism, random_tree_marked
+from outerspace.graphs import apply_automorphism_to_marking, make_graph
 from outerspace.words import Word, cyclic_reduce
 
 
@@ -68,3 +71,15 @@ def twisted_barbell():
     edges = {"a": ("u", "u", 1), "b": ("w", "w", 1), "c": ("u", "w", 1)}
     marking = [(a, c, b, C, a, a), (c, b, C, a, a, a, c, b, C, a, a)]
     return make_graph(2, edges, "u", marking)
+
+
+def k4_fold_pair():
+    """The rank-3 pair of the golden case ``foldpath-k4``: two tree-marked
+    K4 graphs drawn from ``Random(31)``, the target's marking twisted by two
+    Nielsen moves.  It folds in 7 events."""
+    rng = random.Random(31)
+    A = random_tree_marked(rng, "K4")
+    B = apply_automorphism_to_marking(
+        random_tree_marked(rng, "K4"),
+        random_nielsen_automorphism(rng, A.rank, 2))
+    return A, B

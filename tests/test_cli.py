@@ -10,7 +10,7 @@ from operator import getitem
 
 import pytest
 
-from conftest import twisted_barbell
+from conftest import k4_fold_pair, twisted_barbell
 from outerspace import cli
 from outerspace.docs import (
     canonical_text,
@@ -481,6 +481,20 @@ def test_unprintable_partial_bound_keeps_the_budget_exit_code(
     assert err == ("error: forced budget\npartial lower bound: not printed: "
                    "a value to print exceeds the limit (4300 digits) for "
                    "integer string conversion\n")
+
+
+def test_fold_event_budget_exits_4_without_a_bound(tmp_path, capsys,
+                                                  monkeypatch):
+    """The fold's partial is a path, not a bound: one error line."""
+    import outerspace.folding as folding
+
+    names = []
+    for name, G in zip(("A", "B"), k4_fold_pair()):
+        names.append(str(tmp_path / f"{name}.json"))
+        save_graph(names[-1], G)
+    monkeypatch.setattr(folding, "MAX_EVENTS", 3)
+    code, out, err = run(capsys, "foldpath", *names)
+    assert (code, out, err) == (4, "", "error: fold event budget 3 exhausted\n")
 
 
 def test_byte_determinism(files, capsys):

@@ -7,8 +7,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import twisted_barbell
-from outerspace.errors import InvalidInputError
+import outerspace.folding as folding
+from conftest import k4_fold_pair, twisted_barbell
+from outerspace.errors import BudgetExhaustedError, InvalidInputError
 from outerspace.fixtures import (
     aut_exp,
     aut_power,
@@ -191,14 +192,9 @@ def test_unsubdivided_lengths_pin_fold_shapes():
     """The golden fold pairs (theta, twist3, K4 seed 31) and poly-twist
     k = 2, 5, under both strategies: the shape (sorted lengths) of every
     event snapshot and of the partial fold halfway to the next event."""
-    rng = random.Random(31)
-    A = random_tree_marked(rng, "K4")
-    B = apply_automorphism_to_marking(
-        random_tree_marked(rng, "K4"),
-        random_nielsen_automorphism(rng, A.rank, 2))
     pairs = [("theta", theta_left(), theta_right(), True),
              ("twist3", *poly_twist_pair(3), True),
-             ("k4", A, B, True),
+             ("k4", *k4_fold_pair(), True),
              ("poly2", *poly_twist_pair(2), False),
              ("poly5", *poly_twist_pair(5), False)]
     lines, k4_single = [], []
@@ -245,6 +241,33 @@ def test_poly_fold_multiplicities():
     rep = speeds(path, point)
     assert rep.local_mu == 1 and rep.toward_mu == 1
     assert multiplicity(point, rep.local_witness) == 1
+
+
+def test_multiplicity_rejects_an_unknown_dart():
+    path = fold_pair(*poly_twist_pair(2), normalize_target=False)
+    with pytest.raises(InvalidInputError,
+                       match=r"unknown oriented edge \('Z', 1\)"):
+        multiplicity(point_at(path, 0), (("Z", 1),))
+
+
+def test_fold_event_budget_keeps_the_partial_path(monkeypatch):
+    """Past `MAX_EVENTS` events the fold stops with a budget error whose
+    partial path is a prefix of the whole path."""
+    setup = prepare_folding_setup(*k4_fold_pair())
+    whole = fast_fold(setup)
+    assert len(whole.events) == 8
+    monkeypatch.setattr(folding, "MAX_EVENTS", 3)
+    with pytest.raises(BudgetExhaustedError,
+                       match="fold event budget 3 exhausted") as info:
+        fast_fold(setup)
+    assert info.value.exit_code == 4
+    part = info.value.partial
+    assert len(part.events) == 4
+    assert part.events == whole.events[:4]
+    assert part.snapshots == whole.snapshots[:4]
+    assert part.sigmas == whole.sigmas[:4]
+    assert (part.target, part.witness, part.strategy) == \
+        (whole.target, whole.witness, whole.strategy)
 
 
 def test_witness_never_folded_and_length_constant():

@@ -29,7 +29,12 @@ from outerspace.fixtures import (
     theta_right,
     unit_rose,
 )
-from outerspace.graphs import apply_automorphism_to_marking, subdivide
+from outerspace.graphs import (
+    apply_automorphism_to_marking,
+    make_graph,
+    subdivide,
+)
+from outerspace.words import generator, identity
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
@@ -152,6 +157,8 @@ CASES.update({
     # lengths 10^4000 and 10^-4000 each print, but the volume and the values
     # computed from them have too many digits to print
     "validate-long-value": ["validate", "long_value.json"],
+    # a rank-2 rose at u and a loop c at w
+    "validate-not-connected": ["validate", "not_connected.json"],
     "distance-long-value": ["distance", "long_value.json", _Y],
     "tlength-long-value": ["tlength", "long_value.json", "ab"],
 })
@@ -175,6 +182,10 @@ def write_inputs(directory):
     source, target = poly_twist_pair(3)
     cut_petal, _ = subdivide(unit_rose(2), {
         "a": [Fraction(k, 1200) for k in range(1, 1200)]})
+    not_connected = make_graph(
+        2, {"a": ("u", "u", 1), "b": ("u", "u", 1), "c": ("w", "w", 1)}, "u",
+        [(("a", 1),), (("b", 1),)],
+        {"a": generator(1, 2), "b": generator(2, 2), "c": identity(2)})
     for fname, G in (("theta_left.json", theta_left()),
                      ("theta_right.json", theta_right()),
                      ("rose_half.json", rose_t(Fraction(1, 2))),
@@ -185,7 +196,8 @@ def write_inputs(directory):
                      ("twist3_target.json", target),
                      ("unit_rose.json", unit_rose(2)),
                      ("rose3.json", rose([1, 2, 3])),
-                     ("cut_petal.json", cut_petal)):
+                     ("cut_petal.json", cut_petal),
+                     ("not_connected.json", not_connected)):
         save_graph(os.path.join(directory, fname), G)
     edits = {f"{name}.json": (theta_left(), True, {keys: value})
              for name, (keys, value) in _MALFORMED.items()}

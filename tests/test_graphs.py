@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -76,6 +77,42 @@ def test_validate_reports_wrong_rank():
     report = validate_marked_graph(bad)
     assert not report.ok
     assert "Betti" in report.issues[0]
+
+
+def _loop_c_at_w(G):
+    """G, a rose at v, with a loop c at a new vertex w, labelled 1."""
+    return make_graph(G.rank, {**G.edges, "c": ("w", "w", 1)}, G.basepoint,
+                      G.marking, {**G.labels, "c": identity(G.rank)})
+
+
+def _hair_at_v(G):
+    """G, a rose at v, with an edge h from v to a new vertex x, labelled 1."""
+    return make_graph(G.rank, {**G.edges, "h": ("v", "x", 1)}, G.basepoint,
+                      G.marking, {**G.labels, "h": identity(G.rank)})
+
+
+@pytest.mark.parametrize("bad, first_issue", [
+    (replace(unit_rose(2), basepoint="x"), "basepoint 'x' is not a vertex"),
+    (replace(theta_left(), vertices=frozenset({"u"})),
+     "edge A has endpoint outside the vertex set"),
+    (_loop_c_at_w(unit_rose(2)),
+     "graph is not connected (vertex w unreachable)"),
+    (_hair_at_v(unit_rose(2)), "vertex x has valence 1 < 2"),
+    (replace(unit_rose(2), marking=((("a", 1),),)),
+     "1 marking paths for rank 2"),
+    (replace(unit_rose(2), marking=((("z", 1),), (("b", 1),))),
+     "marking path 1: unknown oriented edge ('z', 1)"),
+    (replace(theta_left(), marking=((("A", 1),), (("C", 1), ("B", -1)))),
+     "marking path 1 is not a loop at the basepoint"),
+    (unit_rose(2).with_labels(None), "inverse labels are missing"),
+    (unit_rose(2).with_labels({"a": generator(1, 2)}),
+     "edge b has no inverse label"),
+], ids=["basepoint", "endpoint", "connected", "valence", "petal-count",
+        "petal-dart", "petal-loop", "labels", "edge-label"])
+def test_validate_reports_the_first_violated_invariant(bad, first_issue):
+    report = validate_marked_graph(bad)
+    assert not report.ok
+    assert report.issues[0] == first_issue
 
 
 def test_validation_checks_each_petal_once(monkeypatch):
@@ -156,6 +193,12 @@ def test_loop_length_rejects_unreduced():
         loop_length(X, (("A", 1), ("A", -1)))
 
 
+def test_loop_length_rejects_an_unknown_dart():
+    with pytest.raises(InvalidInputError,
+                       match=r"unknown oriented edge \('Z', 1\)"):
+        loop_length(theta_left(), (("Z", 1),))
+
+
 def test_loop_length_matches_translation_length():
     rng = random.Random(9)
     for _ in range(30):
@@ -177,6 +220,12 @@ def test_word_of_loop_roundtrip():
             continue
         back = word_of_loop(X, loop)
         assert translation_length(X, back) == loop_length(X, loop)
+
+
+def test_word_of_loop_rejects_an_unknown_dart():
+    with pytest.raises(InvalidInputError,
+                       match=r"unknown oriented edge \('Z', 1\)"):
+        word_of_loop(theta_left(), (("Z", 1),))
 
 
 def test_word_of_loop_needs_labels():
@@ -378,3 +427,15 @@ def test_unsubdivided_lengths_read_chains():
     assert unsubdivided_lengths(K) == [F(1, 6), F(1, 3), F(1, 2)]
     # the two ends of a loop edge at a bivalent vertex are no joint
     assert unsubdivided_lengths(rose([2])) == [2]
+
+
+def test_subdivide_names_a_piece_around_a_taken_id():
+    """Cutting e while an edge e.1 exists: the first piece is e.1.1."""
+    G = make_graph(2, {"e": ("v", "v", 1), "e.1": ("v", "v", 1)}, "v",
+                   [(("e", 1),), (("e.1", 1),)],
+                   {"e": generator(1, 2), "e.1": generator(2, 2)})
+    H, expansion = subdivide(G, {"e": [F(1, 3)]})
+    assert expansion[("e", 1)] == (("e.1.1", 1), ("e.2", 1))
+    assert sorted(H.edges) == ["e.1", "e.1.1", "e.2"]
+    assert H.length("e.1.1") == F(1, 3)
+    assert validate_marked_graph(H).ok, validate_marked_graph(H).issues
