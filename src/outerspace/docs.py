@@ -221,11 +221,6 @@ def load_graph(path: str) -> MarkedMetricGraph:
     return doc_to_graph(doc)
 
 
-def save_graph(path: str, G: MarkedMetricGraph) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_text(graph_to_doc(G)))
-
-
 # -- report documents --------------------------------------------------------------------
 
 class Table:

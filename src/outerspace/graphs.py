@@ -178,6 +178,9 @@ def loop_length(G: MarkedMetricGraph, loop: EdgePath) -> Fraction:
 def _realize_word(G: MarkedMetricGraph, w: Word, mode: str) -> EdgePath:
     if w.rank != G.rank:
         raise RankMismatchError(f"word rank {w.rank} != graph rank {G.rank}")
+    if len(G.marking) < G.rank:
+        raise InvalidInputError(
+            f"{len(G.marking)} marking paths for rank {G.rank}")
     steps: list[Dart] = []
     for x in w.letters:
         petal = G.marking[abs(x) - 1]
@@ -308,18 +311,9 @@ def validate_marked_graph(G: MarkedMetricGraph) -> ValidationReport:
         if len(star[v]) < 2:
             issues.append(f"vertex {v} has valence {len(star[v])} < 2")
 
+    issues += marking_issues(G)
     if len(G.marking) != G.rank:
-        issues.append(f"{len(G.marking)} marking paths for rank {G.rank}")
         return ValidationReport(False, tuple(issues))
-    for i, petal in enumerate(G.marking, start=1):
-        try:
-            check_path(G, petal)
-        except InvalidInputError as exc:
-            issues.append(f"marking path {i}: {exc}")
-            continue
-        if not petal or G.origin(petal[0]) != G.basepoint \
-                or G.terminus(petal[-1]) != G.basepoint:
-            issues.append(f"marking path {i} is not a loop at the basepoint")
 
     if G.labels is None:
         issues.append("inverse labels are missing")
@@ -338,6 +332,24 @@ def validate_marked_graph(G: MarkedMetricGraph) -> ValidationReport:
                     f"readout {readout.letters}"
                 )
     return ValidationReport(not issues, tuple(issues))
+
+
+def marking_issues(G: MarkedMetricGraph) -> list[str]:
+    """The marking's part of `validate_marked_graph`: one petal per
+    generator, each a path of known darts that is a loop at the basepoint."""
+    if len(G.marking) != G.rank:
+        return [f"{len(G.marking)} marking paths for rank {G.rank}"]
+    issues: list[str] = []
+    for i, petal in enumerate(G.marking, start=1):
+        try:
+            check_path(G, petal)
+        except InvalidInputError as exc:
+            issues.append(f"marking path {i}: {exc}")
+            continue
+        if not petal or G.origin(petal[0]) != G.basepoint \
+                or G.terminus(petal[-1]) != G.basepoint:
+            issues.append(f"marking path {i} is not a loop at the basepoint")
+    return issues
 
 
 # -- marking actions ----------------------------------------------------------------

@@ -76,18 +76,11 @@ class PLPath:
     anchor: Point  # the start point; authoritative when segs is empty
 
 
-def seg_start(G: MarkedMetricGraph, seg: Seg) -> Point:
-    return dart_point(G, seg[0], seg[1])
-
-
-def seg_end(G: MarkedMetricGraph, seg: Seg) -> Point:
-    return dart_point(G, seg[0], seg[2])
-
-
 def path_end(G: MarkedMetricGraph, p: PLPath) -> Point:
     if not p.segs:
         return p.anchor
-    return seg_end(G, p.segs[-1])
+    (d, _, b) = p.segs[-1]
+    return dart_point(G, d, b)
 
 
 def pl_length(p: PLPath) -> Fraction:
@@ -107,7 +100,7 @@ def make_plpath(G: MarkedMetricGraph, segs, anchor: Optional[Point] = None
             if pd == d and pb == a and pb < l:
                 norm[-1] = (pd, pa, b)  # mid-edge continuation
                 continue
-            if seg_end(G, norm[-1]) != seg_start(G, (d, a, b)):
+            if dart_point(G, pd, pb) != dart_point(G, d, a):
                 raise InvalidInputError("segments are not contiguous")
             if pb == dart_len(G, pd) and d == rev(pd):
                 raise InvalidInputError("path backtracks at a vertex")
@@ -117,24 +110,10 @@ def make_plpath(G: MarkedMetricGraph, segs, anchor: Optional[Point] = None
     if anchor is None:
         if not norm:
             raise InvalidInputError("empty path needs an anchor point")
-        anchor = seg_start(G, norm[0])
-    elif norm and seg_start(G, norm[0]) != anchor:
+        anchor = dart_point(G, norm[0][0], norm[0][1])
+    elif norm and dart_point(G, norm[0][0], norm[0][1]) != anchor:
         raise InvalidInputError("anchor does not match the first segment")
     return PLPath(tuple(norm), anchor)
-
-
-def pl_constant(p: Point) -> PLPath:
-    return PLPath((), p)
-
-
-def pl_from_darts(G: MarkedMetricGraph, darts: EdgePath,
-                  anchor: Optional[Point] = None) -> PLPath:
-    segs = [(d, Fraction(0), dart_len(G, d)) for d in darts]
-    if anchor is None and not darts:
-        raise InvalidInputError("empty dart path needs an anchor")
-    if anchor is None:
-        anchor = ("v", G.origin(darts[0]))
-    return make_plpath(G, segs, anchor)
 
 
 def pl_word(B: MarkedMetricGraph, p: PLPath) -> Word:
@@ -214,9 +193,10 @@ def initial_pl_map(A: MarkedMetricGraph, B: MarkedMetricGraph) -> PLMap:
     for e, (o, t, _) in A.edges.items():
         w_e = conn[o] * A.labels[e] * conn[t].inverse()
         darts = realize_word_as_path(B, w_e)
-        edge_image[e] = (
-            pl_from_darts(B, darts) if darts else pl_constant(base_pt)
-        )
+        # a path of whole darts is anchored at its first dart's origin
+        edge_image[e] = make_plpath(
+            B, [(d, Fraction(0), dart_len(B, d)) for d in darts],
+            None if darts else base_pt)
     return PLMap(A, B, vertex_image, edge_image)
 
 

@@ -40,6 +40,7 @@ from .graphs import (
     Dart,
     EdgePath,
     MarkedMetricGraph,
+    marking_issues,
     realize_word_as_path,
     reduce_darts,
     require_labels,
@@ -56,9 +57,6 @@ class CandidateShape(str, Enum):
 class CandidateLoop:
     shape: CandidateShape
     loop: EdgePath
-
-    def key(self):
-        return (self.shape.value, canonical_loop(self.loop))
 
 
 def _darts(edges: Iterable[str]) -> list[Dart]:
@@ -90,16 +88,6 @@ def _least_rotation(loop: tuple[int, ...]) -> tuple[int, ...]:
             i = seq.index(least, i + 1)
             rotations.append(seq[i:] + seq[:i])
     return min(rotations)
-
-
-def canonical_loop(loop: EdgePath) -> EdgePath:
-    """Least rotation among both orientations; identifies loops up to
-    rotation and inversion.  Numbers the loop's darts by `_darts`, which
-    keeps their order, for `_least_rotation`."""
-    darts = _darts({e for (e, _) in loop})
-    code = {d: k for k, d in enumerate(darts)}
-    least = _least_rotation(tuple(code[d] for d in loop))
-    return tuple(darts[k] for k in least)
 
 
 def _combinatorial_type(G: MarkedMetricGraph) -> tuple:
@@ -216,9 +204,10 @@ class _CandidateTable:
         return cand
 
     def canonical(self, ks: Iterable[int]) -> list[int]:
-        """The candidates ``ks``, given in enumeration order, sorted by
-        `CandidateLoop.key` (a str enum sorts by its value), keeping the first
-        of each key.  Each key is computed once per table."""
+        """The candidates ``ks``, given in enumeration order, sorted by their
+        key, the shape (a str enum sorts by its value) and then the
+        `_least_rotation` of the loop, keeping the first of each key.  Each
+        key is computed once per table."""
         first: dict[tuple, int] = {}
         for k in ks:
             key = self.keys[k]
@@ -333,9 +322,7 @@ class _GraphRecord:
     type key, the common denominator ``scale`` of its edge lengths and each
     dart's length times it, in `_darts` order, its labels by sorted edge
     (None where missing), its volume, and by letter each petal as a reduced
-    path of integer darts with the vertices its unreduced steps leave and
-    reach (None for an empty petal), or None if a step is unknown or does
-    not meet the next."""
+    path of integer darts, or None if `marking_issues` finds any issue."""
 
     __slots__ = ("key", "scale", "lengths", "labels", "volume", "petals")
 
@@ -347,22 +334,14 @@ class _GraphRecord:
         ints = [l.numerator * (self.scale // l.denominator) for l in lengths]
         self.lengths = [n for n in ints for _ in (0, 1)]
         self.volume = Fraction(sum(ints), self.scale)
-        darts = _darts(edges)
-        code = {d: k for k, d in enumerate(darts)}
         self.labels = [(G.labels or {}).get(e) for e in edges]
-        ends = [G.terminus(d) for d in darts]
-        self.petals: dict[int, tuple | None] = {}
-        for x, petal in enumerate(G.marking, start=1):
-            steps = [code.get(d) for d in petal]
-            if None in steps or any(ends[a] != ends[b ^ 1]
-                                    for a, b in zip(steps, steps[1:])):
-                self.petals[x] = self.petals[-x] = None
-                continue
-            o, t = (ends[steps[0] ^ 1], ends[steps[-1]]) if steps else \
-                (None, None)
-            path = tuple([code[d] for d in reduce_darts(petal)])
-            self.petals[x] = (path, o, t)
-            self.petals[-x] = (_reverse(path), t, o)
+        self.petals: dict[int, tuple[int, ...]] | None = None
+        if not marking_issues(G):
+            code = {d: k for k, d in enumerate(_darts(edges))}
+            self.petals = {}
+            for x, petal in enumerate(G.marking, start=1):
+                path = tuple([code[d] for d in reduce_darts(petal)])
+                self.petals[x], self.petals[-x] = path, _reverse(path)
 
 
 _RECORDS: OrderedDict = OrderedDict()
@@ -391,21 +370,17 @@ def _record(G: MarkedMetricGraph) -> _GraphRecord:
 def _realize(B: MarkedMetricGraph, rb: _GraphRecord, w) -> tuple[int, ...]:
     """The reduced path of B's integer darts tracing the word ``w``: each
     letter's petal pushed onto one stack, popping where it cancels against
-    the top (only at a seam, as every petal is reduced).  Where a petal has
-    a bad step, or where two petals do not meet, `realize_word_as_path`
-    raises its error on the word."""
+    the top (only at a seam, as every petal is reduced).  A marking with an
+    issue is read word by word by `realize_word_as_path`, with its paths and
+    its errors."""
     if w.rank != B.rank:
         raise RankMismatchError(f"word rank {w.rank} != graph rank {B.rank}")
+    if rb.petals is None:
+        code = {d: k for k, d in enumerate(_darts(B.edges))}
+        return tuple([code[d] for d in realize_word_as_path(B, w)])
     stack: list[int] = []
-    at = None  # where the unreduced steps have arrived so far
     for x in w.letters:
-        petal = rb.petals.get(x)
-        if petal is None or at is not None and petal[1] not in (None, at):
-            code = {d: k for k, d in enumerate(_darts(B.edges))}
-            return tuple([code[d] for d in realize_word_as_path(B, w)])
-        path, _, end = petal
-        if end is not None:
-            at = end
+        path = rb.petals[x]
         i = 0
         while stack and i < len(path) and stack[-1] == path[i] ^ 1:
             stack.pop()

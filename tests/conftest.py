@@ -3,6 +3,7 @@ import random
 import pytest
 
 import outerspace.stretch as stretch
+from outerspace.docs import canonical_text, graph_to_doc
 from outerspace.fixtures import random_nielsen_automorphism, random_tree_marked
 from outerspace.graphs import apply_automorphism_to_marking, make_graph
 from outerspace.words import Word, cyclic_reduce
@@ -20,6 +21,40 @@ def empty_stretch_caches():
     """Every test starts with the stretch caches empty, so that no test's
     result depends on the tests run before it."""
     clear_stretch_caches()
+
+
+def canonical_loop(loop):
+    """Least rotation among both orientations of a dart loop; identifies
+    loops up to rotation and inversion.  Numbers the loop's darts as
+    `stretch._darts` does, which keeps their order."""
+    darts = stretch._darts({e for (e, _) in loop})
+    code = {d: k for k, d in enumerate(darts)}
+    least = stretch._least_rotation(tuple(code[d] for d in loop))
+    return tuple(darts[k] for k in least)
+
+
+def candidate_key(cand):
+    """A `CandidateLoop`'s canonical key: its shape's value, then
+    `canonical_loop`; the key by which the candidate tables sort."""
+    return (cand.shape.value, canonical_loop(cand.loop))
+
+
+def save_graph(path, G):
+    """Write G as a graph document in canonical form."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(canonical_text(graph_to_doc(G)))
+
+
+def assert_outcome(call, expect):
+    """``call()`` raises an error of exactly ``expect``'s type and text
+    when ``expect`` is an exception, and returns ``expect`` otherwise."""
+    if isinstance(expect, Exception):
+        with pytest.raises(Exception) as err:
+            call()
+        assert type(err.value) is type(expect)
+        assert str(err.value) == str(expect)
+    else:
+        assert call() == expect
 
 
 def cyclic_key(w):

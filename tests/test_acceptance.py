@@ -10,7 +10,7 @@ import random
 import time
 from fractions import Fraction as F
 
-from conftest import cyclically_reduced_words
+from conftest import canonical_loop, cyclically_reduced_words
 
 from outerspace.fixtures import (
     aut_exp,
@@ -50,7 +50,6 @@ from outerspace.repro import (
     recomputed_incompleteness_form,
 )
 from outerspace.stretch import (
-    canonical_loop,
     enumerate_candidates,
     lambda_r,
     stretch_report,

@@ -10,9 +10,10 @@ from operator import getitem
 
 import pytest
 
-from conftest import k4_fold_pair, twisted_barbell
+from conftest import assert_outcome, k4_fold_pair, save_graph, twisted_barbell
 from outerspace import cli
 from outerspace.docs import (
+    Report,
     canonical_text,
     doc_to_graph,
     format_word,
@@ -20,7 +21,6 @@ from outerspace.docs import (
     load_graph,
     log_of,
     parse_word,
-    save_graph,
 )
 from outerspace.fixtures import (
     barbell,
@@ -36,6 +36,7 @@ from outerspace.folding import (
     fast_fold,
     prepare_folding_setup,
 )
+from outerspace.errors import InvalidInputError
 from outerspace.graphs import make_graph
 from outerspace.words import Word
 
@@ -73,6 +74,16 @@ def test_word_syntax_roundtrip():
     big = Word((27, -30), 40)
     assert format_word(big) == "x27 X30"
     assert parse_word("x27 X30", 40) == big
+
+
+@pytest.mark.parametrize("call, expect", [
+    (lambda: parse_word("x1 y2", 27),
+     InvalidInputError("bad word token 'y2'")),
+    (lambda: Report("t").render("xml"),
+     InvalidInputError("unknown format 'xml'")),
+], ids=["word-token", "report-format"])
+def test_input_checks(call, expect):
+    assert_outcome(call, expect)
 
 
 # -- document round-trips --------------------------------------------------------------------

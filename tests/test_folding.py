@@ -8,7 +8,7 @@ from fractions import Fraction as F
 import pytest
 
 import outerspace.folding as folding
-from conftest import k4_fold_pair, twisted_barbell
+from conftest import assert_outcome, k4_fold_pair, twisted_barbell
 from outerspace.errors import BudgetExhaustedError, InvalidInputError
 from outerspace.fixtures import (
     aut_exp,
@@ -45,6 +45,7 @@ from outerspace.graphs import (
     derive_inverse_marking,
     interpolate_in_simplex,
     loop_length,
+    make_graph,
     normalize_volume,
     realize_word_as_loop,
     stars,
@@ -772,3 +773,32 @@ def test_train_track_rose_stretch_close_to_perron_frobenius():
         R, apply_automorphism_to_marking(R, aut_power(phi, 2))
     ).value
     assert abs(float(lam2) - lam_pf ** 2) < 1e-3
+
+
+def poly_fold():
+    """The fold of `poly_twist_pair(2)`, events at 0, 1 and 2; its first
+    snapshot has a loop edge a at v."""
+    return fold_pair(*poly_twist_pair(2), normalize_target=False)
+
+
+@pytest.mark.parametrize("call, expect", [
+    (lambda: fast_fold(prepare_folding_setup(theta_left(), theta_left()),
+                       "greedy"),
+     InvalidInputError("unknown folding strategy 'greedy'")),
+    (lambda: point_at(poly_fold(), 3),
+     InvalidInputError("time 3 outside [0, 2]")),
+    (lambda: multiplicity(point_at(poly_fold(), 0), (("a", 1), ("a", -1))),
+     InvalidInputError("multiplicity needs a cyclically reduced loop")),
+    (lambda: speeds(poly_fold(), point_at(poly_fold(), 2)),
+     InvalidInputError("the path has no folding turn at its end")),
+    (lambda: systole_and_thin_test(
+        make_graph(0, {"e": ("u", "v", 1)}, "u", []), F(1, 2)),
+     InvalidInputError("graph has no embedded circle")),
+    (lambda: check_four_point([theta_left()] * 3, lambda_r),
+     InvalidInputError("need at least four sample points")),
+    (lambda: check_dR_geodesic([theta_left()] * 2),
+     InvalidInputError("need at least three points")),
+], ids=["strategy", "past-the-end", "unreduced-loop", "speeds-at-end",
+        "tree-systole", "four-point-3", "dR-geodesic-2"])
+def test_input_checks(call, expect):
+    assert_outcome(call, expect)

@@ -17,8 +17,9 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import save_graph
 from outerspace import cli
-from outerspace.docs import canonical_text, graph_to_doc, save_graph
+from outerspace.docs import canonical_text, graph_to_doc
 from outerspace.fixtures import (
     poly_twist_pair,
     random_nielsen_automorphism,

@@ -5,9 +5,9 @@ from fractions import Fraction as F
 import pytest
 
 import outerspace.graphs as graphs
-from conftest import twisted_barbell
+from conftest import assert_outcome, twisted_barbell
 from outerspace.docs import format_word
-from outerspace.errors import InvalidInputError
+from outerspace.errors import InvalidInputError, RankMismatchError
 from outerspace.fixtures import (
     aut_poly,
     barbell,
@@ -26,8 +26,11 @@ from outerspace.graphs import (
     interpolate_in_simplex,
     loop_length,
     make_graph,
+    is_cyclically_reduced,
     normalize_volume,
     realize_word_as_loop,
+    realize_word_as_path,
+    scale_graph,
     subdivide,
     tighten,
     translation_length,
@@ -36,7 +39,13 @@ from outerspace.graphs import (
     volume,
     word_of_loop,
 )
-from outerspace.words import apply_endomorphism, generator, identity
+from outerspace.words import (
+    AutomorphismPair,
+    apply_endomorphism,
+    generator,
+    identity,
+    identity_automorphism,
+)
 
 
 # -- fixtures validate ---------------------------------------------------------
@@ -439,3 +448,52 @@ def test_subdivide_names_a_piece_around_a_taken_id():
     assert sorted(H.edges) == ["e.1", "e.1.1", "e.2"]
     assert H.length("e.1.1") == F(1, 3)
     assert validate_marked_graph(H).ok, validate_marked_graph(H).issues
+
+
+# -- branches of input checking ----------------------------------------------------------
+
+@pytest.mark.parametrize("call, expect", [
+    (lambda: tighten(theta_left(), (("A", 1),), "cyclic"),
+     InvalidInputError("unknown tighten mode 'cyclic'")),
+    (lambda: tighten(theta_left(), (("A", 1),), "loop"),
+     InvalidInputError("tighten(mode='loop') needs a closed path")),
+    (lambda: is_cyclically_reduced(theta_left(), (("A", 1), ("A", -1))),
+     False),
+    (lambda: scale_graph(theta_left(), 0),
+     InvalidInputError("scale factor must be positive")),
+    (lambda: interpolate_in_simplex(theta_left(), theta_left(), 2),
+     InvalidInputError("interpolation parameter 2 outside [0, 1]")),
+    (lambda: subdivide(theta_left(), {"A": [F(1, 6)]}),
+     InvalidInputError("cut offsets for edge A not interior")),
+    (lambda: apply_automorphism_to_marking(theta_left(),
+                                           identity_automorphism(3)),
+     RankMismatchError("automorphism rank 3 != graph rank 2")),
+    (lambda: apply_automorphism_to_marking(theta_left(), AutomorphismPair(
+        (generator(1, 2) * generator(2, 2), generator(2, 2)),
+        (generator(1, 2), generator(2, 2)), 2)),
+     InvalidInputError("invalid automorphism pair: "
+                       "inverse(forward(a_1)) = (1, 2), not a_1")),
+], ids=["tighten-mode", "tighten-open-loop", "backtracking-loop", "scale-0",
+        "interpolate-2", "cut-at-end", "automorphism-rank",
+        "automorphism-pair"])
+def test_input_checks(call, expect):
+    assert_outcome(call, expect)
+
+
+def missing_petal():
+    """A rank-2 rose whose marking has one petal."""
+    return make_graph(2, {"a": ("v", "v", 1), "b": ("v", "v", 1)}, "v",
+                      [(("a", 1),)])
+
+
+@pytest.mark.parametrize("call", [
+    lambda B: translation_length(B, generator(2, 2)),
+    lambda B: realize_word_as_path(B, generator(1, 2)),
+    lambda B: realize_word_as_loop(B, generator(2, 2)),
+    lambda B: apply_automorphism_to_marking(B, identity_automorphism(2)),
+], ids=["translation_length", "realize_word_as_path", "realize_word_as_loop",
+        "apply_automorphism_to_marking"])
+def test_missing_petal_is_an_input_error(call):
+    with pytest.raises(InvalidInputError,
+                       match=r"^1 marking paths for rank 2$"):
+        call(missing_petal())

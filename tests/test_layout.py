@@ -112,12 +112,12 @@ def names_read(tree):
     return out
 
 
-def test_every_export_has_a_reader():
-    """Each public name is read by the package, by README or by the
-    benchmark; a name only tests read is a second spelling to retire."""
+def names_read_outside_tests():
+    """The names that the package (but for `__init__`, which only imports
+    and lists the exports), README or the benchmark read."""
     read = set()
     for name in LAYERS:
-        if name != "__init__":  # it only imports and lists the exports
+        if name != "__init__":
             read |= names_read(parse(name))
     bench = os.path.join(ROOT, "bench")
     for f in sorted(os.listdir(bench)):
@@ -126,5 +126,28 @@ def test_every_export_has_a_reader():
                 read |= names_read(ast.parse(fh.read()))
     with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
         read |= set(re.findall(r"\w+", fh.read()))
+    return read
+
+
+def test_every_export_has_a_reader():
+    """Each public name is read by the package, by README or by the
+    benchmark; a name only tests read is a second spelling to retire."""
+    read = names_read_outside_tests()
     unread = [name for name in outerspace.__all__ if name not in read]
     assert not unread, f"exported but read only by tests: {unread}"
+
+
+# the library layers; `fixtures` builds the inputs of reports and tests
+LIBRARY = ["words", "graphs", "simplex", "docs", "stretch", "plmaps",
+           "folding"]
+
+
+@pytest.mark.parametrize("name", LIBRARY)
+def test_every_public_definition_has_a_reader(name):
+    """Each public module-level function and class of a library layer is
+    read outside the tests, as the exports are."""
+    read = names_read_outside_tests()
+    unread = [node.name for node in parse(name).body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_") and node.name not in read]
+    assert not unread, f"{name}: defined but read only by tests: {unread}"

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from conftest import assert_outcome
 from outerspace.errors import (
     BudgetExhaustedError,
     InternalInvariantError,
@@ -41,6 +42,7 @@ from outerspace.plmaps import (
     cancellation,
     cut_target_images,
     dart_len,
+    dart_point,
     initial_pl_map,
     make_plpath,
     next_v,
@@ -645,3 +647,45 @@ def test_bcc_never_exceeded_by_longer_pairs():
         lb = path_length(C, pushed(images, pb))
         lab = path_length(C, pushed(images, pa + pb))
         assert (la + lb - lab) / 2 <= K
+
+
+def theta_segments(*segs):
+    """A PL path on `theta_left` (A, B, C from u to v, lengths 1/6, 1/3,
+    1/2) through ``(dart, a, b)`` segments."""
+    return make_plpath(theta_left(), [(d, F(a), F(b)) for (d, a, b) in segs])
+
+
+def without_image(e):
+    """The initial map from `theta_left` to `theta_right`, less the image
+    of edge e."""
+    f = initial_pl_map(theta_left(), theta_right())
+    return replace(f, edge_image={x: p for x, p in f.edge_image.items()
+                                  if x != e})
+
+
+@pytest.mark.parametrize("call, expect", [
+    (lambda: dart_point(theta_left(), ("A", 1), F(1)),
+     InvalidInputError("coordinate 1 outside [0, 1/6] on ('A', 1)")),
+    (lambda: theta_segments((("A", 1), 0, 1)),
+     InvalidInputError("bad segment (('A', 1), 0, 1)")),
+    (lambda: theta_segments((("A", 1), 0, "1/6"), (("B", 1), 0, "1/3")),
+     InvalidInputError("segments are not contiguous")),
+    (lambda: theta_segments((("A", 1), 0, "1/6"), (("A", -1), 0, "1/6")),
+     InvalidInputError("path backtracks at a vertex")),
+    (lambda: theta_segments((("A", 1), 0, "1/12"),
+                            (("A", -1), "1/12", "1/6")),
+     InvalidInputError("path turns at an interior point")),
+    (lambda: make_plpath(theta_left(), [(("A", 1), F(0), F(1, 6))],
+                         ("v", "v")),
+     InvalidInputError("anchor does not match the first segment")),
+    (lambda: initial_pl_map(theta_left(), unit_rose(3)),
+     InvalidInputError("ranks differ")),
+    (lambda: initial_pl_map(theta_left().with_labels(None), theta_right()),
+     InvalidInputError("source graph needs inverse labels")),
+    (lambda: validate_pl_map(without_image("B")),
+     ["edge B has no image path"]),
+], ids=["dart-point", "bad-segment", "not-contiguous", "backtrack",
+        "interior-turn", "anchor", "initial-ranks", "initial-labels",
+        "missing-edge-image"])
+def test_input_checks(call, expect):
+    assert_outcome(call, expect)

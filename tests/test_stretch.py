@@ -7,7 +7,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import clear_stretch_caches, cyclic_key
+from conftest import (
+    candidate_key,
+    canonical_loop,
+    clear_stretch_caches,
+    cyclic_key,
+)
 import outerspace.stretch as stretch
 from outerspace.errors import InvalidInputError, RankMismatchError
 from outerspace.folding import (
@@ -48,7 +53,6 @@ from outerspace.graphs import (
 from outerspace.stretch import (
     CandidateLoop,
     CandidateShape,
-    canonical_loop,
     enumerate_candidates,
     lambda_r,
     stretch_report,
@@ -107,8 +111,8 @@ def test_candidates_depend_only_on_graph():
     rng = random.Random(17)
     G = theta_left()
     H = apply_automorphism_to_marking(G, random_nielsen_automorphism(rng, 2))
-    assert [c.key() for c in enumerate_candidates(G)] == \
-        [c.key() for c in enumerate_candidates(H)]
+    assert [candidate_key(c) for c in enumerate_candidates(G)] == \
+        [candidate_key(c) for c in enumerate_candidates(H)]
 
 
 def test_canonical_loop_is_least_rotation_of_either_orientation():
@@ -181,7 +185,7 @@ def reference_candidates(G):
 
     def add(shape, loop):
         cand = CandidateLoop(shape, loop)
-        out.setdefault(cand.key(), cand)
+        out.setdefault(candidate_key(cand), cand)
 
     for c in circles:
         add(CandidateShape.O, c)
@@ -360,6 +364,8 @@ def test_geodesic_checks_evaluate_each_ordered_pair_once(monkeypatch):
     # a petal crossing an edge the graph does not have
     ([(("E", 1), ("Z", 1)), (("F", 1), ("G", -1))],
      "unknown oriented edge ('Z', 1)"),
+    # one petal for rank 2
+    ([(("E", 1), ("F", -1))], "1 marking paths for rank 2"),
 ])
 def test_bad_target_marking_raises_the_realization_error(marking, message):
     # the source's label ab crosses the seam between the two petals
@@ -371,6 +377,21 @@ def test_bad_target_marking_raises_the_realization_error(marking, message):
         with pytest.raises(InvalidInputError) as err:
             lambda_r(X, Y)
         assert str(err.value) == message
+
+
+def test_each_marking_is_checked_once(monkeypatch):
+    checked = []
+    original = stretch.marking_issues
+
+    def counting(G):
+        checked.append(G)
+        return original(G)
+
+    monkeypatch.setattr(stretch, "marking_issues", counting)
+    X, Y = theta_left(), theta_right()
+    stretch_report(X, Y)
+    lambda_r(Y, X)
+    assert checked == [X, Y]
 
 
 def test_lambda_r_reads_the_candidate_table_once_per_call(monkeypatch):
@@ -843,7 +864,7 @@ def test_candidate_set_pinned(name):
     def digest(items):
         return hashlib.sha256(repr(items).encode()).hexdigest()
 
-    assert (len(cands), digest([c.key() for c in cands]),
+    assert (len(cands), digest([candidate_key(c) for c in cands]),
             digest([c.loop for c in cands])) == \
         CANDIDATE_PINS[name]
 

@@ -3,9 +3,12 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import assert_outcome
 from outerspace.errors import InvalidInputError, RankMismatchError
 from outerspace.words import (
     AutomorphismPair,
+    ValidationReport,
+    Word,
     apply_endomorphism,
     compose,
     cyclic_reduce,
@@ -174,3 +177,23 @@ def test_validate_pair_random_nielsen_compositions():
         for _ in range(rng.randrange(1, 6)):
             phi = compose(phi, rng.choice(moves))
         assert validate_automorphism_pair(phi).ok
+
+
+a, b = generator(1, 2), generator(2, 2)
+
+
+@pytest.mark.parametrize("call, expect", [
+    (lambda: Word((3,), 2),
+     InvalidInputError("letter 3 out of range for rank 2")),
+    (lambda: Word((1, -1), 2),
+     InvalidInputError("word is not freely reduced")),
+    (lambda: (a * b) ** -2, Word((-2, -1, -2, -1), 2)),
+    (lambda: compose(identity_automorphism(2), identity_automorphism(3)),
+     RankMismatchError("cannot compose automorphisms of different ranks")),
+    (lambda: validate_automorphism_pair(AutomorphismPair((a,), (a, b), 2)),
+     ValidationReport(False, (
+         "expected 2 forward and inverse images, got 1 and 2",))),
+], ids=["letter-range", "unreduced", "negative-power", "compose-ranks",
+        "image-count"])
+def test_input_checks(call, expect):
+    assert_outcome(call, expect)
