@@ -37,9 +37,11 @@ from .graphs import (
     EdgePath,
     GaugedClasses,
     MarkedMetricGraph,
+    chains,
     is_cyclically_reduced,
     loop_length,
     normalize_volume,
+    path_length,
     realize_word_as_loop,
     reduce_darts,
     rev,
@@ -145,15 +147,13 @@ def _suppress_joints(G: MarkedMetricGraph, B: MarkedMetricGraph,
 
     A straight vertex (a joint) is not the basepoint and has two darts, of
     different edges, whose germs are (bd, x) and (rev bd, L - x) with
-    0 < x: it maps inside the target edge.  Each maximal chain through
-    joints becomes one edge, named by the chain's least id and oriented
-    along the walk from its first end (vertices in sorted order, darts in
-    star order); it reads the product of the chain's labels and has its
-    first dart's germ.  Other edges stay as they are.
+    0 < x: it maps inside the target edge.  Each of the `chains` through
+    the joints becomes one edge, with the chain's name and walk
+    orientation; it reads the product of the chain's labels and has its
+    first dart's germ.  An edge on no chain stays as it is.
     """
-    star = stars(G)
     joints = set()
-    for v, ds in star.items():
+    for v, ds in stars(G).items():
         if v == G.basepoint or len(ds) != 2 or ds[0][0] == ds[1][0]:
             continue
         (bd, x), (bd2, y) = (germ_of_dart(G, B, sigma, d) for d in ds)
@@ -162,23 +162,13 @@ def _suppress_joints(G: MarkedMetricGraph, B: MarkedMetricGraph,
     if not joints:
         return G, sigma
     edges, labels, sigma2, image = {}, {}, {}, {}
-    for v, ds in star.items():
-        if v in joints:
-            continue
-        for d in ds:
-            if d in image:
-                continue
-            chain = [d] if G.terminus(d) in joints else [(d[0], 1)]
-            while (w := G.terminus(chain[-1])) in joints:
-                a, b = star[w]
-                chain.append(b if a == rev(chain[-1]) else a)
-            e = min(c[0] for c in chain)
-            image[chain[0]], image[rev(chain[-1])] = (e, 1), (e, -1)
-            edges[e] = (G.origin(chain[0]), G.terminus(chain[-1]),
-                        sum(G.length(c[0]) for c in chain))
-            labels[e] = math.prod(map(G.label_of_dart, chain),
-                                  start=identity(G.rank))
-            sigma2[e] = germ_of_dart(G, B, sigma, chain[0])
+    for e, chain in chains(G, joints).items():
+        image[chain[0]], image[rev(chain[-1])] = (e, 1), (e, -1)
+        edges[e] = (G.origin(chain[0]), G.terminus(chain[-1]),
+                    path_length(G, chain))
+        labels[e] = math.prod(map(G.label_of_dart, chain),
+                              start=identity(G.rank))
+        sigma2[e] = germ_of_dart(G, B, sigma, chain[0])
     return _quotient(G, edges, labels, G.basepoint, image), sigma2
 
 

@@ -179,8 +179,7 @@ def _realize_word(G: MarkedMetricGraph, w: Word, mode: str) -> EdgePath:
     if w.rank != G.rank:
         raise RankMismatchError(f"word rank {w.rank} != graph rank {G.rank}")
     if len(G.marking) < G.rank:
-        raise InvalidInputError(
-            f"{len(G.marking)} marking paths for rank {G.rank}")
+        raise InvalidInputError(marking_issues(G)[0])
     steps: list[Dart] = []
     for x in w.letters:
         petal = G.marking[abs(x) - 1]
@@ -380,8 +379,8 @@ def apply_automorphism_to_marking(G: MarkedMetricGraph,
 
 # -- subdivision -----------------------------------------------------------------------
 
-def fresh_id(base: str, taken: Iterable[str]) -> str:
-    taken = set(taken)
+def fresh_id(base: str, taken: set[str]) -> str:
+    """``base``, or ``base.k`` for the least k >= 1 not in ``taken``."""
     if base not in taken:
         return base
     k = 1
@@ -455,7 +454,7 @@ def subdivide(G: MarkedMetricGraph, cuts: Mapping[str, Sequence[Fraction]]
     return G2, expansion
 
 
-# -- spanning trees and union-find ----------------------------------------------------
+# -- spanning trees, union-find and chains --------------------------------------------
 
 def bfs_tree(G: MarkedMetricGraph, root: str) -> dict[str, Optional[Dart]]:
     """Breadth-first spanning tree of the component of ``root``: each reached
@@ -492,19 +491,41 @@ def uf_union(parent: dict, a, b) -> None:
         parent[max(ra, rb)] = min(ra, rb)
 
 
+def chains(G: MarkedMetricGraph, through) -> dict[str, list[Dart]]:
+    """Every edge of G on its maximal chain through the vertices of
+    ``through``, each of which has two darts of different edges: ``{least
+    edge id of the chain: its darts in walk order}``.  A chain is walked
+    from its first end, vertices in sorted order and darts in star order;
+    an edge on no chain is read forward, and a closed chain (every vertex in
+    ``through``) from its least edge forward."""
+    star = stars(G)
+    ends = [d if G.terminus(d) in through else (d[0], 1)
+            for v, ds in star.items() if v not in through for d in ds]
+    out: dict[str, list[Dart]] = {}
+    seen: set[Dart] = set()
+    for d in ends + [(e, 1) for e in sorted(G.edges)]:
+        if d in seen:
+            continue
+        chain = [d]
+        while (w := G.terminus(chain[-1])) in through:
+            a, b = star[w]
+            if (nxt := b if a == rev(chain[-1]) else a) == d:
+                break
+            chain.append(nxt)
+        out[min(c[0] for c in chain)] = chain
+        seen.update(chain + [rev(c) for c in chain])
+    return out
+
+
 def unsubdivided_lengths(G: MarkedMetricGraph) -> list[Fraction]:
     """Edge lengths of the graph that ``G`` subdivides: one total per
-    maximal chain of edges through bivalent vertices, ordered by the least
-    edge id of each chain.  The two ends of one loop edge make no joint."""
-    parent: dict[str, str] = {}
-    for star in stars(G).values():
-        if len(star) == 2 and star[0][0] != star[1][0]:
-            uf_union(parent, star[0][0], star[1][0])
-    totals: dict[str, Fraction] = {}
-    for e in sorted(G.edges):
-        root = uf_find(parent, e)
-        totals[root] = totals.get(root, Fraction(0)) + G.length(e)
-    return [totals[root] for root in sorted(totals)]
+    `chains` entry through the bivalent vertices, basepoint included, in
+    sorted key order (the least edge id of each chain).  The two ends of one
+    loop edge make no joint; a subdivided circle has one total."""
+    bivalent = {v for v, ds in stars(G).items()
+                if len(ds) == 2 and ds[0][0] != ds[1][0]}
+    walks = chains(G, bivalent)
+    return [path_length(G, walks[e]) for e in sorted(walks)]
 
 
 # -- gauged vertex classes and label derivation ------------------------------------------
@@ -562,6 +583,8 @@ def derive_inverse_marking(G: MarkedMetricGraph) -> dict[str, Word]:
     when the forward marking is not a marking isomorphism on the fundamental
     group.
     """
+    if len(G.marking) != G.rank:
+        raise InvalidInputError(marking_issues(G)[0])
     # wedge edge k covers image[k]; 0 is the basepoint, k + 1 the vertex after k
     ends: dict[int, tuple[int, int]] = {}
     image: dict[int, Dart] = {}

@@ -34,6 +34,7 @@ from .graphs import (
     EdgePath,
     MarkedMetricGraph,
     bfs_tree,
+    marking_issues,
     read_labels,
     realize_word_as_path,
     reduce_darts,
@@ -136,17 +137,18 @@ class PLMap:
 
 
 def validate_pl_map(f: PLMap) -> list[str]:
-    """Issues that keep f from representing the change of marking: missing
-    images, image paths off their endpoints' images, and petals whose
-    pushed word is not conjugate to the target's generator.
+    """Issues that keep f from representing the change of marking: the
+    source's `marking_issues`, missing images, image paths off their
+    endpoints' images, and petals whose pushed word is not conjugate to the
+    target's generator.
 
     Each edge image's word is read once by `pl_word`, which snaps every
     interior point to the origin of its edge.  Consecutive images share a
     vertex image, so their snapped ends agree, and a petal's word is the
     product of its edges' words, inverted on reversed darts.
     """
-    issues = []
     A, B = f.source, f.target
+    issues = marking_issues(A)
     for v in sorted(A.vertices):
         if v not in f.vertex_image:
             issues.append(f"vertex {v} has no image")
@@ -182,6 +184,8 @@ def initial_pl_map(A: MarkedMetricGraph, B: MarkedMetricGraph) -> PLMap:
         raise InvalidInputError("ranks differ")
     if A.labels is None:
         raise InvalidInputError("source graph needs inverse labels")
+    if issues := marking_issues(A):
+        raise InvalidInputError(issues[0])
     # BFS tree words from the basepoint
     conn: dict[str, Word] = {A.basepoint: identity(A.rank)}
     for w, d in bfs_tree(A, A.basepoint).items():

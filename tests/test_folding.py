@@ -3,12 +3,19 @@ import math
 import random
 import sys
 import time
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
 import outerspace.folding as folding
 from conftest import assert_outcome, k4_fold_pair, twisted_barbell
+from outerspace.docs import (
+    canonical_text,
+    format_dart,
+    format_fraction,
+    graph_to_doc,
+)
 from outerspace.errors import BudgetExhaustedError, InvalidInputError
 from outerspace.fixtures import (
     aut_exp,
@@ -136,6 +143,13 @@ def test_setup_folds_onto_the_target_as_given():
     assert any(off > 0 for off in offsets)
 
 
+def test_prepare_rejects_a_source_with_a_missing_petal():
+    R = unit_rose(2)
+    A = replace(R, marking=R.marking[:1])
+    assert_outcome(lambda: prepare_folding_setup(A, R),
+                   InvalidInputError("1 marking paths for rank 2"))
+
+
 def test_prepare_stretches_by_one():
     rng = random.Random(5)
     for _ in range(5):
@@ -218,6 +232,38 @@ def test_unsubdivided_lengths_pin_fold_shapes():
                          (k4_single, K4_SINGLE_VERTEX_SHA256)):
         text = "\n".join(rows) + "\n"
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# SHA-256 of every snapshot's canonical document and sorted edge map in the
+# test below, as the fold before the shared chain walk wrote them
+FOLD_SNAPSHOTS_SHA256 = \
+    "6bf5b2397e969a6ae2a28b0d0f0945fc83952708013c4ccad54bbf238490b087"
+
+
+def test_fold_snapshots_pin_documents_and_sigmas():
+    """The golden fold pairs (theta, twist3, K4 seed 31) and poly-twist
+    k = 5, under both strategies: each snapshot's document, ids, edge
+    orientations and labels included, and its edge map, byte for byte."""
+    pairs = [("theta", theta_left(), theta_right(), True),
+             ("twist3", *poly_twist_pair(3), True),
+             ("k4", *k4_fold_pair(), True),
+             ("poly5", *poly_twist_pair(5), False)]
+    digest = hashlib.sha256()
+    count = 0
+    for name, A, B, normalize in pairs:
+        setup = prepare_folding_setup(A, B, normalize_target=normalize)
+        for strategy in ("simultaneous", "single-vertex"):
+            path = fast_fold(setup, strategy=strategy)
+            for G, sigma in zip(path.snapshots, path.sigmas, strict=True):
+                maps = " ".join(
+                    f"{e}:{format_dart(bd)}@{format_fraction(off)}"
+                    for e, (bd, off) in sorted(sigma.items()))
+                digest.update(f"{name} {strategy}\n".encode())
+                digest.update(canonical_text(graph_to_doc(G)).encode())
+                digest.update(f"{maps}\n".encode())
+                count += 1
+    assert count == 42
+    assert digest.hexdigest() == FOLD_SNAPSHOTS_SHA256
 
 
 @pytest.mark.parametrize("k", [2, 3, 5])

@@ -22,6 +22,7 @@ from outerspace.fixtures import (
 )
 from outerspace.graphs import (
     apply_automorphism_to_marking,
+    chains,
     derive_inverse_marking,
     interpolate_in_simplex,
     loop_length,
@@ -436,6 +437,12 @@ def test_unsubdivided_lengths_read_chains():
     assert unsubdivided_lengths(K) == [F(1, 6), F(1, 3), F(1, 2)]
     # the two ends of a loop edge at a bivalent vertex are no joint
     assert unsubdivided_lengths(rose([2])) == [2]
+    # a subdivided rank-1 circle is one closed chain, from its least edge
+    C, _ = subdivide(rose([2]), {"a": [F(1, 2), F(3, 2)]})
+    assert validate_marked_graph(C).ok
+    assert unsubdivided_lengths(C) == [2]
+    assert chains(C, C.vertices) == {"a.1": [("a.1", 1), ("a.2", 1),
+                                              ("a.3", 1)]}
 
 
 def test_subdivide_names_a_piece_around_a_taken_id():
@@ -491,9 +498,19 @@ def missing_petal():
     lambda B: realize_word_as_path(B, generator(1, 2)),
     lambda B: realize_word_as_loop(B, generator(2, 2)),
     lambda B: apply_automorphism_to_marking(B, identity_automorphism(2)),
+    derive_inverse_marking,
 ], ids=["translation_length", "realize_word_as_path", "realize_word_as_loop",
-        "apply_automorphism_to_marking"])
+        "apply_automorphism_to_marking", "derive_inverse_marking"])
 def test_missing_petal_is_an_input_error(call):
     with pytest.raises(InvalidInputError,
                        match=r"^1 marking paths for rank 2$"):
         call(missing_petal())
+
+
+def test_extra_petal_is_counted_before_labels_are_derived():
+    """Petals a, b, a on a rank-2 rose: the marking check names the count,
+    before the third petal is read as a generator that does not exist."""
+    B = make_graph(2, {"a": ("v", "v", 1), "b": ("v", "v", 1)}, "v",
+                   [(("a", 1),), (("b", 1),), (("a", 1),)])
+    assert_outcome(lambda: derive_inverse_marking(B),
+                   InvalidInputError("3 marking paths for rank 2"))

@@ -663,6 +663,12 @@ def without_image(e):
                                   if x != e})
 
 
+def one_petal_rose():
+    """`unit_rose(2)` with a marking of its first petal only."""
+    R = unit_rose(2)
+    return replace(R, marking=R.marking[:1])
+
+
 @pytest.mark.parametrize("call, expect", [
     (lambda: dart_point(theta_left(), ("A", 1), F(1)),
      InvalidInputError("coordinate 1 outside [0, 1/6] on ('A', 1)")),
@@ -682,10 +688,17 @@ def without_image(e):
      InvalidInputError("ranks differ")),
     (lambda: initial_pl_map(theta_left().with_labels(None), theta_right()),
      InvalidInputError("source graph needs inverse labels")),
+    (lambda: initial_pl_map(one_petal_rose(), unit_rose(2)),
+     InvalidInputError("1 marking paths for rank 2")),
     (lambda: validate_pl_map(without_image("B")),
      ["edge B has no image path"]),
+    (lambda: validate_pl_map(replace(initial_pl_map(unit_rose(2),
+                                                    unit_rose(2)),
+                                     source=one_petal_rose())),
+     ["1 marking paths for rank 2"]),
 ], ids=["dart-point", "bad-segment", "not-contiguous", "backtrack",
         "interior-turn", "anchor", "initial-ranks", "initial-labels",
-        "missing-edge-image"])
+        "initial-missing-petal", "missing-edge-image",
+        "missing-source-petal"])
 def test_input_checks(call, expect):
     assert_outcome(call, expect)
