@@ -59,9 +59,8 @@ def _load_graphs(*paths):
     graphs = []
     for path in paths:
         G = load_graph(path)
-        report = validate_marked_graph(G)
-        if not report.ok:
-            raise InvalidInputError(f"{path}: {report.issues[0]}")
+        if issues := validate_marked_graph(G):
+            raise InvalidInputError(f"{path}: {issues[0]}")
         graphs.append(G)
     ranks = {g.rank for g in graphs}
     if len(ranks) > 1:
@@ -227,10 +226,10 @@ def cmd_checkgeod(args) -> Report:
     rep = Report("geodesic diagnostics")
     t = rep.table("checks", ["check", "result", "detail"])
     if len(graphs) >= 3:
-        ok, failures = check_dR_geodesic(graphs)
+        ok, failure = check_dR_geodesic(graphs)
         detail = "-" if ok else \
-            f"triple {failures[0][:3]}: product {format_fraction(failures[0][3])}" \
-            f" != {format_fraction(failures[0][4])}"
+            f"triple {failure[:3]}: product {format_fraction(failure[3])}" \
+            f" != {format_fraction(failure[4])}"
         t.add("right-factor triangle equality", "yes" if ok else "NO", detail)
     # one stretch report per pair of files, shared by the symmetric checks
     S = pairwise(graphs, stretch_report)
@@ -277,9 +276,8 @@ def _parse_automorphism(spec: str, inverse_spec: str, rank: int
         return tuple(images[i] for i in range(1, rank + 1))
 
     pair = AutomorphismPair(parse_side(spec), parse_side(inverse_spec), rank)
-    report = validate_automorphism_pair(pair)
-    if not report.ok:
-        raise InvalidInputError(f"automorphism pair invalid: {report.issues[0]}")
+    if issues := validate_automorphism_pair(pair):
+        raise InvalidInputError(f"automorphism pair invalid: {issues[0]}")
     return pair
 
 

@@ -8,9 +8,11 @@ simultaneously, the groups of darts with a common image germ; an event
 happens whenever some edge of a zipping group is completely consumed, at
 which point the quotient is rebuilt and the process re-anchored.  The
 quotient keeps no straight vertex (one that maps inside a target edge with
-its two darts continuing one another), so snapshots after the first are
-graphs, not subdivisions, and events are the path's own breakpoints.  All
-times, lengths and stretch factors stay rational.
+its two darts continuing one another), so events are the path's own
+breakpoints.  A bivalent vertex over a target vertex stays, so a snapshot
+may still subdivide a graph with fewer edges (`unsubdivided_lengths` reads
+that graph's lengths).  All times, lengths and stretch factors stay
+rational.
 
 The literal point-pair relation defining the quotient would also identify
 distant fibre points in ways that break the homotopy type; the zip semantics
@@ -396,17 +398,9 @@ def fold_step(G: MarkedMetricGraph, B: MarkedMetricGraph, sigma: Sigma,
         G2 = _collapse_edges(G2, hairs)[0]
         sigma2 = {e: sigma2[e] for e in G2.edges}
     G3, sigma3 = _suppress_joints(G2, B, sigma2)
-    betti = len(G3.edges) - len(G3.vertices) + 1
-    if betti != G.rank:
+    if issues := validate_marked_graph(G3):
         raise InternalInvariantError(
-            "fold changed the rank; the setup map was not a homotopy "
-            "equivalence"
-        )
-    report = validate_marked_graph(G3)
-    if not report.ok:
-        raise InternalInvariantError(
-            f"fold produced an invalid marked graph: {report.issues[0]}"
-        )
+            f"fold produced an invalid marked graph: {issues[0]}")
     return G3, sigma3
 
 
@@ -696,18 +690,19 @@ def check_dR_geodesic(points):
     """Exact right-factor triangle equality on every ordered triple.
 
     Volumes cancel, so raw stretching factors multiply exactly along a
-    geodesic.  Returns (flag, failures).
+    geodesic.  Returns (flag, first failure or None), a failure being
+    ``(i, j, k, product, direct)``; `lambda_r` is called at most once per
+    index pair, and not past the first failure.
     """
     graphs = list(points)
     n = len(graphs)
     if n < 3:
         raise InvalidInputError("need at least three points")
     D = pairwise(graphs, lambda_r)
-    failures = []
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
-                prod = D(i, j).value * D(j, k).value
-                if prod != D(i, k).value:
-                    failures.append((i, j, k, prod, D(i, k).value))
-    return not failures, failures
+                prod, direct = D(i, j).value * D(j, k).value, D(i, k).value
+                if prod != direct:
+                    return False, (i, j, k, prod, direct)
+    return True, None

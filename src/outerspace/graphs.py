@@ -20,11 +20,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Container, Iterable, Mapping, Optional, Sequence
 
 from .errors import InvalidInputError, InternalInvariantError, RankMismatchError
 from .words import Word, free_reduce, generator, identity, AutomorphismPair, \
-    ValidationReport, validate_automorphism_pair, apply_endomorphism
+    validate_automorphism_pair, apply_endomorphism
 
 Dart = tuple[str, int]
 EdgePath = tuple[Dart, ...]
@@ -279,9 +279,9 @@ def interpolate_in_simplex(A: MarkedMetricGraph, B: MarkedMetricGraph,
 
 # -- validation ------------------------------------------------------------------
 
-def validate_marked_graph(G: MarkedMetricGraph) -> ValidationReport:
-    """Check every invariant of a marked metric graph; the first issue listed
-    is the first violated invariant."""
+def validate_marked_graph(G: MarkedMetricGraph) -> list[str]:
+    """The issues of a marked metric graph, the first violated invariant
+    first; empty means accept."""
     issues: list[str] = []
 
     if G.basepoint not in G.vertices:
@@ -292,7 +292,7 @@ def validate_marked_graph(G: MarkedMetricGraph) -> ValidationReport:
         if l <= 0:
             issues.append(f"edge {e} has non-positive length {l}")
     if issues:
-        return ValidationReport(False, tuple(issues))
+        return issues
 
     # connectivity
     if G.vertices:
@@ -312,15 +312,15 @@ def validate_marked_graph(G: MarkedMetricGraph) -> ValidationReport:
 
     issues += marking_issues(G)
     if len(G.marking) != G.rank:
-        return ValidationReport(False, tuple(issues))
+        return issues
 
     if G.labels is None:
         issues.append("inverse labels are missing")
-        return ValidationReport(False, tuple(issues))
+        return issues
     missing = sorted(set(G.edges) - set(G.labels))
     if missing:
         issues.append(f"edge {missing[0]} has no inverse label")
-        return ValidationReport(False, tuple(issues))
+        return issues
     if not issues:
         # every petal is a checked loop and every edge has a label
         for i, petal in enumerate(G.marking, start=1):
@@ -330,7 +330,7 @@ def validate_marked_graph(G: MarkedMetricGraph) -> ValidationReport:
                     f"marking consistency fails for generator {i}: "
                     f"readout {readout.letters}"
                 )
-    return ValidationReport(not issues, tuple(issues))
+    return issues
 
 
 def marking_issues(G: MarkedMetricGraph) -> list[str]:
@@ -362,9 +362,8 @@ def apply_automorphism_to_marking(G: MarkedMetricGraph,
     """
     if phi.rank != G.rank:
         raise RankMismatchError(f"automorphism rank {phi.rank} != graph rank {G.rank}")
-    report = validate_automorphism_pair(phi)
-    if not report.ok:
-        raise InvalidInputError(f"invalid automorphism pair: {report.issues[0]}")
+    if issues := validate_automorphism_pair(phi):
+        raise InvalidInputError(f"invalid automorphism pair: {issues[0]}")
     new_marking = tuple(
         realize_word_as_path(G, w) for w in phi.forward_images
     )
@@ -379,7 +378,7 @@ def apply_automorphism_to_marking(G: MarkedMetricGraph,
 
 # -- subdivision -----------------------------------------------------------------------
 
-def fresh_id(base: str, taken: set[str]) -> str:
+def fresh_id(base: str, taken: Container[str]) -> str:
     """``base``, or ``base.k`` for the least k >= 1 not in ``taken``."""
     if base not in taken:
         return base
@@ -411,22 +410,18 @@ def subdivide(G: MarkedMetricGraph, cuts: Mapping[str, Sequence[Fraction]]
         if not offs:
             continue
         bounds = [Fraction(0)] + offs + [l]
-        piece_ids = []
-        taken = set(edges)  # holds the pieces of every edge cut so far
-        for k in range(len(bounds) - 1):
-            piece_ids.append(fresh_id(f"{e}.{k + 1}", taken))
-            taken.add(piece_ids[-1])
-        mids = []
-        vtaken = set(vertices)
+        chain = [o]
         for k in range(len(offs)):
-            m = fresh_id(f"{e}:v{k + 1}", vtaken)
-            vtaken.add(m)
-            mids.append(m)
-        vertices.update(mids)
-        chain = [o] + mids + [t]
+            chain.append(fresh_id(f"{e}:v{k + 1}", vertices))
+            vertices.add(chain[-1])
+        chain.append(t)
+        # the pieces are named around every current edge id, e's included
+        piece_ids = []
+        for k in range(len(bounds) - 1):
+            piece_ids.append(fresh_id(f"{e}.{k + 1}", edges))
+            edges[piece_ids[-1]] = (chain[k], chain[k + 1],
+                                    bounds[k + 1] - bounds[k])
         del edges[e]
-        for k, pid in enumerate(piece_ids):
-            edges[pid] = (chain[k], chain[k + 1], bounds[k + 1] - bounds[k])
         if labels is not None:
             lab = labels.pop(e)
             for k, pid in enumerate(piece_ids):
@@ -581,20 +576,20 @@ def derive_inverse_marking(G: MarkedMetricGraph) -> dict[str, Word]:
     vertex with the same image are identified, after a gauge move at the
     absorbed vertex keeps all petal readouts intact.  The fold fails exactly
     when the forward marking is not a marking isomorphism on the fundamental
-    group.
+    group; a marking with an issue is rejected with the first one
+    `marking_issues` lists.
     """
-    if len(G.marking) != G.rank:
-        raise InvalidInputError(marking_issues(G)[0])
+    if issues := marking_issues(G):
+        raise InvalidInputError(issues[0])
     # wedge edge k covers image[k]; 0 is the basepoint, k + 1 the vertex after k
     ends: dict[int, tuple[int, int]] = {}
     image: dict[int, Dart] = {}
     words: dict[int, Word] = {}
     for i, petal in enumerate(G.marking, start=1):
-        path = tighten(G, petal, "path")
-        if not path or not is_loop(G, path) or G.origin(path[0]) != G.basepoint:
+        path = reduce_darts(petal)
+        if not path:
             raise InvalidInputError(
-                f"marking path {i} does not tighten to a basepoint loop"
-            )
+                f"marking path {i} reduces to the empty path")
         prev = 0
         for j, d in enumerate(path):
             k = len(ends)
@@ -661,9 +656,6 @@ def derive_inverse_marking(G: MarkedMetricGraph) -> dict[str, Word]:
                 )
     if vmap.get(vc.find(0)) != G.basepoint:
         raise InvalidInputError("folded basepoint does not match the basepoint")
-    if set(label_words) != set(G.edges):
-        missing = sorted(set(G.edges) - set(label_words))[0]
-        raise InvalidInputError(f"marking does not cover edge {missing}")
     return label_words
 
 

@@ -41,7 +41,6 @@ from .graphs import (
     EdgePath,
     MarkedMetricGraph,
     marking_issues,
-    realize_word_as_path,
     reduce_darts,
     require_labels,
 )
@@ -321,10 +320,12 @@ class _GraphRecord:
     """What `lambda_r` reads of a graph on either side, prepared once: its
     type key, the common denominator ``scale`` of its edge lengths and each
     dart's length times it, in `_darts` order, its labels by sorted edge
-    (None where missing), its volume, and by letter each petal as a reduced
-    path of integer darts, or None if `marking_issues` finds any issue."""
+    (None where missing), its volume, the first issue `marking_issues`
+    finds (None if none) and, only if there is none, by letter each petal as
+    a reduced path of integer darts."""
 
-    __slots__ = ("key", "scale", "lengths", "labels", "volume", "petals")
+    __slots__ = ("key", "scale", "lengths", "labels", "volume", "issue",
+                 "petals")
 
     def __init__(self, G: MarkedMetricGraph):
         self.key = _combinatorial_type(G)
@@ -335,10 +336,10 @@ class _GraphRecord:
         self.lengths = [n for n in ints for _ in (0, 1)]
         self.volume = Fraction(sum(ints), self.scale)
         self.labels = [(G.labels or {}).get(e) for e in edges]
-        self.petals: dict[int, tuple[int, ...]] | None = None
-        if not marking_issues(G):
+        self.issue = next(iter(marking_issues(G)), None)
+        self.petals: dict[int, tuple[int, ...]] = {}
+        if self.issue is None:
             code = {d: k for k, d in enumerate(_darts(edges))}
-            self.petals = {}
             for x, petal in enumerate(G.marking, start=1):
                 path = tuple([code[d] for d in reduce_darts(petal)])
                 self.petals[x], self.petals[-x] = path, _reverse(path)
@@ -371,13 +372,11 @@ def _realize(B: MarkedMetricGraph, rb: _GraphRecord, w) -> tuple[int, ...]:
     """The reduced path of B's integer darts tracing the word ``w``: each
     letter's petal pushed onto one stack, popping where it cancels against
     the top (only at a seam, as every petal is reduced).  A marking with an
-    issue is read word by word by `realize_word_as_path`, with its paths and
-    its errors."""
+    issue is rejected with its first issue."""
     if w.rank != B.rank:
         raise RankMismatchError(f"word rank {w.rank} != graph rank {B.rank}")
-    if rb.petals is None:
-        code = {d: k for k, d in enumerate(_darts(B.edges))}
-        return tuple([code[d] for d in realize_word_as_path(B, w)])
+    if rb.issue is not None:
+        raise InvalidInputError(rb.issue)
     stack: list[int] = []
     for x in w.letters:
         path = rb.petals[x]

@@ -134,14 +134,6 @@ class AutomorphismPair:
         return AutomorphismPair(self.inverse_images, self.forward_images, self.rank)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    """A check's verdict and the issues it found, in the order found."""
-
-    ok: bool
-    issues: tuple[str, ...]
-
-
 def identity_automorphism(rank: int) -> AutomorphismPair:
     gens = tuple(generator(i, rank) for i in range(1, rank + 1))
     return AutomorphismPair(gens, gens, rank)
@@ -156,18 +148,16 @@ def compose(p: AutomorphismPair, q: AutomorphismPair) -> AutomorphismPair:
     return AutomorphismPair(fwd, inv, p.rank)
 
 
-def validate_automorphism_pair(p: AutomorphismPair) -> ValidationReport:
-    """Accept iff forward and inverse images really invert each other.
+def validate_automorphism_pair(p: AutomorphismPair) -> list[str]:
+    """The issues that keep forward and inverse images from inverting each
+    other, the first violated invariant first; empty means accept.
 
     Reports the first generator whose round-trip fails, in each direction.
     """
-    issues = []
     if len(p.forward_images) != p.rank or len(p.inverse_images) != p.rank:
-        issues.append(
-            f"expected {p.rank} forward and inverse images, got "
-            f"{len(p.forward_images)} and {len(p.inverse_images)}"
-        )
-        return ValidationReport(False, tuple(issues))
+        return [f"expected {p.rank} forward and inverse images, got "
+                f"{len(p.forward_images)} and {len(p.inverse_images)}"]
+    issues = []
     for i in range(1, p.rank + 1):
         gen = generator(i, p.rank)
         round_trip = apply_endomorphism(p.forward_images[i - 1], p.inverse_images)
@@ -180,4 +170,4 @@ def validate_automorphism_pair(p: AutomorphismPair) -> ValidationReport:
         if round_trip != gen:
             issues.append(f"forward(inverse(a_{i})) = {round_trip.letters}, not a_{i}")
             break
-    return ValidationReport(not issues, tuple(issues))
+    return issues

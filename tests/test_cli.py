@@ -400,7 +400,8 @@ def test_checkgeod_reads_one_stretch_table(files, tmp_path, capsys,
                                            monkeypatch):
     # four files have 6 index pairs: one stretch report (two lambda_r calls)
     # per pair serves the four-point and quasi-geodesic checks, and the
-    # right-factor check reads its own 6 lambda_r values
+    # right-factor check reads its own lambda_r values up to its first
+    # failing triple, (0, 1, 2): 3 of them
     import outerspace.folding as folding
     import outerspace.stretch as stretch
 
@@ -419,7 +420,8 @@ def test_checkgeod_reads_one_stretch_table(files, tmp_path, capsys,
                          files["Y"], "--qg", "2", "0")
     assert code == 0, err
     assert "4-point property\tyes" in out
-    assert len(calls) == 18
+    assert "right-factor triangle equality\tNO\ttriple (0, 1, 2)" in out
+    assert len(calls) == 15
 
 
 def test_orbit_command(files, capsys):

@@ -183,7 +183,7 @@ def test_poly_fold_intermediate_graph(k):
     i, delta = 1, F(1, 2)
     point = point_at(path, i + delta)
     G = point.graph
-    assert validate_marked_graph(G).ok
+    assert validate_marked_graph(G) == []
     lengths = sorted(unsubdivided_lengths(G))
     assert lengths == sorted([1 - delta, k + 1 - i - delta, delta])
     assert validate_pl_map(setup_as_plmap(G, path.target, point.sigma)) == []
@@ -530,7 +530,7 @@ def test_sweep_pairs_whose_fold_leaves_a_hair(family, seed):
     assert (one_gate[0] == G.basepoint) == (seed == 34)
     path = fast_fold(setup)
     for H in path.snapshots:
-        assert validate_marked_graph(H).ok, validate_marked_graph(H).issues
+        assert validate_marked_graph(H) == []
     assert check_dR_geodesic(path.snapshots)[0]
 
 
@@ -571,11 +571,11 @@ def test_folding_carries_labels_without_deriving(pair, monkeypatch):
     setup = prepare_folding_setup(A, B)
     path = fast_fold(setup)
     for G in path.snapshots:
-        assert validate_marked_graph(G).ok, validate_marked_graph(G).issues
+        assert validate_marked_graph(G) == []
     ends = path.events
     for t in ends + [(a + b) / 2 for a, b in zip(ends, ends[1:])]:
         G = point_at(path, t).graph
-        assert validate_marked_graph(G).ok, validate_marked_graph(G).issues
+        assert validate_marked_graph(G) == []
     assert check_dR_geodesic(path.snapshots)[0]
     if pair == "barbell":
         # the bridge c has constant image and is collapsed in the setup
@@ -741,6 +741,21 @@ def test_dR_geodesic_fails_at_wrong_crossing():
     T = rose([F(1, 2), F(1, 2)])  # alpha = 1/2 instead of 5/8
     ok, failures = check_dR_geodesic([X, T, Y])
     assert not ok
+
+
+def test_dR_geodesic_stops_at_its_first_failing_triple(monkeypatch):
+    calls = []
+    original = folding.lambda_r
+
+    def counting(A, B):
+        calls.append((A, B))
+        return original(A, B)
+
+    monkeypatch.setattr(folding, "lambda_r", counting)
+    X, M, Y, T = theta_left(), rose_t(F(1, 2)), theta_right(), rose_t(F(5, 8))
+    assert check_dR_geodesic([X, M, Y, T]) == \
+        (False, (0, 1, 2, F(5, 2), F(2)))
+    assert calls == [(X, M), (M, Y), (X, Y)]
 
 
 def test_dR_geodesic_with_correct_crossing():

@@ -27,6 +27,7 @@ from outerspace.graphs import (
     interpolate_in_simplex,
     loop_length,
     make_graph,
+    marking_issues,
     is_cyclically_reduced,
     normalize_volume,
     realize_word_as_loop,
@@ -60,23 +61,18 @@ from outerspace.words import (
     barbell(1, 1, 1),
 ])
 def test_fixtures_validate(G):
-    report = validate_marked_graph(G)
-    assert report.ok, report.issues
+    assert validate_marked_graph(G) == []
 
 
 def test_validate_rejects_bad_labels():
     G = unit_rose(2)
     bad = G.with_labels({"a": generator(1, 2), "b": generator(1, 2)})
-    report = validate_marked_graph(bad)
-    assert not report.ok
-    assert "generator 2" in report.issues[0]
+    assert "generator 2" in validate_marked_graph(bad)[0]
 
 
 def test_validate_reports_nonpositive_length():
     G = rose([1, 0])
-    report = validate_marked_graph(G)
-    assert not report.ok
-    assert "non-positive" in report.issues[0]
+    assert "non-positive" in validate_marked_graph(G)[0]
 
 
 def test_validate_reports_wrong_rank():
@@ -84,9 +80,7 @@ def test_validate_reports_wrong_rank():
     bad = make_graph(3, dict(G.edges), "v",
                      list(G.marking) + [(("a", 1),)],
                      {"a": generator(1, 3), "b": generator(2, 3)})
-    report = validate_marked_graph(bad)
-    assert not report.ok
-    assert "Betti" in report.issues[0]
+    assert "Betti" in validate_marked_graph(bad)[0]
 
 
 def _loop_c_at_w(G):
@@ -120,9 +114,7 @@ def _hair_at_v(G):
 ], ids=["basepoint", "endpoint", "connected", "valence", "petal-count",
         "petal-dart", "petal-loop", "labels", "edge-label"])
 def test_validate_reports_the_first_violated_invariant(bad, first_issue):
-    report = validate_marked_graph(bad)
-    assert not report.ok
-    assert report.issues[0] == first_issue
+    assert validate_marked_graph(bad)[0] == first_issue
 
 
 def test_validation_checks_each_petal_once(monkeypatch):
@@ -135,7 +127,7 @@ def test_validation_checks_each_petal_once(monkeypatch):
 
     monkeypatch.setattr(graphs, "check_path", counted)
     G = theta_left()
-    assert validate_marked_graph(G).ok
+    assert validate_marked_graph(G) == []
     assert checked == list(G.marking)
 
 
@@ -333,7 +325,7 @@ def test_apply_poly_automorphism_to_rose():
     G = unit_rose(2)
     H = apply_automorphism_to_marking(G, aut_poly())
     assert H.marking[1] == (("b", 1), ("a", 1))
-    assert validate_marked_graph(H).ok
+    assert validate_marked_graph(H) == []
 
 
 def test_twisted_length_identity():
@@ -342,7 +334,7 @@ def test_twisted_length_identity():
         G = random_graph(rng)
         phi = random_nielsen_automorphism(rng, 2)
         H = apply_automorphism_to_marking(G, phi)
-        assert validate_marked_graph(H).ok, validate_marked_graph(H).issues
+        assert validate_marked_graph(H) == []
         for _ in range(5):
             w = random_word(rng, 2, 6)
             twisted = apply_endomorphism(w, phi.forward_images)
@@ -375,7 +367,7 @@ def test_derive_labels_theta(make):
     G = make()
     derived = derive_inverse_marking(G.with_labels(None))
     H = G.with_labels(derived)
-    assert validate_marked_graph(H).ok
+    assert validate_marked_graph(H) == []
 
 
 def test_derive_labels_after_automorphism():
@@ -386,7 +378,7 @@ def test_derive_labels_after_automorphism():
         H = apply_automorphism_to_marking(G, phi)
         derived = derive_inverse_marking(H.with_labels(None))
         H2 = H.with_labels(derived)
-        assert validate_marked_graph(H2).ok
+        assert validate_marked_graph(H2) == []
         for _ in range(10):
             w = random_word(rng, 2, 6)
             assert translation_length(H2, w) == translation_length(H, w)
@@ -398,6 +390,31 @@ def test_derive_labels_detects_non_injective_marking():
     marking = [(("a", 1),), (("a", 1),)]
     G = make_graph(2, edges, "v", marking)
     with pytest.raises(InvalidInputError):
+        derive_inverse_marking(G)
+
+
+def _theta_with_first_petal(petal):
+    """theta_left without labels, its first petal replaced."""
+    return replace(theta_left(), marking=(petal, theta_left().marking[1]),
+                   labels=None)
+
+
+@pytest.mark.parametrize("petal, message", [
+    ((("A", 1),), "marking path 1 is not a loop at the basepoint"),
+    ((("A", 1), ("Z", -1)), "marking path 1: unknown oriented edge ('Z', -1)"),
+], ids=["not-a-loop", "unknown-dart"])
+def test_derive_labels_words_a_bad_petal_as_the_marking_check(petal, message):
+    G = _theta_with_first_petal(petal)
+    assert marking_issues(G) == [message]
+    assert_outcome(lambda: derive_inverse_marking(G),
+                   InvalidInputError(message))
+
+
+def test_derive_labels_rejects_a_petal_that_reduces_to_nothing():
+    # A.A~ is a loop at the basepoint, so the marking check passes it
+    G = _theta_with_first_petal((("A", 1), ("A", -1)))
+    assert marking_issues(G) == []
+    with pytest.raises(InvalidInputError, match=r"^marking path 1 "):
         derive_inverse_marking(G)
 
 
@@ -414,7 +431,7 @@ def test_derive_labels_pinned_on_twisted_barbell():
 def test_subdivide_preserves_lengths_and_marking():
     G = theta_left()
     H, expansion = subdivide(G, {"A": [F(1, 12)], "C": [F(1, 4), F(1, 3)]})
-    assert validate_marked_graph(H).ok, validate_marked_graph(H).issues
+    assert validate_marked_graph(H) == []
     assert volume(H) == volume(G)
     rng = random.Random(71)
     for _ in range(20):
@@ -433,13 +450,13 @@ def test_unsubdivided_lengths_read_chains():
     labels = {"A": generator(1, 2), "B1": identity(2), "B2": identity(2),
               "C": generator(2, 2)}
     K = make_graph(2, edges, "m", marking, labels)
-    assert validate_marked_graph(K).ok
+    assert validate_marked_graph(K) == []
     assert unsubdivided_lengths(K) == [F(1, 6), F(1, 3), F(1, 2)]
     # the two ends of a loop edge at a bivalent vertex are no joint
     assert unsubdivided_lengths(rose([2])) == [2]
     # a subdivided rank-1 circle is one closed chain, from its least edge
     C, _ = subdivide(rose([2]), {"a": [F(1, 2), F(3, 2)]})
-    assert validate_marked_graph(C).ok
+    assert validate_marked_graph(C) == []
     assert unsubdivided_lengths(C) == [2]
     assert chains(C, C.vertices) == {"a.1": [("a.1", 1), ("a.2", 1),
                                               ("a.3", 1)]}
@@ -454,7 +471,19 @@ def test_subdivide_names_a_piece_around_a_taken_id():
     assert expansion[("e", 1)] == (("e.1.1", 1), ("e.2", 1))
     assert sorted(H.edges) == ["e.1", "e.1.1", "e.2"]
     assert H.length("e.1.1") == F(1, 3)
-    assert validate_marked_graph(H).ok, validate_marked_graph(H).issues
+    assert validate_marked_graph(H) == []
+
+
+def test_subdivide_names_pieces_around_taken_ids_of_every_depth():
+    """The first piece of a steps past the taken ``a.1`` and ``a.1.1`` to
+    ``a.1.2``, and the pieces of the later cut of a.1 step past those."""
+    G = rose([1, 1, 1], names=["a", "a.1", "a.1.1"])
+    H, expansion = subdivide(G, {"a": [F(1, 2)], "a.1": [F(1, 3)]})
+    assert sorted(H.edges) == ["a.1.1", "a.1.1.1", "a.1.2", "a.1.2.1", "a.2"]
+    assert expansion[("a", 1)] == (("a.1.2", 1), ("a.2", 1))
+    assert expansion[("a.1", 1)] == (("a.1.1.1", 1), ("a.1.2.1", 1))
+    assert sorted(H.vertices) == ["a.1:v1", "a:v1", "v"]
+    assert validate_marked_graph(H) == []
 
 
 # -- branches of input checking ----------------------------------------------------------

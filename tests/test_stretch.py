@@ -358,16 +358,17 @@ def test_geodesic_checks_evaluate_each_ordered_pair_once(monkeypatch):
 @pytest.mark.parametrize("marking, message", [
     # a petal with a step between edges that do not meet
     ([(("E", 1), ("F", 1)), (("F", 1), ("G", -1))],
-     "non-incident steps ('E', 1) -> ('F', 1)"),
-    # petals that are paths but not loops, so that two do not meet
-    ([(("E", 1),), (("F", 1),)], "non-incident steps ('E', 1) -> ('F', 1)"),
+     "marking path 1: non-incident steps ('E', 1) -> ('F', 1)"),
+    # petals that are paths but not loops
+    ([(("E", 1),), (("F", 1),)],
+     "marking path 1 is not a loop at the basepoint"),
     # a petal crossing an edge the graph does not have
     ([(("E", 1), ("Z", 1)), (("F", 1), ("G", -1))],
-     "unknown oriented edge ('Z', 1)"),
+     "marking path 1: unknown oriented edge ('Z', 1)"),
     # one petal for rank 2
     ([(("E", 1), ("F", -1))], "1 marking paths for rank 2"),
-])
-def test_bad_target_marking_raises_the_realization_error(marking, message):
+], ids=["non-incident", "not-a-loop", "unknown-dart", "petal-count"])
+def test_bad_target_marking_raises_the_marking_issue(marking, message):
     # the source's label ab crosses the seam between the two petals
     a, b = generator(1, 2), generator(2, 2)
     X = dataclasses.replace(theta_left(), labels=dict(theta_left().labels,
@@ -377,6 +378,19 @@ def test_bad_target_marking_raises_the_realization_error(marking, message):
         with pytest.raises(InvalidInputError) as err:
             lambda_r(X, Y)
         assert str(err.value) == message
+
+
+def test_bad_target_petal_is_rejected_though_no_label_reads_it():
+    # the source's labels read only a, so no image crosses the target's
+    # petal 2; its marking issue is raised all the same
+    a = generator(1, 2)
+    X = dataclasses.replace(theta_left(), labels=dict(theta_left().labels,
+                                                      C=a))
+    Y = dataclasses.replace(theta_right(), marking=(theta_right().marking[0],
+                                                    (("F", 1),)))
+    with pytest.raises(InvalidInputError) as err:
+        lambda_r(X, Y)
+    assert str(err.value) == "marking path 2 is not a loop at the basepoint"
 
 
 def test_each_marking_is_checked_once(monkeypatch):
@@ -892,7 +906,7 @@ def test_generator_families_are_valid_tree_markings():
     ranks = {}
     for fam in FAMILIES:
         G = random_tree_marked(random.Random(1), fam)
-        assert validate_marked_graph(G).ok
+        assert validate_marked_graph(G) == []
         assert all(len(G.star(v)) == 3 for v in G.vertices)
         ranks[fam] = G.rank
     assert ranks == {"K4": 3, "K33": 4, "prism5": 6, "petersen": 6}
