@@ -239,16 +239,12 @@ def cmd_checkgeod(args) -> Report:
         t.add("4-point property", "yes" if ok4 else "NO",
               "-" if ok4 else f"indices {viol[:4]}")
     if args.qg is not None:
-        lam = parse_fraction(args.qg[0])
-        try:
-            eps = float(args.qg[1])
-        except ValueError:
-            raise InvalidInputError(f"bad EPS {args.qg[1]!r}") from None
+        lam, K = map(parse_fraction, args.qg)
         field = "Lambda" if args.metric == "d" else "lambda_R"
         okq, worst = check_quasi_geodesic(
-            indices, lambda i, j: getattr(S(i, j), field), lam, eps)
+            indices, lambda i, j: getattr(S(i, j), field), lam, K)
         t.add(
-            f"({format_fraction(lam)}, {eps:g}) quasi-geodesic "
+            f"({format_fraction(lam)}, {format_fraction(K)}) quasi-geodesic "
             f"({args.metric})",
             "yes" if okq else "NO", f"worst margin {worst[0]:.6g}")
     return rep
@@ -370,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     q = sub.add_parser("checkgeod", help="geodesic and quasi-geodesic checks")
     q.add_argument("files", nargs="+")
     q.add_argument("--metric", choices=["d", "dR"], default="d")
-    q.add_argument("--qg", nargs=2, metavar=("LAMBDA", "EPS"), default=None)
+    q.add_argument("--qg", nargs=2, metavar=("LAMBDA", "K"), default=None)
     q.set_defaults(fn=cmd_checkgeod)
 
     q = sub.add_parser("orbit", help="automorphism orbit distances")

@@ -640,19 +640,31 @@ def _power_le(x, y, log_x, log_y, lam, lam_f) -> bool:
     return x ** lam.denominator <= y ** lam.numerator
 
 
-def check_quasi_geodesic(points, dist, lam, eps):
+def _rational_constant(x, name) -> Fraction:
+    """The finite rational value of a quasi-geodesic constant."""
+    try:
+        return Fraction(x)
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidInputError(f"{name} {x!r} is not a finite rational") \
+            from None
+
+
+def check_quasi_geodesic(points, dist, lam, K):
     """Check the two-sided quasi-geodesic inequality on a sampled path.
 
     ``dist`` is a multiplicative distance (a stretching factor >= 1) between
     points, taken in their order; the parameter in the inequality is the
-    multiplicative arc length (the product of consecutive distances).  With
-    eps == 0 and rational lam the check is exact (`_power_le`).  Returns
+    multiplicative arc length M (the product of consecutive distances).
+    Each pair must satisfy M^(1/lam) <= K d and d <= K M^lam, the
+    multiplicative form of a (lam, log K) quasi-geodesic; both rational
+    constants are >= 1 and every verdict is exact (`_power_le`).  Returns
     (flag, (worst log margin, index pair)).
     """
     n = len(points)
     if n < 2:
         raise InvalidInputError("need at least two samples")
-    lam = Fraction(lam)
+    lam = _rational_constant(lam, "quasi-geodesic constant")
+    K = _rational_constant(K, "multiplicative constant K")
     if lam < 1:
         raise InvalidInputError("quasi-geodesic constant must be >= 1")
     try:
@@ -660,10 +672,9 @@ def check_quasi_geodesic(points, dist, lam, eps):
     except OverflowError:
         raise InvalidInputError(
             "quasi-geodesic constant is beyond the float range") from None
-    if not (math.isfinite(eps) and eps >= 0):
-        raise InvalidInputError(f"EPS {eps} must be finite and non-negative")
+    if K < 1:
+        raise InvalidInputError("multiplicative constant K must be >= 1")
     D = pairwise(points, dist)
-    exact = (eps == 0)
     worst = None
     ok = True
     for i in range(n):
@@ -672,12 +683,9 @@ def check_quasi_geodesic(points, dist, lam, eps):
             M *= D(j - 1, j)
             d = D(i, j)
             log_m, log_d = log_of(M), log_of(d)
-            if exact:
-                lower_ok = _power_le(M, d, log_m, log_d, lam, lam_f)
-                upper_ok = _power_le(d, M, log_d, log_m, lam, lam_f)
-            else:
-                lower_ok = log_m / lam_f - eps <= log_d
-                upper_ok = log_d <= lam_f * log_m + eps
+            kd, d_k = K * d, d / K
+            lower_ok = _power_le(M, kd, log_m, log_of(kd), lam, lam_f)
+            upper_ok = _power_le(d_k, M, log_of(d_k), log_m, lam, lam_f)
             margin = log_d - log_m / lam_f
             if worst is None or margin < worst[0]:
                 worst = (margin, (i, j))

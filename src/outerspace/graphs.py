@@ -141,17 +141,6 @@ def reduce_darts(path: Iterable[Dart], cyclic: bool = False) -> EdgePath:
     return tuple(out)
 
 
-def tighten(G: MarkedMetricGraph, path: EdgePath, mode: str = "path") -> EdgePath:
-    """Reduce a path (cancel backtracking); in ``loop`` mode also reduce
-    cyclically, which may move the basepoint of the loop."""
-    check_path(G, path)
-    if mode not in ("path", "loop"):
-        raise InvalidInputError(f"unknown tighten mode {mode!r}")
-    if mode == "loop" and not is_loop(G, path):
-        raise InvalidInputError("tighten(mode='loop') needs a closed path")
-    return reduce_darts(path, mode == "loop")
-
-
 def is_cyclically_reduced(G: MarkedMetricGraph, path: EdgePath) -> bool:
     check_path(G, path)
     if not path or not is_loop(G, path):
@@ -175,27 +164,27 @@ def loop_length(G: MarkedMetricGraph, loop: EdgePath) -> Fraction:
 
 # -- marking readouts ----------------------------------------------------------
 
-def _realize_word(G: MarkedMetricGraph, w: Word, mode: str) -> EdgePath:
+def _realize_word(G: MarkedMetricGraph, w: Word, cyclic: bool) -> EdgePath:
     if w.rank != G.rank:
         raise RankMismatchError(f"word rank {w.rank} != graph rank {G.rank}")
-    if len(G.marking) < G.rank:
-        raise InvalidInputError(marking_issues(G)[0])
+    if issues := marking_issues(G):
+        raise InvalidInputError(issues[0])
     steps: list[Dart] = []
     for x in w.letters:
         petal = G.marking[abs(x) - 1]
         steps.extend(petal if x > 0 else tuple(rev(d) for d in reversed(petal)))
-    return tighten(G, tuple(steps), mode)
+    return reduce_darts(steps, cyclic)
 
 
 def realize_word_as_path(G: MarkedMetricGraph, w: Word) -> EdgePath:
     """The based loop tracing ``w`` through the marking, tightened rel
     endpoints."""
-    return _realize_word(G, w, "path")
+    return _realize_word(G, w, False)
 
 
 def realize_word_as_loop(G: MarkedMetricGraph, w: Word) -> EdgePath:
     """Cyclically reduced loop representing the conjugacy class of ``w``."""
-    return _realize_word(G, w, "loop")
+    return _realize_word(G, w, True)
 
 
 def translation_length(G: MarkedMetricGraph, w: Word) -> Fraction:

@@ -242,8 +242,8 @@ def repro_polynomial_growth() -> Report:
         whole = [interpolate_in_simplex(A, shrunk, F(s, 4)) for s in range(5)]
         whole += path.snapshots[1:]
         D = pairwise(whole, lambda a, b: stretch_report(a, b).Lambda)
-        ok_fold, _ = check_quasi_geodesic(range(4, len(whole)), D, F(2), 0)
-        ok_whole, _ = check_quasi_geodesic(range(len(whole)), D, F(4), 0)
+        ok_fold, _ = check_quasi_geodesic(range(4, len(whole)), D, F(2), 1)
+        ok_whole, _ = check_quasi_geodesic(range(len(whole)), D, F(4), 1)
         v = rep.table(f"k={k}: verdicts", ["check", "result"])
         v.add("fold piece is a (2,0) quasi-geodesic",
               "yes" if ok_fold else "NO")

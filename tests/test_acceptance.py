@@ -126,11 +126,11 @@ def test_criterion_2_polynomial_fold_exact():
         assert stretch_report(whole[4], path.snapshots[0]).Lambda == 1
         whole += path.snapshots[1:]
         D = pairwise(whole, lambda a, b: stretch_report(a, b).Lambda)
-        ok_piece, _ = check_quasi_geodesic(range(4, len(whole)), D, F(2), 0)
+        ok_piece, _ = check_quasi_geodesic(range(4, len(whole)), D, F(2), 1)
         assert ok_piece
-        shrink_ok, _ = check_quasi_geodesic(range(5), D, F(2), 0)
+        shrink_ok, _ = check_quasi_geodesic(range(5), D, F(2), 1)
         assert shrink_ok
-        ok_whole, _ = check_quasi_geodesic(range(len(whole)), D, F(4), 0)
+        ok_whole, _ = check_quasi_geodesic(range(len(whole)), D, F(4), 1)
         assert ok_whole
     elapsed = time.monotonic() - start
     assert elapsed < 5.0

@@ -359,7 +359,7 @@ def test_checkgeod_crossing(files, capsys):
 
 def test_checkgeod_quasi(files, capsys):
     code, out, _ = run(capsys, "checkgeod", files["X"], files["T"],
-                       files["Y"], "--qg", "4", "0")
+                       files["Y"], "--qg", "4", "1")
     assert code == 0
     assert "quasi-geodesic" in out
 
@@ -368,7 +368,7 @@ def test_checkgeod_quasi(files, capsys):
 def test_checkgeod_rejects_unknown_metric(files, capsys, metric):
     with pytest.raises(SystemExit) as exc:
         cli.main(["checkgeod", files["X"], files["T"], files["Y"],
-                  "--metric", metric, "--qg", "2", "0"])
+                  "--metric", metric, "--qg", "2", "1"])
     assert exc.value.code == 2
     assert "invalid choice" in capsys.readouterr().err
 
@@ -381,8 +381,8 @@ def test_log_of_factors_beyond_the_float_range():
 
 
 @pytest.mark.parametrize("argv", [
-    ["checkgeod", "H", "X", "T", "Y", "--qg", "2", "0"],
-    ["checkgeod", "H", "X", "T", "--qg", "2", "0.1"],
+    ["checkgeod", "H", "X", "T", "Y", "--qg", "2", "1"],
+    ["checkgeod", "H", "X", "T", "--qg", "2", "11/10"],
     ["orbit", "H", "--aut", "a=ab,b=a", "--inv", "a=b,b=Ba", "--hmin", "0",
      "--hmax", "1"],
 ])
@@ -417,7 +417,7 @@ def test_checkgeod_reads_one_stretch_table(files, tmp_path, capsys,
     M = str(tmp_path / "M.json")
     save_graph(M, rose_t(F(1, 2)))
     code, out, err = run(capsys, "checkgeod", files["X"], M, files["T"],
-                         files["Y"], "--qg", "2", "0")
+                         files["Y"], "--qg", "2", "1")
     assert code == 0, err
     assert "4-point property\tyes" in out
     assert "right-factor triangle equality\tNO\ttriple (0, 1, 2)" in out

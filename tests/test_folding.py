@@ -669,18 +669,21 @@ def test_four_point_stops_at_the_first_violation():
     assert calls == [(X, M), (X, M), (X, Y)]
 
 
-@pytest.mark.parametrize("n, lam, eps", [(3, F(1, 2), 0), (3, 10 ** 400, 0),
-                                         (3, 2, math.nan), (3, 2, math.inf),
-                                         (3, 2, -0.1), (1, 2, 0)],
+@pytest.mark.parametrize("n, lam, K", [(3, F(1, 2), 1), (3, 10 ** 400, 1),
+                                       (3, math.nan, 1), (3, math.inf, 1),
+                                       (3, 2, F(1, 2)), (3, 2, 0),
+                                       (3, 2, math.nan), (3, 2, math.inf),
+                                       (1, 2, 1)],
                          ids=["constant-below-one", "constant-beyond-float",
-                              "eps-nan", "eps-infinite", "eps-negative",
+                              "constant-nan", "constant-infinite",
+                              "k-below-one", "k-zero", "k-nan", "k-infinite",
                               "one-point"])
-def test_quasi_geodesic_rejects_before_any_distance(n, lam, eps):
+def test_quasi_geodesic_rejects_before_any_distance(n, lam, K):
     def no_distance(x, y):
         raise AssertionError("a distance was computed")
 
     with pytest.raises(InvalidInputError):
-        check_quasi_geodesic(range(n), no_distance, lam, eps)
+        check_quasi_geodesic(range(n), no_distance, lam, K)
 
 
 def test_quasi_geodesic_fold_piece():
@@ -688,7 +691,7 @@ def test_quasi_geodesic_fold_piece():
     A, B = poly_twist_pair(k)
     path = fold_pair(A, B, normalize_target=False)
     ok, _ = check_quasi_geodesic(
-        path.snapshots, lambda x, y: stretch_report(x, y).Lambda, F(2), 0)
+        path.snapshots, lambda x, y: stretch_report(x, y).Lambda, F(2), 1)
     assert ok
 
 
@@ -696,23 +699,24 @@ def test_quasi_geodesic_rejects_bad_constant():
     A, B = poly_twist_pair(3)
     path = fold_pair(A, B, normalize_target=False)
     ok, _ = check_quasi_geodesic(
-        path.snapshots, lambda x, y: stretch_report(x, y).Lambda, F(1), 0)
+        path.snapshots, lambda x, y: stretch_report(x, y).Lambda, F(1), 1)
     assert not ok  # the fold piece is not a d-geodesic
 
 
 def test_quasi_geodesic_exact_verdict_is_the_power_comparison():
-    """Distances that are powers of 2 and 3 make M ** q == d ** p happen,
+    """Distances that are powers of 2 and 3 make M ** q == (K d) ** p happen,
     where the float screen cannot decide; every verdict equals the one read
     from exact powers."""
     rng = random.Random(17)
     values = [F(1), F(2), F(4), F(8), F(3, 2), F(9, 4), F(1, 2)]
     lams = [F(1), F(2), F(3), F(3, 2), F(4, 3), F(1001, 1000)]
+    Ks = [F(1), F(2), F(3, 2), F(9, 8)]
     verdicts = set()
     for _ in range(300):
         n = rng.randint(2, 5)
         D = {(i, j): rng.choice(values)
              for i in range(n) for j in range(i + 1, n)}
-        lam = rng.choice(lams)
+        lam, K = rng.choice(lams), rng.choice(Ks)
         p, q = lam.numerator, lam.denominator
         expected = True
         for i in range(n):
@@ -720,11 +724,23 @@ def test_quasi_geodesic_exact_verdict_is_the_power_comparison():
             for j in range(i + 1, n):
                 M *= D[(j - 1, j)]
                 d = D[(i, j)]
-                expected &= M ** q <= d ** p and d ** q <= M ** p
-        ok, _ = check_quasi_geodesic(range(n), lambda i, j: D[(i, j)], lam, 0)
+                expected &= M ** q <= (K * d) ** p and (d / K) ** q <= M ** p
+        ok, _ = check_quasi_geodesic(range(n), lambda i, j: D[(i, j)], lam, K)
         assert ok == expected
         verdicts.add(ok)
     assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("K, ok", [(F(11, 10), True),
+                                   (F(11, 10) - F(1, 10 ** 30), False)],
+                         ids=["at-the-boundary", "just-below"])
+def test_quasi_geodesic_constant_at_its_boundary(K, ok):
+    """Every distance 11/10 gives M/d = 11/10 on the pair (0, 2), so K = 11/10
+    passes and any smaller K fails, also where float logs cannot tell the
+    two apart."""
+    assert math.log(float(K)) == math.log(1.1)
+    assert check_quasi_geodesic(range(3), lambda i, j: F(11, 10), 1, K)[0] \
+        == ok
 
 
 def test_dR_geodesic_on_simplex_segment():

@@ -74,30 +74,29 @@ CASES.update({
     "checkgeod-doubling-back": ["checkgeod", _X, _M, _Y, _M, _X],
     "checkgeod-crossing": ["checkgeod", _X, _T, _Y],
     "checkgeod-wrong-crossing": ["checkgeod", _X, _M, _Y],
-    "checkgeod-qg-d": ["checkgeod", _X, _M, _T, _Y, "--qg", "2", "0"],
-    "checkgeod-qg-d-fails": ["checkgeod", _X, _M, _T, _Y, "--qg", "1", "0"],
+    "checkgeod-qg-d": ["checkgeod", _X, _M, _T, _Y, "--qg", "2", "1"],
+    "checkgeod-qg-d-fails": ["checkgeod", _X, _M, _T, _Y, "--qg", "1", "1"],
     "checkgeod-qg-d-float": ["checkgeod", _X, _M, _T, _Y, "--qg", "3/2",
-                             "0.1"],
+                             "11/10"],
     # denominator 10^7: decided from logarithms, not from 10^7-th powers
     "checkgeod-qg-d-large-denominator": ["checkgeod", _X, _M, _T, _Y, "--qg",
-                                         "1.0000001", "0"],
+                                         "1.0000001", "1"],
     "checkgeod-qg-dR": ["checkgeod", _X, _M, _T, _Y, "--metric", "dR",
-                        "--qg", "2", "0"],
+                        "--qg", "2", "1"],
     "checkgeod-qg-dR-fails": ["checkgeod", _X, _T, _Y, _M, "--metric", "dR",
-                              "--qg", "3/2", "0"],
+                              "--qg", "3/2", "1"],
     "checkgeod-qg-dR-float": ["checkgeod", _X, _T, _Y, "--metric", "dR",
-                              "--qg", "1", "0.25"],
+                              "--qg", "1", "5/4"],
     "checkgeod-qg-bad-constant": ["checkgeod", _X, _T, _Y, "--qg", "1/2",
-                                  "0"],
+                                  "1"],
     "checkgeod-qg-huge-constant": ["checkgeod", _X, _T, _Y, "--qg", "1e400",
-                                   "0"],
-    "checkgeod-qg-eps-malformed": ["checkgeod", _X, _T, _Y, "--qg", "2",
-                                   "abc"],
-    "checkgeod-qg-eps-nan": ["checkgeod", _X, _T, _Y, "--qg", "2", "nan"],
-    "checkgeod-qg-eps-infinite": ["checkgeod", _X, _T, _Y, "--qg", "2",
-                                  "inf"],
-    "checkgeod-qg-eps-negative": ["checkgeod", _X, _T, _Y, "--qg", "2",
-                                  "-0.1"],
+                                   "1"],
+    "checkgeod-qg-k-malformed": ["checkgeod", _X, _T, _Y, "--qg", "2",
+                                 "abc"],
+    "checkgeod-qg-k-nan": ["checkgeod", _X, _T, _Y, "--qg", "2", "nan"],
+    "checkgeod-qg-k-infinite": ["checkgeod", _X, _T, _Y, "--qg", "2", "inf"],
+    "checkgeod-qg-k-negative": ["checkgeod", _X, _T, _Y, "--qg", "2",
+                                "9/10"],
     "orbit-aut-malformed": ["orbit", _X, "--aut", "ab", "--inv", "a=b"],
 })
 # input errors: one malformed field of theta_left, a graph whose marking
@@ -148,7 +147,7 @@ CASES.update({
     "orbit-aut-duplicate-image": ["orbit", _X, "--aut", "a=ab,b=a,a=b",
                                   "--inv", "a=b,b=Ba"],
     "checkgeod-qg-bad-rational": ["checkgeod", _X, _T, _Y, "--qg", "two",
-                                  "0"],
+                                  "1"],
     "tlength-bad-character": ["tlength", _X, "a1"],
     # one edge of length 10^400: its factors overflow a float, their logs do
     # not

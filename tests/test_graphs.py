@@ -23,6 +23,7 @@ from outerspace.fixtures import (
 from outerspace.graphs import (
     apply_automorphism_to_marking,
     chains,
+    check_path,
     derive_inverse_marking,
     interpolate_in_simplex,
     loop_length,
@@ -32,9 +33,9 @@ from outerspace.graphs import (
     normalize_volume,
     realize_word_as_loop,
     realize_word_as_path,
+    reduce_darts,
     scale_graph,
     subdivide,
-    tighten,
     translation_length,
     unsubdivided_lengths,
     validate_marked_graph,
@@ -131,28 +132,26 @@ def test_validation_checks_each_petal_once(monkeypatch):
     assert checked == list(G.marking)
 
 
-# -- tighten ---------------------------------------------------------------------
+# -- path reduction ----------------------------------------------------------------
 
-def test_tighten_path_cancellation():
-    G = theta_left()
+def test_reduce_darts_path_cancellation():
     # A . A~ . B -> B
-    out = tighten(G, (("A", 1), ("A", -1), ("B", 1)))
+    out = reduce_darts((("A", 1), ("A", -1), ("B", 1)))
     assert out == (("B", 1),)
 
 
-def test_tighten_loop_to_empty():
-    G = theta_left()
-    out = tighten(G, (("A", 1), ("B", -1), ("B", 1), ("A", -1)), "loop")
+def test_reduce_darts_loop_to_empty():
+    out = reduce_darts((("A", 1), ("B", -1), ("B", 1), ("A", -1)), cyclic=True)
     assert out == ()
 
 
-def test_tighten_rejects_non_incident():
+def test_check_path_rejects_non_incident():
     G = barbell(1, 1, 1)
     with pytest.raises(InvalidInputError):
-        tighten(G, (("a", 1), ("b", 1)))
+        check_path(G, (("a", 1), ("b", 1)))
 
 
-def test_tighten_random_backtracking_insertions():
+def test_reduce_darts_random_backtracking_insertions():
     G = theta_left()
     base = (("A", 1), ("B", -1), ("C", 1), ("B", -1))
     rng = random.Random(5)
@@ -163,7 +162,7 @@ def test_tighten_random_backtracking_insertions():
             v = G.origin(steps[i][0:2]) if i < len(steps) else G.terminus(steps[-1])
             d = rng.choice([d for d in G.darts() if G.origin(d) == v])
             steps[i:i] = [d, (d[0], -d[1])]
-        assert tighten(G, tuple(steps)) == base
+        assert reduce_darts(steps) == base
 
 
 # -- lengths -----------------------------------------------------------------------
@@ -489,10 +488,6 @@ def test_subdivide_names_pieces_around_taken_ids_of_every_depth():
 # -- branches of input checking ----------------------------------------------------------
 
 @pytest.mark.parametrize("call, expect", [
-    (lambda: tighten(theta_left(), (("A", 1),), "cyclic"),
-     InvalidInputError("unknown tighten mode 'cyclic'")),
-    (lambda: tighten(theta_left(), (("A", 1),), "loop"),
-     InvalidInputError("tighten(mode='loop') needs a closed path")),
     (lambda: is_cyclically_reduced(theta_left(), (("A", 1), ("A", -1))),
      False),
     (lambda: scale_graph(theta_left(), 0),
@@ -509,9 +504,8 @@ def test_subdivide_names_pieces_around_taken_ids_of_every_depth():
         (generator(1, 2), generator(2, 2)), 2)),
      InvalidInputError("invalid automorphism pair: "
                        "inverse(forward(a_1)) = (1, 2), not a_1")),
-], ids=["tighten-mode", "tighten-open-loop", "backtracking-loop", "scale-0",
-        "interpolate-2", "cut-at-end", "automorphism-rank",
-        "automorphism-pair"])
+], ids=["backtracking-loop", "scale-0", "interpolate-2", "cut-at-end",
+        "automorphism-rank", "automorphism-pair"])
 def test_input_checks(call, expect):
     assert_outcome(call, expect)
 
@@ -534,6 +528,26 @@ def test_missing_petal_is_an_input_error(call):
     with pytest.raises(InvalidInputError,
                        match=r"^1 marking paths for rank 2$"):
         call(missing_petal())
+
+
+# theta_right's petals are E.F~ and F.G~; single darts E and F are not loops
+_E, _F, _EF = (("E", 1),), (("F", 1),), (("E", 1), ("F", -1))
+
+
+@pytest.mark.parametrize("petals, call, issue", [
+    ((_E, _F), lambda Z: realize_word_as_path(Z, generator(1, 2)
+                                                 * generator(2, 2)),
+     "marking path 1 is not a loop at the basepoint"),
+    ((_E, _F), lambda Z: realize_word_as_path(Z, generator(1, 2)),
+     "marking path 1 is not a loop at the basepoint"),
+    ((_EF, _F), lambda Z: translation_length(Z, generator(1, 2)),
+     "marking path 2 is not a loop at the basepoint"),
+], ids=["joined-petals", "one-petal", "unread-petal"])
+def test_realization_checks_the_whole_marking(petals, call, issue):
+    """Petals that are not loops are rejected with the first marking issue,
+    also where the word reads only a bad petal or only good ones."""
+    Z = replace(theta_right(), marking=petals)
+    assert_outcome(lambda: call(Z), InvalidInputError(issue))
 
 
 def test_extra_petal_is_counted_before_labels_are_derived():

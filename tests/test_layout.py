@@ -1,6 +1,7 @@
 """Source layout: every import sits at module level, the modules of the
-package import each other in one direction only, and every export has a
-reader outside the tests."""
+package import each other in one direction only, every export has a
+reader outside the tests, floats stay out of verdicts, and README's
+example runs."""
 
 import ast
 import importlib
@@ -10,6 +11,7 @@ import re
 import pytest
 
 import outerspace
+from outerspace.docs import format_path
 from outerspace.graphs import MarkedMetricGraph
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
@@ -151,3 +153,46 @@ def test_every_public_definition_has_a_reader(name):
               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
               and not node.name.startswith("_") and node.name not in read]
     assert not unread, f"{name}: defined but read only by tests: {unread}"
+
+
+def float_calls():
+    """Each ``float(...)`` call of the package, as (module.function, the
+    name it is assigned to or None)."""
+    found = []
+    for name in LAYERS:
+        tree = parse(name)
+        parents = {child: node for node in ast.walk(tree)
+                   for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                    and node.func.id == "float":
+                where, target, up = [], None, node
+                while up in parents:
+                    up = parents[up]
+                    if isinstance(up, ast.Assign) and target is None \
+                            and isinstance(up.targets[0], ast.Name):
+                        target = up.targets[0].id
+                    elif isinstance(up, (ast.FunctionDef,
+                                         ast.AsyncFunctionDef)):
+                        where.insert(0, up.name)
+                found.append((".".join([name, *where]), target))
+    return sorted(found)
+
+
+def test_no_float_enters_a_verdict():
+    """Floats are for display (`docs.log_of`) and for the screen in front
+    of the exact power comparison of quasi-geodesic verdicts."""
+    assert float_calls() == [("docs.log_of", "f"),
+                             ("folding.check_quasi_geodesic", "lam_f")]
+
+
+def test_readme_example_runs():
+    """README's library example runs, and its comment states its result."""
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        blocks = re.findall(r"```python\n(.*?)```", fh.read(), re.S)
+    assert len(blocks) == 1
+    scope = {}
+    exec(blocks[0], scope)
+    rep = scope["rep"]
+    assert rep.lambda_R == 2
+    assert [format_path(w.loop) for w in rep.witnesses_R] == ["-A C"]
