@@ -162,6 +162,10 @@ def cmd_optmap(args) -> Report:
 def cmd_foldpath(args) -> Report:
     if args.samples < 0:
         raise InvalidInputError(f"sample count {args.samples} is negative")
+    eps = parse_fraction(args.eps)
+    if eps <= 0:
+        raise InvalidInputError(
+            f"thin-part threshold {format_fraction(eps)} must be positive")
     A, B = _load_graphs(args.fileA, args.fileB)
     setup = prepare_folding_setup(A, B, max_moves=args.max_moves)
     path = fast_fold(setup, strategy=args.strategy)
@@ -183,7 +187,6 @@ def cmd_foldpath(args) -> Report:
         ["time", "volume", "systole", "local_speed", "toward_speed",
          "d_R_to_target", "triangle_residual", "thin(eps)"],
     )
-    eps = parse_fraction(args.eps)
     for tt in times:
         point = point_at(path, tt)
         G = point.graph

@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from .errors import InvalidInputError
-from .graphs import MarkedMetricGraph, ensure_labels, make_graph
+from .graphs import MarkedMetricGraph, make_graph
 from .words import Word, free_reduce
 
 _ID_RE = re.compile(r"[A-Za-z][A-Za-z0-9_.:]*$")
@@ -128,7 +128,6 @@ def format_path(path) -> str:
 
 
 def graph_to_doc(G: MarkedMetricGraph) -> dict:
-    G = ensure_labels(G)
     return {
         "rank": G.rank,
         "vertices": sorted(G.vertices),
@@ -202,8 +201,8 @@ def doc_to_graph(doc: dict) -> MarkedMetricGraph:
         basepoint = _text(doc["basepoint"], "basepoint")
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInputError(f"malformed graph document: {exc}")
-    return ensure_labels(make_graph(rank, edges, basepoint, marking,
-                                    labels if have_labels else None))
+    return make_graph(rank, edges, basepoint, marking,
+                      labels if have_labels else None)
 
 
 def canonical_text(doc: dict) -> str:

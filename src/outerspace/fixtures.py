@@ -243,7 +243,8 @@ def random_tree_marked(rng: random.Random, family: str) -> MarkedMetricGraph:
     edges = {f"e{k:02d}": (o, t, random_fraction(rng))
              for k, (o, t) in enumerate(pairs)}
     base = min(v for pair in pairs for v in pair)
-    tree = bfs_tree(make_graph(0, edges, base, []), base)
+    tree = bfs_tree(make_graph(0, edges, base, [],
+                               dict.fromkeys(edges, identity(0))), base)
 
     def from_base(v) -> list:
         steps = []

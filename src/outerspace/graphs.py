@@ -8,8 +8,9 @@ kept in both directions:
 * ``marking[i]`` is the edge path traced by the i-th rose petal, a loop at the
   basepoint;
 * ``labels[e]`` is the word read when crossing ``e`` forward under the
-  homotopy inverse of the marking.  Only input documents may omit labels
-  (`derive_inverse_marking` recovers them); folds and moves carry them.
+  homotopy inverse of the marking.  Every graph has a label on every edge:
+  `make_graph` derives omitted labels (`derive_inverse_marking`), and folds
+  and moves carry them.
 
 Consistency means: reading the labels along ``marking[i]`` reduces to exactly
 the i-th generator.  Graphs are immutable by convention; every operation
@@ -41,7 +42,14 @@ class MarkedMetricGraph:
     edges: Mapping[str, tuple[str, str, Fraction]]  # id -> (origin, terminus, length)
     basepoint: str
     marking: tuple[EdgePath, ...]
-    labels: Optional[Mapping[str, Word]] = None
+    labels: Mapping[str, Word]
+
+    def __post_init__(self) -> None:
+        # labels=None leaves every edge without its label
+        labelled = self.labels.keys() if self.labels else set()
+        if not self.edges.keys() <= labelled:
+            missing = min(self.edges.keys() - labelled)
+            raise InvalidInputError(f"edge {missing} has no inverse label")
 
     # -- structural accessors -------------------------------------------------
 
@@ -69,13 +77,8 @@ class MarkedMetricGraph:
         return stars(self).get(v, [])
 
     def label_of_dart(self, d: Dart) -> Word:
-        if self.labels is None or d[0] not in self.labels:
-            require_labels(self, (d,))  # raises
         w = self.labels[d[0]]
         return w if d[1] > 0 else w.inverse()
-
-    def with_labels(self, labels: Optional[Mapping[str, Word]]) -> "MarkedMetricGraph":
-        return replace(self, labels=labels)
 
 
 def stars(G: MarkedMetricGraph) -> dict[str, list[Dart]]:
@@ -91,21 +94,27 @@ def stars(G: MarkedMetricGraph) -> dict[str, list[Dart]]:
 
 def make_graph(rank, edges, basepoint, marking, labels=None) -> MarkedMetricGraph:
     """Build a graph from plain data. ``edges`` maps id -> (origin, terminus,
-    length); lengths are coerced to Fraction."""
+    length); lengths are coerced to Fraction.  Omitted labels are derived
+    from the marking by `derive_inverse_marking`."""
     norm_edges = {
         e: (o, t, Fraction(l)) for e, (o, t, l) in edges.items()
     }
     vertices = frozenset(
         v for (o, t, _) in norm_edges.values() for v in (o, t)
     )
-    return MarkedMetricGraph(
+    G = MarkedMetricGraph(
         rank=rank,
         vertices=vertices,
         edges=norm_edges,
         basepoint=basepoint,
         marking=tuple(tuple(p) for p in marking),
-        labels=dict(labels) if labels is not None else None,
+        labels=dict(labels) if labels is not None
+        else dict.fromkeys(norm_edges, identity(rank)),
     )
+    if labels is not None:
+        return G
+    # the derivation reads only the rank, edges, basepoint and marking
+    return replace(G, labels=derive_inverse_marking(G))
 
 
 # -- paths --------------------------------------------------------------------
@@ -193,18 +202,8 @@ def translation_length(G: MarkedMetricGraph, w: Word) -> Fraction:
     return path_length(G, realize_word_as_loop(G, w))
 
 
-def require_labels(G: MarkedMetricGraph, path: EdgePath) -> None:
-    """Raise unless every edge the path crosses has an inverse label."""
-    if G.labels is None:
-        raise InvalidInputError("graph has no inverse labels; derive them first")
-    for (e, _) in path:
-        if e not in G.labels:
-            raise InvalidInputError(f"edge {e} has no inverse label")
-
-
 def read_labels(G: MarkedMetricGraph, path: EdgePath) -> Word:
-    """Freely reduced readout of the inverse labels along a path whose
-    edges all have labels (see `require_labels`)."""
+    """Freely reduced readout of the inverse labels along a path."""
     letters: list[int] = []
     for (e, sign) in path:
         w = G.labels[e].letters
@@ -217,7 +216,6 @@ def word_of_loop(G: MarkedMetricGraph, loop: EdgePath) -> Word:
     check_path(G, loop)
     if not is_loop(G, loop):
         raise InvalidInputError("word_of_loop needs a closed path")
-    require_labels(G, loop)
     return read_labels(G, loop)
 
 
@@ -300,18 +298,8 @@ def validate_marked_graph(G: MarkedMetricGraph) -> list[str]:
             issues.append(f"vertex {v} has valence {len(star[v])} < 2")
 
     issues += marking_issues(G)
-    if len(G.marking) != G.rank:
-        return issues
-
-    if G.labels is None:
-        issues.append("inverse labels are missing")
-        return issues
-    missing = sorted(set(G.edges) - set(G.labels))
-    if missing:
-        issues.append(f"edge {missing[0]} has no inverse label")
-        return issues
     if not issues:
-        # every petal is a checked loop and every edge has a label
+        # every petal is a checked loop
         for i, petal in enumerate(G.marking, start=1):
             readout = read_labels(G, petal)
             if readout != generator(i, G.rank):
@@ -356,12 +344,10 @@ def apply_automorphism_to_marking(G: MarkedMetricGraph,
     new_marking = tuple(
         realize_word_as_path(G, w) for w in phi.forward_images
     )
-    new_labels = None
-    if G.labels is not None:
-        new_labels = {
-            e: apply_endomorphism(w, phi.inverse_images)
-            for e, w in G.labels.items()
-        }
+    new_labels = {
+        e: apply_endomorphism(w, phi.inverse_images)
+        for e, w in G.labels.items()
+    }
     return replace(G, marking=new_marking, labels=new_labels)
 
 
@@ -387,7 +373,7 @@ def subdivide(G: MarkedMetricGraph, cuts: Mapping[str, Sequence[Fraction]]
     readouts along any path are unchanged.
     """
     edges = dict(G.edges)
-    labels = dict(G.labels) if G.labels is not None else None
+    labels = dict(G.labels)
     vertices = set(G.vertices)
     expansion: dict[Dart, EdgePath] = {}
 
@@ -411,10 +397,9 @@ def subdivide(G: MarkedMetricGraph, cuts: Mapping[str, Sequence[Fraction]]
             edges[piece_ids[-1]] = (chain[k], chain[k + 1],
                                     bounds[k + 1] - bounds[k])
         del edges[e]
-        if labels is not None:
-            lab = labels.pop(e)
-            for k, pid in enumerate(piece_ids):
-                labels[pid] = lab if k == 0 else identity(G.rank)
+        lab = labels.pop(e)
+        for k, pid in enumerate(piece_ids):
+            labels[pid] = lab if k == 0 else identity(G.rank)
         fwd = tuple((pid, 1) for pid in piece_ids)
         expansion[(e, 1)] = fwd
         expansion[(e, -1)] = tuple(rev(d) for d in reversed(fwd))
@@ -646,10 +631,3 @@ def derive_inverse_marking(G: MarkedMetricGraph) -> dict[str, Word]:
     if vmap.get(vc.find(0)) != G.basepoint:
         raise InvalidInputError("folded basepoint does not match the basepoint")
     return label_words
-
-
-def ensure_labels(G: MarkedMetricGraph) -> MarkedMetricGraph:
-    """Return G with inverse labels, deriving them if absent."""
-    if G.labels is not None:
-        return G
-    return G.with_labels(derive_inverse_marking(G))

@@ -38,7 +38,6 @@ from .graphs import (
     read_labels,
     realize_word_as_path,
     reduce_darts,
-    require_labels,
     rev,
     stars,
     subdivide,
@@ -122,7 +121,6 @@ def pl_word(B: MarkedMetricGraph, p: PLPath) -> Word:
     a closed path its conjugacy class is the loop's free homotopy class."""
     darts = [d for (d, a, b) in p.segs
              if (b == dart_len(B, d) if d[1] > 0 else a == 0)]
-    require_labels(B, darts)
     return read_labels(B, darts)
 
 
@@ -182,8 +180,6 @@ def initial_pl_map(A: MarkedMetricGraph, B: MarkedMetricGraph) -> PLMap:
     conjugated by spanning-tree connectors."""
     if A.rank != B.rank:
         raise InvalidInputError("ranks differ")
-    if A.labels is None:
-        raise InvalidInputError("source graph needs inverse labels")
     if issues := marking_issues(A):
         raise InvalidInputError(issues[0])
     # BFS tree words from the basepoint
@@ -610,12 +606,12 @@ def optimize_pl_map(A: MarkedMetricGraph, B: MarkedMetricGraph,
 
 # -- bounded cancellation ---------------------------------------------------------------
 
-def _loops_at_by_length(G: MarkedMetricGraph, v: str, length_cap: Fraction,
-                        max_count: int):
+def _loops_at_by_length(G: MarkedMetricGraph, star: dict[str, list[Dart]],
+                        v: str, length_cap: Fraction, max_count: int):
     """Reduced edge loops based at v of length <= length_cap, breadth first
-    (shortest loops first), stars in sorted dart order.  Yields at most
-    max_count loops, then signals truncation by yielding None."""
-    star = {u: sorted(darts) for u, darts in stars(G).items()}
+    (shortest loops first), each star of ``star`` in sorted dart order.
+    Yields at most max_count loops, then signals truncation by yielding
+    None."""
     frontier: list[tuple[EdgePath, Fraction]] = [((), Fraction(0))]
     produced = 0
     while frontier:
@@ -699,9 +695,10 @@ def bounded_cancellation_bound(f: PLMap, pair_cap: int = 10 ** 6) -> Fraction:
     max_loops = max(math.isqrt(pair_cap) + 1, 16)
     loops_truncated = False
     pairs_capped = False
+    star = {u: sorted(darts) for u, darts in stars(A).items()}
     for v in sorted(A.vertices):
         loops: list[tuple[EdgePath, EdgePath]] = []
-        for alpha in _loops_at_by_length(A, v, cap, max_loops):
+        for alpha in _loops_at_by_length(A, star, v, cap, max_loops):
             if alpha is None:
                 loops_truncated = True
                 break

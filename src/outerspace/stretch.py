@@ -42,7 +42,6 @@ from .graphs import (
     MarkedMetricGraph,
     marking_issues,
     reduce_darts,
-    require_labels,
 )
 
 
@@ -319,10 +318,10 @@ class StretchValue:
 class _GraphRecord:
     """What `lambda_r` reads of a graph on either side, prepared once: its
     type key, the common denominator ``scale`` of its edge lengths and each
-    dart's length times it, in `_darts` order, its labels by sorted edge
-    (None where missing), its volume, the first issue `marking_issues`
-    finds (None if none) and, only if there is none, by letter each petal as
-    a reduced path of integer darts."""
+    dart's length times it, in `_darts` order, its labels by sorted edge,
+    its volume, the first issue `marking_issues` finds (None if none) and,
+    only if there is none, by letter each petal as a reduced path of integer
+    darts."""
 
     __slots__ = ("key", "scale", "lengths", "labels", "volume", "issue",
                  "petals")
@@ -335,7 +334,7 @@ class _GraphRecord:
         ints = [l.numerator * (self.scale // l.denominator) for l in lengths]
         self.lengths = [n for n in ints for _ in (0, 1)]
         self.volume = Fraction(sum(ints), self.scale)
-        self.labels = [(G.labels or {}).get(e) for e in edges]
+        self.labels = [G.labels[e] for e in edges]
         self.issue = next(iter(marking_issues(G)), None)
         self.petals: dict[int, tuple[int, ...]] = {}
         if self.issue is None:
@@ -421,10 +420,7 @@ def _evaluate(A: MarkedMetricGraph, B: MarkedMetricGraph) -> StretchValue:
     length_b = rb.lengths
     # per dart of A: its image, the image's length and the dart's length
     image: list[tuple[tuple[int, ...], int, int]] = []
-    for i, (e, _) in enumerate(table.darts[1::2]):
-        w = ra.labels[i]
-        if w is None:
-            require_labels(A, ((e, 1),))  # raises
+    for i, w in enumerate(ra.labels):
         path = _realize(B, rb, w)
         length = sum(length_b[x] for x in path)
         image += ((_reverse(path), length, ra.lengths[2 * i]),

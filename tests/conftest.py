@@ -100,8 +100,8 @@ def cyclically_reduced_words(rank, max_len):
 def twisted_barbell():
     """Barbell with loops a at u and b at w and bridge c from u to w, all of
     length 1, basepoint u, marking a c b c~ a a and c b c~ a a a c b c~ a a,
-    and no labels.  Its optimal map to the unit rose is constant on c, whose
-    derived label aaBaaB is nontrivial."""
+    and the labels `make_graph` derives.  Its optimal map to the unit rose
+    is constant on c, whose derived label aaBaaB is nontrivial."""
     a, b, c, C = ("a", 1), ("b", 1), ("c", 1), ("c", -1)
     edges = {"a": ("u", "u", 1), "b": ("w", "w", 1), "c": ("u", "w", 1)}
     marking = [(a, c, b, C, a, a), (c, b, C, a, a, a, c, b, C, a, a)]

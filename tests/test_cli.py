@@ -99,12 +99,12 @@ def test_document_roundtrip_byte_identical(tmp_path):
 
 
 def test_document_without_labels_derives_them():
-    doc = graph_to_doc(theta_left())
+    X = theta_left()
+    doc = graph_to_doc(X)
     for rec in doc["edges"]:
         del rec["label"]
-    G = doc_to_graph(doc)
-    assert G.labels is not None
-    assert G == theta_left()
+    plain = make_graph(X.rank, X.edges, X.basepoint, X.marking)
+    assert doc_to_graph(doc) == plain == X
 
 
 # one value of each JSON type: string, int, float, bool, null, list, object
@@ -289,6 +289,22 @@ def test_foldpath_trace_unwritable(files, tmp_path, capsys, where):
     assert out == ""
     assert f"cannot write {trace}" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("eps, message", [
+    ("abc", "bad rational 'abc': Invalid literal for Fraction: 'abc'"),
+    ("0", "thin-part threshold 0/1 must be positive"),
+    ("-1", "thin-part threshold -1/1 must be positive"),
+], ids=["malformed", "zero", "negative"])
+def test_foldpath_reads_eps_before_any_work(files, capsys, monkeypatch, eps,
+                                            message):
+    def no_setup(*args, **kwargs):
+        raise AssertionError("the fold was prepared before --eps was read")
+
+    monkeypatch.setattr(cli, "prepare_folding_setup", no_setup)
+    code, out, err = run(capsys, "foldpath", files["X"], files["Y"],
+                         "--eps", eps)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_foldpath_builds_only_what_it_reports(files, tmp_path, capsys,

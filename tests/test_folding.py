@@ -49,7 +49,6 @@ from outerspace.folding import (
 )
 from outerspace.graphs import (
     apply_automorphism_to_marking,
-    derive_inverse_marking,
     interpolate_in_simplex,
     loop_length,
     make_graph,
@@ -72,6 +71,7 @@ from outerspace.plmaps import (
     validate_pl_map,
 )
 from outerspace.stretch import lambda_r, stretch_report
+from outerspace.words import identity
 
 
 def fold_pair(A, B, normalize_target=True, strategy="simultaneous"):
@@ -558,8 +558,7 @@ def test_folding_carries_labels_without_deriving(pair, monkeypatch):
     elif pair == "twist3":
         A, B = poly_twist_pair(3)
     else:
-        G = twisted_barbell()
-        A, B = G.with_labels(derive_inverse_marking(G)), unit_rose(2)
+        A, B = twisted_barbell(), unit_rose(2)
 
     def no_derivation(G):
         raise AssertionError("folding re-derived inverse labels")
@@ -869,7 +868,8 @@ def poly_fold():
     (lambda: speeds(poly_fold(), point_at(poly_fold(), 2)),
      InvalidInputError("the path has no folding turn at its end")),
     (lambda: systole_and_thin_test(
-        make_graph(0, {"e": ("u", "v", 1)}, "u", []), F(1, 2)),
+        make_graph(0, {"e": ("u", "v", 1)}, "u", [], {"e": identity(0)}),
+        F(1, 2)),
      InvalidInputError("graph has no embedded circle")),
     (lambda: check_four_point([theta_left()] * 3, lambda_r),
      InvalidInputError("need at least four sample points")),

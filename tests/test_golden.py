@@ -169,6 +169,8 @@ CASES.update({
     "optmap-budget-zero": ["optmap", _X, _Y, "--max-moves", "0"],
     "foldpath-budget-negative": ["foldpath", _X, _Y, "--max-moves", "-3"],
     "foldpath-samples-negative": ["foldpath", _X, _Y, "--samples", "-2"],
+    "foldpath-eps-zero": ["foldpath", _X, _Y, "--eps", "0"],
+    "foldpath-eps-negative": ["foldpath", _X, _Y, "--eps", "-1"],
     "distance-sample-words-negative": ["distance", _X, _Y, "--sample-words",
                                        "-3"],
     "bcc-pair-cap-negative": ["bcc", _X, _Y, "--pair-cap", "-1"],

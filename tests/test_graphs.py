@@ -67,7 +67,7 @@ def test_fixtures_validate(G):
 
 def test_validate_rejects_bad_labels():
     G = unit_rose(2)
-    bad = G.with_labels({"a": generator(1, 2), "b": generator(1, 2)})
+    bad = replace(G, labels={"a": generator(1, 2), "b": generator(1, 2)})
     assert "generator 2" in validate_marked_graph(bad)[0]
 
 
@@ -109,11 +109,8 @@ def _hair_at_v(G):
      "marking path 1: unknown oriented edge ('z', 1)"),
     (replace(theta_left(), marking=((("A", 1),), (("C", 1), ("B", -1)))),
      "marking path 1 is not a loop at the basepoint"),
-    (unit_rose(2).with_labels(None), "inverse labels are missing"),
-    (unit_rose(2).with_labels({"a": generator(1, 2)}),
-     "edge b has no inverse label"),
 ], ids=["basepoint", "endpoint", "connected", "valence", "petal-count",
-        "petal-dart", "petal-loop", "labels", "edge-label"])
+        "petal-dart", "petal-loop"])
 def test_validate_reports_the_first_violated_invariant(bad, first_issue):
     assert validate_marked_graph(bad)[0] == first_issue
 
@@ -229,21 +226,31 @@ def test_word_of_loop_rejects_an_unknown_dart():
         word_of_loop(theta_left(), (("Z", 1),))
 
 
-def test_word_of_loop_needs_labels():
+# -- every graph has a label on every edge ------------------------------------------
+
+def _without_b(X):
+    return {e: w for e, w in X.labels.items() if e != "B"}
+
+
+@pytest.mark.parametrize("build", [
+    lambda X: make_graph(2, X.edges, "u", X.marking, _without_b(X)),
+    lambda X: replace(X, labels=_without_b(X)),
+    lambda X: graphs.MarkedMetricGraph(X.rank, X.vertices, X.edges,
+                                       X.basepoint, X.marking, _without_b(X)),
+], ids=["make_graph", "replace", "constructor"])
+def test_a_graph_without_a_label_is_not_built(build):
+    assert_outcome(lambda: build(theta_left()),
+                   InvalidInputError("edge B has no inverse label"))
+
+
+def test_labels_none_misses_the_least_edge():
+    assert_outcome(lambda: replace(theta_left(), labels=None),
+                   InvalidInputError("edge A has no inverse label"))
+
+
+def test_make_graph_derives_omitted_labels():
     X = theta_left()
-    loop = realize_word_as_loop(X, generator(1, 2))
-    unlabelled = X.with_labels(None)
-    for path in (loop, ()):
-        with pytest.raises(InvalidInputError, match="no inverse labels"):
-            word_of_loop(unlabelled, path)
-    with pytest.raises(InvalidInputError, match="no inverse labels"):
-        unlabelled.label_of_dart(loop[0])
-    e = loop[0][0]
-    partial = X.with_labels({f: w for f, w in X.labels.items() if f != e})
-    with pytest.raises(InvalidInputError, match=f"edge {e} has no inverse label"):
-        word_of_loop(partial, loop)
-    with pytest.raises(InvalidInputError, match=f"edge {e} has no inverse label"):
-        partial.label_of_dart(loop[0])
+    assert make_graph(2, X.edges, "u", X.marking) == X
 
 
 # -- conjugacy and powers -----------------------------------------------------------
@@ -355,7 +362,7 @@ def test_automorphism_round_trip_lengths():
 # -- label derivation --------------------------------------------------------------
 
 def test_derive_labels_rose():
-    G = unit_rose(2).with_labels(None)
+    G = replace(unit_rose(2), labels={"a": identity(2), "b": identity(2)})
     labels = derive_inverse_marking(G)
     assert labels["a"] == generator(1, 2)
     assert labels["b"] == generator(2, 2)
@@ -364,8 +371,7 @@ def test_derive_labels_rose():
 @pytest.mark.parametrize("make", [theta_left, theta_right])
 def test_derive_labels_theta(make):
     G = make()
-    derived = derive_inverse_marking(G.with_labels(None))
-    H = G.with_labels(derived)
+    H = replace(G, labels=derive_inverse_marking(G))
     assert validate_marked_graph(H) == []
 
 
@@ -375,8 +381,7 @@ def test_derive_labels_after_automorphism():
         G = random_graph(rng)
         phi = random_nielsen_automorphism(rng, 2)
         H = apply_automorphism_to_marking(G, phi)
-        derived = derive_inverse_marking(H.with_labels(None))
-        H2 = H.with_labels(derived)
+        H2 = replace(H, labels=derive_inverse_marking(H))
         assert validate_marked_graph(H2) == []
         for _ in range(10):
             w = random_word(rng, 2, 6)
@@ -387,15 +392,15 @@ def test_derive_labels_detects_non_injective_marking():
     # both petals trace the same circle: not a marking isomorphism
     edges = {"a": ("v", "v", F(1)), "b": ("v", "v", F(1))}
     marking = [(("a", 1),), (("a", 1),)]
-    G = make_graph(2, edges, "v", marking)
+    G = make_graph(2, edges, "v", marking, dict.fromkeys(edges, identity(2)))
     with pytest.raises(InvalidInputError):
         derive_inverse_marking(G)
 
 
 def _theta_with_first_petal(petal):
-    """theta_left without labels, its first petal replaced."""
-    return replace(theta_left(), marking=(petal, theta_left().marking[1]),
-                   labels=None)
+    """theta_left with its first petal replaced (the derivation ignores the
+    labels)."""
+    return replace(theta_left(), marking=(petal, theta_left().marking[1]))
 
 
 @pytest.mark.parametrize("petal, message", [
@@ -553,7 +558,9 @@ def test_realization_checks_the_whole_marking(petals, call, issue):
 def test_extra_petal_is_counted_before_labels_are_derived():
     """Petals a, b, a on a rank-2 rose: the marking check names the count,
     before the third petal is read as a generator that does not exist."""
-    B = make_graph(2, {"a": ("v", "v", 1), "b": ("v", "v", 1)}, "v",
-                   [(("a", 1),), (("b", 1),), (("a", 1),)])
-    assert_outcome(lambda: derive_inverse_marking(B),
-                   InvalidInputError("3 marking paths for rank 2"))
+    edges = {"a": ("v", "v", 1), "b": ("v", "v", 1)}
+    marking = [(("a", 1),), (("b", 1),), (("a", 1),)]
+    B = make_graph(2, edges, "v", marking, dict.fromkeys(edges, identity(2)))
+    expect = InvalidInputError("3 marking paths for rank 2")
+    assert_outcome(lambda: derive_inverse_marking(B), expect)
+    assert_outcome(lambda: make_graph(2, edges, "v", marking), expect)

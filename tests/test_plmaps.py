@@ -5,7 +5,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import assert_outcome
+import outerspace.plmaps as plmaps
+from conftest import assert_outcome, k4_fold_pair
 from outerspace.errors import (
     BudgetExhaustedError,
     InternalInvariantError,
@@ -31,6 +32,7 @@ from outerspace.graphs import (
     realize_word_as_path,
     reduce_darts,
     rev,
+    stars,
     translation_length,
     volume,
     word_of_loop,
@@ -165,13 +167,6 @@ def test_missing_vertex_image_is_reported():
     del vertex_image["u"]
     assert validate_pl_map(replace(f, vertex_image=vertex_image)) == \
         ["vertex u has no image"]
-
-
-def test_certificate_needs_target_labels():
-    f = initial_pl_map(theta_left(), theta_right())
-    g = replace(f, target=f.target.with_labels(None))
-    with pytest.raises(InvalidInputError, match="no inverse labels"):
-        validate_pl_map(g)
 
 
 def test_edge_image_off_its_origin_image_is_reported():
@@ -621,6 +616,21 @@ def test_bcc_capped_partial_follows_sorted_stars():
     assert bcc_or_partial(f, pair_cap=10) == (8, False)
 
 
+def test_bcc_builds_one_star_table(monkeypatch):
+    # the pair of the golden case bcc-k4: the pair cap stops the enumeration
+    # after three of the four source vertices
+    f = optimize_pl_map(*k4_fold_pair())
+    calls = []
+
+    def counted(G):
+        calls.append(G)
+        return stars(G)
+
+    monkeypatch.setattr(plmaps, "stars", counted)
+    assert not bcc_or_partial(f, pair_cap=2000)[1]
+    assert calls == [f.source]
+
+
 def test_bcc_never_exceeded_by_longer_pairs():
     rng = random.Random(37)
     G = unit_rose(2)
@@ -686,8 +696,6 @@ def one_petal_rose():
      InvalidInputError("anchor does not match the first segment")),
     (lambda: initial_pl_map(theta_left(), unit_rose(3)),
      InvalidInputError("ranks differ")),
-    (lambda: initial_pl_map(theta_left().with_labels(None), theta_right()),
-     InvalidInputError("source graph needs inverse labels")),
     (lambda: initial_pl_map(one_petal_rose(), unit_rose(2)),
      InvalidInputError("1 marking paths for rank 2")),
     (lambda: validate_pl_map(without_image("B")),
@@ -697,8 +705,7 @@ def one_petal_rose():
                                      source=one_petal_rose())),
      ["1 marking paths for rank 2"]),
 ], ids=["dart-point", "bad-segment", "not-contiguous", "backtrack",
-        "interior-turn", "anchor", "initial-ranks", "initial-labels",
-        "initial-missing-petal", "missing-edge-image",
-        "missing-source-petal"])
+        "interior-turn", "anchor", "initial-ranks", "initial-missing-petal",
+        "missing-edge-image", "missing-source-petal"])
 def test_input_checks(call, expect):
     assert_outcome(call, expect)

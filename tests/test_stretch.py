@@ -57,7 +57,7 @@ from outerspace.stretch import (
     lambda_r,
     stretch_report,
 )
-from outerspace.words import Word, generator
+from outerspace.words import Word, generator, identity
 
 
 def loops_by_shape(cands):
@@ -220,7 +220,7 @@ def random_multigraph(rng):
         edges[f"t{i}"] = (*ends, 1)
     for k in range(rng.randint(1, 6)):
         edges[f"x{k}"] = (rng.choice(names), rng.choice(names), 1)
-    return make_graph(0, edges, names[0], [])
+    return make_graph(0, edges, names[0], [], dict.fromkeys(edges, identity(0)))
 
 
 def test_cached_candidates_equal_reference_enumeration():
@@ -245,7 +245,8 @@ def test_candidate_cache_is_bounded():
         # a cycle of k + 1 edges through v0: a new type each time
         edges = {f"e{i}": (f"v{i}", f"v{(i + 1) % (k + 1)}", 1)
                  for i in range(k + 1)}
-        enumerate_candidates(make_graph(0, edges, "v0", []))
+        enumerate_candidates(make_graph(0, edges, "v0", [],
+                                        dict.fromkeys(edges, identity(0))))
     info = stretch._candidates_of_type.cache_info()
     assert (info.misses, info.currsize) == (bound + 5, bound)
 
@@ -254,7 +255,7 @@ def test_candidate_cache_key_is_the_combinatorial_type():
     G = theta_left()
     same = theta_left((F(1, 2), F(1, 7), F(2, 3)))
     flipped = make_graph(2, dict(G.edges, A=("v", "u", G.length("A"))),
-                         G.basepoint, [])
+                         G.basepoint, [], G.labels)
     extra = dataclasses.replace(G, vertices=G.vertices | {"z"})
     first = enumerate_candidates(G)
     shared = enumerate_candidates(same)
@@ -725,14 +726,9 @@ def test_rank_mismatch_rejected():
 
 def test_source_labels_checked():
     A = theta_left()
-    with pytest.raises(InvalidInputError, match="no inverse labels"):
-        lambda_r(A.with_labels(None), theta_right())
-    partial = {e: w for e, w in A.labels.items() if e != "A"}
-    with pytest.raises(InvalidInputError, match="edge A has no inverse label"):
-        lambda_r(A.with_labels(partial), theta_right())
     labels = dict(A.labels, A=generator(1, 3))
     with pytest.raises(RankMismatchError):
-        lambda_r(A.with_labels(labels), theta_right())
+        lambda_r(dataclasses.replace(A, labels=labels), theta_right())
 
 
 # -- the evaluation against the word-based definition -------------------------------------
@@ -914,7 +910,8 @@ def test_generator_families_are_valid_tree_markings():
 
 def test_two_generators_on_one_loop_is_a_trivial_class():
     B = make_graph(2, {"a": ("v", "v", 1), "b": ("v", "v", 1)}, "v",
-                   [(("a", 1),), (("a", 1),)])
+                   [(("a", 1),), (("a", 1),)],
+                   {"a": identity(2), "b": identity(2)})
     with pytest.raises(InvalidInputError, match="trivial class"):
         lambda_r(theta_left(), B)
 
