@@ -40,7 +40,6 @@ from .graphs import (
     apply_automorphism_to_marking,
     loop_length,
     translation_length,
-    unsubdivided_lengths,
     validate_marked_graph,
     volume,
     word_of_loop,
@@ -211,9 +210,9 @@ def cmd_foldpath(args) -> Report:
     s.add("end time", format_fraction(path.end_time))
     s.add("witness loop", format_path(path.witness))
     s.add("strategy", path.strategy)
+    end = path.snapshots[-1]
     s.add("final edge lengths",
-          " ".join(format_fraction(l)
-                   for l in unsubdivided_lengths(path.snapshots[-1])))
+          " ".join(format_fraction(end.length(e)) for e in sorted(end.edges)))
     if args.trace:
         try:
             with open(args.trace, "w", encoding="utf-8") as fh:

@@ -1,18 +1,16 @@
 """Fast folding paths and their diagnostics.
 
-A prepared setup carries a rescaled, subdivided source whose map to the
-target (never subdivided) sends every edge isometrically into a single target
-edge, at a recorded offset; a source edge is cut only where its image crosses
-a target vertex.  Folding then zips, at unit speed and at every vertex
-simultaneously, the groups of darts with a common image germ; an event
-happens whenever some edge of a zipping group is completely consumed, at
-which point the quotient is rebuilt and the process re-anchored.  The
-quotient keeps no straight vertex (one that maps inside a target edge with
-its two darts continuing one another), so events are the path's own
-breakpoints.  A bivalent vertex over a target vertex stays, so a snapshot
-may still subdivide a graph with fewer edges (`unsubdivided_lengths` reads
-that graph's lengths).  All times, lengths and stretch factors stay
-rational.
+A folding path starts at the optimizer's certified map, on the source
+rescaled so that the map is isometric on edges: every edge goes to a
+reduced path of the target as long as itself.  Folding then zips, at unit
+speed and at every vertex simultaneously, the groups of darts whose images
+leave in one direction.  An event happens where some zipping edge is used
+up, or where a group's images part at a target vertex; there the quotient
+is rebuilt and the process re-anchored.  Each snapshot is the point's own
+graph with its map: no vertex other than the basepoint has two darts of
+different edges whose images leave in different directions (a joint), so
+no snapshot subdivides a smaller graph.  All times, lengths and stretch
+factors stay rational.
 
 The literal point-pair relation defining the quotient would also identify
 distant fibre points in ways that break the homotopy type; the zip semantics
@@ -58,7 +56,11 @@ from .graphs import (
 )
 from .plmaps import (
     PLMap,
+    PLPath,
+    Seg,
     dart_len,
+    dart_point,
+    make_plpath,
     optimize_pl_map,
     pl_length,
 )
@@ -69,41 +71,47 @@ from .words import identity
 # error carrying the path folded so far, rather than running on
 MAX_EVENTS = 1000
 
-# image of a forward edge: it covers [offset, offset + length] of a target dart
-Germ = tuple[Dart, Fraction]
-Sigma = dict  # edge id -> Germ
 
-
-def germ_of_dart(G: MarkedMetricGraph, B: MarkedMetricGraph, sigma: Sigma,
-                 d: Dart) -> Germ:
-    bd, off = sigma[d[0]]
+def dart_image(f: PLMap, d: Dart) -> list[Seg]:
+    """The segments of d's image under f, in d's direction."""
+    segs = f.edge_image[d[0]].segs
     if d[1] > 0:
-        return (bd, off)
-    return (rev(bd), dart_len(B, bd) - off - G.length(d[0]))
+        return list(segs)
+    B = f.target
+    return [(rev(x), dart_len(B, x) - b, dart_len(B, x) - a)
+            for (x, a, b) in reversed(segs)]
+
+
+def germ_of_dart(f: PLMap, d: Dart) -> Dart:
+    """The target dart along which the image of d leaves the image of d's
+    origin."""
+    p = f.edge_image[d[0]]
+    return p.segs[0][0] if d[1] > 0 else rev(p.segs[-1][0])
 
 
 @dataclass(frozen=True)
 class FoldSetup:
-    source: MarkedMetricGraph          # A0: rescaled and subdivided
-    target: MarkedMetricGraph          # the target, normalized by default
-    sigma: Sigma                       # isometric edge map into target edges
-    witness: EdgePath                  # candidate loop never folded
-    optimal_map: PLMap                 # the certified map the setup came from
+    optimal_map: PLMap     # the certified map, from the rescaled source A0
+    witness: EdgePath      # candidate loop never folded
 
 
 @dataclass
 class FoldingPath:
     target: MarkedMetricGraph
     events: list                       # event times, starting at 0
-    snapshots: list                    # MarkedMetricGraph per event (labelled;
-                                       # no straight vertex after the first)
-    sigmas: list                       # edge map to the target per event
+    maps: list                         # per event, the map from the snapshot
+                                       # to the target, isometric on edges
     witness: EdgePath
     strategy: str
 
     @property
+    def snapshots(self) -> list:
+        """The source of each map; none after the first has a joint."""
+        return [f.source for f in self.maps]
+
+    @property
     def source_prepared(self) -> MarkedMetricGraph:
-        return self.snapshots[0]
+        return self.maps[0].source
 
     @property
     def end_time(self) -> Fraction:
@@ -143,35 +151,33 @@ def _class_quotient(vc: GaugedClasses, G: MarkedMetricGraph,
                      vc.find(G.basepoint), image)
 
 
-def _suppress_joints(G: MarkedMetricGraph, B: MarkedMetricGraph,
-                     sigma: Sigma):
-    """G and its edge map with every straight vertex suppressed.
+def _suppress_joints(f: PLMap) -> PLMap:
+    """f, whose vertex images are not read, with every joint of its source
+    suppressed.
 
-    A straight vertex (a joint) is not the basepoint and has two darts, of
-    different edges, whose germs are (bd, x) and (rev bd, L - x) with
-    0 < x: it maps inside the target edge.  Each of the `chains` through
-    the joints becomes one edge, with the chain's name and walk
-    orientation; it reads the product of the chain's labels and has its
-    first dart's germ.  An edge on no chain stays as it is.
+    A joint is not the basepoint and has two darts, of different edges,
+    whose images leave in different directions.  Each of the `chains`
+    through the joints becomes one edge, with the chain's name and walk
+    orientation; it reads the product of the chain's labels and maps along
+    its darts' images in turn.  An edge on no chain stays as it is.
     """
-    joints = set()
-    for v, ds in stars(G).items():
-        if v == G.basepoint or len(ds) != 2 or ds[0][0] == ds[1][0]:
-            continue
-        (bd, x), (bd2, y) = (germ_of_dart(G, B, sigma, d) for d in ds)
-        if bd2 == rev(bd) and 0 < x and y == dart_len(B, bd) - x:
-            joints.add(v)
+    G = f.source
+    joints = {v for v, ds in stars(G).items()
+              if v != G.basepoint and len(ds) == 2 and ds[0][0] != ds[1][0]
+              and germ_of_dart(f, ds[0]) != germ_of_dart(f, ds[1])}
     if not joints:
-        return G, sigma
-    edges, labels, sigma2, image = {}, {}, {}, {}
+        return f
+    edges, labels, edge_image, image = {}, {}, {}, {}
     for e, chain in chains(G, joints).items():
         image[chain[0]], image[rev(chain[-1])] = (e, 1), (e, -1)
         edges[e] = (G.origin(chain[0]), G.terminus(chain[-1]),
                     path_length(G, chain))
         labels[e] = math.prod(map(G.label_of_dart, chain),
                               start=identity(G.rank))
-        sigma2[e] = germ_of_dart(G, B, sigma, chain[0])
-    return _quotient(G, edges, labels, G.basepoint, image), sigma2
+        edge_image[e] = make_plpath(
+            f.target, [s for d in chain for s in dart_image(f, d)])
+    return PLMap(_quotient(G, edges, labels, G.basepoint, image), f.target,
+                 {}, edge_image)
 
 
 def _collapse_edges(G: MarkedMetricGraph, dead) -> tuple:
@@ -214,87 +220,48 @@ def _hairs(G: MarkedMetricGraph) -> set:
 def prepare_folding_setup(A: MarkedMetricGraph, B: MarkedMetricGraph,
                           normalize_target: bool = True,
                           max_moves: int = 500) -> FoldSetup:
-    """Rescale and subdivide the source so the optimal map sends every edge
-    isometrically into one target edge.
+    """The optimal map from A to B, on A rescaled so that the map is
+    isometric on edges.
 
     The source is normalized to volume one before optimizing; the target is
     normalized unless ``normalize_target=False`` (stretching factors scale
-    away, and some worked examples fix the target scale instead).
+    away, and some worked examples fix the target scale instead).  Edges
+    with a constant image are collapsed first.
     """
     An, _ = normalize_volume(A)
     Bt, _ = normalize_volume(B) if normalize_target else (B, Fraction(1))
     f = optimize_pl_map(An, Bt, max_moves=max_moves)
-    lam = lambda_r(An, Bt)
-    witness_loop = lam.witness.loop
+    witness = lambda_r(An, Bt).witness.loop
 
     A1, f, dropped = _collapse_constant_edges(f)
-    if any(d in dropped for d in witness_loop):
+    if any(d in dropped for d in witness):
         raise InternalInvariantError("witness loop crosses a collapsed edge")
 
     # rescale: edge lengths become image lengths, so f is isometric on edges
     edges = {e: (o, t, pl_length(f.edge_image[e]))
              for e, (o, t, _) in A1.edges.items()}
     A2 = replace(A1, edges=edges)
-    f = PLMap(A2, Bt, f.vertex_image, f.edge_image)
-
-    # cut each source edge where its image crosses a target vertex: the
-    # segments of a normalized PL path meet only there, so each piece maps
-    # isometrically into a single target edge
-    a_cuts: dict[str, list] = {}
-    for e in sorted(A2.edges):
-        segs = f.edge_image[e].segs
-        if not segs:
-            raise InternalInvariantError("constant image survived collapsing")
-        pos, cuts = Fraction(0), []
-        for _, a, b in segs[:-1]:
-            pos += b - a
-            cuts.append(pos)
-        if cuts:
-            a_cuts[e] = cuts
-    A0, a_exp = subdivide(A2, a_cuts)
-
-    sigma: Sigma = {}
-    for e in sorted(A2.edges):
-        for (pe, _), (bd, a, b) in zip(a_exp[(e, 1)], f.edge_image[e].segs,
-                                       strict=True):
-            if A0.length(pe) != b - a:
-                raise InternalInvariantError("piece is not isometric")
-            sigma[pe] = (bd, a)
-
-    witness0 = tuple(x for d in witness_loop for x in a_exp[d])
-    if not is_cyclically_reduced(A0, witness0):
+    if not is_cyclically_reduced(A2, witness):
         raise InternalInvariantError("witness loop degenerated in the setup")
-    return FoldSetup(A0, Bt, sigma, witness0, f)
+    return FoldSetup(PLMap(A2, Bt, f.vertex_image, f.edge_image), witness)
 
 
 # -- the zip engine ---------------------------------------------------------------------
 
-def active_classes(G: MarkedMetricGraph, B: MarkedMetricGraph, sigma: Sigma,
-                   strategy: str = "simultaneous") -> dict:
-    """vertex -> list of dart groups (size >= 2) sharing an image germ.
+def active_classes(f: PLMap, strategy: str = "simultaneous") -> dict:
+    """vertex -> list of dart groups (size >= 2) whose images leave in one
+    direction.
 
     The single-vertex strategy folds only at the smallest vertex that has
     such a group.
     """
     out: dict[str, list] = {}
-    star = stars(G)
-    for v in sorted(G.vertices):
-        # group by target dart first: offsets (Fractions, slow to hash) are
-        # only read where two darts share one
-        by_dart: dict[Dart, list] = {}
-        for d in star[v]:
-            bd = sigma[d[0]][0]
-            by_dart.setdefault(bd if d[1] > 0 else rev(bd), []).append(d)
-        groups = []
-        for _, ds in sorted(by_dart.items()):
-            if len(ds) < 2:
-                continue
-            by_offset: dict[Fraction, list] = {}
-            for d in ds:
-                by_offset.setdefault(germ_of_dart(G, B, sigma, d)[1],
-                                     []).append(d)
-            groups += [sorted(g) for _, g in sorted(by_offset.items())
-                       if len(g) >= 2]
+    for v, star in stars(f.source).items():
+        by_germ: dict[Dart, list] = {}
+        for d in star:
+            by_germ.setdefault(germ_of_dart(f, d), []).append(d)
+        groups = [sorted(ds) for _, ds in sorted(by_germ.items())
+                  if len(ds) >= 2]
         if groups:
             out[v] = groups
             if strategy == "single-vertex":
@@ -313,32 +280,79 @@ def folding_turns(classes: dict) -> set:
     return turns
 
 
-def _zip_limits(G: MarkedMetricGraph, classes: dict) -> dict:
+def _shared_length(f: PLMap, group) -> Fraction:
+    """How far the images of a group's darts run together: up to the target
+    vertex where they part, or to the end of the shortest."""
+    B = f.target
+    total = Fraction(0)
+    for segs in zip(*(dart_image(f, d) for d in group)):
+        d, a, _ = segs[0]
+        if any(s[0] != d for s in segs):
+            break
+        b = min(s[2] for s in segs)
+        total += b - a
+        if b < dart_len(B, d):
+            break
+    return total
+
+
+def _zip_limits(f: PLMap, classes: dict) -> dict:
     """Each zipping dart with how far it can zip: half its edge if its
-    reverse also zips, else the whole edge."""
+    reverse also zips, else the whole edge, and never past the target
+    vertex where its group's images part."""
+    G = f.source
     active = {d for groups in classes.values() for g in groups for d in g}
-    return {d: G.length(d[0]) / 2 if rev(d) in active else G.length(d[0])
-            for d in active}
+    limits = {}
+    for groups in classes.values():
+        for g in groups:
+            shared = _shared_length(f, g)
+            for d in g:
+                l = G.length(d[0])
+                limits[d] = min(shared, l / 2 if rev(d) in active else l)
+    return limits
 
 
-def next_event_delta(G: MarkedMetricGraph, classes: dict) -> Fraction:
-    """Time until some edge of a zipping group is completely consumed."""
-    best = min(_zip_limits(G, classes).values(), default=None)
+def next_event_delta(f: PLMap, classes: dict) -> Fraction:
+    """Time until some edge of a zipping group is completely consumed, or
+    some group's images part."""
+    best = min(_zip_limits(f, classes).values(), default=None)
     if best is None or best <= 0:
         raise InternalInvariantError("no active fold to advance")
     return best
 
 
-def fold_step(G: MarkedMetricGraph, B: MarkedMetricGraph, sigma: Sigma,
-              classes: dict, delta: Fraction):
-    """Advance every active zip by ``delta`` and rebuild the quotient, with
-    its hairs collapsed and its straight vertices suppressed.
+def _split(B: MarkedMetricGraph, p: PLPath, cuts) -> list[PLPath]:
+    """The pieces of p cut at the increasing arc lengths ``cuts``, each
+    strictly inside p."""
+    pieces, piece = [], []
+    cuts = iter(cuts)
+    c = next(cuts, None)
+    x = Fraction(0)  # arc length of p at the start of the current segment
+    for (d, a, b) in p.segs:
+        while c is not None and c <= x + b - a:
+            y = a + c - x
+            if y > a:
+                piece.append((d, a, y))
+            pieces.append(piece)
+            piece, a, x, c = [], y, c, next(cuts, None)
+        if b > a:
+            piece.append((d, a, b))
+        x += b - a
+    pieces.append(piece)
+    return [PLPath(tuple(s), dart_point(B, s[0][0], s[0][1]))
+            for s in pieces]
 
-    Returns the new graph and its edge map.  Identified darts are gauged to
-    read one word, so labels are carried.
+
+def fold_step(f: PLMap, classes: dict, delta: Fraction) -> PLMap:
+    """Advance every active zip by ``delta`` and rebuild the quotient, with
+    its hairs collapsed and its joints suppressed.
+
+    Identified darts are gauged to read one word, so labels are carried;
+    the returned map is isometric on edges, as f is.
     """
+    G, B = f.source, f.target
     cuts: dict[str, set] = {}
-    for (e, s), limit in _zip_limits(G, classes).items():
+    for (e, s), limit in _zip_limits(f, classes).items():
         if delta > limit:
             raise InvalidInputError("step passes the next event")
         l = G.length(e)
@@ -346,14 +360,12 @@ def fold_step(G: MarkedMetricGraph, B: MarkedMetricGraph, sigma: Sigma,
         if 0 < cut < l:
             cuts.setdefault(e, set()).add(cut)
     G1, exp = subdivide(G, {e: sorted(c) for e, c in cuts.items()})
-
-    sigma1: Sigma = {}
-    for e in G.edges:
-        bd, off = sigma[e]
-        pos = off
-        for piece in exp[(e, 1)]:
-            sigma1[piece[0]] = (bd, pos)
-            pos += dart_len(G1, piece)
+    edge_image = {}
+    for e, p in f.edge_image.items():
+        pieces = _split(B, p, sorted(cuts.get(e, ())))
+        for (piece, _), q in zip(exp[(e, 1)], pieces, strict=True):
+            edge_image[piece] = q
+    f1 = PLMap(G1, B, {}, edge_image)
 
     # union-find over darts; gauged classes over vertices
     dparent: dict[Dart, Dart] = {}
@@ -381,14 +393,14 @@ def fold_step(G: MarkedMetricGraph, B: MarkedMetricGraph, sigma: Sigma,
         rep_of[(e, 1)] = r
         rep_of[(e, -1)] = rev(r)
     G2 = _class_quotient(vc, G1, rep_of)
-    sigma2 = {e: sigma1[e] for e in G2.edges}
-    # length, germ and label consistency of merged darts
+    # length, image and label consistency of merged darts
     for e in G1.edges:
         r = rep_of[(e, 1)]
-        if G1.length(e) != G2.length(r[0]):
+        if r == (e, 1):
+            continue
+        if G1.length(e) != G1.length(r[0]):
             raise InternalInvariantError("folded edges have unequal lengths")
-        if germ_of_dart(G2, B, sigma2, r) != \
-                germ_of_dart(G1, B, sigma1, (e, 1)):
+        if dart_image(f1, r) != dart_image(f1, (e, 1)):
             raise InternalInvariantError("merged darts disagree on their image")
         if vc.read(r) != vc.read((e, 1)):
             raise InternalInvariantError("merged darts read different words")
@@ -396,12 +408,15 @@ def fold_step(G: MarkedMetricGraph, B: MarkedMetricGraph, sigma: Sigma,
     # slides the vertex along its one gate, inside the simplex
     while hairs := _hairs(G2):
         G2 = _collapse_edges(G2, hairs)[0]
-        sigma2 = {e: sigma2[e] for e in G2.edges}
-    G3, sigma3 = _suppress_joints(G2, B, sigma2)
-    if issues := validate_marked_graph(G3):
+    f3 = _suppress_joints(PLMap(G2, B, {}, {e: edge_image[e]
+                                            for e in G2.edges}))
+    if issues := validate_marked_graph(f3.source):
         raise InternalInvariantError(
             f"fold produced an invalid marked graph: {issues[0]}")
-    return G3, sigma3
+    # each vertex goes where the image of its first dart starts
+    return replace(f3, vertex_image={
+        v: dart_point(B, *dart_image(f3, ds[0])[0][:2])
+        for v, ds in stars(f3.source).items()})
 
 
 def fast_fold(setup: FoldSetup, strategy: str = "simultaneous") -> FoldingPath:
@@ -411,41 +426,38 @@ def fast_fold(setup: FoldSetup, strategy: str = "simultaneous") -> FoldingPath:
     the path up to its last event."""
     if strategy not in ("simultaneous", "single-vertex"):
         raise InvalidInputError(f"unknown folding strategy {strategy!r}")
-    G, B, sigma = setup.source, setup.target, setup.sigma
+    f = setup.optimal_map
+    B = f.target
     # the witness is never folded: its word keeps one translation length
-    w = word_of_loop(G, setup.witness)
-    witness_len = translation_length(G, w)
+    w = word_of_loop(f.source, setup.witness)
+    witness_len = translation_length(f.source, w)
     t = Fraction(0)
-    snapshots = [G]
-    sigmas = [sigma]
+    maps = [f]
     events = [t]
     while True:
-        classes = active_classes(G, B, sigma, strategy)
+        classes = active_classes(f, strategy)
         if not classes:
             break
         if len(events) > MAX_EVENTS:
             raise BudgetExhaustedError(
                 f"fold event budget {MAX_EVENTS} exhausted",
-                partial=FoldingPath(B, events, snapshots, sigmas,
-                                    setup.witness, strategy))
-        delta = next_event_delta(G, classes)
-        G, sigma = fold_step(G, B, sigma, classes, delta)
-        if translation_length(G, w) != witness_len:
+                partial=FoldingPath(B, events, maps, setup.witness,
+                                    strategy))
+        delta = next_event_delta(f, classes)
+        f = fold_step(f, classes, delta)
+        if translation_length(f.source, w) != witness_len:
             raise InternalInvariantError("witness loop was folded")
         t += delta
         events.append(t)
-        snapshots.append(G)
-        sigmas.append(sigma)
+        maps.append(f)
 
-    # the end of the path must be the target up to subdivision: the surviving
-    # edges partition every target edge exactly
+    # the end of the path must be the target up to subdivision: the images
+    # of the surviving edges partition every target edge exactly
     cover: dict[str, list] = {e: [] for e in B.edges}
-    for e in sorted(G.edges):
-        bd, off = sigma[e]
-        l = G.length(e)
-        L = dart_len(B, bd)
-        iv = (off, off + l) if bd[1] > 0 else (L - off - l, L - off)
-        cover[bd[0]].append(iv)
+    for p in f.edge_image.values():
+        for (bd, a, b) in p.segs:
+            L = dart_len(B, bd)
+            cover[bd[0]].append((a, b) if bd[1] > 0 else (L - b, L - a))
     for e, ivs in sorted(cover.items()):
         ivs.sort()
         pos = Fraction(0)
@@ -456,16 +468,15 @@ def fast_fold(setup: FoldSetup, strategy: str = "simultaneous") -> FoldingPath:
         if pos != B.length(e):
             raise InternalInvariantError("final map is not an isometry")
 
-    end_rep = lambda_r(snapshots[-1], B).value * lambda_r(B, snapshots[-1]).value
-    if end_rep != 1:
+    end = f.source
+    if lambda_r(end, B).value * lambda_r(B, end).value != 1:
         raise InternalInvariantError(
             "final snapshot is not isometric to the target as a marked graph"
         )
     return FoldingPath(
         target=B,
         events=events,
-        snapshots=snapshots,
-        sigmas=sigmas,
+        maps=maps,
         witness=setup.witness,
         strategy=strategy,
     )
@@ -473,12 +484,15 @@ def fast_fold(setup: FoldSetup, strategy: str = "simultaneous") -> FoldingPath:
 
 @dataclass(frozen=True)
 class FoldPoint:
-    """A folding path at one time: the graph, its edge map to the target and
-    the turns being folded there (right-continuous; none at the end)."""
+    """A folding path at one time: its map to the target and the turns
+    being folded there (right-continuous; none at the end)."""
     time: Fraction
-    graph: MarkedMetricGraph
-    sigma: Sigma
+    map: PLMap
     turns: frozenset
+
+    @property
+    def graph(self) -> MarkedMetricGraph:
+        return self.map.source
 
 
 def point_at(path: FoldingPath, t: Fraction) -> FoldPoint:
@@ -489,15 +503,14 @@ def point_at(path: FoldingPath, t: Fraction) -> FoldPoint:
     if not (0 <= t <= path.end_time):
         raise InvalidInputError(f"time {t} outside [0, {path.end_time}]")
     i = bisect_right(path.events, t) - 1
-    G, sigma = path.snapshots[i], path.sigmas[i]
+    f = path.maps[i]
     if t == path.end_time:
-        return FoldPoint(t, G, sigma, frozenset())
-    classes = active_classes(G, path.target, sigma, path.strategy)
+        return FoldPoint(t, f, frozenset())
+    classes = active_classes(f, path.strategy)
     if t > path.events[i]:
-        G, sigma = fold_step(G, path.target, sigma, classes,
-                             t - path.events[i])
-        classes = active_classes(G, path.target, sigma, path.strategy)
-    return FoldPoint(t, G, sigma, frozenset(folding_turns(classes)))
+        f = fold_step(f, classes, t - path.events[i])
+        classes = active_classes(f, path.strategy)
+    return FoldPoint(t, f, frozenset(folding_turns(classes)))
 
 
 def multiplicity(point: FoldPoint, loop: EdgePath) -> int:

@@ -486,17 +486,6 @@ def chains(G: MarkedMetricGraph, through) -> dict[str, list[Dart]]:
     return out
 
 
-def unsubdivided_lengths(G: MarkedMetricGraph) -> list[Fraction]:
-    """Edge lengths of the graph that ``G`` subdivides: one total per
-    `chains` entry through the bivalent vertices, basepoint included, in
-    sorted key order (the least edge id of each chain).  The two ends of one
-    loop edge make no joint; a subdivided circle has one total."""
-    bivalent = {v for v, ds in stars(G).items()
-                if len(ds) == 2 and ds[0][0] != ds[1][0]}
-    walks = chains(G, bivalent)
-    return [path_length(G, walks[e]) for e in sorted(walks)]
-
-
 # -- gauged vertex classes and label derivation ------------------------------------------
 
 class GaugedClasses:

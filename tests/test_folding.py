@@ -54,17 +54,14 @@ from outerspace.graphs import (
     make_graph,
     normalize_volume,
     realize_word_as_loop,
+    rev,
     stars,
     translation_length,
-    unsubdivided_lengths,
     validate_marked_graph,
     volume,
     word_of_loop,
 )
 from outerspace.plmaps import (
-    PLMap,
-    dart_point,
-    make_plpath,
     optimize_pl_map,
     pl_length,
     stretch_analysis,
@@ -79,22 +76,21 @@ def fold_pair(A, B, normalize_target=True, strategy="simultaneous"):
     return fast_fold(setup, strategy=strategy)
 
 
-def image_point(G, B, sigma, d, x):
-    """Image of the point at dart coordinate x on d."""
-    bd, off = germ_of_dart(G, B, sigma, d)
-    return dart_point(B, bd, off + x)
+def assert_fold_point(f):
+    """The map of a fold point is a valid PL map, isometric on edges, from
+    a graph whose only bivalent vertex with darts of two edges can be the
+    basepoint."""
+    G = f.source
+    assert validate_pl_map(f) == []
+    assert all(pl_length(f.edge_image[e]) == G.length(e) for e in G.edges)
+    assert [v for v, ds in stars(G).items() if v != G.basepoint
+            and len(ds) == 2 and ds[0][0] != ds[1][0]] == []
 
 
-def setup_as_plmap(source, target, sigma):
-    """The PL map of a fold point: each edge isometrically onto its germ."""
-    vertex_image = {v: image_point(source, target, sigma, star[0], F(0))
-                    for v, star in stars(source).items()}
-    edge_image = {}
-    for e in sorted(source.edges):
-        bd, off = sigma[e]
-        edge_image[e] = make_plpath(
-            target, [(bd, off, off + source.length(e))])
-    return PLMap(source, target, vertex_image, edge_image)
+def fold_times(path):
+    """A path's event times and the times halfway between them."""
+    ev = path.events
+    return sorted(set(ev) | {(a + b) / 2 for a, b in zip(ev, ev[1:])})
 
 
 # -- preparation ------------------------------------------------------------------------
@@ -110,19 +106,19 @@ def test_prepare_poly_twist_shapes():
     k = 3
     A, B = poly_twist_pair(k)
     setup = prepare_folding_setup(A, B, normalize_target=False)
-    A0 = setup.source
-    # one petal of length 1 and one chain of total length k+1
+    A0 = setup.optimal_map.source
+    # one petal of length 1 and one of length k+1
     assert volume(A0) == k + 2
-    assert volume(setup.target) == 2
+    assert volume(setup.optimal_map.target) == 2
     lengths = sorted(A0.length(e) for e in A0.edges)
-    assert lengths == [1] * (k + 2)
-    assert lambda_r(A0, setup.target).value == 1
+    assert lengths == [1, k + 1]
+    assert lambda_r(A0, setup.optimal_map.target).value == 1
 
 
 def test_setup_folds_onto_the_target_as_given():
-    """The setup keeps the target unsubdivided (normalized unless asked not
-    to), and every source edge maps into one target edge from its recorded
-    offset; the K4 pairs send vertices into target edges."""
+    """The setup keeps the target as given (normalized unless asked not
+    to), and its map sends every source edge to a path as long as the edge;
+    the K4 pairs send vertices into target edges."""
     pairs = [(theta_left(), theta_right(), True),
              (*poly_twist_pair(3), False)]
     for seed in (31, 1001):
@@ -132,15 +128,16 @@ def test_setup_folds_onto_the_target_as_given():
             random_tree_marked(rng, "K4"),
             random_nielsen_automorphism(rng, A.rank, 2))
         pairs.append((A, B, True))
-    offsets = []
+    inside = []
     for A, B, normalize in pairs:
         setup = prepare_folding_setup(A, B, normalize_target=normalize)
-        assert setup.target == (normalize_volume(B)[0] if normalize else B)
-        for e, (bd, off) in setup.sigma.items():
-            assert 0 <= off
-            assert off + setup.source.length(e) <= setup.target.length(bd[0])
-            offsets.append(off)
-    assert any(off > 0 for off in offsets)
+        f = setup.optimal_map
+        assert f.target == (normalize_volume(B)[0] if normalize else B)
+        assert validate_pl_map(f) == []
+        assert all(pl_length(f.edge_image[e]) == f.source.length(e)
+                   for e in f.source.edges)
+        inside += [pt[0] == "e" for pt in f.vertex_image.values()]
+    assert any(inside)
 
 
 def test_prepare_rejects_a_source_with_a_missing_petal():
@@ -155,8 +152,8 @@ def test_prepare_stretches_by_one():
     for _ in range(5):
         A, B = random_same_simplex_pair(rng)
         setup = prepare_folding_setup(A, B)
-        assert lambda_r(setup.source, setup.target).value == 1
         f = setup.optimal_map
+        assert lambda_r(f.source, f.target).value == 1
         assert validate_pl_map(f) == []
 
 
@@ -169,11 +166,8 @@ def test_poly_fold_events_and_snapshots(k):
     assert path.events == list(range(k + 1))
     # after stage i the canonical shape has loops of lengths 1 and k+1-i
     for i in range(k + 1):
-        lengths = sorted(unsubdivided_lengths(path.snapshots[i]))
-        assert lengths == sorted([1, k + 1 - i]) or (
-            i == k and lengths == [1, 1]
-        )
-    assert sorted(unsubdivided_lengths(path.snapshots[-1])) == [1, 1]
+        G = path.snapshots[i]
+        assert sorted(G.length(e) for e in G.edges) == sorted([1, k + 1 - i])
 
 
 @pytest.mark.parametrize("k", [3])
@@ -184,15 +178,16 @@ def test_poly_fold_intermediate_graph(k):
     point = point_at(path, i + delta)
     G = point.graph
     assert validate_marked_graph(G) == []
-    lengths = sorted(unsubdivided_lengths(G))
+    lengths = sorted(G.length(e) for e in G.edges)
     assert lengths == sorted([1 - delta, k + 1 - i - delta, delta])
-    assert validate_pl_map(setup_as_plmap(G, path.target, point.sigma)) == []
+    assert_fold_point(point.map)
 
 
 # SHA-256 of the shape table below, less the K4 single-vertex rows, as the
 # fold before straight-vertex suppression read it (suppressing every
 # bivalent vertex, one merge at a time), at the event times and mid-event
-# points of the suppressed paths
+# points of the suppressed paths.  The fold on the map reads the same
+# table off its own snapshots: none of these has a bivalent basepoint
 FOLD_SHAPES_SHA256 = \
     "f183767857f37216553ddd0350a75c10d6cbe66602c8edb6bac0ba1f1d3ee87a"
 # SHA-256 of the K4 single-vertex rows as this (suppressing) fold reads
@@ -203,10 +198,11 @@ K4_SINGLE_VERTEX_SHA256 = \
     "f68352c289a7ab6ae0d609c48974fffa457f68ff2441d231a302069dbf0d075c"
 
 
-def test_unsubdivided_lengths_pin_fold_shapes():
+def test_edge_lengths_pin_fold_shapes():
     """The golden fold pairs (theta, twist3, K4 seed 31) and poly-twist
-    k = 2, 5, under both strategies: the shape (sorted lengths) of every
-    event snapshot and of the partial fold halfway to the next event."""
+    k = 2, 5, under both strategies: the shape (sorted edge lengths) of
+    every event snapshot and of the partial fold halfway to the next
+    event."""
     pairs = [("theta", theta_left(), theta_right(), True),
              ("twist3", *poly_twist_pair(3), True),
              ("k4", *k4_fold_pair(), True),
@@ -217,14 +213,13 @@ def test_unsubdivided_lengths_pin_fold_shapes():
         setup = prepare_folding_setup(A, B, normalize_target=normalize)
         for strategy in ("simultaneous", "single-vertex"):
             path = fast_fold(setup, strategy=strategy)
-            ev = path.events
             rows = lines
             if (name, strategy) == ("k4", "single-vertex"):
                 assert check_dR_geodesic(path.snapshots)[0]
                 rows = k4_single
-            times = sorted(set(ev) | {(a + b) / 2 for a, b in zip(ev, ev[1:])})
-            for t in times:
-                lengths = sorted(unsubdivided_lengths(point_at(path, t).graph))
+            for t in fold_times(path):
+                G = point_at(path, t).graph
+                lengths = sorted(G.length(e) for e in G.edges)
                 rows.append(f"{name} {strategy} {t} "
                             + " ".join(map(str, lengths)))
     assert (len(lines), len(k4_single)) == (71, 15)
@@ -234,16 +229,17 @@ def test_unsubdivided_lengths_pin_fold_shapes():
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
-# SHA-256 of every snapshot's canonical document and sorted edge map in the
-# test below, as the fold before the shared chain walk wrote them
+# SHA-256 of every snapshot's canonical document and sorted edge images in
+# the test below, as the fold on the optimizer's map first wrote them
 FOLD_SNAPSHOTS_SHA256 = \
-    "6bf5b2397e969a6ae2a28b0d0f0945fc83952708013c4ccad54bbf238490b087"
+    "543e7bbbb13d730e60a69d9c86aeb99c5091ae1865687df2e8a265e3dac655ae"
 
 
-def test_fold_snapshots_pin_documents_and_sigmas():
+def test_fold_snapshots_pin_documents_and_maps():
     """The golden fold pairs (theta, twist3, K4 seed 31) and poly-twist
     k = 5, under both strategies: each snapshot's document, ids, edge
-    orientations and labels included, and its edge map, byte for byte."""
+    orientations and labels included, and its edge images, byte for
+    byte."""
     pairs = [("theta", theta_left(), theta_right(), True),
              ("twist3", *poly_twist_pair(3), True),
              ("k4", *k4_fold_pair(), True),
@@ -254,16 +250,88 @@ def test_fold_snapshots_pin_documents_and_sigmas():
         setup = prepare_folding_setup(A, B, normalize_target=normalize)
         for strategy in ("simultaneous", "single-vertex"):
             path = fast_fold(setup, strategy=strategy)
-            for G, sigma in zip(path.snapshots, path.sigmas, strict=True):
-                maps = " ".join(
-                    f"{e}:{format_dart(bd)}@{format_fraction(off)}"
-                    for e, (bd, off) in sorted(sigma.items()))
+            for f in path.maps:
+                images = " ".join(
+                    f"{e}:{segments_text(p.segs)}"
+                    for e, p in sorted(f.edge_image.items()))
                 digest.update(f"{name} {strategy}\n".encode())
-                digest.update(canonical_text(graph_to_doc(G)).encode())
-                digest.update(f"{maps}\n".encode())
+                digest.update(canonical_text(graph_to_doc(f.source)).encode())
+                digest.update(f"{images}\n".encode())
                 count += 1
     assert count == 42
     assert digest.hexdigest() == FOLD_SNAPSHOTS_SHA256
+
+
+def segments_text(segs):
+    """A PL path's segments, on the target's dart names."""
+    return " ".join(f"{format_dart(d)}:{format_fraction(a)}-"
+                    f"{format_fraction(b)}" for d, a, b in segs)
+
+
+def image_text(f, p):
+    """An edge image of f, in the lesser of its two orientations."""
+    L = {e: l for e, (_, _, l) in f.target.edges.items()}
+    back = [(rev(d), L[d[0]] - b, L[d[0]] - a) for d, a, b in reversed(p.segs)]
+    return min(segments_text(p.segs), segments_text(back))
+
+
+# The event times and mid-event times of the subdivided fold (the engine
+# before the fold on the optimizer's map), per pair and strategy
+SUBDIVIDED_FOLD_TIMES = {
+    ("theta", "simultaneous"): "0 1/4 1/2 2/3 5/6",
+    ("theta", "single-vertex"): "0 1/4 1/2 2/3 5/6",
+    ("twist3", "simultaneous"): "0 1/4 1/2 3/4 1 5/4 3/2",
+    ("twist3", "single-vertex"): "0 1/4 1/2 3/4 1 5/4 3/2",
+    ("k4", "simultaneous"):
+        "0 2131/58156 2131/29078 5445/58156 1657/14539 1894/14539 "
+        "2131/14539 2596/14539 3061/14539 6375/29078 3314/14539 "
+        "4447/14539 180/469 7237/14539 8894/14539",
+    ("k4", "single-vertex"):
+        "0 2131/29078 2131/14539 5445/29078 3314/14539 3788/14539 "
+        "4262/14539 4727/14539 5192/14539 6325/14539 7458/14539 "
+        "7982/14539 8506/14539 11296/14539 14086/14539",
+    ("k4-54", "simultaneous"):
+        "0 7/418 7/209 15/418 8/209 23/418 15/209 91/1254 46/627 151/1254 "
+        "35/209 215/1254 10/57",
+    ("k4-54", "single-vertex"):
+        "0 4/209 8/209 35/627 46/627 101/627 52/209 139/418 87/209 181/418 "
+        "94/209 98/209 102/209",
+}
+# SHA-256 of the sorted edge images (`image_text`) at those times, as the
+# subdivided fold read them with its joints contracted: a joint is a vertex
+# other than the basepoint with two darts of different edges whose images
+# leave in different directions
+SUBDIVIDED_FOLD_IMAGES_SHA256 = \
+    "de7e4511f5c122ee45285e984ec72c22ef7dd27dc4c5ba0245f4efbd07e05a61"
+
+
+def test_fold_on_the_map_takes_the_subdivided_fold_path():
+    """Theta, twist3, K4 seed 31 and the K4 sweep pair seed 54, under both
+    strategies: at every event and mid-event time of the subdivided fold,
+    the point has the same edge images; every fold point of the new path
+    is a map that `assert_fold_point` accepts.  The sweep pair gains an
+    event at 14/209, where an edge is used up at one end while a fold
+    lengthens it at the other."""
+    pairs = {"theta": (theta_left(), theta_right()),
+             "twist3": poly_twist_pair(3), "k4": k4_fold_pair(),
+             "k4-54": sweep_pair("K4", 54)}
+    digest = hashlib.sha256()
+    for name, (A, B) in pairs.items():
+        setup = prepare_folding_setup(A, B)
+        for strategy in ("simultaneous", "single-vertex"):
+            path = fast_fold(setup, strategy)
+            old = SUBDIVIDED_FOLD_TIMES[name, strategy].split()
+            for t in old:
+                f = point_at(path, F(t)).map
+                rows = sorted(image_text(f, p) for p in f.edge_image.values())
+                digest.update(f"{name} {strategy} {t}\n".encode())
+                digest.update(("\n".join(rows) + "\n").encode())
+            for t in fold_times(path):
+                assert_fold_point(point_at(path, t).map)
+            gained = {str(t) for t in path.events} - set(old)
+            assert gained == ({"14/209"} if (name, strategy) ==
+                              ("k4-54", "simultaneous") else set())
+    assert digest.hexdigest() == SUBDIVIDED_FOLD_IMAGES_SHA256
 
 
 @pytest.mark.parametrize("k", [2, 3, 5])
@@ -312,7 +380,7 @@ def test_fold_event_budget_keeps_the_partial_path(monkeypatch):
     assert len(part.events) == 4
     assert part.events == whole.events[:4]
     assert part.snapshots == whole.snapshots[:4]
-    assert part.sigmas == whole.sigmas[:4]
+    assert part.maps == whole.maps[:4]
     assert (part.target, part.witness, part.strategy) == \
         (whole.target, whole.witness, whole.strategy)
 
@@ -408,9 +476,10 @@ def test_single_vertex_strategy_folds_one_vertex_per_event(pair):
     A, B = poly_twist_pair(3) if pair == "twist3" else random_fold_pair(16)
     path = fold_pair(A, B, normalize_target=False, strategy="single-vertex")
     most = 0
-    for t, G, sigma in zip(path.events, path.snapshots, path.sigmas):
-        every = active_classes(G, path.target, sigma)
-        one = active_classes(G, path.target, sigma, "single-vertex")
+    for t, f in zip(path.events, path.maps):
+        G = f.source
+        every = active_classes(f)
+        one = active_classes(f, "single-vertex")
         most = max(most, len(every))
         if t == path.end_time:
             assert every == one == {}
@@ -473,22 +542,6 @@ def test_rank3_and_rank4_pairs_certify_and_fold():
     assert time.perf_counter() - start < 3
 
 
-def straight_vertices(path, k):
-    """The vertices of snapshot k, other than the basepoint, with two darts
-    of different edges whose images leave one interior point of a target
-    edge in opposite directions."""
-    G, sigma, B = path.snapshots[k], path.sigmas[k], path.target
-    out = []
-    for v, ds in stars(G).items():
-        if v == G.basepoint or len(ds) != 2 or ds[0][0] == ds[1][0]:
-            continue
-        (kind, *_), = {image_point(G, B, sigma, d, F(0)) for d in ds}
-        if kind == "e" and len({germ_of_dart(G, B, sigma, d)[0]
-                                for d in ds}) == 2:
-            out.append(v)
-    return out
-
-
 def sweep_pair(family, seed):
     """The robustness sweep's pair: a tree-marked `family` graph, and
     another whose marking is twisted by a Nielsen automorphism of 1 to 4
@@ -506,12 +559,12 @@ def sweep_pair(family, seed):
 def test_k33_sweep_pairs_fold_without_straight_vertices(seed):
     """K3,3 pairs of the robustness sweep whose subdivided folds ran past
     the event budget (seeds 11, 64 and 74) or the recursion limit (95):
-    each folds, and no snapshot after the prepared source keeps a straight
-    vertex."""
+    each folds, and every fold point is a valid map, isometric on edges,
+    that keeps no bivalent vertex other than the basepoint."""
     path = fast_fold(prepare_folding_setup(*sweep_pair("K33", seed)))
     assert path.end_time > 0
-    for k in range(1, len(path.snapshots)):
-        assert straight_vertices(path, k) == []
+    for t in fold_times(path):
+        assert_fold_point(point_at(path, t).map)
 
 
 @pytest.mark.parametrize("family,seed", [("K4", 34), ("K4", 42),
@@ -522,8 +575,8 @@ def test_sweep_pairs_whose_fold_leaves_a_hair(family, seed):
     fold collapses it, every snapshot is a consistently marked graph, and
     the path is a d_R geodesic."""
     setup = prepare_folding_setup(*sweep_pair(family, seed))
-    G, B, sigma = setup.source, setup.target, setup.sigma
-    gates = {v: {germ_of_dart(G, B, sigma, d) for d in ds}
+    G = setup.optimal_map.source
+    gates = {v: {germ_of_dart(setup.optimal_map, d) for d in ds}
              for v, ds in stars(G).items()}
     one_gate = [v for v, germs in gates.items() if len(germs) == 1]
     assert len(one_gate) == 1
@@ -577,9 +630,11 @@ def test_folding_carries_labels_without_deriving(pair, monkeypatch):
         assert validate_marked_graph(G) == []
     assert check_dR_geodesic(path.snapshots)[0]
     if pair == "barbell":
-        # the bridge c has constant image and is collapsed in the setup
+        # the bridge c has constant image and is collapsed in the setup;
+        # the subdivided fold also had events at 1/2 and 5/2, where a zip
+        # only crossed a target vertex
         assert "c" not in setup.optimal_map.edge_image
-        assert len(path.events) - 1 == 8
+        assert len(path.events) - 1 == 6
 
 
 # -- systole ----------------------------------------------------------------------------

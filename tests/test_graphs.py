@@ -37,7 +37,6 @@ from outerspace.graphs import (
     scale_graph,
     subdivide,
     translation_length,
-    unsubdivided_lengths,
     validate_marked_graph,
     volume,
     word_of_loop,
@@ -430,7 +429,7 @@ def test_derive_labels_pinned_on_twisted_barbell():
         {"a": "aaB", "b": "bAAbAAbA", "c": "aaBaaB"}
 
 
-# -- subdivision and unsubdivided lengths -------------------------------------------
+# -- subdivision and chains ----------------------------------------------------------
 
 def test_subdivide_preserves_lengths_and_marking():
     G = theta_left()
@@ -443,9 +442,10 @@ def test_subdivide_preserves_lengths_and_marking():
         assert translation_length(H, w) == translation_length(G, w)
 
 
-def test_unsubdivided_lengths_read_chains():
+def test_chains_walk_through_the_given_vertices():
     H, _ = subdivide(unit_rose(2), {"a": [F(1, 3)], "b": [F(1, 2)]})
-    assert unsubdivided_lengths(H) == [1, 1]
+    assert chains(H, {"a:v1", "b:v1"}) == {"a.1": [("a.1", 1), ("a.2", 1)],
+                                          "b.1": [("b.1", 1), ("b.2", 1)]}
     # theta_left with the basepoint m inside B: B1 and B2 make one chain
     edges = {"A": ("u", "v", F(1, 6)), "B1": ("u", "m", F(1, 12)),
              "B2": ("m", "v", F(1, 4)), "C": ("u", "v", F(1, 2))}
@@ -455,13 +455,12 @@ def test_unsubdivided_lengths_read_chains():
               "C": generator(2, 2)}
     K = make_graph(2, edges, "m", marking, labels)
     assert validate_marked_graph(K) == []
-    assert unsubdivided_lengths(K) == [F(1, 6), F(1, 3), F(1, 2)]
-    # the two ends of a loop edge at a bivalent vertex are no joint
-    assert unsubdivided_lengths(rose([2])) == [2]
+    assert chains(K, {"m"}) == {"A": [("A", 1)],
+                                "B1": [("B1", 1), ("B2", 1)],
+                                "C": [("C", 1)]}
     # a subdivided rank-1 circle is one closed chain, from its least edge
     C, _ = subdivide(rose([2]), {"a": [F(1, 2), F(3, 2)]})
     assert validate_marked_graph(C) == []
-    assert unsubdivided_lengths(C) == [2]
     assert chains(C, C.vertices) == {"a.1": [("a.1", 1), ("a.2", 1),
                                               ("a.3", 1)]}
 
