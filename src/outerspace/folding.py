@@ -57,11 +57,13 @@ from .graphs import (
 from .plmaps import (
     PLMap,
     PLPath,
-    Seg,
+    dart_image,
     dart_len,
     dart_point,
+    germ_of_dart,
     make_plpath,
     optimize_pl_map,
+    path_end,
     pl_length,
 )
 from .stretch import enumerate_candidates, lambda_r
@@ -72,21 +74,13 @@ from .words import identity
 MAX_EVENTS = 1000
 
 
-def dart_image(f: PLMap, d: Dart) -> list[Seg]:
-    """The segments of d's image under f, in d's direction."""
-    segs = f.edge_image[d[0]].segs
-    if d[1] > 0:
-        return list(segs)
-    B = f.target
-    return [(rev(x), dart_len(B, x) - b, dart_len(B, x) - a)
-            for (x, a, b) in reversed(segs)]
-
-
-def germ_of_dart(f: PLMap, d: Dart) -> Dart:
-    """The target dart along which the image of d leaves the image of d's
-    origin."""
-    p = f.edge_image[d[0]]
-    return p.segs[0][0] if d[1] > 0 else rev(p.segs[-1][0])
+def _rational_constant(x, name) -> Fraction:
+    """The finite rational value of the argument ``name``."""
+    try:
+        return Fraction(x)
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidInputError(f"{name} {x!r} is not a finite rational") \
+            from None
 
 
 @dataclass(frozen=True)
@@ -151,9 +145,19 @@ def _class_quotient(vc: GaugedClasses, G: MarkedMetricGraph,
                      vc.find(G.basepoint), image)
 
 
+def _edge_map(G: MarkedMetricGraph, B: MarkedMetricGraph,
+              edge_image: dict) -> PLMap:
+    """The map from G to B with these edge images, each vertex going where
+    the images of its darts start."""
+    vertex_image = {o: edge_image[e].anchor for e, (o, _, _) in G.edges.items()}
+    for e, (_, t, _) in G.edges.items():
+        if t not in vertex_image:
+            vertex_image[t] = path_end(B, edge_image[e])
+    return PLMap(G, B, vertex_image, edge_image)
+
+
 def _suppress_joints(f: PLMap) -> PLMap:
-    """f, whose vertex images are not read, with every joint of its source
-    suppressed.
+    """f with every joint of its source suppressed.
 
     A joint is not the basepoint and has two darts, of different edges,
     whose images leave in different directions.  Each of the `chains`
@@ -176,13 +180,14 @@ def _suppress_joints(f: PLMap) -> PLMap:
                               start=identity(G.rank))
         edge_image[e] = make_plpath(
             f.target, [s for d in chain for s in dart_image(f, d)])
-    return PLMap(_quotient(G, edges, labels, G.basepoint, image), f.target,
-                 {}, edge_image)
+    return _edge_map(_quotient(G, edges, labels, G.basepoint, image),
+                     f.target, edge_image)
 
 
-def _collapse_edges(G: MarkedMetricGraph, dead) -> tuple:
-    """G with the edges ``dead`` collapsed, each gauged to read the identity
-    first, and the vertex classes of the collapse."""
+def _collapse(f: PLMap, dead) -> PLMap:
+    """f with the source edges ``dead`` collapsed, each gauged to read the
+    identity first; the images of the other edges stay."""
+    G = f.source
     vc = GaugedClasses({e: (o, t) for e, (o, t, _) in G.edges.items()},
                        G.labels, G.basepoint)
     for e in sorted(dead):
@@ -190,24 +195,8 @@ def _collapse_edges(G: MarkedMetricGraph, dead) -> tuple:
         if not vc.merge(o, t, vc.read((e, 1))):
             raise InternalInvariantError(
                 f"collapsed edge {e} closes an essential loop")
-    return _class_quotient(vc, G, {d: d for d in G.darts()
-                                   if d[0] not in dead}), vc
-
-
-def _collapse_constant_edges(f: PLMap):
-    """Collapse source edges with constant image (their endpoints share the
-    image); returns the smaller graph, the surviving map data, and the dart
-    drop set."""
-    A = f.source
-    dead = {e for e, p in f.edge_image.items() if not p.segs}
-    if not dead:
-        return A, f, dead
-    A2, vc = _collapse_edges(A, dead)
-    drop = {(e, s) for e in dead for s in (1, -1)}
-    vertex_image = {vc.find(v): f.vertex_image[v] for v in A.vertices}
-    edge_image = {e: p for e, p in f.edge_image.items() if e not in dead}
-    f2 = PLMap(A2, f.target, vertex_image, edge_image)
-    return A2, f2, drop
+    G2 = _class_quotient(vc, G, {d: d for d in G.darts() if d[0] not in dead})
+    return _edge_map(G2, f.target, {e: f.edge_image[e] for e in G2.edges})
 
 
 def _hairs(G: MarkedMetricGraph) -> set:
@@ -233,17 +222,18 @@ def prepare_folding_setup(A: MarkedMetricGraph, B: MarkedMetricGraph,
     f = optimize_pl_map(An, Bt, max_moves=max_moves)
     witness = lambda_r(An, Bt).witness.loop
 
-    A1, f, dropped = _collapse_constant_edges(f)
-    if any(d in dropped for d in witness):
+    dead = {e for e, p in f.edge_image.items() if not p.segs}
+    if any(d[0] in dead for d in witness):
         raise InternalInvariantError("witness loop crosses a collapsed edge")
+    f = _collapse(f, dead)
 
     # rescale: edge lengths become image lengths, so f is isometric on edges
     edges = {e: (o, t, pl_length(f.edge_image[e]))
-             for e, (o, t, _) in A1.edges.items()}
-    A2 = replace(A1, edges=edges)
-    if not is_cyclically_reduced(A2, witness):
+             for e, (o, t, _) in f.source.edges.items()}
+    f = replace(f, source=replace(f.source, edges=edges))
+    if not is_cyclically_reduced(f.source, witness):
         raise InternalInvariantError("witness loop degenerated in the setup")
-    return FoldSetup(PLMap(A2, Bt, f.vertex_image, f.edge_image), witness)
+    return FoldSetup(f, witness)
 
 
 # -- the zip engine ---------------------------------------------------------------------
@@ -317,7 +307,7 @@ def next_event_delta(f: PLMap, classes: dict) -> Fraction:
     some group's images part."""
     best = min(_zip_limits(f, classes).values(), default=None)
     if best is None or best <= 0:
-        raise InternalInvariantError("no active fold to advance")
+        raise InvalidInputError("no active fold to advance")
     return best
 
 
@@ -350,6 +340,9 @@ def fold_step(f: PLMap, classes: dict, delta: Fraction) -> PLMap:
     Identified darts are gauged to read one word, so labels are carried;
     the returned map is isometric on edges, as f is.
     """
+    delta = _rational_constant(delta, "fold step")
+    if delta <= 0:
+        raise InvalidInputError(f"fold step {delta} is not positive")
     G, B = f.source, f.target
     cuts: dict[str, set] = {}
     for (e, s), limit in _zip_limits(f, classes).items():
@@ -365,7 +358,7 @@ def fold_step(f: PLMap, classes: dict, delta: Fraction) -> PLMap:
         pieces = _split(B, p, sorted(cuts.get(e, ())))
         for (piece, _), q in zip(exp[(e, 1)], pieces, strict=True):
             edge_image[piece] = q
-    f1 = PLMap(G1, B, {}, edge_image)
+    f1 = _edge_map(G1, B, edge_image)
 
     # union-find over darts; gauged classes over vertices
     dparent: dict[Dart, Dart] = {}
@@ -406,17 +399,14 @@ def fold_step(f: PLMap, classes: dict, delta: Fraction) -> PLMap:
             raise InternalInvariantError("merged darts read different words")
     # a vertex whose darts all folded together leaves a hair; collapsing it
     # slides the vertex along its one gate, inside the simplex
-    while hairs := _hairs(G2):
-        G2 = _collapse_edges(G2, hairs)[0]
-    f3 = _suppress_joints(PLMap(G2, B, {}, {e: edge_image[e]
-                                            for e in G2.edges}))
+    f2 = _edge_map(G2, B, {e: edge_image[e] for e in G2.edges})
+    while hairs := _hairs(f2.source):
+        f2 = _collapse(f2, hairs)
+    f3 = _suppress_joints(f2)
     if issues := validate_marked_graph(f3.source):
         raise InternalInvariantError(
             f"fold produced an invalid marked graph: {issues[0]}")
-    # each vertex goes where the image of its first dart starts
-    return replace(f3, vertex_image={
-        v: dart_point(B, *dart_image(f3, ds[0])[0][:2])
-        for v, ds in stars(f3.source).items()})
+    return f3
 
 
 def fast_fold(setup: FoldSetup, strategy: str = "simultaneous") -> FoldingPath:
@@ -499,7 +489,7 @@ def point_at(path: FoldingPath, t: Fraction) -> FoldPoint:
     """The fold point at time t: an event's snapshot, or the partial fold
     from the last event before t, built once for every reader of that
     time."""
-    t = Fraction(t)
+    t = _rational_constant(t, "time")
     if not (0 <= t <= path.end_time):
         raise InvalidInputError(f"time {t} outside [0, {path.end_time}]")
     i = bisect_right(path.events, t) - 1
@@ -577,7 +567,7 @@ def speeds(path: FoldingPath, point: FoldPoint) -> SpeedReport:
 def systole_and_thin_test(G: MarkedMetricGraph, eps: Fraction):
     """Shortest embedded circle relative to the volume, and whether the graph
     lies in the eps-thin part."""
-    eps = Fraction(eps)
+    eps = _rational_constant(eps, "thin-part threshold")
     vol = volume(G)
     best = None
     for cand in enumerate_candidates(G):
@@ -651,15 +641,6 @@ def _power_le(x, y, log_x, log_y, lam, lam_f) -> bool:
     if gap < -bound:
         return True
     return x ** lam.denominator <= y ** lam.numerator
-
-
-def _rational_constant(x, name) -> Fraction:
-    """The finite rational value of a quasi-geodesic constant."""
-    try:
-        return Fraction(x)
-    except (TypeError, ValueError, OverflowError):
-        raise InvalidInputError(f"{name} {x!r} is not a finite rational") \
-            from None
 
 
 def check_quasi_geodesic(points, dist, lam, K):

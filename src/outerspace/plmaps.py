@@ -134,6 +134,25 @@ class PLMap:
     edge_image: dict    # forward edge id -> PLPath in target
 
 
+def dart_image(f: PLMap, d: Dart) -> list[Seg]:
+    """The segments of d's image under f, in d's direction."""
+    segs = f.edge_image[d[0]].segs
+    if d[1] > 0:
+        return list(segs)
+    B = f.target
+    return [(rev(x), dart_len(B, x) - b, dart_len(B, x) - a)
+            for (x, a, b) in reversed(segs)]
+
+
+def germ_of_dart(f: PLMap, d: Dart) -> Optional[Dart]:
+    """The target dart along which the image of d leaves the image of d's
+    origin; None for a constant image."""
+    p = f.edge_image[d[0]]
+    if not p.segs:
+        return None
+    return p.segs[0][0] if d[1] > 0 else rev(p.segs[-1][0])
+
+
 def validate_pl_map(f: PLMap) -> list[str]:
     """Issues that keep f from representing the change of marking: the
     source's `marking_issues`, missing images, image paths off their
@@ -210,36 +229,14 @@ class StretchAnalysis:
     boundary: tuple                    # offending vertices of a_max
 
 
-def terminal_germ(f: PLMap, d: Dart) -> Optional[Dart]:
-    """Direction of arrival of the image of d at the image of its terminus,
-    read off the stored path: for a reversed dart, the reverse of its first
-    segment's dart."""
-    p = f.edge_image[d[0]]
-    if not p.segs:
-        return None
-    return p.segs[-1][0] if d[1] > 0 else rev(p.segs[0][0])
-
-
-def _terminal_seg(f: PLMap, d: Dart) -> Seg:
-    """The last segment of d's nonconstant image, read off the stored path:
-    for a reversed dart, its first segment reversed."""
-    p = f.edge_image[d[0]]
-    if d[1] > 0:
-        return p.segs[-1]
-    (x, a, b) = p.segs[0]
-    l = dart_len(f.target, x)
-    return (rev(x), l - b, l - a)
-
-
 def subgraph_boundary(f: PLMap, edges: frozenset) -> tuple:
-    """Vertices of the subgraph all of whose subgraph darts terminating there
-    share a common terminal partial edge in the image."""
+    """Vertices at which all subgraph darts leaving there have one gate:
+    their images leave the vertex's image along one target dart."""
     A = f.source
     germs: dict[str, set] = {}
     for e in edges:
-        o, t, _ = A.edges[e]
-        germs.setdefault(t, set()).add(terminal_germ(f, (e, 1)))
-        germs.setdefault(o, set()).add(terminal_germ(f, (e, -1)))
+        for d in ((e, 1), (e, -1)):
+            germs.setdefault(A.origin(d), set()).add(germ_of_dart(f, d))
     out = []
     for v in sorted(germs):
         if None in germs[v]:
@@ -269,55 +266,44 @@ def _analysis(f: PLMap, per_edge: dict) -> StretchAnalysis:
 
 # -- the local improvement move ----------------------------------------------------------
 
-Ends = dict[str, list[tuple[str, Dart]]]
-
-
-def _incident_ends(A: MarkedMetricGraph) -> Ends:
-    """Per vertex, its (edge, terminating dart) pairs in `star` order; a
-    loop contributes both darts."""
-    return {v: [(d[0], rev(d)) for d in star]
-            for v, star in stars(A).items()}
-
-
-def _move_vertex(f: PLMap, v: str, alpha: Dart, q: Fraction,
-                 t: Fraction, ends: Ends) -> PLMap:
-    """Slide the image of v backward along alpha by t (its current arrival
-    coordinate on alpha being q), truncating aligned image ends and extending
-    the others by one segment; ``ends`` is the source's `_incident_ends`.
-    Only the end segments at v are edited, and every edited path is
-    rebuilt through `make_plpath`.  Raises when the slide leaves the valid
-    range."""
+def _move_vertex(f: PLMap, v: str, beta: Dart, a: Fraction,
+                 t: Fraction, star: dict) -> PLMap:
+    """Slide the image of v forward along beta by t (its current coordinate
+    on beta being a), truncating the images of the darts leaving v along
+    beta and extending the others by one segment; ``star`` is the source's
+    `stars`.  Only the end segments at v are edited, and every edited path
+    is rebuilt through `make_plpath`.  Raises when the slide leaves the
+    valid range."""
     A, B = f.source, f.target
-    if t <= 0 or t > q:
-        raise InvalidInputError(f"slide amount {t} outside (0, {q}]")
-    at_v = ends[v]
-    trunc = {d: terminal_germ(f, d) == alpha for (_, d) in at_v}
-    for (e, d) in at_v:
+    l = dart_len(B, beta)
+    if t <= 0 or a + t > l:
+        raise InvalidInputError(f"slide amount {t} outside (0, {l - a}]")
+    trunc = {d: germ_of_dart(f, d) == beta for d in star[v]}
+    for d in star[v]:
         if trunc[d]:
-            (_, a, b) = _terminal_seg(f, d)
-            if b - a < t:
+            (_, a0, b0) = dart_image(f, d)[0]
+            if b0 - a0 < t:
                 raise InvalidInputError("slide crosses a segment boundary")
-    new_fv = dart_point(B, alpha, q - t)
-    l = dart_len(B, alpha)
+    new_fv = dart_point(B, beta, a + t)
     edge_image = dict(f.edge_image)
-    for e in sorted({e for (e, _) in at_v}):
+    for e in sorted({d[0] for d in star[v]}):
         p = edge_image[e]
         o, t_, _ = A.edges[e]
         segs = list(p.segs)
         if t_ == v:  # adjust the end of the stored path
-            if trunc[(e, 1)]:
-                d, a, b = segs.pop()
-                if b - a > t:
-                    segs.append((d, a, b - t))
-            else:
-                segs.append((rev(alpha), l - q, l - q + t))
-        if o == v:  # adjust the start of the stored path
             if trunc[(e, -1)]:
-                d, a, b = segs.pop(0)
-                if b - a > t:
-                    segs.insert(0, (d, a + t, b))
+                x, a0, b0 = segs.pop()
+                if b0 - a0 > t:
+                    segs.append((x, a0, b0 - t))
             else:
-                segs.insert(0, (alpha, q - t, q))
+                segs.append((beta, a, a + t))
+        if o == v:  # adjust the start of the stored path
+            if trunc[(e, 1)]:
+                x, a0, b0 = segs.pop(0)
+                if b0 - a0 > t:
+                    segs.insert(0, (x, a0 + t, b0))
+            else:
+                segs.insert(0, (rev(beta), l - a - t, l - a))
         edge_image[e] = make_plpath(B, segs, new_fv if o == v else p.anchor)
     vertex_image = dict(f.vertex_image)
     vertex_image[v] = new_fv
@@ -325,41 +311,40 @@ def _move_vertex(f: PLMap, v: str, alpha: Dart, q: Fraction,
 
 
 def next_v(f: PLMap, v: str) -> PLMap:
-    """Pull the image of an offending vertex backward along the common
-    terminal edge, up to the largest step that still lowers
+    """Push the image of an offending vertex forward along the one gate of
+    its maximally stretched darts, up to the largest step that still lowers
     (stretch, #maximal edges) lexicographically."""
-    return _next_v(f, v, stretch_analysis(f), _incident_ends(f.source))[0]
+    return _next_v(f, v, stretch_analysis(f), stars(f.source))[0]
 
 
-def _next_v(f: PLMap, v: str, ana: StretchAnalysis, ends: Ends
+def _next_v(f: PLMap, v: str, ana: StretchAnalysis, star: dict
             ) -> tuple[PLMap, StretchAnalysis]:
-    """`next_v` on a map whose analysis is ``ana``; ``ends`` is the
-    source's `_incident_ends`.  Also returns the analysis of the moved
-    map, for which only v's incident edges are measured again."""
+    """`next_v` on a map whose analysis is ``ana``; ``star`` is the
+    source's `stars`.  Also returns the analysis of the moved map, for
+    which only v's incident edges are measured again."""
     A, B = f.source, f.target
     if v not in ana.boundary:
         raise InvalidInputError(f"vertex {v} is not an offending vertex")
 
-    at_v = ends[v]
-    germs = {d: terminal_germ(f, d) for (_, d) in at_v}
-    alpha_set = {germs[d] for (e, d) in at_v if e in ana.a_max}
-    if len(alpha_set) != 1:
+    germs = {d: germ_of_dart(f, d) for d in star[v]}
+    gate = {germs[d] for d in star[v] if d[0] in ana.a_max}
+    if len(gate) != 1:
         raise InternalInvariantError("offending vertex without a common germ")
-    alpha = next(iter(alpha_set))
-    fv = f.vertex_image[v]
-    # arrival coordinate of f(v) on alpha, read off a maximal arriving image
-    sample = next(d for (e, d) in at_v if e in ana.a_max)
-    q = _terminal_seg(f, sample)[2]
-    if dart_point(B, alpha, q) != fv or q <= 0:
+    beta = next(iter(gate))
+    # coordinate of f(v) on beta, read off a maximal leaving image
+    sample = next(d for d in star[v] if d[0] in ana.a_max)
+    a = dart_image(f, sample)[0][1]
+    if dart_point(B, beta, a) != f.vertex_image[v]:
         raise InternalInvariantError("vertex image does not sit on its germ")
 
-    limits = [q]
+    limits = [dart_len(B, beta) - a]
     slope: dict[str, int] = {}
     trunc_count: dict[str, int] = {}
-    for (e, d) in at_v:
-        if germs[d] == alpha:
-            (_, a, b) = _terminal_seg(f, d)
-            limits.append(b - a)
+    for d in star[v]:
+        e = d[0]
+        if germs[d] == beta:
+            (_, a0, b0) = dart_image(f, d)[0]
+            limits.append(b0 - a0)
             slope[e] = slope.get(e, 0) - 1
             trunc_count[e] = trunc_count.get(e, 0) + 1
         else:
@@ -422,7 +407,7 @@ def _next_v(f: PLMap, v: str, ana: StretchAnalysis, ends: Ends
         raise InternalInvariantError("next_v cannot make progress")
     t0 = best[1]
 
-    out = _move_vertex(f, v, alpha, q, t0, ends)
+    out = _move_vertex(f, v, beta, a, t0, star)
     per_edge = dict(ana.per_edge)
     for e in sorted(slope):
         s, r = moving.get(e, (per_edge[e], 0))
@@ -566,7 +551,7 @@ def optimize_pl_map(A: MarkedMetricGraph, B: MarkedMetricGraph,
     target = lambda_r(A, B).value
     f = initial_pl_map(A, B)
     ana = stretch_analysis(f)
-    ends = _incident_ends(A)
+    star = stars(A)
     last_moved: dict = {}
     moves = 0
     while True:
@@ -592,7 +577,7 @@ def optimize_pl_map(A: MarkedMetricGraph, B: MarkedMetricGraph,
         # always picking the smallest offender can starve the others, and
         # coordinate descent then stalls above the optimum
         v = min(offenders, key=lambda u: (last_moved.get(u, -1), u))
-        f, ana = _next_v(f, v, ana, ends)
+        f, ana = _next_v(f, v, ana, star)
         moves += 1
         last_moved[v] = moves
         if moves % 6 == 0:
@@ -690,38 +675,35 @@ def bounded_cancellation_bound(f: PLMap, pair_cap: int = 10 ** 6) -> Fraction:
     C, images = cut_target_images(f)
     lam = stretch_analysis(f).stretch
     cap = 4 * lam * volume(A) * lambda_r(B, A).value
-    K = Fraction(0)
-    pairs = 0
     max_loops = max(math.isqrt(pair_cap) + 1, 16)
     loops_truncated = False
-    pairs_capped = False
     star = {u: sorted(darts) for u, darts in stars(A).items()}
-    for v in sorted(A.vertices):
-        loops: list[tuple[EdgePath, EdgePath]] = []
-        for alpha in _loops_at_by_length(A, star, v, cap, max_loops):
-            if alpha is None:
-                loops_truncated = True
-                break
-            loops.append((alpha, reduce_darts(
-                x for d in alpha for x in images[d])))
-        for (alpha, fa) in loops:
-            if pairs_capped:
-                break
-            for (beta, fb) in loops:
-                # alpha . beta reduced at the junction, cyclically reduced
-                if beta[0] == rev(alpha[-1]):
-                    continue
-                if alpha[0] == rev(beta[-1]):
-                    continue
-                pairs += 1
-                if pairs > pair_cap:
-                    pairs_capped = True
+
+    def admissible():
+        """The image pairs of the admissible loop pairs, vertex by vertex."""
+        nonlocal loops_truncated
+        for v in sorted(A.vertices):
+            loops: list[tuple[EdgePath, EdgePath]] = []
+            for alpha in _loops_at_by_length(A, star, v, cap, max_loops):
+                if alpha is None:
+                    loops_truncated = True
                     break
-                K = max(K, cancellation(C, fa, fb))
-        if pairs_capped:
+                loops.append((alpha, reduce_darts(
+                    x for d in alpha for x in images[d])))
+            for (alpha, fa) in loops:
+                for (beta, fb) in loops:
+                    # alpha . beta reduced at the junction, cyclically reduced
+                    if beta[0] != rev(alpha[-1]) and alpha[0] != rev(beta[-1]):
+                        yield fa, fb
+
+    K, capped = Fraction(0), False
+    for n, (fa, fb) in enumerate(admissible(), start=1):
+        if n > pair_cap:
+            capped = True
             break
+        K = max(K, cancellation(C, fa, fb))
     bound = K + lam * volume(A)
-    if loops_truncated or pairs_capped:
+    if capped or loops_truncated:
         raise BudgetExhaustedError(
             f"pair cap {pair_cap} reached; partial bound "
             f"{format_fraction(bound)} is a lower bound",

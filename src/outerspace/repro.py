@@ -236,8 +236,9 @@ def repro_polynomial_growth() -> Report:
                 )
         # quasi-geodesic verdicts from one Lambda table over the whole path:
         # the shrink samples, then the fold events after the prepared source
-        # (a subdivided copy of the shrunk rose, the last shrink sample); the
-        # fold piece is the tail from the shrunk rose on
+        # (the shrunk rose itself, with petals of lengths 1 and k+1: the
+        # last shrink sample); the fold piece is the tail from the shrunk
+        # rose on
         shrunk = rose([F(1), F(k + 1)])
         whole = [interpolate_in_simplex(A, shrunk, F(s, 4)) for s in range(5)]
         whole += path.snapshots[1:]

@@ -4,7 +4,13 @@ import pytest
 
 import outerspace.stretch as stretch
 from outerspace.docs import canonical_text, graph_to_doc
-from outerspace.fixtures import random_nielsen_automorphism, random_tree_marked
+from outerspace.fixtures import (
+    poly_twist_pair,
+    random_nielsen_automorphism,
+    random_tree_marked,
+    theta_left,
+    theta_right,
+)
 from outerspace.graphs import apply_automorphism_to_marking, make_graph
 from outerspace.words import Word, cyclic_reduce
 
@@ -118,3 +124,31 @@ def k4_fold_pair():
         random_tree_marked(rng, "K4"),
         random_nielsen_automorphism(rng, A.rank, 2))
     return A, B
+
+
+def sweep_pair(family, seed):
+    """The robustness sweep's pair: a tree-marked `family` graph, and
+    another whose marking is twisted by a Nielsen automorphism of 1 to 4
+    moves, all drawn from ``Random(10_000 + seed)``."""
+    rng = random.Random(10_000 + seed)
+    A = random_tree_marked(rng, family)
+    moves = rng.randint(1, 4)
+    B = apply_automorphism_to_marking(
+        random_tree_marked(rng, family),
+        random_nielsen_automorphism(rng, A.rank, moves))
+    return A, B
+
+
+def pinned_fold_pairs():
+    """The fold pairs whose paths the fold tests pin, by name: theta,
+    twist3 (`poly_twist_pair(3)`), K4 seed 31 and the K4 sweep pair seed
+    54."""
+    return {"theta": (theta_left(), theta_right()),
+            "twist3": poly_twist_pair(3), "k4": k4_fold_pair(),
+            "k4-54": sweep_pair("K4", 54)}
+
+
+def fold_times(path):
+    """A path's event times and the times halfway between them."""
+    ev = path.events
+    return sorted(set(ev) | {(a + b) / 2 for a, b in zip(ev, ev[1:])})

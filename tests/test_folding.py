@@ -9,7 +9,14 @@ from fractions import Fraction as F
 import pytest
 
 import outerspace.folding as folding
-from conftest import assert_outcome, k4_fold_pair, twisted_barbell
+from conftest import (
+    assert_outcome,
+    fold_times,
+    k4_fold_pair,
+    pinned_fold_pairs,
+    sweep_pair,
+    twisted_barbell,
+)
 from outerspace.docs import (
     canonical_text,
     format_dart,
@@ -40,8 +47,10 @@ from outerspace.folding import (
     check_four_point,
     check_quasi_geodesic,
     fast_fold,
+    fold_step,
     germ_of_dart,
     multiplicity,
+    next_event_delta,
     point_at,
     prepare_folding_setup,
     speeds,
@@ -85,12 +94,6 @@ def assert_fold_point(f):
     assert all(pl_length(f.edge_image[e]) == G.length(e) for e in G.edges)
     assert [v for v, ds in stars(G).items() if v != G.basepoint
             and len(ds) == 2 and ds[0][0] != ds[1][0]] == []
-
-
-def fold_times(path):
-    """A path's event times and the times halfway between them."""
-    ev = path.events
-    return sorted(set(ev) | {(a + b) / 2 for a, b in zip(ev, ev[1:])})
 
 
 # -- preparation ------------------------------------------------------------------------
@@ -312,11 +315,8 @@ def test_fold_on_the_map_takes_the_subdivided_fold_path():
     is a map that `assert_fold_point` accepts.  The sweep pair gains an
     event at 14/209, where an edge is used up at one end while a fold
     lengthens it at the other."""
-    pairs = {"theta": (theta_left(), theta_right()),
-             "twist3": poly_twist_pair(3), "k4": k4_fold_pair(),
-             "k4-54": sweep_pair("K4", 54)}
     digest = hashlib.sha256()
-    for name, (A, B) in pairs.items():
+    for name, (A, B) in pinned_fold_pairs().items():
         setup = prepare_folding_setup(A, B)
         for strategy in ("simultaneous", "single-vertex"):
             path = fast_fold(setup, strategy)
@@ -540,19 +540,6 @@ def test_rank3_and_rank4_pairs_certify_and_fold():
         if len(path.snapshots) >= 3:
             assert check_dR_geodesic(path.snapshots)[0]
     assert time.perf_counter() - start < 3
-
-
-def sweep_pair(family, seed):
-    """The robustness sweep's pair: a tree-marked `family` graph, and
-    another whose marking is twisted by a Nielsen automorphism of 1 to 4
-    moves, all drawn from ``Random(10_000 + seed)``."""
-    rng = random.Random(10_000 + seed)
-    A = random_tree_marked(rng, family)
-    moves = rng.randint(1, 4)
-    B = apply_automorphism_to_marking(
-        random_tree_marked(rng, family),
-        random_nielsen_automorphism(rng, A.rank, moves))
-    return A, B
 
 
 @pytest.mark.parametrize("seed", [11, 64, 74, 95])
@@ -912,6 +899,12 @@ def poly_fold():
     return fold_pair(*poly_twist_pair(2), normalize_target=False)
 
 
+def poly_start():
+    """The first map of `poly_fold` and its active classes."""
+    f = poly_fold().maps[0]
+    return f, active_classes(f)
+
+
 @pytest.mark.parametrize("call, expect", [
     (lambda: fast_fold(prepare_folding_setup(theta_left(), theta_left()),
                        "greedy"),
@@ -930,7 +923,23 @@ def poly_fold():
      InvalidInputError("need at least four sample points")),
     (lambda: check_dR_geodesic([theta_left()] * 2),
      InvalidInputError("need at least three points")),
+    (lambda: point_at(poly_fold(), float("nan")),
+     InvalidInputError("time nan is not a finite rational")),
+    (lambda: point_at(poly_fold(), float("inf")),
+     InvalidInputError("time inf is not a finite rational")),
+    (lambda: point_at(poly_fold(), None),
+     InvalidInputError("time None is not a finite rational")),
+    (lambda: fold_step(*poly_start(), 0),
+     InvalidInputError("fold step 0 is not positive")),
+    (lambda: fold_step(*poly_start(), F(-1, 10)),
+     InvalidInputError("fold step -1/10 is not positive")),
+    (lambda: next_event_delta(poly_start()[0], {}),
+     InvalidInputError("no active fold to advance")),
+    (lambda: systole_and_thin_test(theta_left(), float("nan")),
+     InvalidInputError("thin-part threshold nan is not a finite rational")),
 ], ids=["strategy", "past-the-end", "unreduced-loop", "speeds-at-end",
-        "tree-systole", "four-point-3", "dR-geodesic-2"])
+        "tree-systole", "four-point-3", "dR-geodesic-2", "time-nan",
+        "time-inf", "time-none", "step-zero", "step-negative", "no-classes",
+        "eps-nan"])
 def test_input_checks(call, expect):
     assert_outcome(call, expect)

@@ -1,14 +1,20 @@
-"""The stretching factor's own identities at rank 3-6.
+"""The stretching factor's own identities at rank 3-10.
 
 Every value here is exact, so each identity is checked with equality or an
-exact inequality.  The pairs come from the robustness sweep's recipe on the
-`FAMILIES` graphs: K4 (rank 3), K3,3 (rank 4), the pentagonal prism and the
-Petersen graph (rank 6).
+exact inequality.  The rank 3-6 triples come from the robustness sweep's
+recipe on the `FAMILIES` graphs: K4 (rank 3), K3,3 (rank 4), the pentagonal
+prism and the Petersen graph (rank 6).  The rank-8 and rank-10 triples are
+random trivalent graphs drawn by the benchmark's generator, `bench/gen.py`.
 """
 
+import os
 import random
+import sys
 import time
+from dataclasses import replace
+from fractions import Fraction
 
+import outerspace
 from outerspace.fixtures import (
     FAMILIES,
     random_nielsen_automorphism,
@@ -19,10 +25,15 @@ from outerspace.graphs import (
     MarkedMetricGraph,
     apply_automorphism_to_marking,
     normalize_volume,
+    scale_graph,
     translation_length,
     word_of_loop,
 )
 from outerspace.stretch import lambda_r
+
+sys.path.append(os.path.join(os.path.dirname(__file__), os.pardir, "bench"))
+import gen  # noqa: E402
+import workloads  # noqa: E402
 
 # family -> the sweep seeds drawn for it; rank 6 costs the most
 SEEDS = {"K4": range(24), "K33": range(16), "prism5": range(8),
@@ -43,6 +54,28 @@ def sweep_triple(family, seed):
     B = twisted(rng.randint(1, 4))
     C = twisted(rng.randint(1, 4))
     return A, B, C, rng
+
+
+def trivalent_triple(rank, seed):
+    """Three tree-marked random trivalent graphs of the given rank, with
+    `gen.length` lengths, drawn from ``Random(1000 * rank + seed)``; the
+    markings of the second and third are twisted by two Nielsen moves each.
+    Also returns the rng, for further draws."""
+    rng = random.Random(1000 * rank + seed)
+
+    def draw():
+        ends = gen.random_trivalent_ends(rng, rank)
+        lengths = {e: gen.length(rng) for e in ends}
+        return workloads.build_graph(outerspace, gen.tree_marked(ends, lengths))
+
+    def twisted():
+        G = draw()
+        phi = gen.nielsen_automorphism(rng, rank, 2)
+        return apply_automorphism_to_marking(
+            G, workloads.build_automorphism(outerspace, phi, rank))
+
+    A = draw()
+    return A, twisted(), twisted(), rng
 
 
 def triples():
@@ -75,8 +108,8 @@ def test_families_span_ranks_3_to_6():
     assert ranks == {"K4": 3, "K33": 4, "prism5": 6, "petersen": 6}
 
 
-def test_metric_identities_at_rank_3_to_6():
-    """Per sweep triple A, B, C:
+def assert_identities(key, A, B, C, rng):
+    """On the triple A, B, C:
 
     * equivariance: for one automorphism phi on both sides,
       lambda_R(A phi, B phi) = lambda_R(A, B), with the same witness loop
@@ -87,31 +120,61 @@ def test_metric_identities_at_rank_3_to_6():
       the word of the witness loop;
     * an order-changing renaming of every id changes no value.
     """
+    AB = lambda_r(A, B)
+    lam = AB.value
+
+    phi = random_nielsen_automorphism(rng, A.rank, rng.randint(1, 4))
+    twisted = lambda_r(apply_automorphism_to_marking(A, phi),
+                       apply_automorphism_to_marking(B, phi))
+    assert twisted.value == lam, key
+    assert twisted.witness.loop == AB.witness.loop, key
+
+    An, Bn = normalize_volume(A)[0], normalize_volume(B)[0]
+    assert lambda_r(An, Bn).value >= 1, key
+    assert lambda_r(Bn, An).value >= 1, key
+
+    assert lam * lambda_r(B, C).value >= lambda_r(A, C).value, key
+
+    w = word_of_loop(A, AB.witness.loop)
+    assert translation_length(B, w) == lam * translation_length(A, w), key
+    for _ in range(20):
+        w = random_word(rng, A.rank, 12)
+        assert translation_length(B, w) <= lam * translation_length(A, w), key
+
+    assert lambda_r(renamed(A), renamed(B)).value == lam, key
+    assert lambda_r(renamed(B), renamed(A)).value == lambda_r(B, A).value, key
+
+
+def test_metric_identities_at_rank_3_to_6():
+    """`assert_identities` on every sweep triple."""
     start = time.perf_counter()
     for key, A, B, C, rng in triples():
-        AB = lambda_r(A, B)
-        lam = AB.value
-
-        phi = random_nielsen_automorphism(rng, A.rank, rng.randint(1, 4))
-        twisted = lambda_r(apply_automorphism_to_marking(A, phi),
-                           apply_automorphism_to_marking(B, phi))
-        assert twisted.value == lam, key
-        assert twisted.witness.loop == AB.witness.loop, key
-
-        An, Bn = normalize_volume(A)[0], normalize_volume(B)[0]
-        assert lambda_r(An, Bn).value >= 1, key
-        assert lambda_r(Bn, An).value >= 1, key
-
-        assert lam * lambda_r(B, C).value >= lambda_r(A, C).value, key
-
-        w = word_of_loop(A, AB.witness.loop)
-        assert translation_length(B, w) == lam * translation_length(A, w), key
-        for _ in range(20):
-            w = random_word(rng, A.rank, 12)
-            assert translation_length(B, w) <= lam * translation_length(A, w), \
-                key
-
-        assert lambda_r(renamed(A), renamed(B)).value == lam, key
-        assert lambda_r(renamed(B), renamed(A)).value == \
-            lambda_r(B, A).value, key
+        assert_identities(key, A, B, C, rng)
     assert time.perf_counter() - start < 3
+
+
+def test_metric_identities_at_rank_8_and_10():
+    """`assert_identities` on one rank-8 and one rank-10 triple of random
+    trivalent graphs."""
+    start = time.perf_counter()
+    for rank in (8, 10):
+        A, B, C, rng = trivalent_triple(rank, 0)
+        assert A.rank == rank
+        assert_identities(rank, A, B, C, rng)
+    assert time.perf_counter() - start < 3
+
+
+def test_one_point_axiom():
+    """lambda_R(A, B) = lambda_R(B, A) = 1 between volume-one
+    representatives only when A and B are one point, on the sweep triples'
+    first graphs: a rescaled copy of A reads 1 both ways, and A with one
+    edge made 3/2 as long reads a product above 1 (raw factors: the
+    product does not depend on the scales)."""
+    for key, A, _, _, _ in triples():
+        An, Sn = normalize_volume(A)[0], normalize_volume(
+            scale_graph(A, Fraction(7, 3)))[0]
+        assert lambda_r(An, Sn).value == lambda_r(Sn, An).value == 1, key
+        e = min(A.edges)
+        o, t, l = A.edges[e]
+        A2 = replace(A, edges={**A.edges, e: (o, t, l * Fraction(3, 2))})
+        assert lambda_r(A, A2).value * lambda_r(A2, A).value > 1, key

@@ -6,7 +6,12 @@ from fractions import Fraction as F
 import pytest
 
 import outerspace.plmaps as plmaps
-from conftest import assert_outcome, k4_fold_pair
+from conftest import (
+    assert_outcome,
+    fold_times,
+    k4_fold_pair,
+    pinned_fold_pairs,
+)
 from outerspace.errors import (
     BudgetExhaustedError,
     InternalInvariantError,
@@ -26,6 +31,7 @@ from outerspace.fixtures import (
     theta_right,
     unit_rose,
 )
+from outerspace.folding import fast_fold, point_at, prepare_folding_setup
 from outerspace.graphs import (
     apply_automorphism_to_marking,
     path_length,
@@ -43,8 +49,10 @@ from outerspace.plmaps import (
     bounded_cancellation_bound,
     cancellation,
     cut_target_images,
+    dart_image,
     dart_len,
     dart_point,
+    germ_of_dart,
     initial_pl_map,
     make_plpath,
     next_v,
@@ -490,10 +498,11 @@ def test_cell_lp_results_pinned(monkeypatch):
                for v, x in pins]
         for name, pins in CELL_LP_PINS.items()}
 
-def test_terminal_germ_reads_the_stored_path(monkeypatch):
-    """The germ and the last image segment read off the stored path agree
-    with the reversed image for every dart of every map the optimizer
-    builds."""
+def test_dart_readers_match_the_reversed_path(monkeypatch):
+    """`germ_of_dart` and `dart_image` agree with the stored path, run
+    backward by `reversed_path` for a reversed dart, on every dart of every
+    map the optimizer builds and of every snapshot and mid-event map of the
+    pinned fold pairs under both strategies."""
     import outerspace.plmaps as plmaps
 
     maps = []
@@ -509,15 +518,23 @@ def test_terminal_germ_reads_the_stored_path(monkeypatch):
             maps.append(initial_pl_map(A, B))
             optimize_pl_map(A, B, m)
     assert len(maps) > 80
+    monkeypatch.undo()
+    folded = 0
+    for A, B in pinned_fold_pairs().values():
+        setup = prepare_folding_setup(A, B)
+        for strategy in ("simultaneous", "single-vertex"):
+            path = fast_fold(setup, strategy)
+            for t in fold_times(path):
+                maps.append(point_at(path, t).map)
+                folded += 1
+    assert folded == 78
     for f in maps:
         for d in f.source.darts():
             p = f.edge_image[d[0]]
             if d[1] < 0:
                 p = reversed_path(f.target, p)
-            assert plmaps.terminal_germ(f, d) == \
-                (p.segs[-1][0] if p.segs else None)
-            if p.segs:
-                assert plmaps._terminal_seg(f, d) == p.segs[-1]
+            assert germ_of_dart(f, d) == (p.segs[0][0] if p.segs else None)
+            assert dart_image(f, d) == list(p.segs)
 
 
 def test_move_off_its_stretch_line_is_caught(monkeypatch):
