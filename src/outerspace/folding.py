@@ -4,13 +4,15 @@ A folding path starts at the optimizer's certified map, on the source
 rescaled so that the map is isometric on edges: every edge goes to a
 reduced path of the target as long as itself.  Folding then zips, at unit
 speed and at every vertex simultaneously, the groups of darts whose images
-leave in one direction.  An event happens where some zipping edge is used
-up, or where a group's images part at a target vertex; there the quotient
-is rebuilt and the process re-anchored.  Each snapshot is the point's own
-graph with its map: no vertex other than the basepoint has two darts of
-different edges whose images leave in different directions (a joint), so
-no snapshot subdivides a smaller graph.  All times, lengths and stretch
-factors stay rational.
+leave in one direction.  A step moves the point on its map, as a Stallings
+fold: a vertex slides along a group, or a new vertex at the fold point
+takes the group's darts, and an edge whose image is used up collapses;
+every other vertex and edge keeps its id.  An event happens where some
+zipping edge is used up, or where a group's images part at a target
+vertex.  No step makes a joint, a vertex other than the basepoint with two
+darts of different edges whose images leave in different directions, so a
+snapshot subdivides a smaller graph only where the source does.  All
+times, lengths and stretch factors stay rational.
 
 The literal point-pair relation defining the quotient would also identify
 distant fibre points in ways that break the homotopy type; the zip semantics
@@ -20,9 +22,7 @@ definition and the volume bound.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
-from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -37,34 +37,29 @@ from .graphs import (
     EdgePath,
     GaugedClasses,
     MarkedMetricGraph,
-    chains,
+    fresh_id,
     is_cyclically_reduced,
     loop_length,
     normalize_volume,
-    path_length,
     realize_word_as_loop,
     reduce_darts,
     rev,
     stars,
-    subdivide,
     translation_length,
-    uf_find,
-    uf_union,
     validate_marked_graph,
     volume,
     word_of_loop,
 )
 from .plmaps import (
     PLMap,
-    PLPath,
     dart_image,
     dart_len,
     dart_point,
     germ_of_dart,
     make_plpath,
     optimize_pl_map,
-    path_end,
     pl_length,
+    reverse_segs,
 )
 from .stretch import enumerate_candidates, lambda_r
 from .words import identity
@@ -100,7 +95,8 @@ class FoldingPath:
 
     @property
     def snapshots(self) -> list:
-        """The source of each map; none after the first has a joint."""
+        """The source of each map: the point's own graph, with no joint
+        that the first lacks."""
         return [f.source for f in self.maps]
 
     @property
@@ -114,79 +110,10 @@ class FoldingPath:
 
 # -- preparation -----------------------------------------------------------------------
 
-def _quotient(G: MarkedMetricGraph, edges: dict, labels: dict, base: str,
-              image: dict) -> MarkedMetricGraph:
-    """The graph on ``edges`` (id -> (origin, terminus, length)) with these
-    labels and basepoint, whose petals are G's carried by the dart map
-    ``image`` and reduced; a dart missing from the map is dropped."""
-    return MarkedMetricGraph(
-        rank=G.rank,
-        vertices=frozenset({base, *(v for o, t, _ in edges.values()
-                                    for v in (o, t))}),
-        edges=edges,
-        basepoint=base,
-        marking=tuple(reduce_darts(image[d] for d in petal if d in image)
-                      for petal in G.marking),
-        labels=labels,
-    )
-
-
-def _class_quotient(vc: GaugedClasses, G: MarkedMetricGraph,
-                    image: dict) -> MarkedMetricGraph:
-    """The quotient of G by the vertex classes of ``vc`` (whose labels it
-    takes) and the dart map ``image``.  The kept edges are the forward
-    images, with the lengths they have in G."""
-    kept = sorted({d[0] for d in image.values()})
-    edges = {}
-    for e in kept:
-        o, t, l = G.edges[e]
-        edges[e] = (vc.find(o), vc.find(t), l)
-    return _quotient(G, edges, {e: vc.labels[e] for e in kept},
-                     vc.find(G.basepoint), image)
-
-
-def _edge_map(G: MarkedMetricGraph, B: MarkedMetricGraph,
-              edge_image: dict) -> PLMap:
-    """The map from G to B with these edge images, each vertex going where
-    the images of its darts start."""
-    vertex_image = {o: edge_image[e].anchor for e, (o, _, _) in G.edges.items()}
-    for e, (_, t, _) in G.edges.items():
-        if t not in vertex_image:
-            vertex_image[t] = path_end(B, edge_image[e])
-    return PLMap(G, B, vertex_image, edge_image)
-
-
-def _suppress_joints(f: PLMap) -> PLMap:
-    """f with every joint of its source suppressed.
-
-    A joint is not the basepoint and has two darts, of different edges,
-    whose images leave in different directions.  Each of the `chains`
-    through the joints becomes one edge, with the chain's name and walk
-    orientation; it reads the product of the chain's labels and maps along
-    its darts' images in turn.  An edge on no chain stays as it is.
-    """
-    G = f.source
-    joints = {v for v, ds in stars(G).items()
-              if v != G.basepoint and len(ds) == 2 and ds[0][0] != ds[1][0]
-              and germ_of_dart(f, ds[0]) != germ_of_dart(f, ds[1])}
-    if not joints:
-        return f
-    edges, labels, edge_image, image = {}, {}, {}, {}
-    for e, chain in chains(G, joints).items():
-        image[chain[0]], image[rev(chain[-1])] = (e, 1), (e, -1)
-        edges[e] = (G.origin(chain[0]), G.terminus(chain[-1]),
-                    path_length(G, chain))
-        labels[e] = math.prod(map(G.label_of_dart, chain),
-                              start=identity(G.rank))
-        edge_image[e] = make_plpath(
-            f.target, [s for d in chain for s in dart_image(f, d)])
-    return _edge_map(_quotient(G, edges, labels, G.basepoint, image),
-                     f.target, edge_image)
-
-
 def _collapse(f: PLMap, dead) -> PLMap:
     """f with the source edges ``dead`` collapsed, each gauged to read the
-    identity first; the images of the other edges stay."""
+    identity first; the images of the other edges stay, and each merged
+    vertex keeps the image of the vertex that names it."""
     G = f.source
     vc = GaugedClasses({e: (o, t) for e, (o, t, _) in G.edges.items()},
                        G.labels, G.basepoint)
@@ -195,15 +122,22 @@ def _collapse(f: PLMap, dead) -> PLMap:
         if not vc.merge(o, t, vc.read((e, 1))):
             raise InternalInvariantError(
                 f"collapsed edge {e} closes an essential loop")
-    G2 = _class_quotient(vc, G, {d: d for d in G.darts() if d[0] not in dead})
-    return _edge_map(G2, f.target, {e: f.edge_image[e] for e in G2.edges})
-
-
-def _hairs(G: MarkedMetricGraph) -> set:
-    """The edges with an end of valence one."""
-    valence = Counter(v for o, t, _ in G.edges.values() for v in (o, t))
-    return {e for e, (o, t, _) in G.edges.items()
-            if valence[o] == 1 or valence[t] == 1}
+    edges = {e: (vc.find(o), vc.find(t), l)
+             for e, (o, t, l) in sorted(G.edges.items()) if e not in dead}
+    base = vc.find(G.basepoint)
+    vertices = frozenset({base, *(v for o, t, _ in edges.values()
+                                  for v in (o, t))})
+    G2 = MarkedMetricGraph(
+        rank=G.rank,
+        vertices=vertices,
+        edges=edges,
+        basepoint=base,
+        marking=tuple(reduce_darts(d for d in petal if d[0] in edges)
+                      for petal in G.marking),
+        labels={e: vc.labels[e] for e in edges},
+    )
+    return PLMap(G2, f.target, {v: f.vertex_image[v] for v in vertices},
+                 {e: f.edge_image[e] for e in edges})
 
 
 def prepare_folding_setup(A: MarkedMetricGraph, B: MarkedMetricGraph,
@@ -311,102 +245,98 @@ def next_event_delta(f: PLMap, classes: dict) -> Fraction:
     return best
 
 
-def _split(B: MarkedMetricGraph, p: PLPath, cuts) -> list[PLPath]:
-    """The pieces of p cut at the increasing arc lengths ``cuts``, each
-    strictly inside p."""
-    pieces, piece = [], []
-    cuts = iter(cuts)
-    c = next(cuts, None)
-    x = Fraction(0)  # arc length of p at the start of the current segment
-    for (d, a, b) in p.segs:
-        while c is not None and c <= x + b - a:
-            y = a + c - x
-            if y > a:
-                piece.append((d, a, y))
-            pieces.append(piece)
-            piece, a, x, c = [], y, c, next(cuts, None)
-        if b > a:
-            piece.append((d, a, b))
-        x += b - a
-    pieces.append(piece)
-    return [PLPath(tuple(s), dart_point(B, s[0][0], s[0][1]))
-            for s in pieces]
+def _cut(segs: list, x: Fraction) -> tuple[list, list]:
+    """The segments of a path up to arc length x, and those after it."""
+    head = []
+    for i, (d, a, b) in enumerate(segs):
+        if x <= 0:
+            return head, segs[i:]
+        if x < b - a:
+            return head + [(d, a, a + x)], [(d, a + x, b)] + segs[i + 1:]
+        head.append((d, a, b))
+        x -= b - a
+    return head, []
 
 
 def fold_step(f: PLMap, classes: dict, delta: Fraction) -> PLMap:
-    """Advance every active zip by ``delta`` and rebuild the quotient, with
-    its hairs collapsed and its joints suppressed.
+    """Advance every active zip by ``delta``, on the map.
 
-    Identified darts are gauged to read one word, so labels are carried;
-    the returned map is isometric on edges, as f is.
+    A vertex that the fold leaves with at most two directions (at most one
+    at the basepoint) moves along its first group: the group's darts lose
+    their first ``delta``, and its other darts start with the group's
+    common head, reversed.  Every other group gets a new vertex at the fold point, joined
+    to the old vertex by a new edge that maps onto the group's common head
+    and reads the identity; the group's darts leave the new vertex, less
+    their heads.  Edges whose image is used up are collapsed.  Every other
+    vertex and edge keeps its id, and the returned map is isometric on
+    edges, as f is.
     """
     delta = _rational_constant(delta, "fold step")
     if delta <= 0:
         raise InvalidInputError(f"fold step {delta} is not positive")
+    if any(delta > limit for limit in _zip_limits(f, classes).values()):
+        raise InvalidInputError("step passes the next event")
     G, B = f.source, f.target
-    cuts: dict[str, set] = {}
-    for (e, s), limit in _zip_limits(f, classes).items():
-        if delta > limit:
-            raise InvalidInputError("step passes the next event")
-        l = G.length(e)
-        cut = delta if s > 0 else l - delta
-        if 0 < cut < l:
-            cuts.setdefault(e, set()).add(cut)
-    G1, exp = subdivide(G, {e: sorted(c) for e, c in cuts.items()})
-    edge_image = {}
-    for e, p in f.edge_image.items():
-        pieces = _split(B, p, sorted(cuts.get(e, ())))
-        for (piece, _), q in zip(exp[(e, 1)], pieces, strict=True):
-            edge_image[piece] = q
-    f1 = _edge_map(G1, B, edge_image)
-
-    # union-find over darts; gauged classes over vertices
-    dparent: dict[Dart, Dart] = {}
-    vc = GaugedClasses({e: (o, t) for e, (o, t, _) in G1.edges.items()},
-                       G1.labels, G1.basepoint)
+    star = stars(G)
+    edges, labels = dict(G.edges), dict(G.labels)
+    vertex_image = dict(f.vertex_image)
+    zipped = {d for groups in classes.values() for g in groups for d in g}
+    prefix: dict[Dart, list] = {}  # dart -> segments put before its image
+    via: dict[Dart, str] = {}      # dart -> new edge to its new origin
+    segments = {}                  # edge -> its new image's segments
     for v, groups in classes.items():
-        for g in groups:
-            firsts = [exp[d][0] for d in g]
-            lead = firsts[0]
-            for other in firsts[1:]:
-                if uf_find(dparent, other) == uf_find(dparent, rev(lead)):
-                    raise InternalInvariantError(
-                        "fold identifies an edge with its own reverse"
-                    )
-                if uf_find(dparent, other) == uf_find(dparent, lead):
-                    continue
-                uf_union(dparent, lead, other)
-                uf_union(dparent, rev(lead), rev(other))
-                vc.merge(G1.terminus(lead), G1.terminus(other),
-                         vc.read(lead).inverse() * vc.read(other))
+        heads = [_cut(dart_image(f, g[0]), delta)[0] for g in groups]
+        back = []
+        # one direction per group and per dart in none
+        if len(star[v]) - len(zipped.intersection(star[v])) + len(groups) \
+                <= (1 if v == G.basepoint else 2):
+            d, _, b = heads[0][-1]
+            vertex_image[v] = dart_point(B, d, b)
+            back = reverse_segs(B, heads[0])
+            prefix.update(dict.fromkeys(set(star[v]) - zipped, back))
+            groups, heads = groups[1:], heads[1:]
+        for g, head in zip(groups, heads):
+            x, w = fresh_id("x", edges), fresh_id("f", vertex_image)
+            d, _, b = head[-1]
+            vertex_image[w] = dart_point(B, d, b)
+            edges[x], labels[x] = (v, w, delta), identity(G.rank)
+            segments[x] = back + head
+            via.update(dict.fromkeys(g, x))
+    for e in G.edges:
+        segs = dart_image(f, (e, 1))
+        # each end in turn: zip its start or put the prefix before it, and
+        # turn the path around
+        for d in ((e, 1), (e, -1)):
+            rest = _cut(segs, delta if d in zipped else 0)[1]
+            segs = reverse_segs(B, prefix.get(d, []) + rest)
+        segments[e] = segs
+        edges[e] = tuple(edges[via[d]][1] if d in via else G.origin(d)
+                         for d in ((e, 1), (e, -1)))
+    edge_image = {}
+    for e, segs in segments.items():
+        o, t = edges[e][:2]
+        edge_image[e] = make_plpath(B, segs, vertex_image[o])
+        edges[e] = (o, t, pl_length(edge_image[e]))
 
-    rep_of: dict[Dart, Dart] = {}
-    for e in G1.edges:
-        r = uf_find(dparent, (e, 1))
-        rep_of[(e, 1)] = r
-        rep_of[(e, -1)] = rev(r)
-    G2 = _class_quotient(vc, G1, rep_of)
-    # length, image and label consistency of merged darts
-    for e in G1.edges:
-        r = rep_of[(e, 1)]
-        if r == (e, 1):
-            continue
-        if G1.length(e) != G1.length(r[0]):
-            raise InternalInvariantError("folded edges have unequal lengths")
-        if dart_image(f1, r) != dart_image(f1, (e, 1)):
-            raise InternalInvariantError("merged darts disagree on their image")
-        if vc.read(r) != vc.read((e, 1)):
-            raise InternalInvariantError("merged darts read different words")
-    # a vertex whose darts all folded together leaves a hair; collapsing it
-    # slides the vertex along its one gate, inside the simplex
-    f2 = _edge_map(G2, B, {e: edge_image[e] for e in G2.edges})
-    while hairs := _hairs(f2.source):
-        f2 = _collapse(f2, hairs)
-    f3 = _suppress_joints(f2)
-    if issues := validate_marked_graph(f3.source):
+    def carried(d: Dart) -> list:
+        """d in the folded graph, from its old origin to its old
+        terminus: a dart that leaves a new vertex is reached over the new
+        edge."""
+        out = [(via[d], 1)] if d in via else []
+        return out + [d] + ([(via[rev(d)], -1)] if rev(d) in via else [])
+
+    marking = tuple(reduce_darts(x for d in petal for x in carried(d))
+                    for petal in G.marking)
+    f1 = PLMap(replace(G, vertices=frozenset(vertex_image), edges=edges,
+                       marking=marking, labels=labels),
+               B, vertex_image, edge_image)
+    dead = {e for e, p in edge_image.items() if not p.segs}
+    if dead:
+        f1 = _collapse(f1, dead)
+    if issues := validate_marked_graph(f1.source):
         raise InternalInvariantError(
             f"fold produced an invalid marked graph: {issues[0]}")
-    return f3
+    return f1
 
 
 def fast_fold(setup: FoldSetup, strategy: str = "simultaneous") -> FoldingPath:
@@ -496,10 +426,10 @@ def point_at(path: FoldingPath, t: Fraction) -> FoldPoint:
     f = path.maps[i]
     if t == path.end_time:
         return FoldPoint(t, f, frozenset())
+    # a partial fold keeps every dart's id: its turns are the event's own
     classes = active_classes(f, path.strategy)
     if t > path.events[i]:
         f = fold_step(f, classes, t - path.events[i])
-        classes = active_classes(f, path.strategy)
     return FoldPoint(t, f, frozenset(folding_turns(classes)))
 
 

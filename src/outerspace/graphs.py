@@ -423,7 +423,7 @@ def subdivide(G: MarkedMetricGraph, cuts: Mapping[str, Sequence[Fraction]]
     return G2, expansion
 
 
-# -- spanning trees, union-find and chains --------------------------------------------
+# -- spanning trees and union-find --------------------------------------------------
 
 def bfs_tree(G: MarkedMetricGraph, root: str) -> dict[str, Optional[Dart]]:
     """Breadth-first spanning tree of the component of ``root``: each reached
@@ -458,32 +458,6 @@ def uf_union(parent: dict, a, b) -> None:
     ra, rb = uf_find(parent, a), uf_find(parent, b)
     if ra != rb:
         parent[max(ra, rb)] = min(ra, rb)
-
-
-def chains(G: MarkedMetricGraph, through) -> dict[str, list[Dart]]:
-    """Every edge of G on its maximal chain through the vertices of
-    ``through``, each of which has two darts of different edges: ``{least
-    edge id of the chain: its darts in walk order}``.  A chain is walked
-    from its first end, vertices in sorted order and darts in star order;
-    an edge on no chain is read forward, and a closed chain (every vertex in
-    ``through``) from its least edge forward."""
-    star = stars(G)
-    ends = [d if G.terminus(d) in through else (d[0], 1)
-            for v, ds in star.items() if v not in through for d in ds]
-    out: dict[str, list[Dart]] = {}
-    seen: set[Dart] = set()
-    for d in ends + [(e, 1) for e in sorted(G.edges)]:
-        if d in seen:
-            continue
-        chain = [d]
-        while (w := G.terminus(chain[-1])) in through:
-            a, b = star[w]
-            if (nxt := b if a == rev(chain[-1]) else a) == d:
-                break
-            chain.append(nxt)
-        out[min(c[0] for c in chain)] = chain
-        seen.update(chain + [rev(c) for c in chain])
-    return out
 
 
 # -- gauged vertex classes and label derivation ------------------------------------------

@@ -134,14 +134,16 @@ class PLMap:
     edge_image: dict    # forward edge id -> PLPath in target
 
 
+def reverse_segs(B: MarkedMetricGraph, segs) -> list[Seg]:
+    """The segments of a path in B, read backward."""
+    return [(rev(x), dart_len(B, x) - b, dart_len(B, x) - a)
+            for (x, a, b) in reversed(segs)]
+
+
 def dart_image(f: PLMap, d: Dart) -> list[Seg]:
     """The segments of d's image under f, in d's direction."""
     segs = f.edge_image[d[0]].segs
-    if d[1] > 0:
-        return list(segs)
-    B = f.target
-    return [(rev(x), dart_len(B, x) - b, dart_len(B, x) - a)
-            for (x, a, b) in reversed(segs)]
+    return list(segs) if d[1] > 0 else reverse_segs(f.target, segs)
 
 
 def germ_of_dart(f: PLMap, d: Dart) -> Optional[Dart]:

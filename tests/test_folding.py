@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import re
 import sys
 import time
 from dataclasses import replace
@@ -193,10 +194,11 @@ def test_poly_fold_intermediate_graph(k):
 # table off its own snapshots: none of these has a bivalent basepoint
 FOLD_SHAPES_SHA256 = \
     "f183767857f37216553ddd0350a75c10d6cbe66602c8edb6bac0ba1f1d3ee87a"
-# SHA-256 of the K4 single-vertex rows as this (suppressing) fold reads
-# them.  That strategy folds at the least vertex name with a group, and the
-# subdivided fold, naming vertices after the pieces it cut, took another
-# path on this pair, so the digest above cannot cover it
+# SHA-256 of the K4 single-vertex rows as the fold that suppressed joints
+# read them; the fold that moves vertices reads the same rows.  That
+# strategy folds at the least vertex name with a group, and the subdivided
+# fold, naming vertices after the pieces it cut, took another path on this
+# pair, so the digest above cannot cover it
 K4_SINGLE_VERTEX_SHA256 = \
     "f68352c289a7ab6ae0d609c48974fffa457f68ff2441d231a302069dbf0d075c"
 
@@ -233,9 +235,10 @@ def test_edge_lengths_pin_fold_shapes():
 
 
 # SHA-256 of every snapshot's canonical document and sorted edge images in
-# the test below, as the fold on the optimizer's map first wrote them
+# the test below, as the fold that moves vertices on the map writes them:
+# the ids it makes are `x`, `x.k` for edges and `f`, `f.k` for vertices
 FOLD_SNAPSHOTS_SHA256 = \
-    "543e7bbbb13d730e60a69d9c86aeb99c5091ae1865687df2e8a265e3dac655ae"
+    "87c05b0ef08ca60c284e57c483264f22e4366e971eabd30ed773900bba071ae4"
 
 
 def test_fold_snapshots_pin_documents_and_maps():
@@ -332,6 +335,42 @@ def test_fold_on_the_map_takes_the_subdivided_fold_path():
             assert gained == ({"14/209"} if (name, strategy) ==
                               ("k4-54", "simultaneous") else set())
     assert digest.hexdigest() == SUBDIVIDED_FOLD_IMAGES_SHA256
+
+
+def test_mid_event_turns_are_the_event_turns():
+    """A partial fold keeps every dart's id, so at each mid-event time of
+    the pinned pairs the turns being folded are those of the event before,
+    under both strategies."""
+    for A, B in pinned_fold_pairs().values():
+        setup = prepare_folding_setup(A, B)
+        for strategy in ("simultaneous", "single-vertex"):
+            path = fast_fold(setup, strategy)
+            ev = path.events
+            for a, b in zip(ev, ev[1:]):
+                assert point_at(path, (a + b) / 2).turns == \
+                    point_at(path, a).turns
+
+
+FOLD_ID = re.compile(r"[xf](\.[1-9][0-9]*)?")
+
+
+@pytest.mark.parametrize("pair", ["poly5", "K33-74"])
+def test_fold_ids_stay_short(pair):
+    """Every vertex and edge of every snapshot and mid-event map, under
+    both strategies, keeps an id of the prepared source or has one the
+    fold made: `x` or `x.k` for an edge, `f` or `f.k` for a vertex."""
+    if pair == "poly5":
+        setup = prepare_folding_setup(*poly_twist_pair(5),
+                                      normalize_target=False)
+    else:
+        setup = prepare_folding_setup(*sweep_pair("K33", 74))
+    A0 = setup.optimal_map.source
+    for strategy in ("simultaneous", "single-vertex"):
+        path = fast_fold(setup, strategy)
+        for t in fold_times(path):
+            G = point_at(path, t).graph
+            for ids, old in ((G.edges, A0.edges), (G.vertices, A0.vertices)):
+                assert all(i in old or FOLD_ID.fullmatch(i) for i in ids)
 
 
 @pytest.mark.parametrize("k", [2, 3, 5])
@@ -558,9 +597,9 @@ def test_k33_sweep_pairs_fold_without_straight_vertices(seed):
                                          ("K33", 17)])
 def test_sweep_pairs_whose_fold_leaves_a_hair(family, seed):
     """Sweep pairs with a one-gate vertex, the basepoint for K4 seed 34:
-    its darts fold together and leave an edge with a valence-one end.  The
-    fold collapses it, every snapshot is a consistently marked graph, and
-    the path is a d_R geodesic."""
+    its darts fold together, so the vertex moves along its gate rather than
+    leave an edge with a valence-one end.  Every snapshot is a consistently
+    marked graph, and the path is a d_R geodesic."""
     setup = prepare_folding_setup(*sweep_pair(family, seed))
     G = setup.optimal_map.source
     gates = {v: {germ_of_dart(setup.optimal_map, d) for d in ds}
@@ -905,6 +944,13 @@ def poly_start():
     return f, active_classes(f)
 
 
+def theta_start():
+    """The theta setup map, from theta_left to theta_right, and its active
+    classes."""
+    f = prepare_folding_setup(theta_left(), theta_right()).optimal_map
+    return f, active_classes(f)
+
+
 @pytest.mark.parametrize("call, expect", [
     (lambda: fast_fold(prepare_folding_setup(theta_left(), theta_left()),
                        "greedy"),
@@ -935,11 +981,17 @@ def poly_start():
      InvalidInputError("fold step -1/10 is not positive")),
     (lambda: next_event_delta(poly_start()[0], {}),
      InvalidInputError("no active fold to advance")),
+    (lambda: fold_step(*theta_start(), next_event_delta(*theta_start())
+                       + F(1, 100)),
+     InvalidInputError("step passes the next event")),
+    (lambda: fold_step(theta_start()[0], {"u": [[("A", 1), ("B", 1)]]},
+                       F(1, 100)),
+     InvalidInputError("step passes the next event")),
     (lambda: systole_and_thin_test(theta_left(), float("nan")),
      InvalidInputError("thin-part threshold nan is not a finite rational")),
 ], ids=["strategy", "past-the-end", "unreduced-loop", "speeds-at-end",
         "tree-systole", "four-point-3", "dR-geodesic-2", "time-nan",
         "time-inf", "time-none", "step-zero", "step-negative", "no-classes",
-        "eps-nan"])
+        "step-past-event", "step-past-parting", "eps-nan"])
 def test_input_checks(call, expect):
     assert_outcome(call, expect)

@@ -22,7 +22,6 @@ from outerspace.fixtures import (
 )
 from outerspace.graphs import (
     apply_automorphism_to_marking,
-    chains,
     check_path,
     derive_inverse_marking,
     interpolate_in_simplex,
@@ -429,7 +428,7 @@ def test_derive_labels_pinned_on_twisted_barbell():
         {"a": "aaB", "b": "bAAbAAbA", "c": "aaBaaB"}
 
 
-# -- subdivision and chains ----------------------------------------------------------
+# -- subdivision ----------------------------------------------------------------------
 
 def test_subdivide_preserves_lengths_and_marking():
     G = theta_left()
@@ -440,29 +439,6 @@ def test_subdivide_preserves_lengths_and_marking():
     for _ in range(20):
         w = random_word(rng, 2, 8)
         assert translation_length(H, w) == translation_length(G, w)
-
-
-def test_chains_walk_through_the_given_vertices():
-    H, _ = subdivide(unit_rose(2), {"a": [F(1, 3)], "b": [F(1, 2)]})
-    assert chains(H, {"a:v1", "b:v1"}) == {"a.1": [("a.1", 1), ("a.2", 1)],
-                                          "b.1": [("b.1", 1), ("b.2", 1)]}
-    # theta_left with the basepoint m inside B: B1 and B2 make one chain
-    edges = {"A": ("u", "v", F(1, 6)), "B1": ("u", "m", F(1, 12)),
-             "B2": ("m", "v", F(1, 4)), "C": ("u", "v", F(1, 2))}
-    marking = [(("B1", -1), ("A", 1), ("B2", -1)),
-               (("B1", -1), ("C", 1), ("B2", -1))]
-    labels = {"A": generator(1, 2), "B1": identity(2), "B2": identity(2),
-              "C": generator(2, 2)}
-    K = make_graph(2, edges, "m", marking, labels)
-    assert validate_marked_graph(K) == []
-    assert chains(K, {"m"}) == {"A": [("A", 1)],
-                                "B1": [("B1", 1), ("B2", 1)],
-                                "C": [("C", 1)]}
-    # a subdivided rank-1 circle is one closed chain, from its least edge
-    C, _ = subdivide(rose([2]), {"a": [F(1, 2), F(3, 2)]})
-    assert validate_marked_graph(C) == []
-    assert chains(C, C.vertices) == {"a.1": [("a.1", 1), ("a.2", 1),
-                                              ("a.3", 1)]}
 
 
 def test_subdivide_names_a_piece_around_a_taken_id():
