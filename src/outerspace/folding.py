@@ -25,6 +25,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import combinations
 
 from .docs import log_of
 from .errors import (
@@ -52,13 +53,12 @@ from .graphs import (
 )
 from .plmaps import (
     PLMap,
-    dart_image,
-    dart_len,
+    cut_ends,
     dart_point,
+    dart_segs,
     germ_of_dart,
     make_plpath,
     optimize_pl_map,
-    pl_length,
     reverse_segs,
 )
 from .stretch import enumerate_candidates, lambda_r
@@ -162,7 +162,7 @@ def prepare_folding_setup(A: MarkedMetricGraph, B: MarkedMetricGraph,
     f = _collapse(f, dead)
 
     # rescale: edge lengths become image lengths, so f is isometric on edges
-    edges = {e: (o, t, pl_length(f.edge_image[e]))
+    edges = {e: (o, t, f.edge_image[e].length)
              for e, (o, t, _) in f.source.edges.items()}
     f = replace(f, source=replace(f.source, edges=edges))
     if not is_cyclically_reduced(f.source, witness):
@@ -195,13 +195,8 @@ def active_classes(f: PLMap, strategy: str = "simultaneous") -> dict:
 
 def folding_turns(classes: dict) -> set:
     """The set of unordered dart pairs being identified."""
-    turns = set()
-    for groups in classes.values():
-        for g in groups:
-            for i in range(len(g)):
-                for j in range(i + 1, len(g)):
-                    turns.add(frozenset((g[i], g[j])))
-    return turns
+    return {frozenset(t) for groups in classes.values() for g in groups
+            for t in combinations(g, 2)}
 
 
 def _shared_length(f: PLMap, group) -> Fraction:
@@ -209,53 +204,39 @@ def _shared_length(f: PLMap, group) -> Fraction:
     vertex where they part, or to the end of the shortest."""
     B = f.target
     total = Fraction(0)
-    for segs in zip(*(dart_image(f, d) for d in group)):
+    for segs in zip(*(dart_segs(f, d) for d in group)):
         d, a, _ = segs[0]
         if any(s[0] != d for s in segs):
             break
         b = min(s[2] for s in segs)
         total += b - a
-        if b < dart_len(B, d):
+        if b < B.length(d[0]):
             break
     return total
 
 
-def _zip_limits(f: PLMap, classes: dict) -> dict:
-    """Each zipping dart with how far it can zip: half its edge if its
-    reverse also zips, else the whole edge, and never past the target
-    vertex where its group's images part."""
-    G = f.source
-    active = {d for groups in classes.values() for g in groups for d in g}
-    limits = {}
-    for groups in classes.values():
-        for g in groups:
-            shared = _shared_length(f, g)
-            for d in g:
-                l = G.length(d[0])
-                limits[d] = min(shared, l / 2 if rev(d) in active else l)
-    return limits
-
-
 def next_event_delta(f: PLMap, classes: dict) -> Fraction:
-    """Time until some edge of a zipping group is completely consumed, or
-    some group's images part."""
-    best = min(_zip_limits(f, classes).values(), default=None)
+    """Time until some zipping edge is used up, each end of it zipping at
+    unit speed, or some group's images part."""
+    zipped = {d for groups in classes.values() for g in groups for d in g}
+    best = min([*(f.source.length(d[0]) / (2 if rev(d) in zipped else 1)
+                  for d in zipped),
+                *(_shared_length(f, g) for groups in classes.values()
+                  for g in groups)], default=None)
     if best is None or best <= 0:
         raise InvalidInputError("no active fold to advance")
     return best
 
 
-def _cut(segs: list, x: Fraction) -> tuple[list, list]:
-    """The segments of a path up to arc length x, and those after it."""
+def _head(f: PLMap, d: Dart, x: Fraction) -> list:
+    """The segments of d's image up to arc length x from d's origin."""
     head = []
-    for i, (d, a, b) in enumerate(segs):
-        if x <= 0:
-            return head, segs[i:]
-        if x < b - a:
-            return head + [(d, a, a + x)], [(d, a + x, b)] + segs[i + 1:]
-        head.append((d, a, b))
+    for (y, a, b) in dart_segs(f, d):
+        if x <= b - a:
+            return head + [(y, a, a + x)]
+        head.append((y, a, b))
         x -= b - a
-    return head, []
+    return head
 
 
 def fold_step(f: PLMap, classes: dict, delta: Fraction) -> PLMap:
@@ -264,59 +245,64 @@ def fold_step(f: PLMap, classes: dict, delta: Fraction) -> PLMap:
     A vertex that the fold leaves with at most two directions (at most one
     at the basepoint) moves along its first group: the group's darts lose
     their first ``delta``, and its other darts start with the group's
-    common head, reversed.  Every other group gets a new vertex at the fold point, joined
-    to the old vertex by a new edge that maps onto the group's common head
-    and reads the identity; the group's darts leave the new vertex, less
-    their heads.  Edges whose image is used up are collapsed.  Every other
-    vertex and edge keeps its id, and the returned map is isometric on
+    common head, reversed.  Every other group gets a new vertex at the
+    fold point, joined to the old vertex by a new edge that maps onto the
+    group's common head and reads the identity; the group's darts leave
+    the new vertex, less their heads.  Paths are edited at their ends, and
+    edges whose image is used up are collapsed.  Every other vertex and
+    edge keeps its id and image, and the returned map is isometric on
     edges, as f is.
     """
     delta = _rational_constant(delta, "fold step")
     if delta <= 0:
         raise InvalidInputError(f"fold step {delta} is not positive")
-    if any(delta > limit for limit in _zip_limits(f, classes).values()):
-        raise InvalidInputError("step passes the next event")
     G, B = f.source, f.target
+    zipped = {d for groups in classes.values() for g in groups for d in g}
+    head = {d: _head(f, d, delta) for d in zipped}
+    if any(head[d] != head[g[0]] or
+           delta > G.length(d[0]) / (2 if rev(d) in zipped else 1)
+           for groups in classes.values() for g in groups for d in g):
+        raise InvalidInputError("step passes the next event")
     star = stars(G)
     edges, labels = dict(G.edges), dict(G.labels)
     vertex_image = dict(f.vertex_image)
-    zipped = {d for groups in classes.values() for g in groups for d in g}
-    prefix: dict[Dart, list] = {}  # dart -> segments put before its image
-    via: dict[Dart, str] = {}      # dart -> new edge to its new origin
-    segments = {}                  # edge -> its new image's segments
+    lead: dict[Dart, list] = {}  # dart -> head put, reversed, before its image
+    via: dict[Dart, str] = {}    # dart -> new edge to its new origin
+    segments = {}                # edge -> its new image's segments
     for v, groups in classes.items():
-        heads = [_cut(dart_image(f, g[0]), delta)[0] for g in groups]
         back = []
         # one direction per group and per dart in none
         if len(star[v]) - len(zipped.intersection(star[v])) + len(groups) \
                 <= (1 if v == G.basepoint else 2):
-            d, _, b = heads[0][-1]
+            h = head[groups[0][0]]
+            d, _, b = h[-1]
             vertex_image[v] = dart_point(B, d, b)
-            back = reverse_segs(B, heads[0])
-            prefix.update(dict.fromkeys(set(star[v]) - zipped, back))
-            groups, heads = groups[1:], heads[1:]
-        for g, head in zip(groups, heads):
+            back = list(reverse_segs(B, h))
+            lead.update(dict.fromkeys(set(star[v]) - zipped, h))
+            groups = groups[1:]
+        for g in groups:
             x, w = fresh_id("x", edges), fresh_id("f", vertex_image)
-            d, _, b = head[-1]
+            d, _, b = head[g[0]][-1]
             vertex_image[w] = dart_point(B, d, b)
             edges[x], labels[x] = (v, w, delta), identity(G.rank)
-            segments[x] = back + head
+            segments[x] = back + head[g[0]]
             via.update(dict.fromkeys(g, x))
+    touched = zipped.union(lead)
     for e in G.edges:
-        segs = dart_image(f, (e, 1))
-        # each end in turn: zip its start or put the prefix before it, and
-        # turn the path around
-        for d in ((e, 1), (e, -1)):
-            rest = _cut(segs, delta if d in zipped else 0)[1]
-            segs = reverse_segs(B, prefix.get(d, []) + rest)
-        segments[e] = segs
+        d0, d1 = ends = (e, 1), (e, -1)
+        if touched.isdisjoint(ends):
+            continue
+        segments[e] = [*reverse_segs(B, lead.get(d0, ())),
+                       *cut_ends(f.edge_image[e].segs,
+                                 *(delta if d in zipped else 0 for d in ends)),
+                       *lead.get(d1, ())]
         edges[e] = tuple(edges[via[d]][1] if d in via else G.origin(d)
-                         for d in ((e, 1), (e, -1)))
-    edge_image = {}
+                         for d in ends)
+    edge_image = dict(f.edge_image)
     for e, segs in segments.items():
         o, t = edges[e][:2]
         edge_image[e] = make_plpath(B, segs, vertex_image[o])
-        edges[e] = (o, t, pl_length(edge_image[e]))
+        edges[e] = (o, t, edge_image[e].length)
 
     def carried(d: Dart) -> list:
         """d in the folded graph, from its old origin to its old
@@ -376,7 +362,7 @@ def fast_fold(setup: FoldSetup, strategy: str = "simultaneous") -> FoldingPath:
     cover: dict[str, list] = {e: [] for e in B.edges}
     for p in f.edge_image.values():
         for (bd, a, b) in p.segs:
-            L = dart_len(B, bd)
+            L = B.length(bd[0])
             cover[bd[0]].append((a, b) if bd[1] > 0 else (L - b, L - a))
     for e, ivs in sorted(cover.items()):
         ivs.sort()

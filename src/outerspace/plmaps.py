@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional
 
@@ -53,13 +54,9 @@ Point = tuple
 Seg = tuple[Dart, Fraction, Fraction]
 
 
-def dart_len(G: MarkedMetricGraph, d: Dart) -> Fraction:
-    return G.length(d[0])
-
-
 def dart_point(G: MarkedMetricGraph, d: Dart, x: Fraction) -> Point:
     """The point at dart coordinate x on d (0 = origin, length = terminus)."""
-    l = dart_len(G, d)
+    l = G.length(d[0])
     if not (0 <= x <= l):
         raise InvalidInputError(f"coordinate {x} outside [0, {l}] on {d}")
     if x == 0:
@@ -75,6 +72,10 @@ class PLPath:
     segs: tuple[Seg, ...]
     anchor: Point  # the start point; authoritative when segs is empty
 
+    @cached_property
+    def length(self) -> Fraction:
+        return sum((b - a for (_, a, b) in self.segs), Fraction(0))
+
 
 def path_end(G: MarkedMetricGraph, p: PLPath) -> Point:
     if not p.segs:
@@ -83,30 +84,32 @@ def path_end(G: MarkedMetricGraph, p: PLPath) -> Point:
     return dart_point(G, d, b)
 
 
-def pl_length(p: PLPath) -> Fraction:
-    return sum((b - a for (_, a, b) in p.segs), Fraction(0))
-
-
 def make_plpath(G: MarkedMetricGraph, segs, anchor: Optional[Point] = None
                 ) -> PLPath:
     """Normalize (merge same-dart mid-edge continuations) and validate."""
     norm: list[Seg] = []
     for (d, a, b) in segs:
-        l = dart_len(G, d)
+        if d[0] not in G.edges or d[1] not in (1, -1):
+            raise InvalidInputError(f"unknown oriented edge {d}")
+        l = G.edges[d[0]][2]
         if not (0 <= a < b <= l):
             raise InvalidInputError(f"bad segment ({d}, {a}, {b})")
         if norm:
             pd, pa, pb = norm[-1]
-            if pd == d and pb == a and pb < l:
-                norm[-1] = (pd, pa, b)  # mid-edge continuation
-                continue
-            if dart_point(G, pd, pb) != dart_point(G, d, a):
+            if a or pb < lp:  # inside an edge: the same point, or a turn
+                if d == pd and a == pb:
+                    norm[-1] = (pd, pa, b)  # mid-edge continuation
+                    continue
+                raise InvalidInputError(
+                    "path turns at an interior point"
+                    if d == rev(pd) and pb + a == l
+                    else "segments are not contiguous")
+            if G.terminus(pd) != G.origin(d):
                 raise InvalidInputError("segments are not contiguous")
-            if pb == dart_len(G, pd) and d == rev(pd):
+            if d == rev(pd):
                 raise InvalidInputError("path backtracks at a vertex")
-            if pb < dart_len(G, pd):
-                raise InvalidInputError("path turns at an interior point")
         norm.append((d, a, b))
+        lp = l
     if anchor is None:
         if not norm:
             raise InvalidInputError("empty path needs an anchor point")
@@ -120,7 +123,7 @@ def pl_word(B: MarkedMetricGraph, p: PLPath) -> Word:
     """Word (in B's labels) of a PL path between the snaps of its ends; for
     a closed path its conjugacy class is the loop's free homotopy class."""
     darts = [d for (d, a, b) in p.segs
-             if (b == dart_len(B, d) if d[1] > 0 else a == 0)]
+             if (b == B.length(d[0]) if d[1] > 0 else a == 0)]
     return read_labels(B, darts)
 
 
@@ -134,16 +137,31 @@ class PLMap:
     edge_image: dict    # forward edge id -> PLPath in target
 
 
-def reverse_segs(B: MarkedMetricGraph, segs) -> list[Seg]:
-    """The segments of a path in B, read backward."""
-    return [(rev(x), dart_len(B, x) - b, dart_len(B, x) - a)
-            for (x, a, b) in reversed(segs)]
+def reverse_segs(B: MarkedMetricGraph, segs):
+    """The segments of a path in B, read backward, one at a time."""
+    return ((rev(x), B.length(x[0]) - b, B.length(x[0]) - a)
+            for (x, a, b) in reversed(segs))
 
 
-def dart_image(f: PLMap, d: Dart) -> list[Seg]:
-    """The segments of d's image under f, in d's direction."""
+def cut_ends(segs, x: Fraction, y: Fraction) -> list:
+    """The segments of a path less arc length x at its start and y at its
+    end."""
+    segs = list(segs)
+    for i, z in ((0, x), (-1, y)):
+        while z:
+            d, a, b = segs[i]
+            if z < b - a:
+                segs[i] = (d, a + z, b) if i == 0 else (d, a, b - z)
+                break
+            del segs[i]
+            z -= b - a
+    return segs
+
+
+def dart_segs(f: PLMap, d: Dart):
+    """The segments of d's image under f, from d's origin, one at a time."""
     segs = f.edge_image[d[0]].segs
-    return list(segs) if d[1] > 0 else reverse_segs(f.target, segs)
+    return iter(segs) if d[1] > 0 else reverse_segs(f.target, segs)
 
 
 def germ_of_dart(f: PLMap, d: Dart) -> Optional[Dart]:
@@ -216,7 +234,7 @@ def initial_pl_map(A: MarkedMetricGraph, B: MarkedMetricGraph) -> PLMap:
         darts = realize_word_as_path(B, w_e)
         # a path of whole darts is anchored at its first dart's origin
         edge_image[e] = make_plpath(
-            B, [(d, Fraction(0), dart_len(B, d)) for d in darts],
+            B, [(d, Fraction(0), B.length(d[0])) for d in darts],
             None if darts else base_pt)
     return PLMap(A, B, vertex_image, edge_image)
 
@@ -252,7 +270,7 @@ def subgraph_boundary(f: PLMap, edges: frozenset) -> tuple:
 
 def stretch_analysis(f: PLMap) -> StretchAnalysis:
     per_edge = {
-        e: pl_length(p) / f.source.length(e) for e, p in f.edge_image.items()
+        e: p.length / f.source.length(e) for e, p in f.edge_image.items()
     }
     return _analysis(f, per_edge)
 
@@ -277,36 +295,24 @@ def _move_vertex(f: PLMap, v: str, beta: Dart, a: Fraction,
     is rebuilt through `make_plpath`.  Raises when the slide leaves the
     valid range."""
     A, B = f.source, f.target
-    l = dart_len(B, beta)
+    l = B.length(beta[0])
     if t <= 0 or a + t > l:
         raise InvalidInputError(f"slide amount {t} outside (0, {l - a}]")
-    trunc = {d: germ_of_dart(f, d) == beta for d in star[v]}
-    for d in star[v]:
-        if trunc[d]:
-            (_, a0, b0) = dart_image(f, d)[0]
-            if b0 - a0 < t:
-                raise InvalidInputError("slide crosses a segment boundary")
+    trunc = {d for d in star[v] if germ_of_dart(f, d) == beta}
+    if any(y - x < t for _, x, y in (next(dart_segs(f, d)) for d in trunc)):
+        raise InvalidInputError("slide crosses a segment boundary")
     new_fv = dart_point(B, beta, a + t)
     edge_image = dict(f.edge_image)
     for e in sorted({d[0] for d in star[v]}):
         p = edge_image[e]
-        o, t_, _ = A.edges[e]
-        segs = list(p.segs)
-        if t_ == v:  # adjust the end of the stored path
-            if trunc[(e, -1)]:
-                x, a0, b0 = segs.pop()
-                if b0 - a0 > t:
-                    segs.append((x, a0, b0 - t))
-            else:
-                segs.append((beta, a, a + t))
-        if o == v:  # adjust the start of the stored path
-            if trunc[(e, 1)]:
-                x, a0, b0 = segs.pop(0)
-                if b0 - a0 > t:
-                    segs.insert(0, (x, a0 + t, b0))
-            else:
-                segs.insert(0, (rev(beta), l - a - t, l - a))
-        edge_image[e] = make_plpath(B, segs, new_fv if o == v else p.anchor)
+        d0, d1 = (e, 1), (e, -1)
+        segs = cut_ends(p.segs, *(t if d in trunc else 0 for d in (d0, d1)))
+        if d1 in star[v] and d1 not in trunc:
+            segs.append((beta, a, a + t))
+        if d0 in star[v] and d0 not in trunc:
+            segs.insert(0, (rev(beta), l - a - t, l - a))
+        edge_image[e] = make_plpath(B, segs,
+                                    new_fv if d0 in star[v] else p.anchor)
     vertex_image = dict(f.vertex_image)
     vertex_image[v] = new_fv
     return PLMap(A, B, vertex_image, edge_image)
@@ -335,17 +341,17 @@ def _next_v(f: PLMap, v: str, ana: StretchAnalysis, star: dict
     beta = next(iter(gate))
     # coordinate of f(v) on beta, read off a maximal leaving image
     sample = next(d for d in star[v] if d[0] in ana.a_max)
-    a = dart_image(f, sample)[0][1]
+    a = next(dart_segs(f, sample))[1]
     if dart_point(B, beta, a) != f.vertex_image[v]:
         raise InternalInvariantError("vertex image does not sit on its germ")
 
-    limits = [dart_len(B, beta) - a]
+    limits = [B.length(beta[0]) - a]
     slope: dict[str, int] = {}
     trunc_count: dict[str, int] = {}
     for d in star[v]:
         e = d[0]
         if germs[d] == beta:
-            (_, a0, b0) = dart_image(f, d)[0]
+            (_, a0, b0) = next(dart_segs(f, d))
             limits.append(b0 - a0)
             slope[e] = slope.get(e, 0) - 1
             trunc_count[e] = trunc_count.get(e, 0) + 1
@@ -413,7 +419,7 @@ def _next_v(f: PLMap, v: str, ana: StretchAnalysis, star: dict
     per_edge = dict(ana.per_edge)
     for e in sorted(slope):
         s, r = moving.get(e, (per_edge[e], 0))
-        per_edge[e] = pl_length(out.edge_image[e]) / A.length(e)
+        per_edge[e] = out.edge_image[e].length / A.length(e)
         if per_edge[e] != s + r * t0:
             raise InternalInvariantError(
                 f"moved image of edge {e} is off its stretch line"
@@ -474,10 +480,10 @@ def _cell_minimum(f: PLMap, target: Fraction
         p = f.edge_image[e]
         o, t, l = A.edges[e]
         if not p.segs or (o not in var and t not in var):
-            fixed.append(pl_length(p) / l)
+            fixed.append(p.length / l)
             continue
         # len_e = const + sum(coef[i] x_i); a single segment's ends are a, b
-        const, coef = pl_length(p), {}
+        const, coef = p.length, {}
         ends = [None, None]
         if o in var:
             (d, a, _) = p.segs[0]

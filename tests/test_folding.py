@@ -73,7 +73,6 @@ from outerspace.graphs import (
 )
 from outerspace.plmaps import (
     optimize_pl_map,
-    pl_length,
     stretch_analysis,
     validate_pl_map,
 )
@@ -92,7 +91,7 @@ def assert_fold_point(f):
     basepoint."""
     G = f.source
     assert validate_pl_map(f) == []
-    assert all(pl_length(f.edge_image[e]) == G.length(e) for e in G.edges)
+    assert all(f.edge_image[e].length == G.length(e) for e in G.edges)
     assert [v for v, ds in stars(G).items() if v != G.basepoint
             and len(ds) == 2 and ds[0][0] != ds[1][0]] == []
 
@@ -138,7 +137,7 @@ def test_setup_folds_onto_the_target_as_given():
         f = setup.optimal_map
         assert f.target == (normalize_volume(B)[0] if normalize else B)
         assert validate_pl_map(f) == []
-        assert all(pl_length(f.edge_image[e]) == f.source.length(e)
+        assert all(f.edge_image[e].length == f.source.length(e)
                    for e in f.source.edges)
         inside += [pt[0] == "e" for pt in f.vertex_image.values()]
     assert any(inside)
@@ -373,6 +372,34 @@ def test_fold_ids_stay_short(pair):
                 assert all(i in old or FOLD_ID.fullmatch(i) for i in ids)
 
 
+def test_fold_step_keeps_every_image_it_does_not_edit():
+    """On the K4 sweep pair seed 54, under both strategies, each step
+    returns the stored `PLPath` of every edge with no zipped end and no
+    end at a vertex that moves, and a new path for every other edge it
+    keeps; every image on every map of the fold carries its segments'
+    sum as its length."""
+    setup = prepare_folding_setup(*sweep_pair("K4", 54))
+    kept = rebuilt = 0
+    for strategy in ("simultaneous", "single-vertex"):
+        path = fast_fold(setup, strategy)
+        for f in path.maps[:-1]:
+            classes = active_classes(f, strategy)
+            g = fold_step(f, classes, next_event_delta(f, classes))
+            zipped = {d for gs in classes.values() for grp in gs for d in grp}
+            moved = {v for v in classes
+                     if g.vertex_image.get(v) != f.vertex_image[v]}
+            for e in g.edge_image.keys() & f.edge_image.keys():
+                edited = any(d in zipped or f.source.origin(d) in moved
+                             for d in ((e, 1), (e, -1)))
+                assert (g.edge_image[e] is f.edge_image[e]) != edited, e
+                kept += not edited
+                rebuilt += edited
+        for t in fold_times(path):
+            for p in point_at(path, t).map.edge_image.values():
+                assert p.length == sum(b - a for _, a, b in p.segs)
+    assert (kept, rebuilt) == (27, 44)
+
+
 @pytest.mark.parametrize("k", [2, 3, 5])
 def test_poly_fold_speed_ratio_formula(k):
     A, B = poly_twist_pair(k)
@@ -571,7 +598,7 @@ def test_rank3_and_rank4_pairs_certify_and_fold():
         An, _ = normalize_volume(A)
         f = setup.optimal_map
         assert validate_pl_map(f) == []
-        assert max(pl_length(p) / An.length(e)
+        assert max(p.length / An.length(e)
                    for e, p in f.edge_image.items()) \
             == lambda_r(An, normalize_volume(B)[0]).value
         # fast_fold raises unless its last snapshot is the target

@@ -19,6 +19,7 @@ from outerspace.errors import (
 )
 from outerspace.fixtures import (
     aut_poly,
+    barbell,
     poly_twist_pair,
     random_graph,
     random_nielsen_automorphism,
@@ -49,16 +50,14 @@ from outerspace.plmaps import (
     bounded_cancellation_bound,
     cancellation,
     cut_target_images,
-    dart_image,
-    dart_len,
     dart_point,
+    dart_segs,
     germ_of_dart,
     initial_pl_map,
     make_plpath,
     next_v,
     optimize_pl_map,
     path_end,
-    pl_length,
     stretch_analysis,
     validate_pl_map,
 )
@@ -67,7 +66,7 @@ from outerspace.stretch import lambda_r
 
 def reversed_path(G, p):
     """The PL path p run backward."""
-    segs = tuple((rev(d), dart_len(G, d) - b, dart_len(G, d) - a)
+    segs = tuple((rev(d), G.length(d[0]) - b, G.length(d[0]) - a)
                  for (d, a, b) in reversed(p.segs))
     return PLPath(segs, path_end(G, p))
 
@@ -148,6 +147,60 @@ def test_mid_edge_merge():
     G = unit_rose(2)
     p = make_plpath(G, [(("a", 1), F(0), F(1, 2)), (("a", 1), F(1, 2), F(1))])
     assert p.segs == ((("a", 1), F(0), F(1)),)
+
+
+def reference_plpath(G, segs):
+    """The segments of an anchorless path by the rule `make_plpath` used
+    to decide junctions with: a junction joins where `dart_point` puts the
+    end of one segment and the start of the next at one point."""
+    norm = []
+    for (d, a, b) in segs:
+        l = G.length(d[0])
+        if not (0 <= a < b <= l):
+            raise InvalidInputError(f"bad segment ({d}, {a}, {b})")
+        if norm:
+            pd, pa, pb = norm[-1]
+            lp = G.length(pd[0])
+            if pd == d and pb == a and pb < l:
+                norm[-1] = (pd, pa, b)
+                continue
+            if dart_point(G, pd, pb) != dart_point(G, d, a):
+                raise InvalidInputError("segments are not contiguous")
+            if pb == lp and d == rev(pd):
+                raise InvalidInputError("path backtracks at a vertex")
+            if pb < lp:
+                raise InvalidInputError("path turns at an interior point")
+        norm.append((d, a, b))
+    return tuple(norm)
+
+
+def segments_or_message(build, G, segs):
+    try:
+        return build(G, segs)
+    except InvalidInputError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("G", [theta_left(), barbell(1, 1, 1)],
+                         ids=["theta", "barbell"])
+def test_junctions_follow_the_dart_point_rule(G):
+    """On every ordered pair of segments whose ends lie on the grid 0, 1/3,
+    l/2 and l of their edge, `make_plpath` merges, accepts or refuses with
+    the message of `reference_plpath`; each of the five outcomes occurs."""
+    segs = []
+    for d in G.darts():
+        l = G.length(d[0])
+        grid = sorted({x for x in (F(0), F(1, 3), l / 2, l) if x <= l})
+        segs += [(d, a, b) for a in grid for b in grid if a < b]
+    seen = set()
+    for pair in ([s, t] for s in segs for t in segs):
+        got = segments_or_message(lambda G, ss: make_plpath(G, ss).segs,
+                                  G, pair)
+        assert got == segments_or_message(reference_plpath, G, pair), pair
+        seen.add(got if isinstance(got, str) else len(got))
+    assert seen == {1, 2, "segments are not contiguous",
+                    "path backtracks at a vertex",
+                    "path turns at an interior point"}
 
 
 # -- initial maps -------------------------------------------------------------------
@@ -328,7 +381,7 @@ def test_optimizer_analyses_each_map_once(monkeypatch):
 
     def recording(f, target):
         cell = cell_minimum(f, target)
-        stretch = max(pl_length(p) / f.source.length(e)
+        stretch = max(p.length / f.source.length(e)
                       for e, p in f.edge_image.items())
         if cell is not None and target < cell[1].stretch < stretch:
             adopted_above.append(cell)
@@ -499,7 +552,7 @@ def test_cell_lp_results_pinned(monkeypatch):
         for name, pins in CELL_LP_PINS.items()}
 
 def test_dart_readers_match_the_reversed_path(monkeypatch):
-    """`germ_of_dart` and `dart_image` agree with the stored path, run
+    """`germ_of_dart` and `dart_segs` agree with the stored path, run
     backward by `reversed_path` for a reversed dart, on every dart of every
     map the optimizer builds and of every snapshot and mid-event map of the
     pinned fold pairs under both strategies."""
@@ -534,7 +587,7 @@ def test_dart_readers_match_the_reversed_path(monkeypatch):
             if d[1] < 0:
                 p = reversed_path(f.target, p)
             assert germ_of_dart(f, d) == (p.segs[0][0] if p.segs else None)
-            assert dart_image(f, d) == list(p.segs)
+            assert list(dart_segs(f, d)) == list(p.segs)
 
 
 def test_move_off_its_stretch_line_is_caught(monkeypatch):
@@ -701,6 +754,10 @@ def one_petal_rose():
      InvalidInputError("coordinate 1 outside [0, 1/6] on ('A', 1)")),
     (lambda: theta_segments((("A", 1), 0, 1)),
      InvalidInputError("bad segment (('A', 1), 0, 1)")),
+    (lambda: theta_segments((("Z", 1), 0, "1/6")),
+     InvalidInputError("unknown oriented edge ('Z', 1)")),
+    (lambda: theta_segments((("A", 2), 0, "1/6")),
+     InvalidInputError("unknown oriented edge ('A', 2)")),
     (lambda: theta_segments((("A", 1), 0, "1/6"), (("B", 1), 0, "1/3")),
      InvalidInputError("segments are not contiguous")),
     (lambda: theta_segments((("A", 1), 0, "1/6"), (("A", -1), 0, "1/6")),
@@ -721,8 +778,9 @@ def one_petal_rose():
                                                     unit_rose(2)),
                                      source=one_petal_rose())),
      ["1 marking paths for rank 2"]),
-], ids=["dart-point", "bad-segment", "not-contiguous", "backtrack",
-        "interior-turn", "anchor", "initial-ranks", "initial-missing-petal",
-        "missing-edge-image", "missing-source-petal"])
+], ids=["dart-point", "bad-segment", "unknown-edge", "unknown-orientation",
+        "not-contiguous", "backtrack", "interior-turn", "anchor",
+        "initial-ranks", "initial-missing-petal", "missing-edge-image",
+        "missing-source-petal"])
 def test_input_checks(call, expect):
     assert_outcome(call, expect)
