@@ -146,27 +146,21 @@ def graph_to_doc(G: MarkedMetricGraph) -> dict:
     }
 
 
-def _text(value, what: str) -> str:
-    # ids, darts, labels and "p/q" lengths are strings; a JSON number would be
-    # read as a binary float, and other types fail deep inside the library
-    if not isinstance(value, str):
-        raise InvalidInputError(f"malformed graph document: {what} "
-                                f"{json.dumps(value)} is not a string")
-    return value
-
-
-def _list(value, what: str) -> list:
-    # a string or an object would be iterated character by character or key
-    # by key
-    if not isinstance(value, list):
-        raise InvalidInputError(f"malformed graph document: {what} "
-                                f"{json.dumps(value)} is not a list")
+def _typed(value, what: str, kind: type = str):
+    # ids, darts, labels and "p/q" lengths are strings: a JSON number would be
+    # read as a binary float.  A string or an object in place of a list would
+    # be iterated character by character or key by key, and other types fail
+    # inside the library with the interpreter's words, which vary by version
+    if not isinstance(value, kind):
+        raise InvalidInputError(
+            f"malformed graph document: {what} {json.dumps(value)} is not "
+            + {str: "a string", list: "a list", dict: "an object"}[kind])
     return value
 
 
 def doc_to_graph(doc: dict) -> MarkedMetricGraph:
     try:
-        rank = doc["rank"]
+        rank = _typed(doc, "document", dict)["rank"]
         # a JSON integer, which Python reads as an int that is not a bool
         if type(rank) is not int:
             raise InvalidInputError(f"malformed graph document: rank "
@@ -174,31 +168,32 @@ def doc_to_graph(doc: dict) -> MarkedMetricGraph:
         edges = {}
         labels = {}
         have_labels = True
-        for rec in doc["edges"]:
-            eid = _text(rec["id"], "edge id")
+        for rec in _typed(doc["edges"], "edges", list):
+            eid = _typed(_typed(rec, "edge record", dict)["id"], "edge id")
             if not _ID_RE.match(eid):
                 raise InvalidInputError(f"bad edge id {eid!r}")
             if eid in edges:
                 raise InvalidInputError(f"duplicate edge id {eid!r}")
-            edges[eid] = (_text(rec["from"], "endpoint"),
-                          _text(rec["to"], "endpoint"),
-                          parse_fraction(_text(rec["length"], "length")))
+            edges[eid] = (_typed(rec["from"], "endpoint"),
+                          _typed(rec["to"], "endpoint"),
+                          parse_fraction(_typed(rec["length"], "length")))
             if "label" in rec:
-                labels[eid] = parse_word(_text(rec["label"], "label"), rank)
+                labels[eid] = parse_word(_typed(rec["label"], "label"), rank)
             else:
                 have_labels = False
-        vertices = [_text(v, "vertex")
-                    for v in _list(doc["vertices"], "vertices")]
+        vertices = [_typed(v, "vertex")
+                    for v in _typed(doc["vertices"], "vertices", list)]
         endpoints = sorted({v for (o, t, _) in edges.values() for v in (o, t)})
         if sorted(vertices) != endpoints:
             raise InvalidInputError(
                 f"malformed graph document: vertices {json.dumps(vertices)} "
                 f"are not the edge endpoints {json.dumps(endpoints)}")
         marking = [
-            tuple(parse_dart(_text(s, "dart")) for s in _list(petal, "petal"))
-            for petal in _list(doc["marking"], "marking")
+            tuple(parse_dart(_typed(s, "dart"))
+                  for s in _typed(petal, "petal", list))
+            for petal in _typed(doc["marking"], "marking", list)
         ]
-        basepoint = _text(doc["basepoint"], "basepoint")
+        basepoint = _typed(doc["basepoint"], "basepoint")
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInputError(f"malformed graph document: {exc}")
     return make_graph(rank, edges, basepoint, marking,

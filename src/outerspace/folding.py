@@ -53,13 +53,13 @@ from .graphs import (
 )
 from .plmaps import (
     PLMap,
-    cut_ends,
     dart_point,
     dart_segs,
     germ_of_dart,
     make_plpath,
     optimize_pl_map,
     reverse_segs,
+    slide_ends,
 )
 from .stretch import enumerate_candidates, lambda_r
 from .words import identity
@@ -248,10 +248,10 @@ def fold_step(f: PLMap, classes: dict, delta: Fraction) -> PLMap:
     common head, reversed.  Every other group gets a new vertex at the
     fold point, joined to the old vertex by a new edge that maps onto the
     group's common head and reads the identity; the group's darts leave
-    the new vertex, less their heads.  Paths are edited at their ends, and
-    edges whose image is used up are collapsed.  Every other vertex and
-    edge keeps its id and image, and the returned map is isometric on
-    edges, as f is.
+    the new vertex, less their heads.  `slide_ends` edits the paths at
+    their ends, and edges whose image is used up are collapsed.  Every
+    other vertex and edge keeps its id and image, and the returned map is
+    isometric on edges, as f is.
     """
     delta = _rational_constant(delta, "fold step")
     if delta <= 0:
@@ -266,43 +266,31 @@ def fold_step(f: PLMap, classes: dict, delta: Fraction) -> PLMap:
     star = stars(G)
     edges, labels = dict(G.edges), dict(G.labels)
     vertex_image = dict(f.vertex_image)
-    lead: dict[Dart, list] = {}  # dart -> head put, reversed, before its image
-    via: dict[Dart, str] = {}    # dart -> new edge to its new origin
-    segments = {}                # edge -> its new image's segments
+    moves = {}                 # moving vertex -> the head it slides along
+    via: dict[Dart, str] = {}  # dart -> new edge to its new origin
+    new = {}                   # new edge -> its image
     for v, groups in classes.items():
-        back = []
         # one direction per group and per dart in none
         if len(star[v]) - len(zipped.intersection(star[v])) + len(groups) \
                 <= (1 if v == G.basepoint else 2):
-            h = head[groups[0][0]]
-            d, _, b = h[-1]
+            moves[v] = head[groups[0][0]]
+            d, _, b = moves[v][-1]
             vertex_image[v] = dart_point(B, d, b)
-            back = list(reverse_segs(B, h))
-            lead.update(dict.fromkeys(set(star[v]) - zipped, h))
             groups = groups[1:]
         for g in groups:
             x, w = fresh_id("x", edges), fresh_id("f", vertex_image)
             d, _, b = head[g[0]][-1]
             vertex_image[w] = dart_point(B, d, b)
             edges[x], labels[x] = (v, w, delta), identity(G.rank)
-            segments[x] = back + head[g[0]]
+            new[x] = make_plpath(B, [*reverse_segs(B, moves.get(v, ())),
+                                     *head[g[0]]], vertex_image[v])
             via.update(dict.fromkeys(g, x))
-    touched = zipped.union(lead)
-    for e in G.edges:
-        d0, d1 = ends = (e, 1), (e, -1)
-        if touched.isdisjoint(ends):
-            continue
-        segments[e] = [*reverse_segs(B, lead.get(d0, ())),
-                       *cut_ends(f.edge_image[e].segs,
-                                 *(delta if d in zipped else 0 for d in ends)),
-                       *lead.get(d1, ())]
-        edges[e] = tuple(edges[via[d]][1] if d in via else G.origin(d)
-                         for d in ends)
-    edge_image = dict(f.edge_image)
-    for e, segs in segments.items():
-        o, t = edges[e][:2]
-        edge_image[e] = make_plpath(B, segs, vertex_image[o])
-        edges[e] = (o, t, edge_image[e].length)
+    rebuilt = {**slide_ends(f, star, zipped, delta, moves), **new}
+    for e, p in rebuilt.items():
+        o, t = (edges[via[d]][1] if d in via else edges[e][i]
+                for i, d in enumerate(((e, 1), (e, -1))))
+        edges[e] = (o, t, p.length)
+    edge_image = {**f.edge_image, **rebuilt}
 
     def carried(d: Dart) -> list:
         """d in the folded graph, from its old origin to its old

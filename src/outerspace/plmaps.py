@@ -143,21 +143,6 @@ def reverse_segs(B: MarkedMetricGraph, segs):
             for (x, a, b) in reversed(segs))
 
 
-def cut_ends(segs, x: Fraction, y: Fraction) -> list:
-    """The segments of a path less arc length x at its start and y at its
-    end."""
-    segs = list(segs)
-    for i, z in ((0, x), (-1, y)):
-        while z:
-            d, a, b = segs[i]
-            if z < b - a:
-                segs[i] = (d, a + z, b) if i == 0 else (d, a, b - z)
-                break
-            del segs[i]
-            z -= b - a
-    return segs
-
-
 def dart_segs(f: PLMap, d: Dart):
     """The segments of d's image under f, from d's origin, one at a time."""
     segs = f.edge_image[d[0]].segs
@@ -286,36 +271,41 @@ def _analysis(f: PLMap, per_edge: dict) -> StretchAnalysis:
 
 # -- the local improvement move ----------------------------------------------------------
 
-def _move_vertex(f: PLMap, v: str, beta: Dart, a: Fraction,
-                 t: Fraction, star: dict) -> PLMap:
-    """Slide the image of v forward along beta by t (its current coordinate
-    on beta being a), truncating the images of the darts leaving v along
-    beta and extending the others by one segment; ``star`` is the source's
-    `stars`.  Only the end segments at v are edited, and every edited path
-    is rebuilt through `make_plpath`.  Raises when the slide leaves the
-    valid range."""
+def slide_ends(f: PLMap, star: dict, cut, t: Fraction,
+               moves: dict) -> dict:
+    """The images of the edges with an end in ``cut`` or at a vertex of
+    ``moves``, edited at those ends: a dart of ``cut`` loses the first t of
+    its image, and every other dart leaving a vertex v of ``moves`` starts
+    with the path ``moves[v]`` reversed, as the image of v slides along
+    it; ``star`` is the source's `stars`.  Each image is rebuilt through
+    `make_plpath`, anchored at its new origin's image; the other edges keep
+    their paths."""
     A, B = f.source, f.target
-    l = B.length(beta[0])
-    if t <= 0 or a + t > l:
-        raise InvalidInputError(f"slide amount {t} outside (0, {l - a}]")
-    trunc = {d for d in star[v] if germ_of_dart(f, d) == beta}
-    if any(y - x < t for _, x, y in (next(dart_segs(f, d)) for d in trunc)):
-        raise InvalidInputError("slide crosses a segment boundary")
-    new_fv = dart_point(B, beta, a + t)
-    edge_image = dict(f.edge_image)
-    for e in sorted({d[0] for d in star[v]}):
-        p = edge_image[e]
-        d0, d1 = (e, 1), (e, -1)
-        segs = cut_ends(p.segs, *(t if d in trunc else 0 for d in (d0, d1)))
-        if d1 in star[v] and d1 not in trunc:
-            segs.append((beta, a, a + t))
-        if d0 in star[v] and d0 not in trunc:
-            segs.insert(0, (rev(beta), l - a - t, l - a))
-        edge_image[e] = make_plpath(B, segs,
-                                    new_fv if d0 in star[v] else p.anchor)
-    vertex_image = dict(f.vertex_image)
-    vertex_image[v] = new_fv
-    return PLMap(A, B, vertex_image, edge_image)
+    out = {}
+    for e in sorted({d[0] for d in cut}.union(
+            d[0] for v in moves for d in star[v])):
+        p = f.edge_image[e]
+        segs = list(p.segs)
+        for i, d in ((0, (e, 1)), (-1, (e, -1))):
+            if d in cut:
+                x = t
+                while x:
+                    y, a, b = segs[i]
+                    if x < b - a:
+                        segs[i] = (y, a + x, b) if i == 0 else (y, a, b - x)
+                        break
+                    del segs[i]
+                    x -= b - a
+            elif (v := A.origin(d)) in moves:
+                if i == 0:
+                    segs[:0] = reverse_segs(B, moves[v])
+                else:
+                    segs.extend(moves[v])
+            if i == 0:  # the start is final: it sits at the new origin
+                anchor = (dart_point(B, *segs[0][:2]) if segs else
+                          path_end(B, p) if d in cut else p.anchor)
+        out[e] = make_plpath(B, segs, anchor)
+    return out
 
 
 def next_v(f: PLMap, v: str) -> PLMap:
@@ -347,19 +337,15 @@ def _next_v(f: PLMap, v: str, ana: StretchAnalysis, star: dict
 
     limits = [B.length(beta[0]) - a]
     slope: dict[str, int] = {}
-    trunc_count: dict[str, int] = {}
+    trunc = {d for d in star[v] if germs[d] == beta}
     for d in star[v]:
         e = d[0]
-        if germs[d] == beta:
+        if d in trunc:
             (_, a0, b0) = next(dart_segs(f, d))
             limits.append(b0 - a0)
-            slope[e] = slope.get(e, 0) - 1
-            trunc_count[e] = trunc_count.get(e, 0) + 1
-        else:
-            slope[e] = slope.get(e, 0) + 1
-    for e, k in trunc_count.items():
-        if k == 2:
-            limits.append(ana.per_edge[e] * A.length(e) / 2)
+            if rev(d) in trunc:
+                limits.append(ana.per_edge[e] * A.length(e) / 2)
+        slope[e] = slope.get(e, 0) + (-1 if d in trunc else 1)
     t_feas = min(limits)
     if t_feas <= 0:
         raise InternalInvariantError("no room to move the vertex")
@@ -415,7 +401,9 @@ def _next_v(f: PLMap, v: str, ana: StretchAnalysis, star: dict
         raise InternalInvariantError("next_v cannot make progress")
     t0 = best[1]
 
-    out = _move_vertex(f, v, beta, a, t0, star)
+    out = PLMap(A, B, {**f.vertex_image, v: dart_point(B, beta, a + t0)},
+                {**f.edge_image,
+                 **slide_ends(f, star, trunc, t0, {v: [(beta, a, a + t0)]})})
     per_edge = dict(ana.per_edge)
     for e in sorted(slope):
         s, r = moving.get(e, (per_edge[e], 0))
@@ -520,10 +508,12 @@ def _cell_minimum(f: PLMap, target: Fraction
     point = {v: dart_point(B, (edge_of[i], 1), lp.x[i])
              for v, i in var.items()}
     vertex_image = {v: point.get(v, pt) for v, pt in f.vertex_image.items()}
-    edge_image = {}
+    edge_image = dict(f.edge_image)  # edges with no end in var keep theirs
     try:
         for e, p in f.edge_image.items():
             o, t, _ = A.edges[e]
+            if o not in var and t not in var:
+                continue
             segs = [list(seg) for seg in p.segs]
             if segs and o in var:
                 c0, c1 = coordinate(segs[0][0], var[o])

@@ -66,6 +66,7 @@ from outerspace.graphs import (
     realize_word_as_loop,
     rev,
     stars,
+    subdivide,
     translation_length,
     validate_marked_graph,
     volume,
@@ -398,6 +399,42 @@ def test_fold_step_keeps_every_image_it_does_not_edit():
             for p in point_at(path, t).map.edge_image.values():
                 assert p.length == sum(b - a for _, a, b in p.segs)
     assert (kept, rebuilt) == (27, 44)
+
+
+# The fold keeps the joints of its source, and the simultaneous event at
+# 1/2 comes from one of them: a fold that suppressed the source's joints
+# had the events 0, 3/16, 5/16, 31/48, and a mend of the source joints
+# (ROADMAP item 2) is to change this pin
+BIVALENT_SOURCE_EVENTS = {"simultaneous": "0 3/16 5/16 1/2 31/48",
+                          "single-vertex": "0 1/2 31/48 11/16"}
+
+
+def test_bivalent_source_optimizes_and_folds(monkeypatch):
+    """theta_left subdivided at A 1/12 and C 1/4, onto theta_right: an
+    optimizer move slides a bivalent vertex, the map certifies, and under
+    both strategies the snapshots satisfy the dR triangle equality and the
+    event times are pinned."""
+    import outerspace.plmaps as plmaps
+
+    A, _ = subdivide(theta_left(), {"A": [F(1, 12)], "C": [F(1, 4)]})
+    B = theta_right()
+    step, moved = plmaps._next_v, []
+
+    def recording(f, v, ana, star):
+        moved.append(len(star[v]))
+        return step(f, v, ana, star)
+
+    monkeypatch.setattr(plmaps, "_next_v", recording)
+    f = optimize_pl_map(A, B)
+    assert 2 in moved
+    assert stretch_analysis(f).stretch == lambda_r(A, B).value
+    assert validate_pl_map(f) == []
+    monkeypatch.undo()
+    setup = prepare_folding_setup(A, B)
+    for strategy, events in BIVALENT_SOURCE_EVENTS.items():
+        path = fast_fold(setup, strategy)
+        assert check_dR_geodesic(path.snapshots)[0], strategy
+        assert " ".join(map(str, path.events)) == events
 
 
 @pytest.mark.parametrize("k", [2, 3, 5])

@@ -117,6 +117,10 @@ _MALFORMED = {
     "vertices-wrong": (("vertices",), ["nothing", 5]),
     "vertices-other": (("vertices",), ["u", "w"]),
     "vertices-duplicate": (("vertices",), ["u", "u", "v"]),
+    "edges-string": (("edges",), "A"),
+    "edges-object": (("edges",), {"id": "A"}),
+    "edges-null": (("edges",), None),
+    "edge-record-list": (("edges", 0), ["A", "u", "v", "1"]),
 }
 # documents of other graphs: (graph, keep its labels?, edits); without
 # labels they are derived from the marking, which must fold onto the graph
@@ -135,6 +139,7 @@ for _name in (*_MALFORMED, *_EDITED):
 CASES.update({
     "validate-missing-file": ["validate", "missing.json"],
     "validate-not-json": ["validate", "not_json.json"],
+    "validate-document-array": ["validate", "document_array.json"],
     "candidates-marking-inconsistent": ["candidates", "label_b.json"],
     # every shape: figure-eights need a vertex on two circles, which the
     # rose's loop edges give
@@ -227,6 +232,9 @@ def write_inputs(directory):
     with open(os.path.join(directory, "not_json.json"), "w",
               encoding="utf-8") as fh:
         fh.write("not json\n")
+    with open(os.path.join(directory, "document_array.json"), "w",
+              encoding="utf-8") as fh:
+        fh.write("[]\n")
     for name, (family, seed) in {**HIGH_RANK, **FOLD_RANK3}.items():
         # a target on the same graph with its own lengths, marking twisted by
         # two Nielsen moves

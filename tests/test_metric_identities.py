@@ -5,6 +5,8 @@ exact inequality.  The rank 3-6 triples come from the robustness sweep's
 recipe on the `FAMILIES` graphs: K4 (rank 3), K3,3 (rank 4), the pentagonal
 prism and the Petersen graph (rank 6).  The rank-8 and rank-10 triples are
 random trivalent graphs drawn by the benchmark's generator, `bench/gen.py`.
+The optimizer and the fold are checked for the same equivariance on K4 and
+K3,3 sweep pairs.
 """
 
 import os
@@ -15,6 +17,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import outerspace
+from outerspace.folding import fast_fold, prepare_folding_setup
 from outerspace.fixtures import (
     FAMILIES,
     random_nielsen_automorphism,
@@ -178,3 +181,33 @@ def test_one_point_axiom():
         o, t, l = A.edges[e]
         A2 = replace(A, edges={**A.edges, e: (o, t, l * Fraction(3, 2))})
         assert lambda_r(A, A2).value * lambda_r(A2, A).value > 1, key
+
+
+def test_optimizer_and_fold_are_equivariant():
+    """Out(F_n) acts on the markings and not on the graphs, so for one
+    automorphism phi on both sides of a K4 or K3,3 sweep pair, (A phi,
+    B phi) has the same optimal map as (A, B), and under both strategies
+    a fold with the same event times and the same vertex and edge images,
+    id by id, at every event."""
+    def images(f):
+        return f.vertex_image, f.edge_image
+
+    start = time.perf_counter()
+    for family, seeds in (("K4", range(8)), ("K33", range(5))):
+        for seed in seeds:
+            A, B, _, rng = sweep_triple(family, seed)
+            phi = random_nielsen_automorphism(rng, A.rank, rng.randint(1, 4))
+            setup = prepare_folding_setup(A, B)
+            twisted = prepare_folding_setup(
+                apply_automorphism_to_marking(A, phi),
+                apply_automorphism_to_marking(B, phi))
+            key = family, seed
+            assert images(twisted.optimal_map) == \
+                images(setup.optimal_map), key
+            for strategy in ("simultaneous", "single-vertex"):
+                path, path_phi = (fast_fold(s, strategy)
+                                  for s in (setup, twisted))
+                assert path_phi.events == path.events, key
+                assert [images(f) for f in path_phi.maps] == \
+                    [images(f) for f in path.maps], key
+    assert time.perf_counter() - start < 3

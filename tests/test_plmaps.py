@@ -551,6 +551,28 @@ def test_cell_lp_results_pinned(monkeypatch):
                for v, x in pins]
         for name, pins in CELL_LP_PINS.items()}
 
+
+def test_cell_lp_map_keeps_the_images_it_does_not_move(monkeypatch):
+    """Every cell-LP map of the pinned optimizer inputs keeps the `PLPath`
+    object of each edge whose two ends sit at target vertices: the LP moves
+    neither end, so the path stays as it is."""
+    cell = plmaps._cell_minimum
+    kept = []
+
+    def recording(f, target):
+        out = cell(f, target)
+        for e, (o, t, _) in f.source.edges.items():
+            if out and f.vertex_image[o][0] == f.vertex_image[t][0] == "v":
+                assert out[0].edge_image[e] is f.edge_image[e], e
+                kept.append(e)
+        return out
+
+    monkeypatch.setattr(plmaps, "_cell_minimum", recording)
+    for name, A, B, m in _pinned_optimizer_inputs():
+        optimize_pl_map(A, B, m)
+    assert len(kept) == 35
+
+
 def test_dart_readers_match_the_reversed_path(monkeypatch):
     """`germ_of_dart` and `dart_segs` agree with the stored path, run
     backward by `reversed_path` for a reversed dart, on every dart of every
@@ -559,13 +581,14 @@ def test_dart_readers_match_the_reversed_path(monkeypatch):
     import outerspace.plmaps as plmaps
 
     maps = []
-    move = plmaps._move_vertex
+    step = plmaps._next_v
 
     def recording(*args):
-        maps.append(move(*args))
-        return maps[-1]
+        out = step(*args)
+        maps.append(out[0])
+        return out
 
-    monkeypatch.setattr(plmaps, "_move_vertex", recording)
+    monkeypatch.setattr(plmaps, "_next_v", recording)
     for name, A, B, m in _pinned_optimizer_inputs():
         if name in ("K4-0", "K33-1", "K33-3", "K33-5", "rank2-2", "petal-2-4"):
             maps.append(initial_pl_map(A, B))
@@ -595,10 +618,12 @@ def test_move_off_its_stretch_line_is_caught(monkeypatch):
     predicted stretch lines; the incremental analysis refuses the map."""
     import outerspace.plmaps as plmaps
 
-    move = plmaps._move_vertex
+    slide = plmaps.slide_ends
     monkeypatch.setattr(
-        plmaps, "_move_vertex",
-        lambda f, v, alpha, q, t, ends: move(f, v, alpha, q, t / 2, ends))
+        plmaps, "slide_ends",
+        lambda f, star, cut, t, moves: slide(
+            f, star, cut, t / 2,
+            {v: [(d, a, a + t / 2)] for v, [(d, a, _)] in moves.items()}))
     f = initial_pl_map(theta_left(), theta_right())
     with pytest.raises(InternalInvariantError, match="off its stretch line"):
         next_v(f, stretch_analysis(f).boundary[0])
