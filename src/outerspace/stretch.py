@@ -6,22 +6,21 @@ candidate loops of the source that depends only on the source graph:
 embedded circles, figure-eights (two embedded circles meeting at one point)
 and barbells / dumbbells (two disjoint embedded circles joined by an embedded
 arc).  Darts are numbered as integers (see `_darts`).  An enumeration finds
-each circle once and keeps the candidates as integer loops in a table per
-combinatorial type, in the order found; the last few tables are kept (see
-`enumerate_candidates`).  A candidate's canonical key and its `CandidateLoop`
-are computed only where they are read: to order the witnesses of a factor,
-or the whole set where it is listed.  A candidate is evaluated through
-per-edge image paths: every edge label of the source is realized once through
-the target's marking, and the candidate's image is the cyclic reduction of
-its darts' images, found in one stack pass.  Lengths are summed as integers,
+each circle once, reads it from a vertex when a join first asks for it,
+checks reduction per piece, since then every junction is a turn (see
+`_candidates_of_type`), and keeps the candidates as integer loops in a table
+per combinatorial type, in the order found; the last few tables are kept.
+A candidate's canonical key and its `CandidateLoop` are computed only where
+read: to order the witnesses of a factor, or the whole set where listed.  A
+candidate is evaluated through per-edge image paths: every edge label of the
+source is realized once through the target's marking, and the candidate's
+image is the cyclic reduction of its darts' images, found in one stack pass
+that darts with the identity label skip.  Lengths are summed as integers,
 each graph's scaled by the common denominator of its edge lengths, and ratios
 are compared by cross-multiplication.  What the evaluation reads of a graph
-(its type key, integer lengths, dart numbers, labels, reduced integer petals
-and volume) is prepared once per graph object, and the last values asked
-for are kept; both caches key graphs by identity, so a graph must not be
-changed in place after a query (see `_PAIR_CACHE_SIZE`).  Everything here
-is exact: the reports carry the factors as fractions, and their logarithms
-are left to display.
+is prepared once per graph object, and the last values asked for are kept,
+both by graph identity: a graph must not be changed in place after a query.
+Everything here is exact; logarithms are left to display.
 """
 
 from __future__ import annotations
@@ -178,6 +177,12 @@ def _reverse(path: tuple[int, ...]) -> tuple[int, ...]:
     return tuple([d ^ 1 for d in reversed(path)])
 
 
+def _rotations(c: tuple[int, ...], k: int) -> tuple:
+    """Circle c read from its k-th dart, and the reverse of that."""
+    r = c[k:] + c[:k]
+    return r, _reverse(r)
+
+
 class _CandidateTable:
     """The candidate set of one combinatorial type in enumeration order: each
     candidate's shape and integer loop.  Candidate k's canonical key and its
@@ -221,19 +226,13 @@ class _CandidateTable:
         return self.canonical(range(len(self.loops)))
 
 
-# Three bounded module-level caches drop the entry used least recently;
-# sizes by tracemalloc (Python 3.11) on the trivalent graphs of rank 4 to 6
-# of the distance-highrank benchmark pool.  Candidate tables, by
-# combinatorial type: one takes at most about 140 KB with every candidate
-# keyed, sorted and built, so at most about 2.2 MB.
+# Bounds of three module-level caches that drop the entry used least
+# recently (README gives their sizes by tracemalloc): candidate tables by
+# combinatorial type, `_GraphRecord`s by graph identity and `lambda_r`
+# values by the identities of source and target; an identity entry keeps
+# its graphs alive, so no other object can take their ids.
 _TYPE_CACHE_SIZE = 16
-# `_GraphRecord`s, by graph identity: about 3.4 KB each, 109 KB in all.
 _RECORD_CACHE_SIZE = 32
-# `lambda_r` values, by the identities of source and target: 225 KB in all
-# with the witnesses they keep.  An identity entry keeps its graphs alive,
-# so no other object can take their ids while it is kept; a graph changed
-# in place after a query would read stale entries (graphs are immutable by
-# convention).
 _PAIR_CACHE_SIZE = 256
 
 
@@ -241,11 +240,10 @@ def enumerate_candidates(G: MarkedMetricGraph) -> list[CandidateLoop]:
     """The finite candidate set of G: every embedded circle, figure-eight and
     dumbbell, each once up to rotation and inversion, sorted canonically.
 
-    The set depends only on the combinatorial type of G: its vertex set and
-    its (edge, origin, terminus) triples.  The sets of the `_TYPE_CACHE_SIZE`
-    types used last are kept in enumeration order in a module-level cache,
-    never on the graph, which every fold snapshot would keep alive; the
-    canonical order is sorted once, on the first call that reads it.  Each
+    The set depends only on the combinatorial type of G.  The sets of the
+    `_TYPE_CACHE_SIZE` types used last are kept in enumeration order in a
+    module-level cache, never on the graph, which every fold snapshot would
+    keep alive; the canonical order is sorted once, when first read.  Each
     call returns a fresh list of the shared frozen candidates.
     """
     table = _candidates_of_type(*_combinatorial_type(G))
@@ -256,19 +254,29 @@ def enumerate_candidates(G: MarkedMetricGraph) -> list[CandidateLoop]:
 def _candidates_of_type(vertices: frozenset[str],
                         triples: tuple[tuple[str, str, str], ...]
                         ) -> _CandidateTable:
+    """Each loop must be cyclically reduced, which is checked per piece:
+    each circle embedded (its darts leave distinct vertices) and cyclically
+    reduced, no loop edge in two circles, each arc reduced, its first dart
+    ending outside src and its last starting outside dst.  Then each
+    junction is a turn: a rotation leaves and enters its junction vertex
+    along its circle, an arc leaves src and enters dst from outside them,
+    and two circles sharing one vertex share no edge.  If a piece fails,
+    the first loop that is not cyclically reduced is rejected."""
     inc = _incidence(vertices, triples)
     head, tail, _, turns = inc
+    turn_pairs = {(d, x) for d, after in enumerate(turns) for (x, _) in after}
     circles = _embedded_circles(inc)
     shapes = [CandidateShape.O] * len(circles)
     loops = list(circles)
-    # an embedded circle leaves each of its vertices once: ``starts[j][v]``
-    # is circle j, then its reverse, rotated to leave v first
-    starts = []
-    for c in circles:
-        r, n = _reverse(c), len(c)
-        starts.append({tail[d]: (c[i:] + c[:i], r[n - i:] + r[:n - i])
-                       for i, d in enumerate(c)})
-    masks = [sum(1 << v for v in at) for at in starts]
+    # ``at[j][v]``: where circle j leaves v; ``rot[j][v]``: circle j, then
+    # its reverse, read from v, built when a join first asks for it
+    at = [{tail[d]: k for k, d in enumerate(c)} for c in circles]
+    masks = [sum(1 << v for v in a) for a in at]
+    rot = [{} for _ in circles]
+    rings = [c[0] >> 1 for c in circles if len(c) == 1]
+    ok = len(set(rings)) == len(rings) and all(
+        len(a) == len(c) and turn_pairs.issuperset(zip(c, c[1:] + c[:1]))
+        for a, c in zip(at, circles))
     arcs: dict[tuple[int, int], list[tuple]] = {}
     for i in range(len(circles)):
         for j in range(i + 1, len(circles)):
@@ -280,23 +288,27 @@ def _candidates_of_type(vertices: frozenset[str],
             elif not common:
                 pair = (masks[i], masks[j])
                 if pair not in arcs:
-                    arcs[pair] = [
-                        (arc, _reverse(arc), tail[arc[0]], head[arc[-1]])
-                        for arc in _embedded_arcs(inc, set(starts[i]),
-                                                  set(starts[j]))]
+                    found = _embedded_arcs(inc, set(at[i]), set(at[j]))
+                    ok = ok and all(
+                        head[a[0]] not in at[i] and tail[a[-1]] not in at[j]
+                        and turn_pairs.issuperset(zip(a, a[1:]))
+                        for a in found)
+                    arcs[pair] = [(a, _reverse(a), tail[a[0]], head[a[-1]])
+                                  for a in found]
                 shape, joins = CandidateShape.DUMBBELL, arcs[pair]
             else:
                 continue
+            ri, rj = rot[i], rot[j]
             for (arc, arc_rev, u, w) in joins:
-                r1 = starts[i][u][0]
-                for r2 in starts[j][w]:
+                r1 = (ri.get(u) or ri.setdefault(
+                    u, _rotations(circles[i], at[i][u])))[0]
+                for r2 in rj.get(w) or rj.setdefault(
+                        w, _rotations(circles[j], at[j][w])):
                     shapes.append(shape)
                     loops.append(r1 + arc + r2 + arc_rev)
 
     table = _CandidateTable(_darts(e for (e, _, _) in triples), shapes, loops)
-    # each cyclically consecutive dart pair must be a turn
-    turn_pairs = {(d, x) for d, after in enumerate(turns) for (x, _) in after}
-    for loop in loops:
+    for loop in [] if ok else loops:
         if not turn_pairs.issuperset(zip(loop, loop[1:] + loop[:1])):
             raise InvalidInputError(
                 f"candidate loop {table.decode(loop)} is not cyclically "
@@ -400,8 +412,7 @@ def lambda_r(A: MarkedMetricGraph, B: MarkedMetricGraph) -> StretchValue:
 
 
 def _evaluate(A: MarkedMetricGraph, B: MarkedMetricGraph) -> StretchValue:
-    """`lambda_r` on the integer loops of A's candidate table, in its order,
-    independently of any map.
+    """`lambda_r` on the integer loops of A's candidate table, in its order.
 
     Each edge label of A is realized once as a reduced path of B's integer
     darts (`_realize`).  A candidate's image is its darts' images
@@ -409,11 +420,11 @@ def _evaluate(A: MarkedMetricGraph, B: MarkedMetricGraph) -> StretchValue:
     candidate's word, since free reduction is confluent.  One stack pass per
     candidate pushes each dart's image, popping where it cancels against the
     top (only at a seam, as every image is reduced), then trims matching
-    ends; the length is the images' integer lengths (`_GraphRecord`) less
-    twice each cancelled or trimmed dart's.  Ratios are compared by
+    ends; a dart with the identity label, whose image is empty, only adds
+    its length.  B's length is the images' integer lengths (`_GraphRecord`)
+    less twice each cancelled or trimmed dart's.  Ratios are compared by
     cross-multiplying these integers; one `Fraction` is built, and keys and
-    `CandidateLoop`s only for the witnesses, which are listed in canonical
-    order.
+    `CandidateLoop`s only for the witnesses, listed in canonical order.
     """
     ra, rb = _record(A), _record(B)
     table = _candidates_of_type(*ra.key)
@@ -432,13 +443,14 @@ def _evaluate(A: MarkedMetricGraph, B: MarkedMetricGraph) -> StretchValue:
         lb = la = 0
         for d in loop:
             path, length_path, length_d = image[d]
-            lb += length_path
             la += length_d
-            i = 0
-            while stack and i < len(path) and stack[-1] == path[i] ^ 1:
-                lb -= 2 * length_b[stack.pop()]
-                i += 1
-            stack += path[i:]
+            if path:
+                lb += length_path
+                i = 0
+                while stack and i < len(path) and stack[-1] == path[i] ^ 1:
+                    lb -= 2 * length_b[stack.pop()]
+                    i += 1
+                stack += path[i:]
         i, j = 0, len(stack) - 1
         while i < j and stack[i] == stack[j] ^ 1:
             lb -= 2 * length_b[stack[i]]

@@ -1,7 +1,10 @@
+import os
 import random
+import sys
 
 import pytest
 
+import outerspace
 import outerspace.stretch as stretch
 from outerspace.docs import canonical_text, graph_to_doc
 from outerspace.fixtures import (
@@ -13,6 +16,10 @@ from outerspace.fixtures import (
 )
 from outerspace.graphs import apply_automorphism_to_marking, make_graph
 from outerspace.words import Word, cyclic_reduce
+
+sys.path.append(os.path.join(os.path.dirname(__file__), os.pardir, "bench"))
+import gen  # noqa: E402
+import workloads  # noqa: E402
 
 
 def clear_stretch_caches():
@@ -27,6 +34,28 @@ def empty_stretch_caches():
     """Every test starts with the stretch caches empty, so that no test's
     result depends on the tests run before it."""
     clear_stretch_caches()
+
+
+def trivalent_triple(rank, seed):
+    """Three tree-marked random trivalent graphs of the given rank, with
+    `gen.length` lengths, drawn from ``Random(1000 * rank + seed)`` by the
+    benchmark's generator; the markings of the second and third are twisted
+    by two Nielsen moves each.  Also returns the rng, for further draws."""
+    rng = random.Random(1000 * rank + seed)
+
+    def draw():
+        ends = gen.random_trivalent_ends(rng, rank)
+        lengths = {e: gen.length(rng) for e in ends}
+        return workloads.build_graph(outerspace, gen.tree_marked(ends, lengths))
+
+    def twisted():
+        G = draw()
+        phi = gen.nielsen_automorphism(rng, rank, 2)
+        return apply_automorphism_to_marking(
+            G, workloads.build_automorphism(outerspace, phi, rank))
+
+    A = draw()
+    return A, twisted(), twisted(), rng
 
 
 def canonical_loop(loop):

@@ -9,14 +9,12 @@ The optimizer and the fold are checked for the same equivariance on K4 and
 K3,3 sweep pairs.
 """
 
-import os
 import random
-import sys
 import time
 from dataclasses import replace
 from fractions import Fraction
 
-import outerspace
+from conftest import trivalent_triple
 from outerspace.folding import fast_fold, prepare_folding_setup
 from outerspace.fixtures import (
     FAMILIES,
@@ -33,10 +31,6 @@ from outerspace.graphs import (
     word_of_loop,
 )
 from outerspace.stretch import lambda_r
-
-sys.path.append(os.path.join(os.path.dirname(__file__), os.pardir, "bench"))
-import gen  # noqa: E402
-import workloads  # noqa: E402
 
 # family -> the sweep seeds drawn for it; rank 6 costs the most
 SEEDS = {"K4": range(24), "K33": range(16), "prism5": range(8),
@@ -57,28 +51,6 @@ def sweep_triple(family, seed):
     B = twisted(rng.randint(1, 4))
     C = twisted(rng.randint(1, 4))
     return A, B, C, rng
-
-
-def trivalent_triple(rank, seed):
-    """Three tree-marked random trivalent graphs of the given rank, with
-    `gen.length` lengths, drawn from ``Random(1000 * rank + seed)``; the
-    markings of the second and third are twisted by two Nielsen moves each.
-    Also returns the rng, for further draws."""
-    rng = random.Random(1000 * rank + seed)
-
-    def draw():
-        ends = gen.random_trivalent_ends(rng, rank)
-        lengths = {e: gen.length(rng) for e in ends}
-        return workloads.build_graph(outerspace, gen.tree_marked(ends, lengths))
-
-    def twisted():
-        G = draw()
-        phi = gen.nielsen_automorphism(rng, rank, 2)
-        return apply_automorphism_to_marking(
-            G, workloads.build_automorphism(outerspace, phi, rank))
-
-    A = draw()
-    return A, twisted(), twisted(), rng
 
 
 def triples():

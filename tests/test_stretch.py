@@ -12,6 +12,7 @@ from conftest import (
     canonical_loop,
     clear_stretch_caches,
     cyclic_key,
+    trivalent_triple,
 )
 import outerspace.stretch as stretch
 from outerspace.errors import InvalidInputError, RankMismatchError
@@ -464,6 +465,58 @@ def test_backtracking_candidate_is_rejected(monkeypatch):
         stretch._candidates_of_type.cache_clear()
 
 
+def test_candidate_leaving_its_circle_at_a_junction_is_rejected(monkeypatch):
+    """The per-piece check also reads where each arc meets its circles: an
+    arc that first crosses an edge of its source circle, into the vertex it
+    left from, is itself reduced, but the loops built on it backtrack where
+    it meets that circle."""
+    original = stretch._embedded_arcs
+
+    def along_circle(inc, src, dst):
+        head, tail, star, _ = inc
+        out = []
+        for arc in original(inc, src, dst):
+            u = tail[arc[0]]
+            x = next(d for d in star[u] if head[d] in src and head[d] != u)
+            out.append((x ^ 1,) + arc)
+        return out
+
+    monkeypatch.setattr(stretch, "_embedded_arcs", along_circle)
+    stretch._candidates_of_type.cache_clear()
+    try:
+        with pytest.raises(InvalidInputError,
+                           match=r"^candidate loop \(\('.* is not "
+                                 r"cyclically reduced$"):
+            enumerate_candidates(random_tree_marked(random.Random(0),
+                                                    "prism5"))
+    finally:
+        stretch._candidates_of_type.cache_clear()
+
+
+@pytest.mark.parametrize("second", [lambda c: (c[0] ^ 1,), lambda c: c + c],
+                         ids=["reversed", "twice"])
+def test_loop_edge_on_two_circles_is_rejected(monkeypatch, second):
+    """A second circle on a loop edge, the loop reversed or crossed twice,
+    meets the loop's circle in one vertex and shares its edge, so a
+    figure-eight on them backtracks; the per-piece check finds the loop
+    edge on two circles, or a circle that is not embedded."""
+    original = stretch._embedded_circles
+
+    def doubled(inc):
+        circles = original(inc)
+        return circles + [second(c) for c in circles if len(c) == 1]
+
+    monkeypatch.setattr(stretch, "_embedded_circles", doubled)
+    stretch._candidates_of_type.cache_clear()
+    try:
+        with pytest.raises(InvalidInputError,
+                           match=r"^candidate loop \(\('.* is not "
+                                 r"cyclically reduced$"):
+            enumerate_candidates(barbell(1, 1, 1))
+    finally:
+        stretch._candidates_of_type.cache_clear()
+
+
 # -- the crossing-example tables ------------------------------------------------------
 
 X = theta_left()
@@ -787,12 +840,21 @@ def cascade_pairs():
         {"a": Word((-2, 1), 2), "b": generator(2, 2)})
 
 
+def trivalent_pairs():
+    """Random trivalent graphs of rank 4 to 6 from the benchmark's
+    generator, the target twisted: multigraphs, whose 12 graphs have 11
+    loop edges and 13 edges parallel to an earlier one."""
+    for rank in (4, 5, 6):
+        for seed in (0, 1):
+            yield trivalent_triple(rank, seed)[:2]
+
+
 def test_lambda_r_equals_word_based_definition():
     tied = (unit_rose(3), rose([2, 2, 1]))
     # a, b, ab and ab^-1 are all stretched by 2
     assert len(lambda_r(*tied).witnesses) == 4
     for A, B in itertools.chain(high_rank_pairs(), rank2_pairs(),
-                                cascade_pairs(), [tied]):
+                                cascade_pairs(), trivalent_pairs(), [tied]):
         for (P, Q) in ((A, B), (B, A)):
             got = lambda_r(P, Q)
             assert (got.value, got.witnesses) == word_based_lambda_r(P, Q)
