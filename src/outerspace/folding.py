@@ -22,9 +22,11 @@ definition and the volume bound.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cache, partial
 from itertools import combinations
 
 from .docs import log_of
@@ -53,6 +55,7 @@ from .graphs import (
 )
 from .plmaps import (
     PLMap,
+    PLPath,
     dart_point,
     dart_segs,
     germ_of_dart,
@@ -203,7 +206,7 @@ def _shared_length(f: PLMap, group) -> Fraction:
     """How far the images of a group's darts run together: up to the target
     vertex where they part, or to the end of the shortest."""
     B = f.target
-    total = Fraction(0)
+    total = 0
     for segs in zip(*(dart_segs(f, d) for d in group)):
         d, a, _ = segs[0]
         if any(s[0] != d for s in segs):
@@ -217,15 +220,19 @@ def _shared_length(f: PLMap, group) -> Fraction:
 
 def next_event_delta(f: PLMap, classes: dict) -> Fraction:
     """Time until some zipping edge is used up, each end of it zipping at
-    unit speed, or some group's images part."""
+    unit speed, or some group's images part.  On a map in integer units
+    it is an int, or a `Fraction` for an odd number of half-units."""
     zipped = {d for groups in classes.values() for g in groups for d in g}
-    best = min([*(f.source.length(d[0]) / (2 if rev(d) in zipped else 1)
+    L = f.source.length
+    best = min([*(L(d[0]) if rev(d) in zipped else 2 * L(d[0])
                   for d in zipped),
-                *(_shared_length(f, g) for groups in classes.values()
+                *(2 * _shared_length(f, g) for groups in classes.values()
                   for g in groups)], default=None)
     if best is None or best <= 0:
         raise InvalidInputError("no active fold to advance")
-    return best
+    if type(best) is int:
+        return Fraction(best, 2) if best & 1 else best >> 1
+    return best / 2
 
 
 def _head(f: PLMap, d: Dart, x: Fraction) -> list:
@@ -253,14 +260,15 @@ def fold_step(f: PLMap, classes: dict, delta: Fraction) -> PLMap:
     other vertex and edge keeps its id and image, and the returned map is
     isometric on edges, as f is.
     """
-    delta = _rational_constant(delta, "fold step")
+    if type(delta) is not int:  # a map in integer units steps by ints
+        delta = _rational_constant(delta, "fold step")
     if delta <= 0:
         raise InvalidInputError(f"fold step {delta} is not positive")
     G, B = f.source, f.target
     zipped = {d for groups in classes.values() for g in groups for d in g}
     head = {d: _head(f, d, delta) for d in zipped}
     if any(head[d] != head[g[0]] or
-           delta > G.length(d[0]) / (2 if rev(d) in zipped else 1)
+           delta * (2 if rev(d) in zipped else 1) > G.length(d[0])
            for groups in classes.values() for g in groups for d in g):
         raise InvalidInputError("step passes the next event")
     star = stars(G)
@@ -313,21 +321,66 @@ def fold_step(f: PLMap, classes: dict, delta: Fraction) -> PLMap:
     return f1
 
 
+def _graph_in_units(G: MarkedMetricGraph, unit) -> MarkedMetricGraph:
+    return replace(G, edges={e: (o, t, unit(l))
+                             for e, (o, t, l) in G.edges.items()})
+
+
+def _map_in_units(f: PLMap, target: MarkedMetricGraph, unit,
+                  kept=None) -> PLMap:
+    """f onto ``target``, every length and coordinate x written unit(x);
+    ``kept`` maps an edge to a pair (an image of f, that image so
+    written), reused while f holds that very path."""
+    def point(x):
+        return x if x[0] == "v" else (*x[:2], unit(x[2]))
+
+    images = {}
+    for e, p in f.edge_image.items():
+        old = kept.get(e) if kept else None
+        images[e] = old[1] if old and old[0] is p else PLPath(
+            tuple((d, unit(a), unit(b)) for d, a, b in p.segs),
+            point(p.anchor))
+    return PLMap(_graph_in_units(f.source, unit), target,
+                 {v: point(x) for v, x in f.vertex_image.items()}, images)
+
+
+def _in_units(f: PLMap, D: int) -> tuple:
+    """f and its target in integer units of 1/D, and each image of that
+    map paired with f's."""
+    def scaled(x):
+        return x.numerator * (D // x.denominator)
+
+    g = _map_in_units(f, _graph_in_units(f.target, scaled), scaled)
+    return g, {e: (p, f.edge_image[e]) for e, p in g.edge_image.items()}
+
+
 def fast_fold(setup: FoldSetup, strategy: str = "simultaneous") -> FoldingPath:
     """Run the zips to completion; the result is the event-indexed folding
     path from the prepared source onto the target.  A fold still running
     after `MAX_EVENTS` events raises `BudgetExhaustedError` whose partial is
-    the path up to its last event."""
+    the path up to its last event.
+
+    The fold runs in integer units of 1/D, D at first the setup's least
+    common denominator, doubled where a step is an odd number of
+    half-units.  Each event's map is written back in `Fraction`s, once
+    per image."""
     if strategy not in ("simultaneous", "single-vertex"):
         raise InvalidInputError(f"unknown folding strategy {strategy!r}")
-    f = setup.optimal_map
-    B = f.target
+    f0 = setup.optimal_map
+    B0 = f0.target
+    D = math.lcm(*(x.denominator for x in (
+        *(l for G in (f0.source, B0) for _, _, l in G.edges.values()),
+        *(x for p in f0.edge_image.values() for _, a, b in p.segs
+          for x in (a, b)),
+        *(x[2] for x in f0.vertex_image.values() if x[0] == "e"))))
+    f, kept = _in_units(f0, D)
+    fraction = cache(partial(Fraction, denominator=D))
     # the witness is never folded: its word keeps one translation length
     w = word_of_loop(f.source, setup.witness)
     witness_len = translation_length(f.source, w)
-    t = Fraction(0)
-    maps = [f]
-    events = [t]
+    t = 0
+    maps = [f0]
+    events = [Fraction(0)]
     while True:
         classes = active_classes(f, strategy)
         if not classes:
@@ -335,18 +388,26 @@ def fast_fold(setup: FoldSetup, strategy: str = "simultaneous") -> FoldingPath:
         if len(events) > MAX_EVENTS:
             raise BudgetExhaustedError(
                 f"fold event budget {MAX_EVENTS} exhausted",
-                partial=FoldingPath(B, events, maps, setup.witness,
+                partial=FoldingPath(B0, events, maps, setup.witness,
                                     strategy))
         delta = next_event_delta(f, classes)
+        if type(delta) is not int:  # an odd number of half-units
+            D, t, witness_len, delta = \
+                2 * D, 2 * t, 2 * witness_len, int(2 * delta)
+            f, kept = _in_units(maps[-1], D)
+            fraction = cache(partial(Fraction, denominator=D))
         f = fold_step(f, classes, delta)
         if translation_length(f.source, w) != witness_len:
             raise InternalInvariantError("witness loop was folded")
         t += delta
-        events.append(t)
-        maps.append(f)
+        events.append(fraction(t))
+        maps.append(_map_in_units(f, B0, fraction, kept))
+        kept = {e: (p, maps[-1].edge_image[e])
+                for e, p in f.edge_image.items()}
 
     # the end of the path must be the target up to subdivision: the images
     # of the surviving edges partition every target edge exactly
+    B = f.target
     cover: dict[str, list] = {e: [] for e in B.edges}
     for p in f.edge_image.values():
         for (bd, a, b) in p.segs:
@@ -354,7 +415,7 @@ def fast_fold(setup: FoldSetup, strategy: str = "simultaneous") -> FoldingPath:
             cover[bd[0]].append((a, b) if bd[1] > 0 else (L - b, L - a))
     for e, ivs in sorted(cover.items()):
         ivs.sort()
-        pos = Fraction(0)
+        pos = 0
         for (a, b) in ivs:
             if a != pos:
                 raise InternalInvariantError("final map is not an isometry")
@@ -362,13 +423,13 @@ def fast_fold(setup: FoldSetup, strategy: str = "simultaneous") -> FoldingPath:
         if pos != B.length(e):
             raise InternalInvariantError("final map is not an isometry")
 
-    end = f.source
-    if lambda_r(end, B).value * lambda_r(B, end).value != 1:
+    end = maps[-1].source
+    if lambda_r(end, B0).value * lambda_r(B0, end).value != 1:
         raise InternalInvariantError(
             "final snapshot is not isometric to the target as a marked graph"
         )
     return FoldingPath(
-        target=B,
+        target=B0,
         events=events,
         maps=maps,
         witness=setup.witness,
@@ -590,6 +651,39 @@ def check_quasi_geodesic(points, dist, lam, K):
             if not (lower_ok and upper_ok):
                 ok = False
     return ok, worst
+
+
+def check_fold_geodesic(path: FoldingPath):
+    """Whether a fold path is a d_R geodesic, from its own maps and one
+    `lambda_r` call per step along its points, the snapshots and then the
+    target.  Returns (flag, first failure or None), a failure being
+    ``("edge", i, e, length, image length)``, ``("witness", i, length,
+    target length)`` or ``("stretch", i, raw λ_R from point i to i + 1)``.
+
+    With every map isometric on edges, the witness as long as in the
+    target, and each step's raw λ_R 1, every pair i < j reads 1: at most 1
+    by the multiplicative triangle inequality for λ_R, at least 1 by the
+    witness.  So the verdict rests on that inequality and on the candidate
+    theorem, as every `lambda_r` value does.  On `fast_fold`'s paths the
+    edge check also compares two separate write-backs of the integer
+    fold: each edge's length and its image's segments.
+    """
+    B = path.target
+    w = word_of_loop(path.source_prepared, path.witness)
+    target_len = translation_length(B, w)
+    for i, f in enumerate(path.maps):
+        G = f.source
+        for e in sorted(G.edges):
+            if G.length(e) != f.edge_image[e].length:
+                return False, ("edge", i, e, G.length(e),
+                               f.edge_image[e].length)
+        if (l := translation_length(G, w)) != target_len:
+            return False, ("witness", i, l, target_len)
+    points = [*path.snapshots, B]
+    for i in range(len(points) - 1):
+        if (v := lambda_r(points[i], points[i + 1]).value) != 1:
+            return False, ("stretch", i, v)
+    return True, None
 
 
 def check_dR_geodesic(points):

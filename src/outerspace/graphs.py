@@ -161,7 +161,8 @@ def is_cyclically_reduced(G: MarkedMetricGraph, path: EdgePath) -> bool:
 
 
 def path_length(G: MarkedMetricGraph, path: EdgePath) -> Fraction:
-    return sum((G.length(d[0]) for d in path), Fraction(0))
+    # in the units of G's lengths: ints on a graph in integer units
+    return sum(G.length(d[0]) for d in path) if path else Fraction(0)
 
 
 def loop_length(G: MarkedMetricGraph, loop: EdgePath) -> Fraction:

@@ -74,7 +74,10 @@ class PLPath:
 
     @cached_property
     def length(self) -> Fraction:
-        return sum((b - a for (_, a, b) in self.segs), Fraction(0))
+        # in the units of the segments: ints on a map in integer units
+        if not self.segs:
+            return Fraction(0)
+        return sum(b - a for (_, a, b) in self.segs)
 
 
 def path_end(G: MarkedMetricGraph, p: PLPath) -> Point:

@@ -45,6 +45,7 @@ from outerspace.fixtures import (
 from outerspace.folding import (
     active_classes,
     check_dR_geodesic,
+    check_fold_geodesic,
     check_four_point,
     check_quasi_geodesic,
     fast_fold,
@@ -616,19 +617,24 @@ def test_fold_random_pairs_geodesic_properties():
             assert dv >= path.events[i + 1] - path.events[i]
 
 
-def test_rank3_and_rank4_pairs_certify_and_fold():
+def rank3_and_rank4_pairs():
     """Seeded K4 (rank 3) and K3,3 (rank 4) pairs, each target twisted by a
-    2-move Nielsen automorphism: the optimizer certifies at its default
+    2-move Nielsen automorphism."""
+    for family, seeds in (("K4", range(1001, 1007)),
+                          ("K33", range(2001, 2004))):
+        for seed in seeds:
+            rng = random.Random(seed)
+            A = random_tree_marked(rng, family)
+            yield A, apply_automorphism_to_marking(
+                random_tree_marked(rng, family),
+                random_nielsen_automorphism(rng, A.rank, 2))
+
+
+def test_rank3_and_rank4_pairs_certify_and_fold():
+    """On `rank3_and_rank4_pairs` the optimizer certifies at its default
     budget and the fold runs to the target."""
-    pairs = [("K4", seed) for seed in range(1001, 1007)]
-    pairs += [("K33", seed) for seed in range(2001, 2004)]
     start = time.perf_counter()
-    for family, seed in pairs:
-        rng = random.Random(seed)
-        A = random_tree_marked(rng, family)
-        B = apply_automorphism_to_marking(
-            random_tree_marked(rng, family),
-            random_nielsen_automorphism(rng, A.rank, 2))
+    for A, B in rank3_and_rank4_pairs():
         setup = prepare_folding_setup(A, B)
         # the setup's map, read with the volume-one source lengths (collapsed
         # edges, stretched by 0, are gone), has the certified stretch
@@ -643,6 +649,121 @@ def test_rank3_and_rank4_pairs_certify_and_fold():
         if len(path.snapshots) >= 3:
             assert check_dR_geodesic(path.snapshots)[0]
     assert time.perf_counter() - start < 3
+
+
+def test_fold_certifies_its_own_geodesicity():
+    """`check_fold_geodesic` agrees with `check_dR_geodesic` on the
+    snapshots and the target of `rank3_and_rank4_pairs` under both
+    strategies, and on K4 seed 31 it fails where one snapshot's edge
+    length changes and where a snapshot is swapped for a point off the
+    path, a single-vertex snapshot, as `check_dR_geodesic` does."""
+    for A, B in rank3_and_rank4_pairs():
+        setup = prepare_folding_setup(A, B)
+        for strategy in ("simultaneous", "single-vertex"):
+            path = fast_fold(setup, strategy)
+            assert check_fold_geodesic(path) == (True, None)
+            points = [*path.snapshots, path.target]
+            assert len(points) < 3 or check_dR_geodesic(points)[0]
+    setup = prepare_folding_setup(*k4_fold_pair())
+    path = fast_fold(setup)
+    f = path.maps[3]
+    e = min(f.source.edges)
+    o, t, l = f.source.edges[e]
+    longer = replace(f, source=replace(
+        f.source, edges={**f.source.edges, e: (o, t, l + F(1, 1000))}))
+    off = fast_fold(setup, "single-vertex").maps[3]
+    for mutant, failure in ((longer, ("edge", 3, e, l + F(1, 1000), l)),
+                            (off, ("stretch", 2, F(7034, 5377)))):
+        maps = [*path.maps[:3], mutant, *path.maps[4:]]
+        mutated = replace(path, maps=maps)
+        assert check_fold_geodesic(mutated) == (False, failure)
+        assert not check_dR_geodesic([*mutated.snapshots, path.target])[0]
+
+
+def assert_written_in_fractions(path):
+    """Every event time, snapshot edge length, vertex-image offset and
+    image coordinate of the path is a `Fraction`, not an int equal to
+    one; consecutive maps share the `PLPath` of every image that the step
+    left equal.  Returns the number of images so shared."""
+    def point_ok(x):
+        return x[0] == "v" or type(x[2]) is F
+
+    assert all(type(t) is F for t in path.events)
+    for f in path.maps:
+        assert all(type(l) is F for _, _, l in f.source.edges.values())
+        assert all(point_ok(x) for x in f.vertex_image.values())
+        for p in f.edge_image.values():
+            assert point_ok(p.anchor)
+            assert all(type(a) is F and type(b) is F for _, a, b in p.segs)
+    shared = 0
+    for f, g in zip(path.maps, path.maps[1:]):
+        for e in f.edge_image.keys() & g.edge_image.keys():
+            if g.edge_image[e] == f.edge_image[e]:
+                assert g.edge_image[e] is f.edge_image[e], e
+                shared += 1
+    return shared
+
+
+def setup_denominator(setup):
+    """The least common denominator of the setup map's lengths and
+    coordinates, and of its target's lengths."""
+    f = setup.optimal_map
+    return math.lcm(*(x.denominator for x in (
+        *(l for G in (f.source, f.target) for _, _, l in G.edges.values()),
+        *(x for p in f.edge_image.values() for _, a, b in p.segs
+          for x in (a, b)),
+        *(x[2] for x in f.vertex_image.values() if x[0] == "e"))))
+
+
+def test_no_int_leaves_the_fold(monkeypatch):
+    """The fold computes in integer units of 1/D, but what a caller reads
+    is written in `Fraction`s (`assert_written_in_fractions`): on the
+    K3,3 sweep pair seed 74, whose simultaneous fold doubles D (an event
+    time has a denominator that the setup's D does not divide), and on
+    the `MAX_EVENTS` partial of K4 seed 31, which doubles D at its first
+    event."""
+    setup = prepare_folding_setup(*sweep_pair("K33", 74))
+    path = fast_fold(setup)
+    assert any(setup_denominator(setup) % t.denominator for t in path.events)
+    assert assert_written_in_fractions(path) == 162
+    setup = prepare_folding_setup(*k4_fold_pair())
+    monkeypatch.setattr(folding, "MAX_EVENTS", 3)
+    with pytest.raises(BudgetExhaustedError) as info:
+        fast_fold(setup)
+    part = info.value.partial
+    assert part.maps[0] is setup.optimal_map
+    assert setup_denominator(setup) % part.events[1].denominator != 0
+    assert_written_in_fractions(part)
+
+
+# the simultaneous event times of K4 seed 31, as the fold in `Fraction`s
+# computed them; the first step is an odd number of half-units of the
+# setup's denominator 14539
+K4_EVENTS = ("0 2131/29078 1657/14539 2131/14539 3061/14539 3314/14539 "
+             "180/469 8894/14539")
+
+
+def test_fold_doubles_its_unit_at_an_odd_half(monkeypatch):
+    """On K4 seed 31 every step of the fold is an int number of units,
+    and the unit halves once, at the first step, an odd number of
+    half-units: the target's integer lengths double there and nowhere
+    else.  The event times are those of the fold in `Fraction`s."""
+    step, steps = folding.fold_step, []
+
+    def recording(f, classes, delta):
+        steps.append((delta, f.target))
+        return step(f, classes, delta)
+
+    monkeypatch.setattr(folding, "fold_step", recording)
+    setup = prepare_folding_setup(*k4_fold_pair())
+    assert setup_denominator(setup) == 14539
+    path = fast_fold(setup)
+    assert " ".join(map(str, path.events)) == K4_EVENTS
+    assert all(type(delta) is int for delta, _ in steps)
+    e = min(path.target.edges)
+    lengths = {B.length(e) for _, B in steps}
+    assert lengths == {2 * 14539 * path.target.length(e)}
+    assert all(type(x) is int for x in lengths)
 
 
 @pytest.mark.parametrize("seed", [11, 64, 74, 95])
