@@ -46,7 +46,7 @@ from .graphs import (
     uf_union,
     volume,
 )
-from .simplex import maximize
+from .simplex import maximize, maximize_on_optimum
 from .stretch import lambda_r
 from .words import Word, cyclic_reduce, generator, identity
 
@@ -433,9 +433,10 @@ def _cell_minimum(f: PLMap, target: Fraction
     image path vary.  Image lengths are then affine in the offsets, so one
     exact LP gives the cell's least Lipschitz constant S*: minimize S
     subject to ``a <= b`` on every end segment and ``len_e(x) <= S l_e``.
-    A second LP on the same rows plus ``S <= S*`` picks, among the optima,
-    one of least total image length: a fold from the map starts at that
-    volume, so the tightest optimum bounds the fold's length.  The map
+    The same run picks, on the optimal face, one of least total image
+    length: a fold from the map starts at that volume, so the tightest
+    optimum bounds the fold's length.  A tie is broken by solving the rows
+    plus ``S <= S*`` from scratch.  The map
     built from it must be valid with stretch exactly S*, and S* may not
     beat ``target``.
     """
@@ -498,13 +499,15 @@ def _cell_minimum(f: PLMap, target: Fraction
             row[j] = row.get(j, 0) - b1
             rows.append((row, b0 - a0))
     rows.append(({k: -1}, -max(fixed)))
-    lp = maximize([0] * k + [-1], rows)
-    if lp.status != "optimal":
-        raise InternalInvariantError(f"cell LP is {lp.status}")
-    S = -lp.value
+    least = [-c for c in total]
+    first, lp, unique = maximize_on_optimum([0] * k + [-1], least, rows)
+    if first.status != "optimal":
+        raise InternalInvariantError(f"cell LP is {first.status}")
+    S = -first.value
     if S < target:
         raise InternalInvariantError("cell LP beats the candidate bound")
-    lp = maximize([-c for c in total], rows + [({k: 1}, S)])
+    if not unique:
+        lp = maximize(least, rows + [({k: 1}, S)])
     if lp.status != "optimal":
         raise InternalInvariantError(f"least-length cell LP is {lp.status}")
 

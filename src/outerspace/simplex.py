@@ -73,12 +73,41 @@ def _optimize(rows: dict, obj: Row, D: int) -> tuple[Optional[Row], int]:
         obj, D = _pivot(rows, obj, D, best[2], enter)
 
 
+def _optimum(rows: dict, c: Sequence, D: int, n: int):
+    """Pivots from the feasible dictionary ``rows`` to an optimum of
+    ``sum(c[j] * x_j)``: its result, final objective row (None when
+    unbounded) and denominator."""
+    s = lcm(*(a.denominator for a in c))
+    coef = {j: a.numerator * s // a.denominator for j, a in enumerate(c) if a}
+    # the objective in terms of the current nonbasic variables
+    obj = (0, {j: D * a for j, a in coef.items() if j not in rows})
+    for j, a in coef.items():
+        if j in rows:
+            obj = _combine(1, obj, a, rows[j], 1)
+    final, D = _optimize(rows, obj, D)
+    if final is None:
+        return LPResult("unbounded"), None, D
+    x = tuple(Fraction(rows[j][0] if j in rows else 0, D) for j in range(n))
+    return LPResult("optimal", Fraction(final[0], D * s), x), final, D
+
+
 def maximize(c: Sequence, constraints: Sequence) -> LPResult:
     """Maximize ``sum(c[j] * x_j)`` over ``x >= 0`` subject to each
     ``(coef, rhs)`` in ``constraints``, meaning
     ``sum(coef[j] * x_j) <= rhs`` with ``coef`` a dict from variable index
     to coefficient.  Variables are numbered 0..len(c)-1; every number is an
     int or a Fraction."""
+    return maximize_on_optimum(c, None, constraints)[0]
+
+
+def maximize_on_optimum(c: Sequence, then: Optional[Sequence],
+                        constraints: Sequence
+                        ) -> tuple[LPResult, Optional[LPResult], bool]:
+    """`maximize` c, then ``then`` on c's optimal face from the same
+    dictionary.  Returns c's result, ``then``'s (None unless c is optimal
+    and ``then`` given) and whether ``then``'s optimum is provably unique,
+    hence the one `maximize` finds for ``then`` with ``c.x >= max`` added.
+    """
     n = len(c)
     rows: dict[int, Row] = {}
     scale = []  # the integer each row is multiplied by
@@ -88,9 +117,6 @@ def maximize(c: Sequence, constraints: Sequence) -> LPResult:
                        {j: -a.numerator * s // a.denominator
                         for j, a in coef.items() if a})
         scale.append(s)
-    obj_scale = lcm(*(a.denominator for a in c))
-    obj: Row = (0, {j: a.numerator * obj_scale // a.denominator
-                    for j, a in enumerate(c) if a})
     D = 1
     worst = min(range(len(rows)), key=lambda i: constraints[i][1], default=0)
     if rows and constraints[worst][1] < 0:
@@ -102,7 +128,7 @@ def maximize(c: Sequence, constraints: Sequence) -> LPResult:
         aux, D = _optimize(rows, *_pivot(rows, (0, {x0: -1}), D, n + worst,
                                          x0))
         if aux[0] < 0:
-            return LPResult("infeasible")
+            return LPResult("infeasible"), None, False
         if x0 in rows:
             # x0 is basic at 0; its row has a nonzero coefficient, for if
             # its row y of the inverse basis were 0 on every column but x0's,
@@ -110,15 +136,16 @@ def maximize(c: Sequence, constraints: Sequence) -> LPResult:
             _, D = _pivot(rows, aux, D, x0, min(rows[x0][1]))
         for _, coef in rows.values():
             coef.pop(x0, None)
-        # the original objective in terms of the current nonbasic variables
-        coef = obj[1]
-        obj = (0, {j: D * a for j, a in coef.items() if j not in rows})
-        for j, a in coef.items():
-            if j in rows:
-                obj = _combine(1, obj, a, rows[j], 1)
-
-    final, D = _optimize(rows, obj, D)
-    if final is None:
-        return LPResult("unbounded")
-    x = tuple(Fraction(rows[j][0] if j in rows else 0, D) for j in range(n))
-    return LPResult("optimal", Fraction(final[0], D * obj_scale), x)
+    first, final, D = _optimum(rows, c, D, n)
+    if final is None or then is None:
+        return first, None, False
+    # each column of the optimal objective row has a negative reduced cost,
+    # so c's optimal face is where all of them are 0
+    for _, coef in rows.values():
+        for j in final[1]:
+            coef.pop(j, None)
+    second, last, _ = _optimum(
+        rows, [0 if j in final[1] else a for j, a in enumerate(then)], D, n)
+    # unique if each of the n nonbasic columns is fixed or lowers ``then``
+    return first, second, last is not None and len(final[1]) + len(
+        last[1]) == n

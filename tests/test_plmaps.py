@@ -11,6 +11,7 @@ from conftest import (
     fold_times,
     k4_fold_pair,
     pinned_fold_pairs,
+    sweep_pair,
 )
 from outerspace.errors import (
     BudgetExhaustedError,
@@ -496,9 +497,10 @@ def test_optimizer_output_pinned():
 
 
 # every cell LP that optimize_pl_map solves on three pinned inputs, as
-# (value, x) of an optimal LPResult: the stretch solve, then the least-length
-# solve, at each checkpoint.  A solver that keeps every value may still
-# return another optimal vertex, and the least-length one becomes the map
+# (value, x) of an optimal LPResult: the stretch optimum, then the
+# least-length one, at each checkpoint.  A solver that keeps every value may
+# still return another optimal vertex, and the least-length one becomes the
+# map
 CELL_LP_PINS = {
     "K4-0": [
         ("-71/30", "59/90 71/90 71/30"),
@@ -528,19 +530,22 @@ CELL_LP_PINS = {
 def test_cell_lp_results_pinned(monkeypatch):
     """The simplex keeps its pivot path: each cell LP returns the same
     optimal vertex, not only the same value, and every one of them starts
-    infeasible, so phase one runs."""
+    infeasible, so phase one runs.  Every least-length optimum here is
+    provably unique, so no cell is solved again."""
     import outerspace.plmaps as plmaps
     from outerspace.simplex import LPResult
 
-    solve = plmaps.maximize
+    solve = plmaps.maximize_on_optimum
     solved = []
 
-    def recording(c, rows):
+    def recording(c, then, rows):
         assert min(rhs for _, rhs in rows) < 0  # needs phase one
-        solved.append(solve(c, rows))
-        return solved[-1]
+        first, second, unique = solve(c, then, rows)
+        assert unique
+        solved.extend((first, second))
+        return first, second, unique
 
-    monkeypatch.setattr(plmaps, "maximize", recording)
+    monkeypatch.setattr(plmaps, "maximize_on_optimum", recording)
     got = {}
     for name, A, B, m in _pinned_optimizer_inputs():
         if name in CELL_LP_PINS:
@@ -550,6 +555,24 @@ def test_cell_lp_results_pinned(monkeypatch):
         name: [LPResult("optimal", F(v), tuple(F(t) for t in x.split()))
                for v, x in pins]
         for name, pins in CELL_LP_PINS.items()}
+
+
+def test_tied_least_length_optimum_keeps_its_map(monkeypatch):
+    """On Petersen sweep pair seed 8, three of the five cells that the
+    optimizer solves have a least-length optimum that is not provably
+    unique, and in two of them the one-run solve ends at another optimal
+    vertex.  Those three are solved again from scratch, so the optimal map
+    stays the one recorded before the one-run solve."""
+    import outerspace.plmaps as plmaps
+
+    solve_again = plmaps.maximize
+    again = []
+    monkeypatch.setattr(plmaps, "maximize",
+                        lambda c, rows: again.append(c) or solve_again(c, rows))
+    setup = prepare_folding_setup(*sweep_pair("petersen", 8))
+    assert _optimizer_digest(setup.optimal_map) == (
+        "9d7797638052e79b4282ba86b5889dde8136acea6aa6933cbdd99f3934ab2862")
+    assert len(again) == 3
 
 
 def test_cell_lp_map_keeps_the_images_it_does_not_move(monkeypatch):
@@ -631,18 +654,22 @@ def test_move_off_its_stretch_line_is_caught(monkeypatch):
 
 @pytest.mark.parametrize("fault", ["claims-target", "low", "moved-point"])
 def test_wrong_cell_lp_optimum_is_never_returned(fault, monkeypatch):
-    """An LP that reports a wrong optimum, in the stretch solve or in the
-    least-length solve, makes the optimizer raise or keep moving; whatever
-    it returns is still certified."""
+    """An LP that reports a wrong optimum, for the stretch or for the least
+    length (in one run or in a tie's from-scratch solve), makes the
+    optimizer raise or keep moving; whatever it returns is still
+    certified."""
     import outerspace.plmaps as plmaps
     from outerspace.simplex import LPResult
 
-    solve = plmaps.maximize
+    solve, solve_again = plmaps.maximize_on_optimum, plmaps.maximize
     calls = []
 
-    def wrong(c, rows):
-        res = solve(c, rows)
-        calls.append(res)
+    def wrong(c, then, rows):
+        first, second, unique = solve(c, then, rows)
+        calls.append(first)
+        return corrupt(first), corrupt(second), unique
+
+    def corrupt(res):
         if res.status != "optimal":  # a wrong value can make it infeasible
             return res
         if fault == "claims-target":  # the cell optimum, reported as target
@@ -652,7 +679,9 @@ def test_wrong_cell_lp_optimum_is_never_returned(fault, monkeypatch):
         return LPResult("optimal", res.value,
                         tuple(x / 2 for x in res.x[:-1]) + res.x[-1:])
 
-    monkeypatch.setattr(plmaps, "maximize", wrong)
+    monkeypatch.setattr(plmaps, "maximize_on_optimum", wrong)
+    monkeypatch.setattr(plmaps, "maximize",
+                        lambda c, rows: corrupt(solve_again(c, rows)))
     outcomes = set()
     for name, A, B, m in _pinned_optimizer_inputs():
         if not name.startswith("K"):

@@ -2,7 +2,7 @@ import itertools
 import random
 from fractions import Fraction as F
 
-from outerspace.simplex import maximize
+from outerspace.simplex import LPResult, maximize, maximize_on_optimum
 
 
 def _solve(A, b):
@@ -146,3 +146,52 @@ def test_degenerate_cell_lp_keeps_its_vertex():
 def test_no_constraints():
     assert maximize([F(-1), F(0)], []).value == 0
     assert maximize([F(1)], []).status == "unbounded"
+
+
+def test_second_objective_on_the_optimal_face():
+    """Against vertex enumeration on the optimal face of the first objective
+    (the constraints plus ``c.x >= max``), and against `maximize` there
+    where the optimum is flagged unique.  Objectives drawn from few small
+    integers tie often, so faces of more than one vertex and tied second
+    optima both occur."""
+    rng = random.Random(2018)
+    seen = set()
+    for _ in range(240):
+        c, constraints = random_lp(rng, rng.choice((2, 3)))
+        c = [rng.randint(-1, 1) for _ in c]
+        then = [rng.randint(-2, 1) for _ in c]
+        first, second, unique = maximize_on_optimum(c, then, constraints)
+        expected = brute_force(c, constraints)
+        if expected is None:
+            assert (first.status, second, unique) == ("infeasible", None,
+                                                      False)
+            continue
+        assert first.status == "optimal" and first.value == expected
+        face = constraints + [({j: -a for j, a in enumerate(c)}, -expected)]
+        assert second.value == brute_force(then, face)
+        assert sum(a * xi for a, xi in zip(c, second.x)) == expected
+        if unique:
+            assert second == maximize(then, face)
+        seen.add((unique, first.x == second.x))
+    assert seen == {(True, True), (True, False), (False, True),
+                    (False, False)}
+
+
+def test_tied_second_optimum_is_not_unique():
+    # max x0 + x1 on the square [0, 2]^2 cut by x0 + x1 <= 2: the face is
+    # the segment x0 + x1 = 2, on which -x0 - x1 ties and -x0 does not
+    constraints = [({0: 1, 1: 1}, 2), ({0: 1}, 2), ({1: 1}, 2)]
+    _, second, unique = maximize_on_optimum([1, 1], [-1, -1], constraints)
+    assert second.value == -2 and not unique
+    _, second, unique = maximize_on_optimum([1, 1], [-1, 0], constraints)
+    assert second == LPResult("optimal", 0, (0, 2)) and unique
+
+
+def test_first_objective_status_is_reported():
+    assert maximize_on_optimum([1, 1], [1, 0], [({0: 1, 1: 1}, -1)]) == (
+        LPResult("infeasible"), None, False)
+    assert maximize_on_optimum([0, 1], [1, 0], [({0: 1, 1: -1}, -1)]) == (
+        LPResult("unbounded"), None, False)
+    # bounded first, unbounded second: x0 is free on the face x1 = 1
+    assert maximize_on_optimum([0, 1], [1, 0], [({1: 1}, 1)]) == (
+        LPResult("optimal", 1, (0, 1)), LPResult("unbounded"), False)
