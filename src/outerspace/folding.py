@@ -250,15 +250,14 @@ def fold_step(f: PLMap, classes: dict, delta: Fraction) -> PLMap:
     """Advance every active zip by ``delta``, on the map.
 
     A vertex that the fold leaves with at most two directions (at most one
-    at the basepoint) moves along its first group: the group's darts lose
-    their first ``delta``, and its other darts start with the group's
-    common head, reversed.  Every other group gets a new vertex at the
-    fold point, joined to the old vertex by a new edge that maps onto the
-    group's common head and reads the identity; the group's darts leave
-    the new vertex, less their heads.  `slide_ends` edits the paths at
-    their ends, and edges whose image is used up are collapsed.  Every
-    other vertex and edge keeps its id and image, and the returned map is
-    isometric on edges, as f is.
+    at the basepoint) slides along the common head of its first group.
+    Every other group gets a new vertex at the fold point, joined to the
+    old vertex by a new edge that maps onto the group's common head and
+    reads the identity; the group's darts leave the new vertex, so each
+    slides along its head.  `slide_ends` edits the paths at their ends,
+    and edges whose image is used up are collapsed.  Every other vertex
+    and edge keeps its id and image, and the returned map is isometric on
+    edges, as f is.
     """
     if type(delta) is not int:  # a map in integer units steps by ints
         delta = _rational_constant(delta, "fold step")
@@ -293,7 +292,8 @@ def fold_step(f: PLMap, classes: dict, delta: Fraction) -> PLMap:
             new[x] = make_plpath(B, [*reverse_segs(B, moves.get(v, ())),
                                      *head[g[0]]], vertex_image[v])
             via.update(dict.fromkeys(g, x))
-    rebuilt = {**slide_ends(f, star, zipped, delta, moves), **new}
+    rebuilt = {**slide_ends(f, {**{d: moves[v] for v in moves
+                                   for d in star[v]}, **head}), **new}
     for e, p in rebuilt.items():
         o, t = (edges[via[d]][1] if d in via else edges[e][i]
                 for i, d in enumerate(((e, 1), (e, -1))))

@@ -274,39 +274,46 @@ def _analysis(f: PLMap, per_edge: dict) -> StretchAnalysis:
 
 # -- the local improvement move ----------------------------------------------------------
 
-def slide_ends(f: PLMap, star: dict, cut, t: Fraction,
-               moves: dict) -> dict:
-    """The images of the edges with an end in ``cut`` or at a vertex of
-    ``moves``, edited at those ends: a dart of ``cut`` loses the first t of
-    its image, and every other dart leaving a vertex v of ``moves`` starts
-    with the path ``moves[v]`` reversed, as the image of v slides along
-    it; ``star`` is the source's `stars`.  Each image is rebuilt through
-    `make_plpath`, anchored at its new origin's image; the other edges keep
-    their paths."""
-    A, B = f.source, f.target
+def _tightened(B: MarkedMetricGraph, head: list, segs: list, i: int) -> list:
+    """The path ``segs`` (a list this edits) with the path ``head``, which
+    leaves its start (i = 0) or its end (i = -1), joined there, reversed at
+    the start, and the backtrack at the junction cancelled."""
+    head = list(head)
+    while head and segs:
+        (x, a, b), (y, c, d) = head[0], segs[i]
+        # the joined path doubles back over the end segment
+        if not (x == y and a == c if i == 0 else
+                x == rev(y) and a + d == B.length(y[0])):
+            break
+        n, k = b - a, d - c  # cancel the shorter of the two, or both
+        if k < n:
+            head[0] = (x, a + k, b)
+        else:
+            del head[0]
+        if n < k:
+            segs[i] = (y, c + n, d) if i == 0 else (y, c, d - n)
+        else:
+            del segs[i]
+    return [*reverse_segs(B, head), *segs] if i == 0 else segs + head
+
+
+def slide_ends(f: PLMap, heads: dict) -> dict:
+    """The images of the edges with a dart in ``heads``, as the image of
+    each such dart's origin slides along the target path ``heads[d]``: edge
+    e's becomes ``heads[(e, 1)]`` reversed, the old image, then
+    ``heads[(e, -1)]``, the backtrack at the two junctions cancelled, rebuilt
+    by `make_plpath` at the end of ``heads[(e, 1)]`` or the old anchor.  The
+    other edges keep their paths."""
+    B = f.target
     out = {}
-    for e in sorted({d[0] for d in cut}.union(
-            d[0] for v in moves for d in star[v])):
+    for e in sorted({d[0] for d in heads}):
         p = f.edge_image[e]
-        segs = list(p.segs)
-        for i, d in ((0, (e, 1)), (-1, (e, -1))):
-            if d in cut:
-                x = t
-                while x:
-                    y, a, b = segs[i]
-                    if x < b - a:
-                        segs[i] = (y, a + x, b) if i == 0 else (y, a, b - x)
-                        break
-                    del segs[i]
-                    x -= b - a
-            elif (v := A.origin(d)) in moves:
-                if i == 0:
-                    segs[:0] = reverse_segs(B, moves[v])
-                else:
-                    segs.extend(moves[v])
-            if i == 0:  # the start is final: it sits at the new origin
-                anchor = (dart_point(B, *segs[0][:2]) if segs else
-                          path_end(B, p) if d in cut else p.anchor)
+        segs, anchor = list(p.segs), p.anchor
+        if h := heads.get((e, 1)):
+            segs = _tightened(B, h, segs, 0)
+            anchor = dart_point(B, h[-1][0], h[-1][2])
+        if h := heads.get((e, -1)):
+            segs = _tightened(B, h, segs, -1)
         out[e] = make_plpath(B, segs, anchor)
     return out
 
@@ -406,7 +413,7 @@ def _next_v(f: PLMap, v: str, ana: StretchAnalysis, star: dict
 
     out = PLMap(A, B, {**f.vertex_image, v: dart_point(B, beta, a + t0)},
                 {**f.edge_image,
-                 **slide_ends(f, star, trunc, t0, {v: [(beta, a, a + t0)]})})
+                 **slide_ends(f, dict.fromkeys(star[v], [(beta, a, a + t0)]))})
     per_edge = dict(ana.per_edge)
     for e in sorted(slope):
         s, r = moving.get(e, (per_edge[e], 0))
@@ -436,9 +443,9 @@ def _cell_minimum(f: PLMap, target: Fraction
     The same run picks, on the optimal face, one of least total image
     length: a fold from the map starts at that volume, so the tightest
     optimum bounds the fold's length.  A tie is broken by solving the rows
-    plus ``S <= S*`` from scratch.  The map
-    built from it must be valid with stretch exactly S*, and S* may not
-    beat ``target``.
+    plus ``S <= S*`` from scratch.  Each vertex whose point moves slides
+    there along its target edge through `slide_ends`.  The map must be
+    valid with stretch exactly S*, and S* may not beat ``target``.
     """
     A, B = f.source, f.target
     parent: dict = {}
@@ -511,25 +518,17 @@ def _cell_minimum(f: PLMap, target: Fraction
     if lp.status != "optimal":
         raise InternalInvariantError(f"least-length cell LP is {lp.status}")
 
-    point = {v: dart_point(B, (edge_of[i], 1), lp.x[i])
-             for v, i in var.items()}
-    vertex_image = {v: point.get(v, pt) for v, pt in f.vertex_image.items()}
-    edge_image = dict(f.edge_image)  # edges with no end in var keep theirs
+    star, heads, vertex_image = stars(A), {}, dict(f.vertex_image)
     try:
-        for e, p in f.edge_image.items():
-            o, t, _ = A.edges[e]
-            if o not in var and t not in var:
-                continue
-            segs = [list(seg) for seg in p.segs]
-            if segs and o in var:
-                c0, c1 = coordinate(segs[0][0], var[o])
-                segs[0][1] = c0 + c1 * lp.x[var[o]]
-            if segs and t in var:
-                c0, c1 = coordinate(segs[-1][0], var[t])
-                segs[-1][2] = c0 + c1 * lp.x[var[t]]
-            edge_image[e] = make_plpath(
-                B, [tuple(seg) for seg in segs if seg[1] != seg[2]],
-                vertex_image[o])
+        for v, i in var.items():
+            off, x = f.vertex_image[v][2], lp.x[i]
+            if x != off:  # v slides along its target edge from off to x
+                d = (edge_of[i], 1 if x > off else -1)
+                c0, c1 = coordinate(d, i)
+                vertex_image[v] = dart_point(B, d, c0 + c1 * x)
+                heads.update(dict.fromkeys(
+                    star[v], [(d, c0 + c1 * off, c0 + c1 * x)]))
+        edge_image = {**f.edge_image, **slide_ends(f, heads)}
     except InvalidInputError as exc:
         raise InternalInvariantError(f"cell LP optimum is not a map: {exc}")
     g = PLMap(A, B, vertex_image, edge_image)

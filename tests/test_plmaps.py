@@ -577,15 +577,16 @@ def test_tied_least_length_optimum_keeps_its_map(monkeypatch):
 
 def test_cell_lp_map_keeps_the_images_it_does_not_move(monkeypatch):
     """Every cell-LP map of the pinned optimizer inputs keeps the `PLPath`
-    object of each edge whose two ends sit at target vertices: the LP moves
-    neither end, so the path stays as it is."""
+    object of each edge neither of whose end images the LP moves: only the
+    images of the vertices that slide are edited."""
     cell = plmaps._cell_minimum
     kept = []
 
     def recording(f, target):
         out = cell(f, target)
         for e, (o, t, _) in f.source.edges.items():
-            if out and f.vertex_image[o][0] == f.vertex_image[t][0] == "v":
+            if out and all(out[0].vertex_image[v] == f.vertex_image[v]
+                           for v in (o, t)):
                 assert out[0].edge_image[e] is f.edge_image[e], e
                 kept.append(e)
         return out
@@ -593,7 +594,51 @@ def test_cell_lp_map_keeps_the_images_it_does_not_move(monkeypatch):
     monkeypatch.setattr(plmaps, "_cell_minimum", recording)
     for name, A, B, m in _pinned_optimizer_inputs():
         optimize_pl_map(A, B, m)
-    assert len(kept) == 35
+    assert len(kept) == 38
+
+
+def test_slide_there_and_back_restores_the_images(monkeypatch):
+    """Each vertex image inside a target edge of every map that a move
+    builds on the K4 and K3,3 sweep pairs 0-9 slides halfway toward either
+    end of its edge and back along the reversed head: the map in between is
+    valid, and the round trip restores every image.  The images grow,
+    shrink, and lose or regain whole segments."""
+    step, maps = plmaps._next_v, []
+
+    def recording(*args):
+        out = step(*args)
+        maps.append(out[0])
+        return out
+
+    monkeypatch.setattr(plmaps, "_next_v", recording)
+    for family in ("K4", "K33"):
+        for seed in range(10):
+            optimize_pl_map(*sweep_pair(family, seed))
+    monkeypatch.undo()
+
+    def slid(f, v, head):
+        (d, _, b), B = head[-1], f.target
+        return PLMap(f.source, B, {**f.vertex_image, v: dart_point(B, d, b)},
+                     {**f.edge_image, **plmaps.slide_ends(
+                         f, dict.fromkeys(stars(f.source)[v], head))})
+
+    trips = 0
+    for f in maps:
+        B = f.target
+        for v, pt in sorted(f.vertex_image.items()):
+            if pt[0] != "e":
+                continue
+            (_, E, x), L = pt, B.length(pt[1])
+            for head in ([((E, -1), L - x, L - x / 2)],
+                         [((E, 1), x, (x + L) / 2)]):
+                g = slid(f, v, head)
+                assert validate_pl_map(g) == []
+                back = slid(g, v, [(rev(d), L - b, L - a)
+                                   for (d, a, b) in head])
+                assert back.vertex_image == f.vertex_image
+                assert back.edge_image == f.edge_image
+                trips += 1
+    assert trips == 1282
 
 
 def test_dart_readers_match_the_reversed_path(monkeypatch):
@@ -644,20 +689,29 @@ def test_move_off_its_stretch_line_is_caught(monkeypatch):
     slide = plmaps.slide_ends
     monkeypatch.setattr(
         plmaps, "slide_ends",
-        lambda f, star, cut, t, moves: slide(
-            f, star, cut, t / 2,
-            {v: [(d, a, a + t / 2)] for v, [(d, a, _)] in moves.items()}))
+        lambda f, heads: slide(f, {d: [(y, a, (a + b) / 2)]
+                                   for d, [(y, a, b)] in heads.items()}))
     f = initial_pl_map(theta_left(), theta_right())
     with pytest.raises(InternalInvariantError, match="off its stretch line"):
         next_v(f, stretch_analysis(f).boundary[0])
 
 
-@pytest.mark.parametrize("fault", ["claims-target", "low", "moved-point"])
+# the outcomes on the pinned K4 and K3,3 inputs of each wrong cell-LP optimum
+WRONG_CELL_LP_OUTCOMES = {
+    "claims-target": {"InternalInvariantError", "certified"},
+    "low": {"InternalInvariantError"},
+    "moved-point": {"InternalInvariantError"},
+    "off-edge": {"InternalInvariantError"},
+}
+
+
+@pytest.mark.parametrize("fault", WRONG_CELL_LP_OUTCOMES)
 def test_wrong_cell_lp_optimum_is_never_returned(fault, monkeypatch):
     """An LP that reports a wrong optimum, for the stretch or for the least
     length (in one run or in a tie's from-scratch solve), makes the
     optimizer raise or keep moving; whatever it returns is still
-    certified."""
+    certified.  A point off its target edge is an internal error, not an
+    input error."""
     import outerspace.plmaps as plmaps
     from outerspace.simplex import LPResult
 
@@ -676,8 +730,11 @@ def test_wrong_cell_lp_optimum_is_never_returned(fault, monkeypatch):
             return LPResult("optimal", -target, res.x)
         if fault == "low":
             return LPResult("optimal", res.value + F(1, 1000), res.x)
-        return LPResult("optimal", res.value,
-                        tuple(x / 2 for x in res.x[:-1]) + res.x[-1:])
+        if fault == "moved-point":
+            return LPResult("optimal", res.value,
+                            tuple(x / 2 for x in res.x[:-1]) + res.x[-1:])
+        return LPResult("optimal", res.value,  # off the target edge
+                        tuple(3 * x + 1 for x in res.x[:-1]) + res.x[-1:])
 
     monkeypatch.setattr(plmaps, "maximize_on_optimum", wrong)
     monkeypatch.setattr(plmaps, "maximize",
@@ -696,7 +753,7 @@ def test_wrong_cell_lp_optimum_is_never_returned(fault, monkeypatch):
         assert stretch_analysis(f).stretch == target
         assert validate_pl_map(f) == []
     assert calls
-    assert "InternalInvariantError" in outcomes
+    assert outcomes == WRONG_CELL_LP_OUTCOMES[fault]
 
 
 # -- bounded cancellation ---------------------------------------------------------------
