@@ -22,7 +22,6 @@ definition and the volume bound.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -55,7 +54,9 @@ from .graphs import (
 )
 from .plmaps import (
     PLMap,
-    PLPath,
+    _graph_in_units,
+    _in_units,
+    _map_in_units,
     dart_point,
     dart_segs,
     germ_of_dart,
@@ -140,7 +141,7 @@ def _collapse(f: PLMap, dead) -> PLMap:
         labels={e: vc.labels[e] for e in edges},
     )
     return PLMap(G2, f.target, {v: f.vertex_image[v] for v in vertices},
-                 {e: f.edge_image[e] for e in edges})
+                 {e: f.edge_image[e] for e in edges}, f.unit)
 
 
 def prepare_folding_setup(A: MarkedMetricGraph, B: MarkedMetricGraph,
@@ -311,7 +312,7 @@ def fold_step(f: PLMap, classes: dict, delta: Fraction) -> PLMap:
                     for petal in G.marking)
     f1 = PLMap(replace(G, vertices=frozenset(vertex_image), edges=edges,
                        marking=marking, labels=labels),
-               B, vertex_image, edge_image)
+               B, vertex_image, edge_image, f.unit)
     dead = {e for e, p in edge_image.items() if not p.segs}
     if dead:
         f1 = _collapse(f1, dead)
@@ -321,60 +322,22 @@ def fold_step(f: PLMap, classes: dict, delta: Fraction) -> PLMap:
     return f1
 
 
-def _graph_in_units(G: MarkedMetricGraph, unit) -> MarkedMetricGraph:
-    return replace(G, edges={e: (o, t, unit(l))
-                             for e, (o, t, l) in G.edges.items()})
-
-
-def _map_in_units(f: PLMap, target: MarkedMetricGraph, unit,
-                  kept=None) -> PLMap:
-    """f onto ``target``, every length and coordinate x written unit(x);
-    ``kept`` maps an edge to a pair (an image of f, that image so
-    written), reused while f holds that very path."""
-    def point(x):
-        return x if x[0] == "v" else (*x[:2], unit(x[2]))
-
-    images = {}
-    for e, p in f.edge_image.items():
-        old = kept.get(e) if kept else None
-        images[e] = old[1] if old and old[0] is p else PLPath(
-            tuple((d, unit(a), unit(b)) for d, a, b in p.segs),
-            point(p.anchor))
-    return PLMap(_graph_in_units(f.source, unit), target,
-                 {v: point(x) for v, x in f.vertex_image.items()}, images)
-
-
-def _in_units(f: PLMap, D: int) -> tuple:
-    """f and its target in integer units of 1/D, and each image of that
-    map paired with f's."""
-    def scaled(x):
-        return x.numerator * (D // x.denominator)
-
-    g = _map_in_units(f, _graph_in_units(f.target, scaled), scaled)
-    return g, {e: (p, f.edge_image[e]) for e, p in g.edge_image.items()}
-
-
 def fast_fold(setup: FoldSetup, strategy: str = "simultaneous") -> FoldingPath:
     """Run the zips to completion; the result is the event-indexed folding
     path from the prepared source onto the target.  A fold still running
     after `MAX_EVENTS` events raises `BudgetExhaustedError` whose partial is
     the path up to its last event.
 
-    The fold runs in integer units of 1/D, D at first the setup's least
-    common denominator, doubled where a step is an odd number of
-    half-units.  Each event's map is written back in `Fraction`s, once
-    per image."""
+    The fold runs in integer units of 1/D (``unit`` of its maps), D at
+    first the setup's least common denominator, doubled where a step is
+    an odd number of half-units.  Each event's map is written back in
+    `Fraction`s, once per image."""
     if strategy not in ("simultaneous", "single-vertex"):
         raise InvalidInputError(f"unknown folding strategy {strategy!r}")
     f0 = setup.optimal_map
     B0 = f0.target
-    D = math.lcm(*(x.denominator for x in (
-        *(l for G in (f0.source, B0) for _, _, l in G.edges.values()),
-        *(x for p in f0.edge_image.values() for _, a, b in p.segs
-          for x in (a, b)),
-        *(x[2] for x in f0.vertex_image.values() if x[0] == "e"))))
-    f, kept = _in_units(f0, D)
-    fraction = cache(partial(Fraction, denominator=D))
+    f = _in_units(f0)
+    fraction = cache(partial(Fraction, denominator=f.unit))
     # the witness is never folded: its word keeps one translation length
     w = word_of_loop(f.source, setup.witness)
     witness_len = translation_length(f.source, w)
@@ -392,18 +355,19 @@ def fast_fold(setup: FoldSetup, strategy: str = "simultaneous") -> FoldingPath:
                                     strategy))
         delta = next_event_delta(f, classes)
         if type(delta) is not int:  # an odd number of half-units
-            D, t, witness_len, delta = \
-                2 * D, 2 * t, 2 * witness_len, int(2 * delta)
-            f, kept = _in_units(maps[-1], D)
-            fraction = cache(partial(Fraction, denominator=D))
+            t, witness_len, delta = 2 * t, 2 * witness_len, int(2 * delta)
+            f = _in_units(maps[-1], 2 * f.unit)
+            fraction = cache(partial(Fraction, denominator=f.unit))
+        # f is maps[-1] in units: an image the step keeps is written once
+        kept = {e: (p, maps[-1].edge_image[e])
+                for e, p in f.edge_image.items()}
         f = fold_step(f, classes, delta)
         if translation_length(f.source, w) != witness_len:
             raise InternalInvariantError("witness loop was folded")
         t += delta
         events.append(fraction(t))
-        maps.append(_map_in_units(f, B0, fraction, kept))
-        kept = {e: (p, maps[-1].edge_image[e])
-                for e, p in f.edge_image.items()}
+        maps.append(_map_in_units(f, _graph_in_units(f.source, fraction), B0,
+                                  fraction, kept=kept))
 
     # the end of the path must be the target up to subdivision: the images
     # of the surviving edges partition every target edge exactly

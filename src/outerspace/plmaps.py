@@ -14,13 +14,23 @@ loop freely homotopic to the corresponding petal of the target.  Words are
 read off image paths by snapping every interior point to the origin of its
 edge: a path then crosses exactly the edges whose terminus one of its
 segments reaches in the edge's forward orientation.
+
+The optimizer runs in integer units.  A map's ``unit`` D says that each of
+its lengths and coordinates x stands for x / D: D is 1 on a map in
+`Fraction`s, and `_in_units` rescales a map to a unit D times finer, every
+x becoming the int x D.  Per-edge stretches are then ints over one common
+denominator (`_weights`).  D starts as the least common denominator
+of the initial map and is multiplied by the denominator of every step or
+cell-LP point that is not a whole number of units; `_in_fractions` writes
+a map back.  The fold scales its maps by `_in_units` too, and writes them
+back by `_map_in_units`, the routine under both.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, replace
+from functools import cached_property, partial
 from fractions import Fraction
 from typing import Optional
 
@@ -29,6 +39,7 @@ from .errors import (
     BudgetExhaustedError,
     InternalInvariantError,
     InvalidInputError,
+    RankMismatchError,
 )
 from .graphs import (
     Dart,
@@ -75,8 +86,6 @@ class PLPath:
     @cached_property
     def length(self) -> Fraction:
         # in the units of the segments: ints on a map in integer units
-        if not self.segs:
-            return Fraction(0)
         return sum(b - a for (_, a, b) in self.segs)
 
 
@@ -138,6 +147,8 @@ class PLMap:
     target: MarkedMetricGraph
     vertex_image: dict  # vertex -> Point of target
     edge_image: dict    # forward edge id -> PLPath in target
+    unit: int = 1       # lengths and coordinates count 1/unit; 1 on a map
+                        # in Fractions, D on one in integer units of 1/D
 
 
 def reverse_segs(B: MarkedMetricGraph, segs):
@@ -206,7 +217,7 @@ def initial_pl_map(A: MarkedMetricGraph, B: MarkedMetricGraph) -> PLMap:
     target basepoint, each edge to the realization of its label word
     conjugated by spanning-tree connectors."""
     if A.rank != B.rank:
-        raise InvalidInputError("ranks differ")
+        raise RankMismatchError(f"ranks differ: {A.rank} != {B.rank}")
     if issues := marking_issues(A):
         raise InvalidInputError(issues[0])
     # BFS tree words from the basepoint
@@ -227,12 +238,65 @@ def initial_pl_map(A: MarkedMetricGraph, B: MarkedMetricGraph) -> PLMap:
     return PLMap(A, B, vertex_image, edge_image)
 
 
+# -- integer units -----------------------------------------------------------------
+
+def _graph_in_units(G: MarkedMetricGraph, unit) -> MarkedMetricGraph:
+    """G with every length l written unit(l)."""
+    return replace(G, edges={e: (o, t, unit(l))
+                             for e, (o, t, l) in G.edges.items()})
+
+
+def _map_in_units(f: PLMap, source: MarkedMetricGraph,
+                  target: MarkedMetricGraph, unit, D: int = 1,
+                  kept=None) -> PLMap:
+    """f from ``source`` onto ``target`` in units of 1/D, every coordinate
+    x written unit(x); ``kept`` maps an edge to a pair (an image of f,
+    that image so written), reused while f holds that very path."""
+    def point(x):
+        return x if x[0] == "v" else (*x[:2], unit(x[2]))
+
+    images = {}
+    for e, p in f.edge_image.items():
+        old = kept.get(e) if kept else None
+        images[e] = old[1] if old and old[0] is p else PLPath(
+            tuple((d, unit(a), unit(b)) for d, a, b in p.segs),
+            point(p.anchor))
+    return PLMap(source, target,
+                 {v: point(x) for v, x in f.vertex_image.items()}, images, D)
+
+
+def _in_units(f: PLMap, D: Optional[int] = None) -> PLMap:
+    """f in a unit D times finer: every length and coordinate x becomes
+    the int x D.  D defaults to the least common denominator of the edge
+    lengths and vertex-image offsets, which is every coordinate's: any
+    other lies at a target vertex."""
+    if D is None:
+        D = math.lcm(*(x.denominator for x in (
+            *(l for G in (f.source, f.target) for _, _, l in G.edges.values()),
+            *(x[2] for x in f.vertex_image.values() if x[0] == "e"))))
+
+    def scaled(x):
+        return x.numerator * (D // x.denominator)
+
+    return _map_in_units(f, _graph_in_units(f.source, scaled),
+                         _graph_in_units(f.target, scaled), scaled,
+                         D * f.unit)
+
+
+def _in_fractions(f: PLMap, source: MarkedMetricGraph,
+                  target: MarkedMetricGraph) -> PLMap:
+    """f written back in `Fraction`s, on the graphs it was scaled from."""
+    return _map_in_units(f, source, target,
+                         partial(Fraction, denominator=f.unit))
+
+
 # -- stretch analysis and optimality ---------------------------------------------------
 
 @dataclass(frozen=True)
 class StretchAnalysis:
     stretch: Fraction                  # S_f, the Lipschitz constant
-    per_edge: dict                     # edge -> S_{f,e}
+    per_edge: dict                     # edge -> S_{f,e}; on a map in integer
+                                       # units, times one common denominator
     a_max: frozenset                   # maximally stretched edges
     boundary: tuple                    # offending vertices of a_max
 
@@ -258,18 +322,40 @@ def subgraph_boundary(f: PLMap, edges: frozenset) -> tuple:
 
 def stretch_analysis(f: PLMap) -> StretchAnalysis:
     per_edge = {
-        e: p.length / f.source.length(e) for e, p in f.edge_image.items()
+        e: Fraction(p.length, f.source.length(e))
+        for e, p in f.edge_image.items()
     }
     return _analysis(f, per_edge)
 
 
+def _weights(G: MarkedMetricGraph) -> dict:
+    """L / l_e per edge, L the lcm of G's integer lengths: an image of
+    length x stretches e by x (L / l_e) / L."""
+    L = math.lcm(*(l for _, _, l in G.edges.values()))
+    return {e: L // l for e, (_, _, l) in G.edges.items()}
+
+
+def _in_integer_units(f: PLMap) -> tuple[PLMap, StretchAnalysis]:
+    """f in integer units (`_in_units` with its default D) and its
+    analysis, with per-edge stretches over the common denominator of
+    `_weights`."""
+    g = _in_units(f)
+    w = _weights(g.source)
+    return g, _analysis(g, {e: p.length * w[e]
+                            for e, p in g.edge_image.items()})
+
+
 def _analysis(f: PLMap, per_edge: dict) -> StretchAnalysis:
-    """The analysis of f, given its per-edge stretches."""
+    """The analysis of f, given its per-edge stretches (or their
+    `_weights` numerators)."""
     S = max(per_edge.values())
     if S <= 0:
         raise InternalInvariantError("map collapses every edge")
     a_max = frozenset(e for e, s in per_edge.items() if s == S)
-    return StretchAnalysis(S, per_edge, a_max, subgraph_boundary(f, a_max))
+    e = min(a_max)
+    return StretchAnalysis(
+        Fraction(f.edge_image[e].length, f.source.length(e)), per_edge,
+        a_max, subgraph_boundary(f, a_max))
 
 
 # -- the local improvement move ----------------------------------------------------------
@@ -322,14 +408,17 @@ def next_v(f: PLMap, v: str) -> PLMap:
     """Push the image of an offending vertex forward along the one gate of
     its maximally stretched darts, up to the largest step that still lowers
     (stretch, #maximal edges) lexicographically."""
-    return _next_v(f, v, stretch_analysis(f), stars(f.source))[0]
+    g, ana = _in_integer_units(f)
+    return _in_fractions(_next_v(g, v, ana, stars(f.source))[0], f.source,
+                         f.target)
 
 
 def _next_v(f: PLMap, v: str, ana: StretchAnalysis, star: dict
             ) -> tuple[PLMap, StretchAnalysis]:
-    """`next_v` on a map whose analysis is ``ana``; ``star`` is the
-    source's `stars`.  Also returns the analysis of the moved map, for
-    which only v's incident edges are measured again."""
+    """`next_v` on a map in integer units whose analysis is ``ana``;
+    ``star`` is the source's `stars`.  Also returns the analysis of the
+    moved map, for which only v's incident edges are measured again.  A
+    fractional step first refines the unit by its denominator."""
     A, B = f.source, f.target
     if v not in ana.boundary:
         raise InvalidInputError(f"vertex {v} is not an offending vertex")
@@ -345,80 +434,86 @@ def _next_v(f: PLMap, v: str, ana: StretchAnalysis, star: dict
     if dart_point(B, beta, a) != f.vertex_image[v]:
         raise InternalInvariantError("vertex image does not sit on its germ")
 
-    limits = [B.length(beta[0]) - a]
+    # the room to move, in half-units
+    limits = [2 * (B.length(beta[0]) - a)]
     slope: dict[str, int] = {}
     trunc = {d for d in star[v] if germs[d] == beta}
     for d in star[v]:
         e = d[0]
         if d in trunc:
             (_, a0, b0) = next(dart_segs(f, d))
-            limits.append(b0 - a0)
+            limits.append(2 * (b0 - a0))
             if rev(d) in trunc:
-                limits.append(ana.per_edge[e] * A.length(e) / 2)
+                limits.append(f.edge_image[e].length)
         slope[e] = slope.get(e, 0) + (-1 if d in trunc else 1)
     t_feas = min(limits)
     if t_feas <= 0:
         raise InternalInvariantError("no room to move the vertex")
 
-    # stretch lines s_e(t) = s_e + (slope_e / l_e) t.  Only v's incident
-    # edges with a nonzero slope move; every other edge keeps its stretch.
-    # The step lands on the breakpoint (stretch-equalization crossing or
-    # feasibility limit) with the lexicographically best (max stretch,
-    # #maximal edges, max stretch over v-incident edges); the last
+    # stretch lines s_e(t) = s_e + r_e t of v's incident edges, over the
+    # common denominator of `_weights`; every other edge keeps its
+    # stretch.  The step lands on the breakpoint (stretch-equalization
+    # crossing or feasibility limit) with the lexicographically best (max
+    # stretch, #maximal edges, max stretch over v-incident edges); the last
     # component makes the vertex settle at its local balance point even
     # when distant edges pin the global maximum, which the bare supremum
-    # rule cannot do.
-    moving = {e: (ana.per_edge[e], k / A.length(e))
-              for e, k in slope.items() if k}
-    const = {e: s for e, s in ana.per_edge.items() if e not in moving}
-    top = [max(const.values())] if const else []
-    top_edges = frozenset(e for e, s in const.items() if s == top[0])
-    local_const = [const[e] for e in slope if e in const]
-    local_top = [max(local_const)] if local_const else []
+    # rule cannot do.  No crossing with a constant line is needed: once the
+    # highest falling line drops below a constant one, the maximum stays
+    # flat until the highest rising line reaches it, and those two moving
+    # lines cross in between.  Every candidate step is P / Q units for one
+    # Q, so the lines' values there, times Q, are ints.
+    w = _weights(A)
+    lines = {e: (ana.per_edge[e], k * w[e]) for e, k in slope.items()}
+    items = sorted(x for x in lines.values() if x[1])
+    meets = [(s2 - s1, r1 - r2) for i, (s1, r1) in enumerate(items)
+             for (s2, r2) in items[i + 1:] if r1 != r2]
+    Q = math.lcm(2, *(r for _, r in meets))
+    P_feas = t_feas * Q // 2
+    crossings = {P_feas, *(P for P in (s * (Q // r) for s, r in meets)
+                           if 0 < P <= P_feas)}
+    rest = {e: Q * s for e, s in ana.per_edge.items() if e not in slope}
+    top = max(rest.values(), default=0)
+    top_edges = frozenset(e for e, s in rest.items() if s == top)
 
-    def key_at(t: Fraction):
-        vals = {e: s + r * t for e, (s, r) in moving.items()}
-        S_t = max([*vals.values(), *top])
-        am_t = frozenset(e for e, s in vals.items() if s == S_t)
-        if S_t in top:
+    def key_at(P: int):
+        vals = {e: Q * s + r * P for e, (s, r) in lines.items()}
+        local = max(vals.values())
+        S_t = max(local, top)
+        am_t = frozenset(e for e, x in vals.items() if x == S_t)
+        if S_t == top:
             am_t |= top_edges
-        local = max([*vals.values(), *local_top])
         return (S_t, len(am_t), local), am_t
 
-    # crossings of two moving lines, and t_feas.  No crossing with a
-    # constant line is needed: once the highest falling line drops below
-    # a constant one, the maximum stays flat until the highest rising line
-    # reaches it, and those two moving lines cross in between.
-    crossings = {t_feas}
-    items = sorted(moving.values())
-    for i, (s1, r1) in enumerate(items):
-        meets = [(s2 - s1) / (r1 - r2) for (s2, r2) in items[i + 1:]
-                 if r1 != r2]
-        crossings.update(t for t in meets if 0 < t <= t_feas)
-
-    key0, _ = key_at(Fraction(0))
+    S0 = Q * ana.per_edge[min(ana.a_max)]
+    key0, _ = key_at(0)
     best = None
-    for tau in sorted(crossings):
-        key, am_t = key_at(tau)
+    for P in sorted(crossings):
+        key, am_t = key_at(P)
         # never let an edge outside the current maximal set take over
-        if key[0] == ana.stretch and not (am_t < ana.a_max):
+        if key[0] == S0 and not (am_t < ana.a_max):
             continue
-        if key[0] > ana.stretch:
+        if key[0] > S0:
             continue
-        if best is None or (key, -tau) < (best[0], -best[1]):
-            best = (key, tau)
+        if best is None or (key, -P) < (best[0], -best[1]):
+            best = (key, P)
     if best is None or best[0] >= key0:
         raise InternalInvariantError("next_v cannot make progress")
-    t0 = best[1]
+    # the step is best[1] / Q units: in a unit k times finer, t0 whole ones
+    g = math.gcd(best[1], Q)
+    k, t0 = Q // g, best[1] // g
+    if k > 1:  # the weights w and the rates r do not depend on the unit
+        f, a = _in_units(f, k), k * a
+        A, B = f.source, f.target
 
     out = PLMap(A, B, {**f.vertex_image, v: dart_point(B, beta, a + t0)},
                 {**f.edge_image,
-                 **slide_ends(f, dict.fromkeys(star[v], [(beta, a, a + t0)]))})
-    per_edge = dict(ana.per_edge)
+                 **slide_ends(f, dict.fromkeys(star[v], [(beta, a, a + t0)]))},
+                f.unit)
+    per_edge = {e: k * s for e, s in ana.per_edge.items()}
     for e in sorted(slope):
-        s, r = moving.get(e, (per_edge[e], 0))
-        per_edge[e] = out.edge_image[e].length / A.length(e)
-        if per_edge[e] != s + r * t0:
+        s, r = lines[e]
+        per_edge[e] = out.edge_image[e].length * w[e]
+        if per_edge[e] != k * s + r * t0:
             raise InternalInvariantError(
                 f"moved image of edge {e} is off its stretch line"
             )
@@ -431,7 +526,9 @@ def _next_v(f: PLMap, v: str, ana: StretchAnalysis, star: dict
 def _cell_minimum(f: PLMap, target: Fraction
                   ) -> Optional[tuple[PLMap, StretchAnalysis]]:
     """The best map of f's cell with its analysis; None if no vertex image
-    can slide.
+    can slide.  f is in integer units, and the LP reads its rows in
+    `Fraction`s; a point that is not a whole number of units stays an
+    exact `Fraction` of one, and the optimizer rescales a map it adopts.
 
     The cell keeps every image path's interior segments and the target edge
     of every vertex image.  Each vertex image inside a target edge slides
@@ -447,7 +544,7 @@ def _cell_minimum(f: PLMap, target: Fraction
     there along its target edge through `slide_ends`.  The map must be
     valid with stretch exactly S*, and S* may not beat ``target``.
     """
-    A, B = f.source, f.target
+    A, B, D = f.source, f.target, f.unit
     parent: dict = {}
     for e, p in f.edge_image.items():
         if not p.segs:
@@ -465,21 +562,22 @@ def _cell_minimum(f: PLMap, target: Fraction
     if not var:
         return None
     k = len(edge_of)  # S is variable k
+    fraction = partial(Fraction, denominator=D)
 
     def coordinate(d: Dart, i: int):
         """Dart coordinate of variable i's point: (constant, coefficient)."""
         if d[0] != edge_of[i]:
             raise InternalInvariantError("vertex image left its target edge")
-        return (Fraction(0), 1) if d[1] > 0 else (B.length(d[0]), -1)
+        return (0, 1) if d[1] > 0 else (B.length(d[0]), -1)
 
-    rows = [({i: 1}, B.length(E)) for i, E in enumerate(edge_of)]
-    fixed = [Fraction(0)]
-    total = [Fraction(0)] * (k + 1)  # total image length's coefficients
+    rows = [({i: 1}, fraction(B.length(E))) for i, E in enumerate(edge_of)]
+    fixed = [0]
+    total = [0] * (k + 1)  # total image length's coefficients
     for e in sorted(A.edges):
         p = f.edge_image[e]
         o, t, l = A.edges[e]
         if not p.segs or (o not in var and t not in var):
-            fixed.append(p.length / l)
+            fixed.append(Fraction(p.length, l))
             continue
         # len_e = const + sum(coef[i] x_i); a single segment's ends are a, b
         const, coef = p.length, {}
@@ -498,13 +596,13 @@ def _cell_minimum(f: PLMap, target: Fraction
             ends[1] = (c0, c1, var[t])
         for i, c in coef.items():
             total[i] += c
-        coef[k] = -l
-        rows.append((coef, -const))
+        coef[k] = -fraction(l)
+        rows.append((coef, fraction(-const)))
         if len(p.segs) == 1 and None not in ends:
             (a0, a1, i), (b0, b1, j) = ends
             row = {i: a1}
             row[j] = row.get(j, 0) - b1
-            rows.append((row, b0 - a0))
+            rows.append((row, fraction(b0 - a0)))
     rows.append(({k: -1}, -max(fixed)))
     least = [-c for c in total]
     first, lp, unique = maximize_on_optimum([0] * k + [-1], least, rows)
@@ -521,7 +619,7 @@ def _cell_minimum(f: PLMap, target: Fraction
     star, heads, vertex_image = stars(A), {}, dict(f.vertex_image)
     try:
         for v, i in var.items():
-            off, x = f.vertex_image[v][2], lp.x[i]
+            off, x = f.vertex_image[v][2], lp.x[i] * D
             if x != off:  # v slides along its target edge from off to x
                 d = (edge_of[i], 1 if x > off else -1)
                 c0, c1 = coordinate(d, i)
@@ -531,7 +629,7 @@ def _cell_minimum(f: PLMap, target: Fraction
         edge_image = {**f.edge_image, **slide_ends(f, heads)}
     except InvalidInputError as exc:
         raise InternalInvariantError(f"cell LP optimum is not a map: {exc}")
-    g = PLMap(A, B, vertex_image, edge_image)
+    g = PLMap(A, B, vertex_image, edge_image, D)
     ana = stretch_analysis(g)
     if validate_pl_map(g) or ana.stretch != S:
         raise InternalInvariantError("cell LP optimum is not certified")
@@ -548,12 +646,15 @@ def optimize_pl_map(A: MarkedMetricGraph, B: MarkedMetricGraph,
     current cell exactly and adopts its optimum if that lowers the
     stretch, which returns it when it attains the target.  Each map is
     analysed once; the analysis travels with it through the loop.
+
+    It runs in integer units of 1/D, D refined at each step or cell-LP
+    point that is not whole; the maps it hands back are in `Fraction`s,
+    and the returned one is certified again by `stretch_analysis`.
     """
     if max_moves < 0:
         raise InvalidInputError(f"move budget {max_moves} is negative")
     target = lambda_r(A, B).value
-    f = initial_pl_map(A, B)
-    ana = stretch_analysis(f)
+    f, ana = _in_integer_units(initial_pl_map(A, B))
     star = stars(A)
     last_moved: dict = {}
     moves = 0
@@ -563,14 +664,18 @@ def optimize_pl_map(A: MarkedMetricGraph, B: MarkedMetricGraph,
                 "map beats the candidate bound; candidate set must be wrong"
             )
         if ana.stretch == target:
-            return f
+            g = _in_fractions(f, A, B)
+            if stretch_analysis(g).stretch != target:
+                raise InternalInvariantError(
+                    "optimal map written back does not attain the target")
+            return g
         if moves >= max_moves:
             raise BudgetExhaustedError(
                 f"optimization budget {max_moves} exhausted: best stretch "
                 f"{format_fraction(ana.stretch)}, certified target "
                 f"{format_fraction(target)}, gap "
                 f"{format_fraction(ana.stretch - target)}",
-                partial=(f, ana.stretch, target),
+                partial=(_in_fractions(f, A, B), ana.stretch, target),
             )
         offenders = ana.boundary
         if not offenders:
@@ -589,7 +694,7 @@ def optimize_pl_map(A: MarkedMetricGraph, B: MarkedMetricGraph,
             cell = _cell_minimum(f, target)
             if cell is not None and (cell[1].stretch < ana.stretch
                                      or cell[1].stretch == target):
-                f, ana = cell
+                f, ana = _in_integer_units(cell[0])
 
 
 # -- bounded cancellation ---------------------------------------------------------------

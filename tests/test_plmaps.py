@@ -17,6 +17,7 @@ from outerspace.errors import (
     BudgetExhaustedError,
     InternalInvariantError,
     InvalidInputError,
+    RankMismatchError,
 )
 from outerspace.fixtures import (
     aut_poly,
@@ -495,6 +496,90 @@ def test_optimizer_output_pinned():
     assert got == OPTIMIZER_PINS
 
 
+# the sweep pairs (`sweep_pair`) whose coordinate denominators grow the most
+# while they are optimized (2e8 to 6e9 times the initial map's, on the
+# volume-one pairs that `prepare_folding_setup` optimizes), as the optimizer
+# in `Fraction`s computed them
+SWEEP_OPTIMIZER_PINS = {
+    ("K4", 51):
+        "a72f9a7bb4b7808a87ede27043257771978eab8765818a79a9370113ebb62c4d",
+    ("K33", 73):
+        "dd08e5b8e46e67ba819ab90ae1a08424b649714d9977d348f55b46f0a45eecff",
+    ("K33", 25):
+        "1516d32b44f8460f6be937499d7268299a08e884a237cc9bc748e67fc29b65a1",
+    ("prism5", 23):
+        "66ad50683364089810a5b021617cd6af6a9380fea2c81164633be8dc5f419660",
+}
+
+
+def test_sweep_optimizer_output_pinned():
+    """The optimal maps of the sweep pairs whose denominators grow the
+    most, and the budget partial of prism5 seed 23 after 12 moves (two
+    cell LPs), map and exact stretch, are those of the optimizer in
+    `Fraction`s."""
+    got = {key: _optimizer_digest(optimize_pl_map(*sweep_pair(*key)))
+           for key in SWEEP_OPTIMIZER_PINS}
+    assert got == SWEEP_OPTIMIZER_PINS
+    with pytest.raises(BudgetExhaustedError) as info:
+        optimize_pl_map(*sweep_pair("prism5", 23), 12)
+    f, stretch, target = info.value.partial
+    assert (_optimizer_digest(f), stretch, target) == (
+        "c74a2d8c903160ab8b61f98d4d416bf796303df8b1ac42dc43cb378e4d1936fa",
+        F(117, 10), F(3646, 703))
+
+
+def assert_written_in_fractions(f):
+    """Every vertex-image offset, segment end and anchor offset of f is a
+    `Fraction`, not an int equal to one."""
+    points = [*f.vertex_image.values(),
+              *(p.anchor for p in f.edge_image.values())]
+    assert all(type(x[2]) is F for x in points if x[0] == "e")
+    assert all(type(a) is F and type(b) is F
+               for p in f.edge_image.values() for _, a, b in p.segs)
+
+
+def test_no_int_leaves_the_optimizer():
+    """The optimizer computes in integer units, but what a caller reads is
+    written in `Fraction`s: the optimal map of sweep pair prism5 seed 23,
+    the setup map built from it, and the map and stretch of the budget
+    partial of K33-1 after 7 moves."""
+    A, B = sweep_pair("prism5", 23)
+    assert_written_in_fractions(optimize_pl_map(A, B))
+    assert_written_in_fractions(prepare_folding_setup(A, B).optimal_map)
+    (A, B, _), = [x[1:] for x in _pinned_optimizer_inputs() if x[0] == "K33-1"]
+    with pytest.raises(BudgetExhaustedError) as info:
+        optimize_pl_map(A, B, 7)
+    f, stretch, target = info.value.partial
+    assert_written_in_fractions(f)
+    assert type(stretch) is F and type(target) is F
+    assert stretch_analysis(f).stretch == stretch > target
+    assert target == lambda_r(A, B).value
+
+
+def test_optimizer_unit_grows_at_a_fractional_step(monkeypatch):
+    """On K4 sweep pair seed 51 every move receives a map whose lengths and
+    coordinates are all ints, and the unit of the maps it receives grows
+    where a step or a cell-LP point is not a whole number of units.  The
+    optimal map is the pinned one."""
+    step, units = plmaps._next_v, []
+
+    def recording(f, v, ana, star):
+        assert all(type(l) is int for G in (f.source, f.target)
+                   for _, _, l in G.edges.values())
+        assert all(type(x[2]) is int for x in f.vertex_image.values()
+                   if x[0] == "e")
+        assert all(type(a) is int and type(b) is int
+                   for p in f.edge_image.values() for _, a, b in p.segs)
+        units.append(f.unit)
+        return step(f, v, ana, star)
+
+    monkeypatch.setattr(plmaps, "_next_v", recording)
+    f = optimize_pl_map(*sweep_pair("K4", 51))
+    assert _optimizer_digest(f) == SWEEP_OPTIMIZER_PINS[("K4", 51)]
+    assert len(units) == 12 and len(set(units)) > 1
+    assert all(b % a == 0 for a, b in zip(units, units[1:]))
+
+
 
 # every cell LP that optimize_pl_map solves on three pinned inputs, as
 # (value, x) of an optimal LPResult: the stretch optimum, then the
@@ -880,7 +965,7 @@ def one_petal_rose():
                          ("v", "v")),
      InvalidInputError("anchor does not match the first segment")),
     (lambda: initial_pl_map(theta_left(), unit_rose(3)),
-     InvalidInputError("ranks differ")),
+     RankMismatchError("ranks differ: 2 != 3")),
     (lambda: initial_pl_map(one_petal_rose(), unit_rose(2)),
      InvalidInputError("1 marking paths for rank 2")),
     (lambda: validate_pl_map(without_image("B")),
